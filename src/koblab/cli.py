@@ -117,12 +117,10 @@ def _domain(cfg: dict):
     return domain_from_json(cfg["domain"])
 
 
-def _solver(cfg: dict, seed: int) -> SolverConfig | None:
+def _solver(cfg: dict) -> SolverConfig | None:
     if "solver" not in cfg:
         return None
-    data = dict(cfg["solver"])
-    data.setdefault("seed", seed)
-    return SolverConfig.from_json(data)
+    return SolverConfig.from_json(cfg["solver"])
 
 
 def _psi_params(cfg: dict) -> OmegaPsiParams:
@@ -161,7 +159,7 @@ def _cmd_distance(args, cfg):
 def _cmd_geodesic(args, cfg):
     dom = _domain(cfg)
     x, y = _point(cfg, "x"), _point(cfg, "y")
-    scfg = _solver(cfg, args.seed) or SolverConfig(seed=args.seed)
+    scfg = _solver(cfg) or SolverConfig()
     res = solve_geodesic(dom, x, y, scfg)
     payload = dict(res.to_json())
     payload.update(x=to_pairs(x), y=to_pairs(y), domain=dom.to_json())
@@ -182,7 +180,7 @@ def _cmd_geodesic(args, cfg):
 def _cmd_gromov(args, cfg):
     dom = _domain(cfg)
     x, y, o = _point(cfg, "x"), _point(cfg, "y"), _point(cfg, "o")
-    br = gromov_product(dom, x, y, o, config=_solver(cfg, args.seed))
+    br = gromov_product(dom, x, y, o, config=_solver(cfg))
     payload = {"lower": br.lower, "upper": br.upper, "x": to_pairs(x),
                "y": to_pairs(y), "o": to_pairs(o), "domain": dom.to_json()}
     csv = "lower,upper\n%s,%s\n" % (_g17(br.lower), _g17(br.upper))
@@ -194,7 +192,7 @@ def _cmd_visibility_scan(args, cfg):
     rep = visibility_scan(dom, _point(cfg, "p"), _point(cfg, "q"),
                           _grid(cfg, "eps", [1e-1, 1e-2, 1e-3]),
                           approach=cfg.get("approach", "normal"),
-                          config=_solver(cfg, args.seed),
+                          config=_solver(cfg),
                           workers=args.threads)
     return {"report": rep, "svg": True}
 
@@ -204,7 +202,7 @@ def _cmd_k_point(args, cfg):
     rep = k_point_probe(dom, _point(cfg, "p"),
                         float(_require(cfg, "w_radius")),
                         _grid(cfg, "eps", [1e-1, 1e-2, 1e-3, 1e-4]),
-                        config=_solver(cfg, args.seed),
+                        config=_solver(cfg),
                         sphere_samples=int(cfg.get("sphere_samples", 64)),
                         workers=args.threads)
     return {"report": rep, "svg": True}
@@ -214,7 +212,7 @@ def _cmd_growth_fit(args, cfg):
     dom = _domain(cfg)
     o = _as_point(cfg["o"], "o") if "o" in cfg else dom.base_point
     rep = growth_fit(dom, o, int(cfg.get("samples", 40)), seed=args.seed,
-                     config=_solver(cfg, args.seed))
+                     config=_solver(cfg))
     return {"report": rep, "svg": True}
 
 
@@ -247,7 +245,7 @@ def _cmd_case_omega_psi(args, cfg):
     params = _psi_params(cfg)
     rep = run_omega_psi_case(params, _grid(cfg, "eps", [1e-1, 1e-2, 1e-3]),
                              workers=args.threads, seed=args.seed,
-                             config=_solver(cfg, args.seed))
+                             config=_solver(cfg))
     return {"report": rep, "svg": True,
             "payload": {"params": params.to_json()}}
 
@@ -257,7 +255,7 @@ def _cmd_balls_check(args, cfg):
     holds, margin = balls_inequality_check(dom, _point(cfg, "q"),
                                            _point(cfg, "z"),
                                            float(_require(cfg, "r")),
-                                           config=_solver(cfg, args.seed))
+                                           config=_solver(cfg))
     payload = {"holds": bool(holds), "margin": float(margin),
                "domain": dom.to_json()}
     csv = "holds,margin\n%s,%s\n" % (str(bool(holds)).lower(), _g17(margin))
@@ -270,7 +268,7 @@ def _cmd_sameheight(args, cfg):
                              float(_require(cfg, "radius")),
                              _grid(cfg, "delta", [3e-2, 1e-2, 3e-3, 1e-3]),
                              int(_require(cfg, "m_type")),
-                             config=_solver(cfg, args.seed))
+                             config=_solver(cfg))
     return {"report": rep, "svg": True}
 
 

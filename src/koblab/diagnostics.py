@@ -41,9 +41,9 @@ from .geometry import (
 )
 from .metric import (
     MetricBracket,
+    SignedBracket,
     distance_bracket,
     distance_lower_bound,
-    model_distance,
 )
 from .solver import SolverConfig, solve_geodesic
 
@@ -80,36 +80,6 @@ def _g17(x: float) -> str:
 # ---------------------------------------------------------------------------
 # report plumbing
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SignedBracket:
-    """A certified interval [lower, upper] for a signed quantity.
-
-    Distances and metrics use :class:`MetricBracket`, which insists on
-    lower >= 0; differences of distances (log-estimate residuals, Gromov
-    defects) are legitimately negative, so they get this sign-free sibling
-    with the same read API.
-    """
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not self.lower <= self.upper:
-            raise GeometryError(
-                f"bracket must satisfy lower <= upper, got "
-                f"[{self.lower}, {self.upper}]")
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
-
-    def as_tuple(self) -> tuple:
-        return (self.lower, self.upper)
 
 
 @dataclass
@@ -242,11 +212,7 @@ def _pair_bracket(domain: Domain, x, y, config: SolverConfig | None = None
     (tighter); without one it is the subdivided straight-chord bound (fast
     and still certified).
     """
-    x, y = as_carray(x), as_carray(y)
-    exact = model_distance(domain, x, y)
-    if exact is not None:
-        return MetricBracket(exact, exact)
-    if config is None:
+    if config is None or domain.exact:
         return distance_bracket(domain, x, y)
     return solve_geodesic(domain, x, y, config).distance
 

@@ -13,10 +13,13 @@ reduces to a handful of geometric primitives on an open convex domain D:
   that complex line, and repeat in the slice.
 
 Model domains (disc, half-plane, polydisc, ball, ellipsoid) implement these
-with closed forms.  The graph-type domain used in the flat-boundary
-experiments and arbitrary smooth convex bodies fall back to generic
-ray-sampling machinery with bisection along each ray; those code paths carry
-doubling self-checks in the test suite instead of closed-form guarantees.
+with closed forms.  The four Kobayashi models (disc, half-plane, polydisc,
+ball) also carry their closed-form distance and metric and the geodesic
+solver's segment kernels, through the ``Domain`` protocol.  The graph-type
+domain used in the flat-boundary experiments and arbitrary smooth convex
+bodies fall back to generic ray-sampling machinery with bisection along each
+ray; those code paths carry doubling self-checks in the test suite instead of
+closed-form guarantees.
 """
 
 from __future__ import annotations
@@ -43,9 +46,7 @@ class AmbiguousProjectionError(GeometryError):
 
 
 def as_carray(x) -> np.ndarray:
-    """Coerce a point/vector (CPoint, CVector, sequence, scalar) to a complex array."""
-    if isinstance(x, (CPoint, CVector)):
-        return np.array(x.values, dtype=complex)
+    """Coerce a point/vector (sequence or scalar) to a complex array."""
     arr = np.atleast_1d(np.asarray(x, dtype=complex))
     if arr.ndim != 1:
         raise GeometryError(f"expected a 1-d complex point, got shape {arr.shape}")
@@ -68,58 +69,6 @@ def from_pairs(pairs: Sequence) -> np.ndarray:
             raise GeometryError(f"coordinate pair must have 2 entries, got {p!r}")
         out.append(complex(float(p[0]), float(p[1])))
     return np.array(out, dtype=complex)
-
-
-@dataclass(frozen=True)
-class CPoint:
-    """A point of C^n, stored as n complex values.
-
-    ``coords`` exposes the flat 2n-real view (alternating re/im) used by the
-    serialization layer.
-    """
-
-    values: tuple
-
-    def __post_init__(self):
-        vals = tuple(complex(v) for v in self.values)
-        if len(vals) == 0:
-            raise GeometryError("zero-dimensional point")
-        if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in vals):
-            raise GeometryError("non-finite coordinate")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @property
-    def coords(self) -> list:
-        out = []
-        for v in self.values:
-            out.extend([v.real, v.imag])
-        return out
-
-    @classmethod
-    def from_pairs(cls, pairs):
-        return cls(tuple(from_pairs(pairs)))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=complex)
-
-
-@dataclass(frozen=True)
-class CVector(CPoint):
-    """A tangent vector of C^n (same layout as CPoint, distinct role)."""
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
-
-    def unit(self) -> "CVector":
-        nrm = self.norm
-        if nrm == 0.0:
-            raise GeometryError("cannot normalize the zero vector")
-        return CVector(tuple(v / nrm for v in self.values))
 
 
 def _lex_key(z: np.ndarray):
@@ -218,55 +167,71 @@ def ray_exit(
     return 0.5 * (lo + hi)
 
 
-def _refine_direction(
-    contains: Callable[[np.ndarray], bool],
-    z: np.ndarray,
-    u0: np.ndarray,
-    hi_cap: float,
-) -> float:
-    """Polish a near-minimal ray direction with derivative-free descent."""
+def _ray_objective(contains: Callable[[np.ndarray], bool], z: np.ndarray,
+                   cap: float) -> Callable[[np.ndarray], float]:
+    """Exit time along the real-view direction w, normalized (cap at w ~ 0)."""
 
     def objective(w: np.ndarray) -> float:
         nrm = np.linalg.norm(w)
         if nrm < 1e-12:
-            return hi_cap
-        u = complex_view(w / nrm)
-        return ray_exit(contains, z, u, hi_cap)
+            return cap
+        return ray_exit(contains, z, complex_view(w / nrm), cap)
+    return objective
 
-    res = optimize.minimize(
-        objective,
-        real_view(u0),
-        method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 600},
-    )
-    return float(min(objective(res.x), objective(real_view(u0))))
+
+def _rated_rays(contains: Callable[[np.ndarray], bool], z: np.ndarray,
+                count: int, cap: float) -> list:
+    """(exit time, direction) over the fixed sample directions, shortest first."""
+    rated = []
+    for u_real in _unit_directions(2 * len(z), count):
+        u = complex_view(u_real)
+        rated.append((ray_exit(contains, z, u, cap), u))
+    rated.sort(key=lambda t: t[0])
+    return rated
 
 
 def sampled_boundary_distance(
     domain: "Domain",
     z: np.ndarray,
     n_dirs: int = 128,
-    refine: bool = True,
 ) -> float:
     """Distance to the boundary by sampled rays + local refinement.
 
+    The three shortest rays are each polished by derivative-free descent.
     Doubling ``n_dirs`` must leave the result stable (self-checked in tests).
     """
     cap = 4.0 * domain.bounding_radius + float(np.linalg.norm(z)) + 1.0
-    dirs = _unit_directions(2 * domain.dim, n_dirs)
-    best = math.inf
-    best_dirs = []
-    for u_real in dirs:
-        u = complex_view(u_real)
-        r = ray_exit(domain.contains, z, u, cap)
-        if r < best:
-            best = r
-        best_dirs.append((r, u))
-    if refine:
-        best_dirs.sort(key=lambda t: t[0])
-        for r, u in best_dirs[:3]:
-            best = min(best, _refine_direction(domain.contains, z, u, cap))
+    rated = _rated_rays(domain.contains, z, n_dirs, cap)
+    objective = _ray_objective(domain.contains, z, cap)
+    best = rated[0][0]
+    for _, u in rated[:3]:
+        res = optimize.minimize(
+            objective,
+            real_view(u),
+            method="Nelder-Mead",
+            options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 600},
+        )
+        best = min(best, float(min(objective(res.x), objective(real_view(u)))))
     return best
+
+
+def _sampled_contact(domain: "Domain", z: np.ndarray, count: int):
+    """Nearest boundary contact from ``count`` sampled rays, the shortest
+    polished by Nelder-Mead.
+
+    Returns (exit time, unit direction, all rated rays shortest first).
+    """
+    cap = 4.0 * domain.bounding_radius + float(np.linalg.norm(z)) + 1.0
+    rated = _rated_rays(domain.contains, z, count, cap)
+    best_r, best_u = rated[0]
+    res = optimize.minimize(_ray_objective(domain.contains, z, cap),
+                            real_view(best_u), method="Nelder-Mead",
+                            options={"xatol": 1e-10, "fatol": 1e-14,
+                                     "maxiter": 800})
+    if res.fun < best_r:
+        w = res.x / np.linalg.norm(res.x)
+        best_r, best_u = res.fun, complex_view(w)
+    return best_r, best_u, rated
 
 
 def scan_directional_distance(
@@ -335,10 +300,16 @@ def _lex_smallest_on_sphere(z0: np.ndarray, cols: np.ndarray, radius: float) -> 
 
 
 class Domain:
-    """An open convex domain in C^n."""
+    """An open convex domain in C^n.
+
+    ``exact`` marks the model domains, whose Kobayashi distance and metric
+    have closed forms (:meth:`exact_distance`, :meth:`exact_metric`) and
+    whose solver segment kernels return exact pair distances.
+    """
 
     dim: int
     bounding_radius: float
+    exact = False
 
     # -- membership and distances ------------------------------------------
 
@@ -362,6 +333,43 @@ class Domain:
     def inner_radius_fast(self, z) -> float:
         """A cheap certified lower bound for boundary_distance (may be exact)."""
         return self.boundary_distance(z)
+
+    # -- closed forms and solver kernels ---------------------------------------
+
+    def exact_distance(self, x: np.ndarray, y: np.ndarray):
+        """Closed-form Kobayashi distance between interior points, or None."""
+        return None
+
+    def exact_metric(self, z: np.ndarray, X: np.ndarray) -> float:
+        """Closed-form Kobayashi metric of X at z."""
+        raise GeometryError(f"no closed-form metric for {type(self).__name__}")
+
+    def segment_kernels(self):
+        """The ``(radius, seg, drive)`` closures of the geodesic descent.
+
+        ``radius(p)`` is a cheap interior radius, negative outside.
+        ``seg(a, b, ra, rb)`` is the certified upper for k(a, b) given the
+        endpoint radii, inf when it cannot certify.  ``drive`` is the search
+        objective, which is ``seg`` itself unless a domain supplies a
+        smoother surrogate.  Here: the fast certified inner radius and the
+        touching-disc bound artanh(|b - a| / max(ra, rb)).
+        """
+        dom = self
+
+        def radius(p):
+            if not dom.contains(p):
+                return -1.0
+            return dom.inner_radius_fast(p)
+
+        def seg(a, b, ra, rb):
+            u = float(np.linalg.norm(b - a))
+            if u == 0.0:
+                return 0.0
+            t = max(ra, rb)
+            if not u < t:
+                return math.inf
+            return math.atanh(u / t)
+        return radius, seg, seg
 
     # -- boundary structure --------------------------------------------------
 
@@ -408,7 +416,7 @@ class Domain:
             raise GeometryError(f"point {arr} is not in the domain")
         return arr
 
-    def _boundary(self, b, tol: float = 1e-6) -> np.ndarray:
+    def _boundary(self, b) -> np.ndarray:
         arr = as_carray(b)
         if len(arr) != self.dim:
             raise GeometryError("point dimension mismatch")
@@ -420,11 +428,88 @@ class Domain:
 # ---------------------------------------------------------------------------
 
 
+def disc_distance(a: complex, b: complex) -> float:
+    """Poincare distance on the unit disc.
+
+    Written as ½ log((|1-āb| + |a-b|)² / ((1-|a|²)(1-|b|²))) rather than
+    artanh of the Möbius ratio: the denominator is cancellation-free, which
+    keeps near-boundary pairs accurate to ~1e-12 where the ratio form loses
+    half the digits.
+    """
+    a, b = complex(a), complex(b)
+    if abs(a) >= 1.0 or abs(b) >= 1.0:
+        raise GeometryError("disc_distance needs interior points")
+    num = abs(1.0 - a.conjugate() * b) + abs(a - b)
+    den = (1.0 - abs(a) ** 2) * (1.0 - abs(b) ** 2)
+    return max(0.0, 0.5 * math.log(num * num / den))
+
+
+def halfplane_distance(a: complex, b: complex) -> float:
+    """Poincare distance on the upper half-plane { Im > 0 }."""
+    a, b = complex(a), complex(b)
+    if a.imag <= 0.0 or b.imag <= 0.0:
+        raise GeometryError("halfplane_distance needs Im > 0")
+    # |a - conj(b)|^2 - |a - b|^2 = 4 Im(a) Im(b), so the log form avoids
+    # the near-boundary cancellation of the artanh ratio
+    num = abs(a - b.conjugate()) + abs(a - b)
+    den = 4.0 * a.imag * b.imag
+    return max(0.0, 0.5 * math.log(num * num / den))
+
+
+def polydisc_distance(z, w) -> float:
+    """max over coordinates of the disc distance."""
+    z, w = as_carray(z), as_carray(w)
+    if z.shape != w.shape:
+        raise GeometryError("dimension mismatch")
+    return max(disc_distance(z[j], w[j]) for j in range(len(z)))
+
+
+def ball_distance(z, w) -> float:
+    """Kobayashi (= Bergman up to scale) distance on the unit ball."""
+    z, w = as_carray(z), as_carray(w)
+    if z.shape != w.shape:
+        raise GeometryError("dimension mismatch")
+    nz2 = float(np.vdot(z, z).real)
+    nw2 = float(np.vdot(w, w).real)
+    if nz2 >= 1.0 or nw2 >= 1.0:
+        raise GeometryError("ball_distance needs interior points")
+    inner = complex(np.sum(z * np.conj(w)))
+    # clamp: ratio can exceed 1 by rounding when z == w; the log form keeps
+    # near-boundary pairs accurate where artanh(sqrt(1-ratio)) would not be
+    ratio = min(1.0, (1.0 - nz2) * (1.0 - nw2) / abs(1.0 - inner) ** 2)
+    m = math.sqrt(max(0.0, 1.0 - ratio))
+    if ratio == 0.0:
+        raise GeometryError("pair too close to the boundary for the formula")
+    return max(0.0, 0.5 * math.log((1.0 + m) ** 2 / ratio))
+
+
+# The solver's segment kernels below use the artanh of the Möbius ratio on
+# plain complex scalars, not the log forms above: they run in the descent's
+# inner loop, and switching formulas would move every reported solver upper
+# in its last bits.
+
+
 class Disc(Domain):
     """The unit disc in C."""
 
     dim = 1
     bounding_radius = 1.0
+    exact = True
+
+    def exact_distance(self, x, y) -> float:
+        return disc_distance(x[0], y[0])
+
+    def exact_metric(self, z, X) -> float:
+        return abs(X[0]) / (1.0 - abs(z[0]) ** 2)
+
+    def segment_kernels(self):
+        def radius(p):
+            return 1.0 - abs(p[0])
+
+        def seg(a, b, ra, rb):
+            a0, b0 = a[0], b[0]
+            return math.atanh(abs(a0 - b0) / abs(1.0 - a0.conjugate() * b0))
+        return radius, seg, seg
 
     def contains(self, z) -> bool:
         arr = as_carray(z)
@@ -471,6 +556,22 @@ class HalfPlane(Domain):
 
     dim = 1
     bounding_radius = math.inf
+    exact = True
+
+    def exact_distance(self, x, y) -> float:
+        return halfplane_distance(x[0], y[0])
+
+    def exact_metric(self, z, X) -> float:
+        return abs(X[0]) / (2.0 * z[0].imag)
+
+    def segment_kernels(self):
+        def radius(p):
+            return p[0].imag
+
+        def seg(a, b, ra, rb):
+            a0, b0 = a[0], b[0]
+            return math.atanh(abs(a0 - b0) / abs(a0 - b0.conjugate()))
+        return radius, seg, seg
 
     def contains(self, z) -> bool:
         return as_carray(z)[0].imag > 0.0
@@ -515,11 +616,55 @@ class HalfPlane(Domain):
 class Polydisc(Domain):
     """The unit polydisc D^n."""
 
+    exact = True
+
     def __init__(self, n: int = 2):
         if n < 1:
             raise GeometryError("polydisc dimension must be >= 1")
         self.dim = int(n)
         self.bounding_radius = math.sqrt(n)
+
+    def exact_distance(self, x, y) -> float:
+        return polydisc_distance(x, y)
+
+    def exact_metric(self, z, X) -> float:
+        return max(abs(X[j]) / (1.0 - abs(z[j]) ** 2) for j in range(self.dim))
+
+    def segment_kernels(self):
+        """The certified ``seg`` is the max over coordinate disc distances.
+
+        Its flat ridges stall coordinate descent, so ``drive`` is the smooth
+        euclidean norm of the per-coordinate distance vector; its minimizers
+        allocate every coordinate's length proportionally across segments,
+        and at a proportional allocation the per-segment max telescopes, so
+        the final configuration also minimizes the certified sum.
+        """
+        n = self.dim
+
+        def radius(p):
+            worst = 0.0
+            for j in range(n):
+                m = abs(p[j])
+                if m > worst:
+                    worst = m
+            return 1.0 - worst
+
+        def seg(a, b, ra, rb):
+            worst = 0.0
+            for j in range(n):
+                m = abs(a[j] - b[j]) / abs(1.0 - a[j].conjugate() * b[j])
+                if m > worst:
+                    worst = m
+            return math.atanh(worst)
+
+        def drive(a, b, ra, rb):
+            total = 0.0
+            for j in range(n):
+                m = abs(a[j] - b[j]) / abs(1.0 - a[j].conjugate() * b[j])
+                s = math.atanh(min(m, 1.0 - 1e-16))
+                total += s * s
+            return math.sqrt(total)
+        return radius, seg, drive
 
     def contains(self, z) -> bool:
         arr = as_carray(z)
@@ -590,11 +735,47 @@ class Polydisc(Domain):
 class Ball(Domain):
     """The unit euclidean ball in C^n."""
 
+    exact = True
+
     def __init__(self, n: int = 2):
         if n < 1:
             raise GeometryError("ball dimension must be >= 1")
         self.dim = int(n)
         self.bounding_radius = 1.0
+
+    def exact_distance(self, x, y) -> float:
+        return ball_distance(x, y)
+
+    def exact_metric(self, z, X) -> float:
+        nz2 = float(np.vdot(z, z).real)
+        nX2 = float(np.vdot(X, X).real)
+        zx = complex(np.sum(X * np.conj(z)))
+        s = 1.0 - nz2
+        return math.sqrt((nX2 * s + abs(zx) ** 2)) / s
+
+    def segment_kernels(self):
+        n = self.dim
+
+        def radius(p):
+            total = 0.0
+            for j in range(n):
+                q = p[j]
+                total += q.real * q.real + q.imag * q.imag
+            return 1.0 - math.sqrt(total)
+
+        def seg(a, b, ra, rb):
+            na = 0.0
+            nb = 0.0
+            inner = 0j
+            for j in range(n):
+                aj, bj = a[j], b[j]
+                na += aj.real * aj.real + aj.imag * aj.imag
+                nb += bj.real * bj.real + bj.imag * bj.imag
+                inner += aj * bj.conjugate()
+            ratio = (1.0 - na) * (1.0 - nb) / abs(1.0 - inner) ** 2
+            m = math.sqrt(max(0.0, 1.0 - min(1.0, ratio)))
+            return math.atanh(min(m, 1.0 - 1e-16))
+        return radius, seg, seg
 
     def contains(self, z) -> bool:
         arr = as_carray(z)
@@ -671,42 +852,44 @@ def _project_interior_to_ellipsoid(u: np.ndarray, b: np.ndarray):
     Returns (p, ties) where ties is True when the contact is non-unique
     (resolved toward the lexicographically smallest point).
     Solves the KKT system p_i = b_i^2 u_i / (b_i^2 + nu) with the degenerate
-    minimal-axis branch handled explicitly.
+    minimal-axis branch handled explicitly.  The multiplier is carried as
+    s = nu + m2 (m2 the smallest b_i^2), so the denominators read
+    (b_i^2 - m2) + s and are exactly s on the minimal axes: near the pole
+    s = 0 they keep their relative precision however small s gets.
     """
     b2 = b * b
     m2 = float(np.min(b2))
+    gap = b2 - m2
     nonzero = np.abs(u) > 0.0
 
-    def g(nu: float) -> float:
-        return float(np.sum((b2[nonzero] * u[nonzero] / (b2[nonzero] + nu)) ** 2 / b2[nonzero]))
+    def g(s: float) -> float:
+        return float(np.sum((b2[nonzero] * u[nonzero] / (gap[nonzero] + s)) ** 2 / b2[nonzero]))
 
     min_axes_zero = not np.any(nonzero & (b2 <= m2 * (1 + 1e-12)))
     if not np.any(nonzero):
         g_lim = 0.0
         degenerate = True
     elif min_axes_zero:
-        g_lim = g(-m2)
+        g_lim = g(0.0)
         degenerate = g_lim < 1.0
     else:
         degenerate = False
 
     if not degenerate:
-        lo, hi = -m2, 0.0
-        # g is decreasing in nu with g(0) < 1; walk lo toward the pole until g > 1
-        step = 0.5 * m2
-        lo = -m2 + step
+        # g is decreasing in s with g(m2) < 1; walk lo toward the pole until g > 1
+        lo = 0.5 * m2
         while g(lo) < 1.0:
-            step *= 0.5
-            lo = -m2 + step
-            if step < 1e-300:
+            lo *= 0.5
+            if lo < 1e-300:
                 raise GeometryError("ellipsoid projection bracketing failed")
-        nu = optimize.brentq(lambda t: g(t) - 1.0, lo, hi, xtol=1e-16, rtol=8.9e-16,
-                             maxiter=200)
-        p = np.where(nonzero, b2 * u / (b2 + nu), 0.0)
+        # an absolute tolerance far below lo keeps brentq's relative precision
+        s = optimize.brentq(lambda t: g(t) - 1.0, lo, m2, xtol=1e-300,
+                            rtol=8.9e-16, maxiter=200)
+        p = np.where(nonzero, b2 * u / (gap + s), 0.0)
         return p, False
 
     # degenerate branch: contact mass sits on the minimal axes where u_i = 0
-    denom = np.where(np.abs(b2 - m2) > 0, b2 - m2, 1.0)
+    denom = np.where(gap > 0, gap, 1.0)
     p = np.where(nonzero, b2 * u / denom, 0.0)
     leftover = m2 * max(0.0, 1.0 - g_lim)
     idx = [i for i in range(len(b2)) if b2[i] <= m2 * (1 + 1e-12) and not nonzero[i]]
@@ -1117,29 +1300,6 @@ class OmegaPsi(Domain):
         }
 
 
-def domain_from_json(data: dict) -> Domain:
-    """Rebuild a domain from its ``to_json`` record (``kind`` selects)."""
-    if not isinstance(data, dict):
-        raise GeometryError("a domain record must be a JSON object")
-    kind = data.get("kind")
-    if kind == "disc":
-        return Disc()
-    if kind == "halfplane":
-        return HalfPlane()
-    if kind == "polydisc":
-        return Polydisc(int(data.get("n", 1)))
-    if kind == "ball":
-        return Ball(int(data.get("n", 1)))
-    if kind == "ellipsoid":
-        return Ellipsoid(data["axes"])
-    if kind == "omega_psi":
-        return OmegaPsi(PsiSpec.from_json(data["psi"]),
-                        chi1=float(data.get("chi1", 1.0)),
-                        chi2=float(data.get("chi2", 1.0)),
-                        cap_radius=float(data.get("cap_radius", 3.0)))
-    raise GeometryError(f"unknown domain kind {kind!r}")
-
-
 class SmoothConvex(Domain):
     """A convex domain given by a smooth defining function (negative inside).
 
@@ -1182,27 +1342,7 @@ class SmoothConvex(Domain):
 
     def nearest_boundary_point(self, z) -> np.ndarray:
         z = self._interior(z)
-        cap = 4.0 * self.bounding_radius + float(np.linalg.norm(z)) + 1.0
-        dirs = _unit_directions(2 * self.dim, 128)
-        rated = []
-        for u_real in dirs:
-            u = complex_view(u_real)
-            rated.append((ray_exit(self.contains, z, u, cap), u))
-        rated.sort(key=lambda t: t[0])
-        best_r, best_u = rated[0]
-
-        def objective(w):
-            nrm = np.linalg.norm(w)
-            if nrm < 1e-12:
-                return cap
-            return ray_exit(self.contains, z, complex_view(w / nrm), cap)
-
-        res = optimize.minimize(objective, real_view(best_u), method="Nelder-Mead",
-                                options={"xatol": 1e-10, "fatol": 1e-14,
-                                         "maxiter": 800})
-        if res.fun < best_r:
-            w = res.x / np.linalg.norm(res.x)
-            best_r, best_u = res.fun, complex_view(w)
+        best_r, best_u, rated = _sampled_contact(self, z, 128)
         # ambiguity scan: another sampled direction nearly as short but far away
         for r, u in rated[1:]:
             if r <= best_r * (1 + 1e-7) and np.linalg.norm(
@@ -1331,27 +1471,7 @@ class _SliceDomain(Domain):
 
     def nearest_boundary_point(self, w) -> np.ndarray:
         w = as_carray(w)
-        cap = self.bounding_radius * 4.0 + 1.0
-        dirs = _unit_directions(2 * self.dim, 64 if self.dim == 1 else 128)
-        rated = []
-        for u_real in dirs:
-            u = complex_view(u_real)
-            rated.append((ray_exit(self.contains, w, u, cap), u))
-        rated.sort(key=lambda t: t[0])
-        best_r, best_u = rated[0]
-
-        def objective(wd):
-            nrm = np.linalg.norm(wd)
-            if nrm < 1e-12:
-                return cap
-            return ray_exit(self.contains, w, complex_view(wd / nrm), cap)
-
-        res = optimize.minimize(objective, real_view(best_u), method="Nelder-Mead",
-                                options={"xatol": 1e-10, "fatol": 1e-14,
-                                         "maxiter": 800})
-        if res.fun < best_r:
-            wd = res.x / np.linalg.norm(res.x)
-            best_r, best_u = res.fun, complex_view(wd)
+        best_r, best_u, _ = _sampled_contact(self, w, 64 if self.dim == 1 else 128)
         return w + best_r * best_u
 
 

@@ -1,8 +1,12 @@
 """Kobayashi metric and distance: exact model formulas, certified bounds.
 
 Model domains (disc, half-plane, polydisc, ball) have closed forms and get
-degenerate [exact, exact] distance brackets.  Everything else is handled by
-two-sided interval arithmetic:
+degenerate [exact, exact] distance brackets.  The closed forms live in
+:mod:`koblab.geometry` as ``Domain.exact_distance`` and
+``Domain.exact_metric``; the pair distances ``disc_distance``,
+``halfplane_distance``, ``polydisc_distance`` and ``ball_distance`` are
+re-exported here.  Everything else is handled by two-sided interval
+arithmetic:
 
 * the infinitesimal metric is pinned between ``|X|/(2t)`` and ``|X|/t`` where
   ``t`` is the directional boundary distance (the largest flat disc through
@@ -29,17 +33,18 @@ from scipy import optimize
 
 from .geometry import (
     AmbiguousProjectionError,
-    Ball,
-    Disc,
     Domain,
     GeometryError,
-    HalfPlane,
-    Polydisc,
     as_carray,
+    ball_distance,
+    disc_distance,
+    halfplane_distance,
+    polydisc_distance,
     real_view,
 )
 
 __all__ = [
+    "SignedBracket",
     "MetricBracket",
     "metric_exact",
     "metric_bracket",
@@ -59,16 +64,21 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class MetricBracket:
-    """A certified interval [lower, upper] for a metric or distance value."""
+class SignedBracket:
+    """A certified interval [lower, upper] for a signed quantity.
+
+    Differences of distances (log-estimate residuals, Gromov defects) are
+    legitimately negative; distances and metrics use the subclass
+    :class:`MetricBracket`, which also insists on lower >= 0.
+    """
 
     lower: float
     upper: float
 
     def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper):
+        if not self.lower <= self.upper:
             raise GeometryError(
-                f"bracket must satisfy 0 <= lower <= upper, got "
+                f"bracket must satisfy lower <= upper, got "
                 f"[{self.lower}, {self.upper}]")
 
     @property
@@ -82,72 +92,21 @@ class MetricBracket:
         return (self.lower, self.upper)
 
 
+@dataclass(frozen=True)
+class MetricBracket(SignedBracket):
+    """A certified interval 0 <= lower <= upper for a metric or distance."""
+
+    def __post_init__(self):
+        if not 0.0 <= self.lower:
+            raise GeometryError(
+                f"bracket must satisfy 0 <= lower <= upper, got "
+                f"[{self.lower}, {self.upper}]")
+        super().__post_init__()
+
+
 # ---------------------------------------------------------------------------
-# exact model formulas
+# exact model formulas (the closed forms live on the domains)
 # ---------------------------------------------------------------------------
-
-
-def disc_distance(a: complex, b: complex) -> float:
-    """Poincare distance on the unit disc.
-
-    Written as ½ log((|1-āb| + |a-b|)² / ((1-|a|²)(1-|b|²))) rather than
-    artanh of the Möbius ratio: the denominator is cancellation-free, which
-    keeps near-boundary pairs accurate to ~1e-12 where the ratio form loses
-    half the digits.
-    """
-    a, b = complex(a), complex(b)
-    if abs(a) >= 1.0 or abs(b) >= 1.0:
-        raise GeometryError("disc_distance needs interior points")
-    num = abs(1.0 - a.conjugate() * b) + abs(a - b)
-    den = (1.0 - abs(a) ** 2) * (1.0 - abs(b) ** 2)
-    return max(0.0, 0.5 * math.log(num * num / den))
-
-
-def halfplane_distance(a: complex, b: complex) -> float:
-    """Poincare distance on the upper half-plane { Im > 0 }."""
-    a, b = complex(a), complex(b)
-    if a.imag <= 0.0 or b.imag <= 0.0:
-        raise GeometryError("halfplane_distance needs Im > 0")
-    # |a - conj(b)|^2 - |a - b|^2 = 4 Im(a) Im(b), so the log form avoids
-    # the near-boundary cancellation of the artanh ratio
-    num = abs(a - b.conjugate()) + abs(a - b)
-    den = 4.0 * a.imag * b.imag
-    return max(0.0, 0.5 * math.log(num * num / den))
-
-
-def polydisc_distance(z, w) -> float:
-    """max over coordinates of the disc distance."""
-    z, w = as_carray(z), as_carray(w)
-    if z.shape != w.shape:
-        raise GeometryError("dimension mismatch")
-    return max(disc_distance(z[j], w[j]) for j in range(len(z)))
-
-
-def ball_distance(z, w) -> float:
-    """Kobayashi (= Bergman up to scale) distance on the unit ball."""
-    z, w = as_carray(z), as_carray(w)
-    if z.shape != w.shape:
-        raise GeometryError("dimension mismatch")
-    nz2 = float(np.vdot(z, z).real)
-    nw2 = float(np.vdot(w, w).real)
-    if nz2 >= 1.0 or nw2 >= 1.0:
-        raise GeometryError("ball_distance needs interior points")
-    inner = complex(np.sum(z * np.conj(w)))
-    # clamp: ratio can exceed 1 by rounding when z == w; the log form keeps
-    # near-boundary pairs accurate where artanh(sqrt(1-ratio)) would not be
-    ratio = min(1.0, (1.0 - nz2) * (1.0 - nw2) / abs(1.0 - inner) ** 2)
-    m = math.sqrt(max(0.0, 1.0 - ratio))
-    if ratio == 0.0:
-        raise GeometryError("pair too close to the boundary for the formula")
-    return max(0.0, 0.5 * math.log((1.0 + m) ** 2 / ratio))
-
-
-def _ball_metric(z: np.ndarray, X: np.ndarray) -> float:
-    nz2 = float(np.vdot(z, z).real)
-    nX2 = float(np.vdot(X, X).real)
-    zx = complex(np.sum(X * np.conj(z)))
-    s = 1.0 - nz2
-    return math.sqrt((nX2 * s + abs(zx) ** 2)) / s
 
 
 def metric_exact(domain: Domain, z, X) -> float:
@@ -155,29 +114,12 @@ def metric_exact(domain: Domain, z, X) -> float:
     z, X = as_carray(z), as_carray(X)
     if not domain.contains(z):
         raise GeometryError("metric_exact needs an interior point")
-    if isinstance(domain, Disc):
-        return abs(X[0]) / (1.0 - abs(z[0]) ** 2)
-    if isinstance(domain, HalfPlane):
-        return abs(X[0]) / (2.0 * z[0].imag)
-    if isinstance(domain, Polydisc):
-        return max(abs(X[j]) / (1.0 - abs(z[j]) ** 2) for j in range(domain.dim))
-    if isinstance(domain, Ball):
-        return _ball_metric(z, X)
-    raise GeometryError(f"no closed-form metric for {type(domain).__name__}")
+    return domain.exact_metric(z, X)
 
 
 def model_distance(domain: Domain, x, y):
     """Closed-form distance on a model domain, or None if there is none."""
-    x, y = as_carray(x), as_carray(y)
-    if isinstance(domain, Disc):
-        return disc_distance(x[0], y[0])
-    if isinstance(domain, HalfPlane):
-        return halfplane_distance(x[0], y[0])
-    if isinstance(domain, Polydisc):
-        return polydisc_distance(x, y)
-    if isinstance(domain, Ball):
-        return ball_distance(x, y)
-    return None
+    return domain.exact_distance(as_carray(x), as_carray(y))
 
 
 def metric_bracket(domain: Domain, z, X) -> MetricBracket:
@@ -361,7 +303,7 @@ def segment_upper(domain: Domain, a, b) -> float:
     subdivide until it holds.
     """
     a, b = as_carray(a), as_carray(b)
-    exact = model_distance(domain, a, b)
+    exact = domain.exact_distance(a, b)
     if exact is not None:
         return exact
     u = float(np.linalg.norm(b - a))
@@ -398,7 +340,7 @@ def distance_bracket(domain: Domain, x, y) -> MetricBracket:
     the straight segment (inside the domain by convexity).
     """
     x, y = as_carray(x), as_carray(y)
-    exact = model_distance(domain, x, y)
+    exact = domain.exact_distance(x, y)
     if exact is not None:
         return MetricBracket(exact, exact)
     if not domain.contains(x) or not domain.contains(y):

@@ -3,7 +3,9 @@
 The optimizer never trusts quadrature: the objective is the sum of
 per-segment *certified* upper bounds (exact pair distances on model domains,
 touching-disc bounds elsewhere), so the reported ``distance.upper`` is a true
-upper bound for k_D at every stage of the search.  Lower bounds come from the
+upper bound for k_D at every stage of the search.  Each domain supplies these
+as closures through :meth:`~koblab.geometry.Domain.segment_kernels`; the
+solver itself holds no per-domain code.  Lower bounds come from the
 projection estimates in :mod:`koblab.metric`, never from the path itself.
 
 The search is derivative-free coordinate descent with an adaptive step and
@@ -19,21 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    Ball,
-    Disc,
-    Domain,
-    GeometryError,
-    HalfPlane,
-    Polydisc,
-    as_carray,
-)
+from .geometry import Domain, GeometryError, Polydisc, as_carray
 from .metric import (
     MetricBracket,
     disc_distance,
     distance_lower_bound,
     metric_bracket,
-    model_distance,
 )
 
 __all__ = [
@@ -59,7 +52,6 @@ class SolverConfig:
     control_points: int = 65
     max_iter: int = 5000
     rel_tol: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
         if self.control_points < 2:
@@ -78,7 +70,6 @@ class SolverConfig:
             control_points=int(data.get("control_points", 65)),
             max_iter=int(data.get("max_iter", 5000)),
             rel_tol=float(data.get("rel_tol", 1e-6)),
-            seed=int(data.get("seed", 0)),
         )
 
     def to_json(self) -> dict:
@@ -86,7 +77,6 @@ class SolverConfig:
             "control_points": self.control_points,
             "max_iter": self.max_iter,
             "rel_tol": self.rel_tol,
-            "seed": self.seed,
         }
 
 
@@ -155,122 +145,26 @@ class GeodesicResult:
 # ---------------------------------------------------------------------------
 
 
-def _is_model(domain: Domain) -> bool:
-    return isinstance(domain, (Disc, HalfPlane, Polydisc, Ball))
-
-
 class _ChainObjective:
     """Certified per-segment uppers plus the bookkeeping the descent needs.
 
-    ``radius`` returns a cheap interior radius (closed-form boundary distance
-    on model domains, the fast certified inner radius elsewhere, negative
-    outside); the descent caches one value per control point so a probe on a
-    generic domain costs a single radius evaluation.
-
-    ``seg`` is the certified upper bound the solver reports.  ``drive`` is
-    the search objective: identical to ``seg`` except on the polydisc, where
-    the per-segment max over coordinate distances has flat ridges that stall
-    coordinate descent.  There the search minimizes the smooth sum of
-    euclidean norms of the per-coordinate distance vectors; its minimizers
-    allocate every coordinate's length proportionally across segments, and at
-    a proportional allocation the per-segment max telescopes, so the final
-    configuration also minimizes the certified sum.  Reported lengths always
-    come from ``seg`` at the best configuration seen.
+    The ``(radius, seg, drive)`` kernels come from
+    :meth:`Domain.segment_kernels`, fetched once per solve so the inner
+    loop calls plain closures.  ``radius`` is a cheap interior radius
+    (negative outside); the descent caches one value per control point so
+    a probe on a generic domain costs a single radius evaluation.  ``seg``
+    is the certified upper bound the solver reports and ``drive`` the
+    search objective.  When they differ (the polydisc), reported lengths
+    still come from ``seg`` at the best configuration seen.
     """
 
     def __init__(self, domain: Domain):
         self.domain = domain
-        self.model = _is_model(domain)
+        self.model = domain.exact
         self.margin = 1e-9 * (domain.bounding_radius
                               if math.isfinite(domain.bounding_radius) else 1.0)
-        self.drive_is_certified = not isinstance(domain, Polydisc)
-
-        if isinstance(domain, Disc):
-            def radius(p):
-                return 1.0 - abs(p[0])
-
-            def seg(a, b, ra, rb):
-                a0, b0 = a[0], b[0]
-                return math.atanh(abs(a0 - b0) / abs(1.0 - a0.conjugate() * b0))
-            drive = seg
-        elif isinstance(domain, HalfPlane):
-            def radius(p):
-                return p[0].imag
-
-            def seg(a, b, ra, rb):
-                a0, b0 = a[0], b[0]
-                return math.atanh(abs(a0 - b0) / abs(a0 - b0.conjugate()))
-            drive = seg
-        elif isinstance(domain, Polydisc):
-            n = domain.dim
-
-            def radius(p):
-                worst = 0.0
-                for j in range(n):
-                    m = abs(p[j])
-                    if m > worst:
-                        worst = m
-                return 1.0 - worst
-
-            def seg(a, b, ra, rb):
-                worst = 0.0
-                for j in range(n):
-                    m = abs(a[j] - b[j]) / abs(1.0 - a[j].conjugate() * b[j])
-                    if m > worst:
-                        worst = m
-                return math.atanh(worst)
-
-            def drive(a, b, ra, rb):
-                total = 0.0
-                for j in range(n):
-                    m = abs(a[j] - b[j]) / abs(1.0 - a[j].conjugate() * b[j])
-                    s = math.atanh(min(m, 1.0 - 1e-16))
-                    total += s * s
-                return math.sqrt(total)
-        elif isinstance(domain, Ball):
-            n = domain.dim
-
-            def radius(p):
-                total = 0.0
-                for j in range(n):
-                    q = p[j]
-                    total += q.real * q.real + q.imag * q.imag
-                return 1.0 - math.sqrt(total)
-
-            def seg(a, b, ra, rb):
-                na = 0.0
-                nb = 0.0
-                inner = 0j
-                for j in range(n):
-                    aj, bj = a[j], b[j]
-                    na += aj.real * aj.real + aj.imag * aj.imag
-                    nb += bj.real * bj.real + bj.imag * bj.imag
-                    inner += aj * bj.conjugate()
-                ratio = (1.0 - na) * (1.0 - nb) / abs(1.0 - inner) ** 2
-                m = math.sqrt(max(0.0, 1.0 - min(1.0, ratio)))
-                return math.atanh(min(m, 1.0 - 1e-16))
-            drive = seg
-        else:
-            dom = domain
-
-            def radius(p):
-                if not dom.contains(p):
-                    return -1.0
-                return dom.inner_radius_fast(p)
-
-            def seg(a, b, ra, rb):
-                u = float(np.linalg.norm(b - a))
-                if u == 0.0:
-                    return 0.0
-                t = max(ra, rb)
-                if not u < t:
-                    return math.inf
-                return math.atanh(u / t)
-            drive = seg
-
-        self.radius = radius
-        self.seg = seg
-        self.drive = drive
+        self.radius, self.seg, self.drive = domain.segment_kernels()
+        self.drive_is_certified = self.drive is self.seg
 
     def brackets(self, seg_uppers: list) -> list:
         if self.model:
@@ -321,10 +215,12 @@ def _optimize_stage(obj: _ChainObjective, pts: np.ndarray, cfg: SolverConfig,
                     iter_budget: int):
     """Coordinate descent at fixed resolution.
 
-    Returns (best points, their certified uppers, sweeps).  Moves are
-    accepted on a strict decrease of the drive objective; the certified sum
-    is re-evaluated per sweep and the best configuration is kept, so the
-    returned upper never regresses within a stage.
+    Returns (best points, their certified uppers, sweeps, settled), where
+    ``settled`` says the step fell below ``h_min`` rather than the sweep
+    budget running out.  Moves are accepted on a strict decrease of the
+    drive objective; the certified sum is re-evaluated per sweep and the
+    best configuration is kept, so the returned upper never regresses
+    within a stage.
     """
     m, n = pts.shape
     radius, seg, drive = obj.radius, obj.seg, obj.drive
@@ -375,7 +271,7 @@ def _optimize_stage(obj: _ChainObjective, pts: np.ndarray, cfg: SolverConfig,
                 best_L, best_S, best_pts = L, S, pts.copy()
         else:
             h *= 0.5
-    return best_pts, best_S, sweeps
+    return best_pts, best_S, sweeps, h < h_min
 
 
 def _insert_midpoints(pts: np.ndarray) -> np.ndarray:
@@ -446,19 +342,21 @@ def solve_geodesic(domain: Domain, x, y, cfg: SolverConfig | None = None) -> Geo
     converged = False
     prev_L = math.inf
     while iterations < cfg.max_iter:
-        pts, S, sweeps = _optimize_stage(obj, pts, cfg,
-                                         cfg.max_iter - iterations)
+        pts, S, sweeps, settled = _optimize_stage(obj, pts, cfg,
+                                                  cfg.max_iter - iterations)
         iterations += sweeps
         L = float(sum(S))
         if L < best_L:
             best_L, best_pts, best_S = L, pts.copy(), list(S)
+        # either stop counts as converged only if the last stage's step
+        # settled below h_min instead of running out of sweeps
         improvement = (prev_L - L) / max(L, 1e-300)
         if math.isfinite(prev_L) and improvement < cfg.rel_tol:
-            converged = True
+            converged = settled
             break
         prev_L = L
         if pts.shape[0] >= cfg.control_points:
-            converged = True
+            converged = settled
             break
         pts = _insert_midpoints(pts)
 

@@ -13,8 +13,6 @@ import pytest
 from koblab.geometry import (
     AmbiguousProjectionError,
     Ball,
-    CPoint,
-    CVector,
     Disc,
     Ellipsoid,
     GeometryError,
@@ -24,6 +22,7 @@ from koblab.geometry import (
     Polydisc,
     PsiSpec,
     SmoothConvex,
+    as_carray,
     domain_from_json,
     from_pairs,
     ray_exit,
@@ -75,29 +74,20 @@ def brute_boundary_distance(domain, z, n_dirs=4000, seed=7):
 # ---------------------------------------------------------------------------
 
 
-def test_cpoint_roundtrip():
-    p = CPoint.from_pairs([[0.5, -0.25], [1.5, 2.0]])
-    assert p.n == 2
-    assert p.coords == [0.5, -0.25, 1.5, 2.0]
-    assert to_pairs(p.as_array()) == [[0.5, -0.25], [1.5, 2.0]]
-    assert np.allclose(from_pairs(to_pairs(p)), p.as_array())
+def test_pairs_roundtrip():
+    z = from_pairs([[0.5, -0.25], [1.5, 2.0]])
+    assert z.tolist() == [0.5 - 0.25j, 1.5 + 2.0j]
+    assert to_pairs(z) == [[0.5, -0.25], [1.5, 2.0]]
+    assert np.array_equal(from_pairs(to_pairs(z)), z)
 
 
-def test_cpoint_rejects_bad_input():
+def test_pairs_reject_bad_input():
     with pytest.raises(GeometryError):
-        CPoint((float("nan"),))
+        as_carray([float("nan")])
     with pytest.raises(GeometryError):
-        CPoint(())
+        as_carray([[1.0, 2.0]])
     with pytest.raises(GeometryError):
         from_pairs([[1.0, 2.0, 3.0]])
-
-
-def test_cvector_unit():
-    v = CVector((3 + 4j,))
-    assert v.norm == 5.0
-    assert abs(v.unit().values[0] - (0.6 + 0.8j)) < 1e-15
-    with pytest.raises(GeometryError):
-        CVector((0j,)).unit()
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +298,56 @@ def test_smooth_convex_matches_ellipsoid():
 
 
 # ---------------------------------------------------------------------------
+# the domain protocol: closed forms and solver kernels
+# ---------------------------------------------------------------------------
+
+PROTOCOL_DOMAINS = [
+    (Disc(), True),
+    (HalfPlane(), True),
+    (Polydisc(2), True),
+    (Ball(2), True),
+    (Ellipsoid((1.0, 2.0)), False),
+    (OmegaPsi(PsiSpec("exp_neg_c_over_x")), False),
+]
+
+
+def _protocol_pair(domain, rng):
+    """A short pair well inside the domain (model domains only)."""
+    if isinstance(domain, HalfPlane):
+        x = np.array([complex(rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0))])
+    else:
+        v = rng.standard_normal(domain.dim) + 1j * rng.standard_normal(domain.dim)
+        x = v / np.linalg.norm(v) * rng.uniform(0.0, 0.6)
+    w = rng.standard_normal(domain.dim) + 1j * rng.standard_normal(domain.dim)
+    return x, x + rng.uniform(0.02, 0.2) * w / np.linalg.norm(w)
+
+
+@pytest.mark.parametrize("domain, is_model", PROTOCOL_DOMAINS,
+                         ids=[type(d).__name__ for d, _ in PROTOCOL_DOMAINS])
+def test_domain_protocol_closed_forms_and_kernels(domain, is_model):
+    assert domain.exact is is_model
+    x = domain.base_point
+    y = x + 0.1 * np.eye(domain.dim, dtype=complex)[0]
+    assert (domain.exact_distance(x, y) is not None) is is_model
+    radius, seg, _ = domain.segment_kernels()
+    if not is_model:
+        with pytest.raises(GeometryError):
+            domain.exact_metric(x, y - x)
+        # the generic kernel is the touching-disc bound at the inner radius
+        ra, rb = radius(x), radius(y)
+        t = max(ra, rb)
+        assert seg(x, y, ra, rb) == math.atanh(float(np.linalg.norm(y - x)) / t)
+        return
+    # the descent's ratio-form kernel and the log-form closed form are two
+    # formulas for the same distance
+    rng = np.random.default_rng(20)
+    for _ in range(25):
+        x, y = _protocol_pair(domain, rng)
+        exact = domain.exact_distance(x, y)
+        assert seg(x, y, radius(x), radius(y)) == pytest.approx(exact, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # nearest boundary point / supporting hyperplanes
 # ---------------------------------------------------------------------------
 
@@ -474,6 +514,11 @@ def test_domain_json_roundtrip():
         dom = domain_from_json(spec)
         again = domain_from_json(dom.to_json())
         assert again.to_json() == dom.to_json()
+    # records without n build the two-dimensional domain
+    for kind in ("ball", "polydisc"):
+        dom = domain_from_json({"kind": kind})
+        assert dom.dim == 2
+        assert dom.to_json() == {"kind": kind, "n": 2}
 
 
 def test_domain_json_rejects_unknown():

@@ -296,6 +296,27 @@ def test_distance_bracket_generic_orders():
     assert br.lower <= ball_distance(x, y) + 1e-10  # Ball(2) inside ellipsoid
 
 
+@pytest.mark.parametrize("x, y", [
+    ((1e-17, 0.5), (0.3, -0.5)),
+    ((1e-17, 0.5), (-0.2 + 0.1j, 0.9j)),
+    ((2e-17, 0.8j), (0.1j, -1.0)),
+    ((1e-17j, -0.7j), (0.5, 0.1)),
+    ((5e-17, -0.3j), (0.4, 0.2)),
+])
+def test_ellipsoid_bracket_with_tiny_minimal_axis_coordinate(x, y):
+    # z -> (z_j / a_j) maps the ellipsoid onto the unit ball, so its exact
+    # distance is the ball distance of the rescaled points; a first
+    # coordinate far below 1e-16 on the minimal axis must leave the
+    # projection, and so the certified lower side, where the axis puts it
+    a = np.array([1.0, 2.0])
+    x, y = np.array(x, dtype=complex), np.array(y, dtype=complex)
+    ell = Ellipsoid(a)
+    assert ell.boundary_distance(x) == pytest.approx(
+        ell.boundary_distance(np.array([0.0, x[1]])), rel=1e-12)
+    br = distance_bracket(ell, x, y)
+    assert br.contains(ball_distance(x / a, y / a))
+
+
 def test_bracket_type_validation():
     with pytest.raises(GeometryError):
         MetricBracket(2.0, 1.0)

@@ -35,7 +35,6 @@ def test_solver_config_defaults_and_json():
     assert cfg.control_points == 65
     assert cfg.max_iter == 5000
     assert cfg.rel_tol == 1e-6
-    assert cfg.seed == 0
     blob = json.dumps(cfg.to_json())
     again = SolverConfig.from_json(json.loads(blob))
     assert again == cfg
@@ -127,6 +126,17 @@ def test_soundness_sweep_models():
         exact = oracle(x, y)
         assert res.distance.lower <= exact + 1e-12
         assert exact <= res.distance.upper + 1e-12
+
+
+def test_exhausted_sweep_budget_is_not_converged():
+    # between two polydisc faces the light solver runs out of its 400
+    # sweeps before the step settles, so it must not claim convergence
+    x = [0.9999, 0.4j]
+    y = [0.35103302 + 0.19177022j, 0.54014022 - 0.84121854j]
+    res = solve_geodesic(Polydisc(2), x, y, LIGHT)
+    assert res.iterations == LIGHT.max_iter
+    assert not res.converged
+    assert res.distance.contains(polydisc_distance(x, y))
 
 
 def test_upper_improves_with_budget():
