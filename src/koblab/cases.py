@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import (ProbeReport, ProbeSample, _finest_half,
-                          _linear_fit, _map_grid, _power_fit,
+                          _linear_fit, _positive_grid, _power_fit,
                           goldilocks_probe, gromov_product,
                           log_estimate_residual, visibility_scan)
 from .geometry import GeometryError, OmegaPsi, Polydisc, PsiSpec
@@ -164,7 +164,7 @@ def omega_psi_upper_bound(params: OmegaPsiParams, epsilon: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def run_bidisc_case(eps_grid, workers: int = 1) -> ProbeReport:
+def run_bidisc_case(eps_grid) -> ProbeReport:
     """Both bidisc geodesics between (-1+eps, 0) and (1-eps, 0), per eps.
 
     For every eps the diameter path and the three-leg boundary-hugging
@@ -174,10 +174,8 @@ def run_bidisc_case(eps_grid, workers: int = 1) -> ProbeReport:
     log 2 — yet the three-leg path's distance to the boundary decays
     like sqrt(eps), so no compact set catches every geodesic.
     """
-    eps_grid = [float(e) for e in eps_grid]
-    if not eps_grid:
-        raise GeometryError("the eps grid must be non-empty")
-    if any(not 0.0 < e <= 1e-2 for e in eps_grid):
+    eps_grid = _positive_grid(eps_grid, "eps")
+    if any(e > 1e-2 for e in eps_grid):
         raise GeometryError("the eps grid must lie in (0, 1e-2]")
     dom = Polydisc(2)
     origin = np.zeros(2, dtype=complex)
@@ -201,7 +199,7 @@ def run_bidisc_case(eps_grid, workers: int = 1) -> ProbeReport:
                             "product_upper": product.upper,
                             "three_leg_c": boundary_path.meta.get("c")})
 
-    samples = _map_grid(evaluate, eps_grid, workers)
+    samples = [evaluate(eps) for eps in eps_grid]
     gaps = [s.inputs["length_gap"] for s in samples]
     residuals = [s.inputs["residual_upper"] for s in samples]
     products = [s.inputs["product_upper"] for s in samples]
@@ -250,8 +248,7 @@ def _check_chart_depth(dom: OmegaPsi, eps_grid) -> None:
                 f"{depth:.6g}")
 
 
-def run_omega_psi_case(params: OmegaPsiParams, eps_grid, workers: int = 1,
-                       seed: int = 0,
+def run_omega_psi_case(params: OmegaPsiParams, eps_grid, seed: int = 0,
                        config: SolverConfig | None = None) -> ProbeReport:
     """Dichotomy runner for the psi-profile domains.
 
@@ -268,11 +265,7 @@ def run_omega_psi_case(params: OmegaPsiParams, eps_grid, workers: int = 1,
     geodesic scan along eps -> ((i, eps), (-i, eps)) and reports their
     joint consistency with visibility.
     """
-    eps_grid = [float(e) for e in eps_grid]
-    if not eps_grid:
-        raise GeometryError("the eps grid must be non-empty")
-    if any(e <= 0.0 for e in eps_grid):
-        raise GeometryError("the eps grid must be positive")
+    eps_grid = _positive_grid(eps_grid, "eps")
     dom = params.domain()
     base = np.array([0.0, 1.0], dtype=complex)
     if not dom.contains(base):
@@ -280,13 +273,12 @@ def run_omega_psi_case(params: OmegaPsiParams, eps_grid, workers: int = 1,
     _check_chart_depth(dom, eps_grid)
 
     if params.non_visible:
-        return _run_divergence_case(params, dom, base, eps_grid, workers)
-    return _run_scan_case(params, dom, eps_grid, workers, seed, config)
+        return _run_divergence_case(params, dom, base, eps_grid)
+    return _run_scan_case(dom, eps_grid, seed, config)
 
 
 def _run_divergence_case(params: OmegaPsiParams, dom: OmegaPsi,
-                         base: np.ndarray, eps_grid,
-                         workers: int) -> ProbeReport:
+                         base: np.ndarray, eps_grid) -> ProbeReport:
     def evaluate(eps: float):
         try:
             pair_upper = omega_psi_upper_bound(params, eps)
@@ -302,7 +294,7 @@ def _run_divergence_case(params: OmegaPsiParams, dom: OmegaPsi,
                                  "lower_p_to_base": lb_p,
                                  "lower_q_to_base": lb_q})
 
-    results = _map_grid(evaluate, eps_grid, workers)
+    results = [evaluate(eps) for eps in eps_grid]
     samples = [s for _, s in results if isinstance(s, ProbeSample)]
     skipped = [(e, why) for e, why in results if not isinstance(why, ProbeSample)]
 
@@ -333,8 +325,7 @@ def _run_divergence_case(params: OmegaPsiParams, dom: OmegaPsi,
                        verdict, detail, notes)
 
 
-def _run_scan_case(params: OmegaPsiParams, dom: OmegaPsi, eps_grid,
-                   workers: int, seed: int,
+def _run_scan_case(dom: OmegaPsi, eps_grid, seed: int,
                    config: SolverConfig | None) -> ProbeReport:
     def pair_at(eps: float):
         return (np.array([1j, eps], dtype=complex),
@@ -342,11 +333,11 @@ def _run_scan_case(params: OmegaPsiParams, dom: OmegaPsi, eps_grid,
 
     scan = visibility_scan(dom, np.array([1j, 0.0], dtype=complex),
                            np.array([-1j, 0.0], dtype=complex), eps_grid,
-                           approach=pair_at, config=config, workers=workers)
+                           approach=pair_at, config=config)
     rate_grid = sorted(set(eps_grid), reverse=True)
     if len(rate_grid) >= 2:
         rate = goldilocks_probe(dom, rate_grid, seed=seed, anchors=8,
-                                extra_directions=2, workers=workers)
+                                extra_directions=2)
         rate_detail = rate.detail
         rate_notes = [f"degeneration probe: {n}" for n in rate.notes]
         rate_fitted = {f"rate_{k}": v for k, v in

@@ -1,12 +1,11 @@
 """Command-line front end: every probe and case study as a subcommand.
 
 Reads a JSON experiment config (``--config``), overlays any inline flags,
-runs the computation (grid-parallel where the probe supports ``workers``),
-re-checks every emitted certified inequality, and writes
-``<command>-<label>.{json,csv,svg}`` under the output directory.  With
-``--reproducible`` the JSON output is byte-stable for a fixed config and
-seed: the default label freezes to "run" and the optional metadata block
-(the only place timestamps live) is dropped.
+runs the computation, re-checks every emitted certified inequality, and
+writes ``<command>-<label>.{json,csv,svg}`` under the output directory.
+With ``--reproducible`` the JSON output is byte-stable for a fixed config
+and seed: the default label freezes to "run" and the optional metadata
+block (the only place timestamps live) is dropped.
 
 Exit codes: 0 success; 2 usage or configuration problem (diagnostic on
 stderr); 3 an emission-time recheck caught a violated certified
@@ -22,6 +21,7 @@ import math
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,7 +52,8 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _merge_config(args) -> dict:
+def _merge_config(args, command: _Command) -> dict:
+    """The config file's object overlaid with the command's declared flags."""
     cfg: dict = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -60,19 +61,13 @@ def _merge_config(args) -> dict:
         if not isinstance(data, dict):
             raise UsageError("the config file must hold a JSON object")
         cfg.update(data)
-    for key in ("x", "y", "o", "p", "q", "z", "center"):
-        val = getattr(args, key, None)
+    flags = [(key, json.loads) for key in command.points]
+    if command.grid is not None:
+        flags.append((command.grid, _parse_grid_text))
+    for key, parse in flags + list(command.scalars):
+        val = getattr(args, key)
         if val is not None:
-            cfg[key] = json.loads(val)
-    for key in ("eps", "r", "delta"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = _parse_grid_text(val) if isinstance(val, str) else val
-    for key in ("w_radius", "u_radius", "v_radius", "radius", "m_type",
-                "samples", "pairs", "psi_form", "c", "alpha"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+            cfg[key] = parse(val)
     return cfg
 
 
@@ -128,12 +123,9 @@ def _psi_params(cfg: dict) -> OmegaPsiParams:
         return OmegaPsiParams.from_json(cfg["params"])
     psi = dict(cfg.get("psi", {}))
     psi.setdefault("form", cfg.get("psi_form", "exp_neg_c_over_x"))
-    if "c" in cfg:
-        psi.setdefault("c", float(cfg["c"]))
-    if "alpha" in cfg:
-        psi.setdefault("alpha", float(cfg["alpha"]))
-    psi.setdefault("c", math.pi)
-    psi.setdefault("alpha", 2.0)
+    for key in ("c", "alpha"):
+        if key in cfg:
+            psi.setdefault(key, cfg[key])
     return OmegaPsiParams.from_json(
         {"psi": psi, "chi1": cfg.get("chi1", 1.0),
          "chi2": cfg.get("chi2", 1.0),
@@ -141,21 +133,64 @@ def _psi_params(cfg: dict) -> OmegaPsiParams:
 
 
 # ---------------------------------------------------------------------------
-# command builders: each returns {"payload": dict, "report": ProbeReport|None,
-# "csv": str|None, "svg": bool}
+# subcommands: each builder returns {"payload": dict, "report": ProbeReport,
+# "csv": str}, every key optional; its declaration names the flags it reads
 # ---------------------------------------------------------------------------
 
+_REPORT_COLUMNS = "CSV columns: grid,lower,upper,statistic,flags"
+_REPORT_CSV = (_REPORT_COLUMNS + " (one row per grid sample; floats carry "
+               "17 significant digits; emits an SVG chart of statistic vs "
+               "log10(1/eps))")
 
+
+class _Command(NamedTuple):
+    """One subcommand: its builder and the surface its parser declares.
+
+    ``points`` name JSON point flags, ``grid`` the grid flag, and
+    ``scalars`` (flag, type) pairs; each flag's dest is its config key.
+    ``svg`` says whether the command charts its report."""
+
+    build: Callable
+    summary: str
+    csv_doc: str
+    svg: bool = False
+    points: tuple = ()
+    grid: str | None = None
+    scalars: tuple = ()
+
+
+_COMMANDS: dict = {}
+
+
+def _command(name: str, summary: str, csv_doc: str, **surface):
+    """Register the decorated builder as subcommand ``name``; ``--help``
+    lists subcommands in registration order."""
+    def register(build):
+        _COMMANDS[name] = _Command(build, summary, csv_doc, **surface)
+        return build
+    return register
+
+
+def _bracket_csv(br) -> str:
+    return "lower,upper\n%s,%s\n" % (_g17(br.lower), _g17(br.upper))
+
+
+@_command("distance",
+          "certified distance bracket between two interior points",
+          "CSV columns: lower,upper", points=("x", "y"))
 def _cmd_distance(args, cfg):
     dom = _domain(cfg)
     x, y = _point(cfg, "x"), _point(cfg, "y")
     br = distance_bracket(dom, x, y)
     payload = {"lower": br.lower, "upper": br.upper, "x": to_pairs(x),
                "y": to_pairs(y), "domain": dom.to_json()}
-    csv = "lower,upper\n%s,%s\n" % (_g17(br.lower), _g17(br.upper))
-    return {"payload": payload, "csv": csv}
+    return {"payload": payload, "csv": _bracket_csv(br)}
 
 
+@_command("geodesic",
+          "curve-length minimization between two interior points",
+          "CSV columns: index,re0,im0,...,boundary_distance "
+          "(one row per path point)", points=("x", "y"))
 def _cmd_geodesic(args, cfg):
     dom = _domain(cfg)
     x, y = _point(cfg, "x"), _point(cfg, "y")
@@ -177,79 +212,94 @@ def _cmd_geodesic(args, cfg):
     return {"payload": payload, "csv": "\n".join(lines) + "\n"}
 
 
+@_command("gromov", "certified bracket for the Gromov product (x|y)_o",
+          "CSV columns: lower,upper", points=("x", "y", "o"))
 def _cmd_gromov(args, cfg):
     dom = _domain(cfg)
     x, y, o = _point(cfg, "x"), _point(cfg, "y"), _point(cfg, "o")
     br = gromov_product(dom, x, y, o, config=_solver(cfg))
     payload = {"lower": br.lower, "upper": br.upper, "x": to_pairs(x),
                "y": to_pairs(y), "o": to_pairs(o), "domain": dom.to_json()}
-    csv = "lower,upper\n%s,%s\n" % (_g17(br.lower), _g17(br.upper))
-    return {"payload": payload, "csv": csv}
+    return {"payload": payload, "csv": _bracket_csv(br)}
 
 
+@_command("visibility-scan", "how deep paths between approaching pairs travel",
+          _REPORT_CSV, svg=True, points=("p", "q"), grid="eps")
 def _cmd_visibility_scan(args, cfg):
     dom = _domain(cfg)
     rep = visibility_scan(dom, _point(cfg, "p"), _point(cfg, "q"),
                           _grid(cfg, "eps", [1e-1, 1e-2, 1e-3]),
                           approach=cfg.get("approach", "normal"),
-                          config=_solver(cfg),
-                          workers=args.threads)
-    return {"report": rep, "svg": True}
+                          config=_solver(cfg))
+    return {"report": rep}
 
 
+@_command("k-point", "boundedness probe for k(z, W^c) + 1/2 log d(z)",
+          _REPORT_CSV, svg=True, points=("p",), grid="eps",
+          scalars=(("w_radius", float),))
 def _cmd_k_point(args, cfg):
     dom = _domain(cfg)
     rep = k_point_probe(dom, _point(cfg, "p"),
                         float(_require(cfg, "w_radius")),
                         _grid(cfg, "eps", [1e-1, 1e-2, 1e-3, 1e-4]),
-                        config=_solver(cfg),
-                        sphere_samples=int(cfg.get("sphere_samples", 64)),
-                        workers=args.threads)
-    return {"report": rep, "svg": True}
+                        sphere_samples=int(cfg.get("sphere_samples", 64)))
+    return {"report": rep}
 
 
+@_command("growth-fit",
+          "fit distance growth against log(1/boundary distance)",
+          _REPORT_CSV, svg=True, points=("o",), scalars=(("samples", int),))
 def _cmd_growth_fit(args, cfg):
     dom = _domain(cfg)
     o = _as_point(cfg["o"], "o") if "o" in cfg else dom.base_point
     rep = growth_fit(dom, o, int(cfg.get("samples", 40)), seed=args.seed,
                      config=_solver(cfg))
-    return {"report": rep, "svg": True}
+    return {"report": rep}
 
 
+@_command("goldilocks", "metric degeneration rate M(r) and its tail law",
+          _REPORT_CSV, svg=True, grid="r")
 def _cmd_goldilocks(args, cfg):
     dom = _domain(cfg)
     rep = goldilocks_probe(dom, _grid(cfg, "r", [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]),
                            seed=args.seed,
                            anchors=int(cfg.get("anchors", 12)),
-                           extra_directions=int(cfg.get("extra_directions", 4)),
-                           workers=args.threads)
-    return {"report": rep, "svg": True}
+                           extra_directions=int(cfg.get("extra_directions", 4)))
+    return {"report": rep}
 
 
+@_command("localize",
+          "window lower bounds vs global uppers (overhead constant)",
+          _REPORT_COLUMNS, points=("center",),
+          scalars=(("u_radius", float), ("v_radius", float), ("pairs", int)))
 def _cmd_localize(args, cfg):
     dom = _domain(cfg)
     rep = localization_check(dom, _point(cfg, "center"),
                              float(_require(cfg, "u_radius")),
                              float(_require(cfg, "v_radius")),
                              int(cfg.get("pairs", 100)), seed=args.seed)
-    return {"report": rep, "svg": False}
+    return {"report": rep}
 
 
+@_command("case-bidisc", "the bidisc double geodesic experiment",
+          _REPORT_CSV, svg=True, grid="eps")
 def _cmd_case_bidisc(args, cfg):
-    rep = run_bidisc_case(_grid(cfg, "eps", [1e-2, 1e-3, 1e-4]),
-                          workers=args.threads)
-    return {"report": rep, "svg": True}
+    return {"report": run_bidisc_case(_grid(cfg, "eps", [1e-2, 1e-3, 1e-4]))}
 
 
+@_command("case-omega-psi", "the psi-profile visibility dichotomy experiment",
+          _REPORT_CSV, svg=True, grid="eps",
+          scalars=(("psi_form", str), ("c", float), ("alpha", float)))
 def _cmd_case_omega_psi(args, cfg):
     params = _psi_params(cfg)
     rep = run_omega_psi_case(params, _grid(cfg, "eps", [1e-1, 1e-2, 1e-3]),
-                             workers=args.threads, seed=args.seed,
-                             config=_solver(cfg))
-    return {"report": rep, "svg": True,
-            "payload": {"params": params.to_json()}}
+                             seed=args.seed, config=_solver(cfg))
+    return {"report": rep, "payload": {"params": params.to_json()}}
 
 
+@_command("balls-check", "minimal-basis box bound for a certified metric ball",
+          "CSV columns: holds,margin", points=("q", "z"),
+          scalars=(("r", float),))
 def _cmd_balls_check(args, cfg):
     dom = _domain(cfg)
     holds, margin = balls_inequality_check(dom, _point(cfg, "q"),
@@ -262,6 +312,9 @@ def _cmd_balls_check(args, cfg):
     return {"payload": payload, "csv": csv}
 
 
+@_command("sameheight", "boundary-hugging spread at fixed height vs face type",
+          _REPORT_CSV, svg=True, points=("center",), grid="delta",
+          scalars=(("radius", float), ("m_type", int)))
 def _cmd_sameheight(args, cfg):
     dom = _domain(cfg)
     rep = sameheight_scaling(dom, _point(cfg, "center"),
@@ -269,23 +322,7 @@ def _cmd_sameheight(args, cfg):
                              _grid(cfg, "delta", [3e-2, 1e-2, 3e-3, 1e-3]),
                              int(_require(cfg, "m_type")),
                              config=_solver(cfg))
-    return {"report": rep, "svg": True}
-
-
-_BUILDERS = {
-    "distance": _cmd_distance,
-    "geodesic": _cmd_geodesic,
-    "gromov": _cmd_gromov,
-    "visibility-scan": _cmd_visibility_scan,
-    "k-point": _cmd_k_point,
-    "growth-fit": _cmd_growth_fit,
-    "goldilocks": _cmd_goldilocks,
-    "localize": _cmd_localize,
-    "case-bidisc": _cmd_case_bidisc,
-    "case-omega-psi": _cmd_case_omega_psi,
-    "balls-check": _cmd_balls_check,
-    "sameheight": _cmd_sameheight,
-}
+    return {"report": rep}
 
 
 # ---------------------------------------------------------------------------
@@ -294,17 +331,20 @@ _BUILDERS = {
 
 
 def _recheck(node, path: str = "$") -> list:
-    """Walk the outgoing JSON; every {lower, upper} pair must satisfy
-    lower <= upper and carry no NaN.  Returns human-readable problems."""
+    """Walk the outgoing JSON; every {lower, upper} pair must be finite
+    (no NaN, no +-inf) and satisfy lower <= upper.  Returns human-readable
+    problems."""
     problems = []
     if isinstance(node, dict):
         lo, hi = node.get("lower"), node.get("upper")
         if isinstance(lo, (int, float)):
-            if isinstance(lo, float) and math.isnan(lo):
-                problems.append(f"{path}: lower is NaN")
+            if isinstance(lo, float) and not math.isfinite(lo):
+                problems.append(
+                    f"{path}: lower is {'NaN' if math.isnan(lo) else lo}")
             if isinstance(hi, (int, float)):
-                if isinstance(hi, float) and math.isnan(hi):
-                    problems.append(f"{path}: upper is NaN")
+                if isinstance(hi, float) and not math.isfinite(hi):
+                    problems.append(
+                        f"{path}: upper is {'NaN' if math.isnan(hi) else hi}")
                 elif lo > hi + 1e-12:
                     problems.append(
                         f"{path}: certified lower {lo!r} exceeds upper {hi!r}")
@@ -320,60 +360,6 @@ def _recheck(node, path: str = "$") -> list:
 # argument surface
 # ---------------------------------------------------------------------------
 
-_CSV_DOC = {
-    "distance": "CSV columns: lower,upper",
-    "geodesic": "CSV columns: index,re0,im0,...,boundary_distance "
-                "(one row per path point)",
-    "gromov": "CSV columns: lower,upper",
-    "balls-check": "CSV columns: holds,margin",
-}
-_REPORT_CSV = ("CSV columns: grid,lower,upper,statistic,flags "
-               "(one row per grid sample; floats carry 17 significant "
-               "digits; emits an SVG chart of statistic vs log10(1/eps))")
-
-_POINT_FLAGS = {
-    "distance": ("x", "y"),
-    "geodesic": ("x", "y"),
-    "gromov": ("x", "y", "o"),
-    "visibility-scan": ("p", "q"),
-    "k-point": ("p",),
-    "growth-fit": ("o",),
-    "localize": ("center",),
-    "balls-check": ("q", "z"),
-    "sameheight": ("center",),
-}
-_GRID_FLAGS = {
-    "visibility-scan": "eps",
-    "k-point": "eps",
-    "goldilocks": "r",
-    "case-bidisc": "eps",
-    "case-omega-psi": "eps",
-    "sameheight": "delta",
-}
-_SCALAR_FLAGS = {
-    "k-point": (("w_radius", float),),
-    "growth-fit": (("samples", int),),
-    "localize": (("u_radius", float), ("v_radius", float), ("pairs", int)),
-    "balls-check": (("r", float),),
-    "sameheight": (("radius", float), ("m_type", int)),
-    "case-omega-psi": (("psi_form", str), ("c", float), ("alpha", float)),
-}
-
-_HELP = {
-    "distance": "certified distance bracket between two interior points",
-    "geodesic": "curve-length minimization between two interior points",
-    "gromov": "certified bracket for the Gromov product (x|y)_o",
-    "visibility-scan": "how deep paths between approaching pairs travel",
-    "k-point": "boundedness probe for k(z, W^c) + 1/2 log d(z)",
-    "growth-fit": "fit distance growth against log(1/boundary distance)",
-    "goldilocks": "metric degeneration rate M(r) and its tail law",
-    "localize": "window lower bounds vs global uppers (overhead constant)",
-    "case-bidisc": "the bidisc double geodesic experiment",
-    "case-omega-psi": "the psi-profile visibility dichotomy experiment",
-    "balls-check": "minimal-basis box bound for a certified metric ball",
-    "sameheight": "boundary-hugging spread at fixed height vs face type",
-}
-
 
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
@@ -386,8 +372,9 @@ def _build_parser() -> _Parser:
     common.add_argument("--reproducible", action="store_true",
                         help="freeze the default label and drop the "
                              "metadata block so JSON output is byte-stable")
-    common.add_argument("--threads", type=int, default=1,
-                        help="grid workers; 0 = one per CPU (default 1)")
+    common.add_argument("--threads", type=int, default=1, choices=[1],
+                        metavar="THREADS",
+                        help="accepted only as 1; grids run in order")
     common.add_argument("--label", default=None,
                         help="output label (default: UTC timestamp, or "
                              "'run' under --reproducible)")
@@ -398,21 +385,19 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="koblab",
                      description="certified Kobayashi-geometry experiments")
     subs = parser.add_subparsers(dest="command", metavar="command")
-    for name in _BUILDERS:
-        doc = _CSV_DOC.get(name, _REPORT_CSV if name != "localize" else
-                           "CSV columns: grid,lower,upper,statistic,flags")
-        sub = subs.add_parser(name, parents=[common], help=_HELP[name],
-                              description=_HELP[name] + ". " + doc)
-        for point in _POINT_FLAGS.get(name, ()):
+    for name, command in _COMMANDS.items():
+        sub = subs.add_parser(name, parents=[common], help=command.summary,
+                              description=command.summary + ". "
+                              + command.csv_doc)
+        for point in command.points:
             sub.add_argument(f"--{point}",
                              help=f"point {point} as JSON, e.g. "
                                   '"[[0.5,0]]" or "[0.5,0.1]"')
-        if name in _GRID_FLAGS:
-            key = _GRID_FLAGS[name]
-            sub.add_argument(f"--{key}",
-                             help=f"{key} grid: comma list like 1e-2,1e-3 "
-                                  "or a JSON array")
-        for flag, kind in _SCALAR_FLAGS.get(name, ()):
+        if command.grid is not None:
+            sub.add_argument(f"--{command.grid}",
+                             help=f"{command.grid} grid: comma list like "
+                                  "1e-2,1e-3 or a JSON array")
+        for flag, kind in command.scalars:
             sub.add_argument("--" + flag.replace("_", "-"), dest=flag,
                              type=kind)
     return parser
@@ -429,15 +414,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required (see --help)")
-        cfg = _merge_config(args)
-        out = _BUILDERS[args.command](args, cfg)
-    except UsageError as exc:
-        print(f"koblab: {exc}", file=sys.stderr)
-        return 2
-    except GeometryError as exc:
-        print(f"koblab: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+        command = _COMMANDS[args.command]
+        cfg = _merge_config(args, command)
+        out = command.build(args, cfg)
+    except (UsageError, GeometryError, OSError, json.JSONDecodeError) as exc:
         print(f"koblab: {exc}", file=sys.stderr)
         return 2
 
@@ -489,7 +469,7 @@ def main(argv=None) -> int:
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(csv_text)
                 wrote.append(path)
-        if report is not None and out.get("svg", False):
+        if report is not None and command.svg:
             path = os.path.join(out_dir, stem + ".svg")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(render_report_svg(report, title=stem))

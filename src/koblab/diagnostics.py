@@ -20,8 +20,6 @@ center and a radius, which is all the experiments need.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,15 +191,12 @@ def _power_fit(xs, ys):
     return slope, math.exp(intercept), rms
 
 
-def _map_grid(fn, items, workers: int):
-    """Evaluate fn over items, optionally in a thread pool, keeping order."""
-    items = list(items)
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+def _positive_grid(values, name: str) -> list:
+    """The grid as floats: non-empty, every value positive (so no NaN)."""
+    grid = [float(v) for v in values]
+    if not grid or not all(v > 0.0 for v in grid):
+        raise GeometryError(f"the {name} grid must be positive and non-empty")
+    return grid
 
 
 def _pair_bracket(domain: Domain, x, y, config: SolverConfig | None = None
@@ -279,8 +274,8 @@ def log_estimate_residual(domain: Domain, x, y,
 
 
 def visibility_scan(domain: Domain, p, q, eps_grid, approach="normal",
-                    path_supplier=None, config: SolverConfig | None = None,
-                    workers: int = 1) -> ProbeReport:
+                    path_supplier=None, config: SolverConfig | None = None
+                    ) -> ProbeReport:
     """Track how deep paths between boundary-approaching pairs travel.
 
     For each eps the probe solves a geodesic between the offset points
@@ -296,9 +291,7 @@ def visibility_scan(domain: Domain, p, q, eps_grid, approach="normal",
     p, q = as_carray(p), as_carray(q)
     if float(np.linalg.norm(p - q)) <= 1e-9:
         raise GeometryError("visibility_scan needs two distinct boundary points")
-    eps_grid = [float(e) for e in eps_grid]
-    if not eps_grid or any(e <= 0.0 for e in eps_grid):
-        raise GeometryError("the eps grid must be positive and non-empty")
+    eps_grid = _positive_grid(eps_grid, "eps")
 
     if callable(approach):
         pair_at, approach_name = approach, "custom"
@@ -337,7 +330,7 @@ def visibility_scan(domain: Domain, p, q, eps_grid, approach="normal",
                             "q_eps": to_pairs(qe),
                             "converged": bool(result.converged)})
 
-    samples = _map_grid(evaluate, eps_grid, workers)
+    samples = [evaluate(eps) for eps in eps_grid]
     stats = np.array([s.statistic for s in samples])
     fitted: dict = {}
     notes = [_FLOOR_NOTE, f"approach={approach_name}",
@@ -376,8 +369,7 @@ def visibility_scan(domain: Domain, p, q, eps_grid, approach="normal",
 
 
 def k_point_probe(domain: Domain, p, w_radius: float, eps_grid,
-                  config: SolverConfig | None = None,
-                  sphere_samples: int = 64, workers: int = 1) -> ProbeReport:
+                  sphere_samples: int = 64) -> ProbeReport:
     """Probe whether k_D(z, W^c) + 1/2 log d(z) stays bounded as z -> p.
 
     W is the euclidean ball of radius ``w_radius`` around the boundary
@@ -394,9 +386,7 @@ def k_point_probe(domain: Domain, p, w_radius: float, eps_grid,
     w_radius = float(w_radius)
     if w_radius <= 0.0:
         raise GeometryError("the window radius must be positive")
-    eps_grid = [float(e) for e in eps_grid]
-    if not eps_grid or any(e <= 0.0 for e in eps_grid):
-        raise GeometryError("the eps grid must be positive and non-empty")
+    eps_grid = _positive_grid(eps_grid, "eps")
     if any(e >= w_radius for e in eps_grid):
         raise GeometryError("eps must stay inside the window (eps < w_radius)")
 
@@ -450,7 +440,7 @@ def k_point_probe(domain: Domain, p, w_radius: float, eps_grid,
                            {"eps": eps, "z": to_pairs(z), "delta": bd_z,
                             "witnesses": len(witnesses)})
 
-    samples = _map_grid(evaluate, eps_grid, workers)
+    samples = [evaluate(eps) for eps in eps_grid]
     stats = np.array([s.statistic for s in samples])
     fitted: dict = {}
     notes = ["min over sphere samples can only drop under refinement; "
@@ -546,8 +536,8 @@ def growth_fit(domain: Domain, o, n_samples: int, seed: int = 0,
 
 
 def goldilocks_probe(domain: Domain, r_grid, seed: int = 0,
-                     anchors: int = 12, extra_directions: int = 4,
-                     workers: int = 1) -> ProbeReport:
+                     anchors: int = 12, extra_directions: int = 4
+                     ) -> ProbeReport:
     """Estimate the degeneration rate M(r) = sup {1/kappa : d(x) <= r}.
 
     1/kappa lies in [t, 2t] for t the directional boundary distance, so
@@ -563,9 +553,7 @@ def goldilocks_probe(domain: Domain, r_grid, seed: int = 0,
     log log L separates a genuinely divergent ~1/L tail (gamma near 0)
     from one that merely degenerates slower than any power.
     """
-    r_grid = [float(r) for r in r_grid]
-    if not r_grid or any(r <= 0.0 for r in r_grid):
-        raise GeometryError("the r grid must be positive and non-empty")
+    r_grid = _positive_grid(r_grid, "r")
     if any(r_grid[i] <= r_grid[i + 1] for i in range(len(r_grid) - 1)):
         raise GeometryError("the r grid must decrease strictly")
     if math.isfinite(domain.bounding_radius) and \
@@ -615,7 +603,7 @@ def goldilocks_probe(domain: Domain, r_grid, seed: int = 0,
                            {"points": used,
                             "directions": max(len(d) for _, d in stations)})
 
-    samples = _map_grid(evaluate, r_grid, workers)
+    samples = [evaluate(r) for r in r_grid]
     rs = np.asarray(r_grid)
     big_m = np.array([s.statistic for s in samples])
     asc = np.argsort(rs)
@@ -800,9 +788,7 @@ def sameheight_scaling(domain: Domain, region_center, region_radius: float,
     m_type = int(m_type)
     if m_type < 1:
         raise GeometryError("the type M must be a positive integer")
-    delta_grid = [float(d) for d in delta_grid]
-    if not delta_grid or any(d <= 0.0 for d in delta_grid):
-        raise GeometryError("the delta grid must be positive and non-empty")
+    delta_grid = _positive_grid(delta_grid, "delta")
     if math.isinf(domain.bounding_radius):
         raise GeometryError("the scaling probe needs a bounded domain")
 

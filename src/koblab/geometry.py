@@ -24,6 +24,7 @@ closed-form guarantees.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -1046,8 +1047,10 @@ class PsiSpec:
         gp = x ** (-2.0) * L ** (-self.alpha - 1.0) * (self.alpha - L)
         return -gp * math.exp(-g)
 
-    @property
+    @functools.cached_property
     def cut(self) -> float:
+        # cached: the log-power cut is a brentq root, and value/derivative
+        # read it on every call
         if self.form == "exp_neg_c_over_x":
             return 0.5 * self.c  # inflection of exp(-c/x)
         return _loglog_convexity_cut(self.alpha)

@@ -193,7 +193,7 @@ def _straight_points(x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     return (1.0 - s) * x[None, :] + s * y[None, :]
 
 
-def _ensure_valid(domain: Domain, pts: np.ndarray, seg, cap: int) -> np.ndarray:
+def _ensure_valid(pts: np.ndarray, seg, cap: int) -> np.ndarray:
     """Insert midpoints until every segment admits a certified upper."""
     pts = list(pts)
     guard = 0
@@ -326,7 +326,7 @@ def solve_geodesic(domain: Domain, x, y, cfg: SolverConfig | None = None) -> Geo
     pts, first_err = None, None
     for cand in starts:
         try:
-            valid = _ensure_valid(domain, cand, seg, cfg.control_points)
+            valid = _ensure_valid(cand, seg, cfg.control_points)
         except GeometryError as exc:
             if first_err is None:
                 first_err = exc
@@ -425,7 +425,7 @@ def straight_path(domain: Domain, x, y, m: int = 65) -> Path:
     obj = _ChainObjective(domain)
     seg = _segment_evaluator(domain)
     pts = _straight_points(x, y, max(2, m))
-    pts = _ensure_valid(domain, pts, seg, max(2, m))
+    pts = _ensure_valid(pts, seg, max(2, m))
     uppers = [seg(pts[j], pts[j + 1]) for j in range(pts.shape[0] - 1)]
     return Path(points=pts, domain=domain, segment_brackets=obj.brackets(uppers))
 

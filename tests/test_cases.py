@@ -157,14 +157,6 @@ def test_bidisc_case_grid_validation():
         run_bidisc_case([0.0])
 
 
-def test_bidisc_case_thread_parity():
-    serial = run_bidisc_case([1e-2, 1e-3])
-    threaded = run_bidisc_case([1e-2, 1e-3], workers=2)
-    for a, b in zip(serial.samples, threaded.samples):
-        assert a.statistic == b.statistic
-        assert a.inputs["residual_upper"] == b.inputs["residual_upper"]
-
-
 # ---------------------------------------------------------------------------
 # psi-profile runner: fast-decay (non-visible) regime
 # ---------------------------------------------------------------------------

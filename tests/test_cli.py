@@ -208,11 +208,17 @@ def test_unwritable_output_dir_exits_two(tmp_path, capsys):
     assert "write" in capsys.readouterr().err or True
 
 
+def poison_distance(monkeypatch, bad_builder):
+    """Swap the distance builder so the emission-time recheck has
+    something to catch."""
+    command = cli._COMMANDS["distance"]._replace(build=bad_builder)
+    monkeypatch.setitem(cli._COMMANDS, "distance", command)
+
+
 def test_recheck_rejects_inverted_bracket(tmp_path, capsys, monkeypatch):
-    # poison one builder so the emission-time recheck has something to catch
     def bad_builder(args, cfg):
         return {"payload": {"lower": 2.0, "upper": 1.0}}
-    monkeypatch.setitem(cli._BUILDERS, "distance", bad_builder)
+    poison_distance(monkeypatch, bad_builder)
     cfg = disc_pair_config(tmp_path)
     out = tmp_path / "out"
     code = run_cli(["distance", "--config", cfg, "--out", str(out),
@@ -227,12 +233,27 @@ def test_recheck_rejects_nan_bracket(tmp_path, capsys, monkeypatch):
     def bad_builder(args, cfg):
         return {"payload": {"rows": [{"lower": float("nan"),
                                       "upper": 1.0}]}}
-    monkeypatch.setitem(cli._BUILDERS, "distance", bad_builder)
+    poison_distance(monkeypatch, bad_builder)
     cfg = disc_pair_config(tmp_path)
     code = run_cli(["distance", "--config", cfg,
                     "--out", str(tmp_path / "out"), "--reproducible"])
     assert code == 3
     assert "NaN" in capsys.readouterr().err
+
+
+def test_recheck_rejects_infinite_bracket(tmp_path, capsys, monkeypatch):
+    # an infinite side is no certificate, and json would write "Infinity"
+    def bad_builder(args, cfg):
+        return {"payload": {"lower": 0.0, "upper": float("inf")}}
+    poison_distance(monkeypatch, bad_builder)
+    cfg = disc_pair_config(tmp_path)
+    out = tmp_path / "out"
+    code = run_cli(["distance", "--config", cfg, "--out", str(out),
+                    "--reproducible"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "soundness recheck failed" in err and "upper is inf" in err
+    assert not (out / "distance-run.json").exists()
 
 
 def test_seed_changes_sampled_output(tmp_path):
@@ -251,15 +272,15 @@ def test_seed_changes_sampled_output(tmp_path):
     assert docs[0]["seed"] == 1 and docs[1]["seed"] == 2
 
 
-def test_threads_do_not_change_results(tmp_path):
+def test_threads_accepted_only_as_one(tmp_path, capsys):
     cfg = write_config(tmp_path, "disc.json", {"domain": {"kind": "disc"}})
     args = ["k-point", "--config", cfg, "--p", "[[0.5,0]]",
-            "--w-radius", "0.3", "--eps", "1e-1,1e-2", "--reproducible"]
-    out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    assert run_cli(args + ["--threads", "1", "--out", str(out1)]) == 0
-    assert run_cli(args + ["--threads", "2", "--out", str(out2)]) == 0
-    assert (out1 / "k-point-run.json").read_bytes() == \
-        (out2 / "k-point-run.json").read_bytes()
+            "--w-radius", "0.3", "--eps", "1e-1,1e-2", "--reproducible",
+            "--out", str(tmp_path / "out")]
+    assert run_cli(args + ["--threads", "1"]) == 0
+    capsys.readouterr()
+    assert run_cli(args + ["--threads", "2"]) == 2
+    assert "threads" in capsys.readouterr().err
 
 
 def test_case_omega_psi_inline_profile(tmp_path):
@@ -325,3 +346,49 @@ def test_output_goes_to_config_output_dir(tmp_path):
     assert run_cli(["distance", "--config", cfg, "--reproducible"]) == 0
     assert (dest / "distance-run.json").exists()
     assert not (dest / "distance-run.csv").exists()
+
+
+# One small --reproducible run per subcommand, on Ball(2) with the light
+# solver wherever a domain is needed.  Keyed by name: a subcommand added to
+# the registry without a case here fails test_every_subcommand_runs.
+ORIGIN, NEAR = "[[0,0],[0,0]]", "[[0.3,0],[0,0.1]]"
+SUBCOMMAND_CASES = {
+    "distance": ["--x", ORIGIN, "--y", NEAR],
+    "geodesic": ["--x", ORIGIN, "--y", NEAR],
+    "gromov": ["--x", "[[0.5,0],[0,0]]", "--y", "[[0,0],[0.5,0]]",
+               "--o", ORIGIN],
+    "visibility-scan": ["--p", "[[1,0],[0,0]]", "--q", "[[-1,0],[0,0]]",
+                        "--eps", "1e-1,1e-2"],
+    "k-point": ["--p", "[[1,0],[0,0]]", "--w-radius", "0.3",
+                "--eps", "1e-1,1e-2"],
+    "growth-fit": ["--samples", "10"],
+    "goldilocks": ["--r", "1e-1,1e-2"],
+    "localize": ["--center", "[[1,0],[0,0]]", "--u-radius", "0.4",
+                 "--v-radius", "0.2", "--pairs", "5"],
+    "case-bidisc": ["--eps", "1e-3,1e-4"],
+    "case-omega-psi": ["--psi-form", "exp_neg_c_over_x",
+                       "--c", "3.141592653589793", "--eps", "1e-1,1e-2"],
+    "balls-check": ["--q", ORIGIN, "--z", NEAR, "--r", "0.5"],
+    "sameheight": ["--center", "[[1,0],[0,0]]", "--radius", "0.5",
+                   "--delta", "1e-2", "--m-type", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+def test_every_subcommand_runs(name, tmp_path, capsys):
+    command = cli._COMMANDS[name]
+    cfg = write_config(tmp_path, "ball.json", {
+        "domain": {"kind": "ball", "n": 2},
+        "solver": {"control_points": 9, "max_iter": 400, "rel_tol": 1e-4}})
+    out = tmp_path / "out"
+    assert run_cli([name, "--config", cfg, *SUBCOMMAND_CASES[name],
+                    "--out", str(out), "--reproducible"]) == 0
+    assert (out / f"{name}-run.json").exists()
+    assert (out / f"{name}-run.csv").exists()
+    assert (out / f"{name}-run.svg").exists() == command.svg
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main([name, "--help"])
+    assert exc.value.code == 0
+    assert " ".join(command.csv_doc.split()) in \
+        " ".join(capsys.readouterr().out.split())

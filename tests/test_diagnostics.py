@@ -267,14 +267,6 @@ def test_visibility_scan_argument_validation():
                         approach=lambda e: ([1.0 + e, 0.0], [-1.0, 0.0]))
 
 
-def test_visibility_scan_thread_parity():
-    grid = [1e-1, 1e-2, 1e-3]
-    r1 = visibility_scan(Ball(2), [1.0, 0.0], [-1.0, 0.0], grid, workers=1)
-    r2 = visibility_scan(Ball(2), [1.0, 0.0], [-1.0, 0.0], grid, workers=2)
-    assert [s.statistic for s in r1.samples] == [s.statistic for s in r2.samples]
-    assert r1.verdict == r2.verdict
-
-
 def test_visibility_implies_bounded_products():
     # on the same grid as a visibility-consistent scan, no certified
     # product lower may diverge; the antipodal ball pair has product 0
@@ -430,13 +422,6 @@ def test_goldilocks_grid_validation():
         goldilocks_probe(B, [1e-2, 0.0])
     with pytest.raises(GeometryError):
         goldilocks_probe(B, [2.0, 1e-2])        # beyond bounding radius
-
-
-def test_goldilocks_thread_parity():
-    grid = list(np.geomspace(1e-1, 1e-3, 6))
-    r1 = goldilocks_probe(Ball(2), grid, workers=1)
-    r2 = goldilocks_probe(Ball(2), grid, workers=0)
-    assert [s.statistic for s in r1.samples] == [s.statistic for s in r2.samples]
 
 
 # ---------------------------------------------------------------------------
