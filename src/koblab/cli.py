@@ -75,7 +75,11 @@ def _parse_grid_text(text: str) -> list:
     text = text.strip()
     if text.startswith("["):
         return json.loads(text)
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise UsageError(f"a grid must be a comma-separated or JSON list "
+                         f"of numbers, got {text!r}") from None
 
 
 def _require(cfg: dict, key: str):
@@ -102,7 +106,11 @@ def _grid(cfg: dict, key: str, default: list) -> list:
     val = cfg.get(key, default)
     if not isinstance(val, (list, tuple)) or not val:
         raise UsageError(f"{key!r} must be a non-empty list")
-    return [float(v) for v in val]
+    try:
+        return [float(v) for v in val]
+    except (TypeError, ValueError):
+        raise UsageError(f"{key!r} must be a list of numbers, got "
+                         f"{val!r}") from None
 
 
 def _domain(cfg: dict):

@@ -141,18 +141,23 @@ def metric_bracket(domain: Domain, z, X) -> MetricBracket:
 # ---------------------------------------------------------------------------
 
 
-def _halfplane_projection_bound(domain: Domain, x: np.ndarray, y: np.ndarray,
-                                source: np.ndarray):
-    """Lower bound via z -> i<p - z, nu> for p the projection of `source`.
+def _boundary_contact(domain: Domain, z: np.ndarray):
+    """(p, nu): the nearest boundary point of z and its supporting normal,
+    or None when the projection is ambiguous."""
+    try:
+        p = domain.nearest_boundary_point(z)
+    except AmbiguousProjectionError:
+        return None
+    return p, domain.supporting_normal(p)
+
+
+def _halfplane_projection_bound(x: np.ndarray, y: np.ndarray, contact):
+    """Lower bound via z -> i<p - z, nu> for a boundary contact (p, nu).
 
     Any boundary point p with supporting normal nu works: Re <p - z, nu> > 0
     on the domain, so the map lands in the upper half-plane and contracts.
     """
-    try:
-        p = domain.nearest_boundary_point(source)
-    except AmbiguousProjectionError:
-        return None
-    nu = domain.supporting_normal(p)
+    p, nu = contact
     hx = 1j * complex(np.vdot(nu, p - x))
     hy = 1j * complex(np.vdot(nu, p - y))
     if hx.imag <= 0.0 or hy.imag <= 0.0:
@@ -160,63 +165,131 @@ def _halfplane_projection_bound(domain: Domain, x: np.ndarray, y: np.ndarray,
     return halfplane_distance(hx, hy)
 
 
-def pair_tube_bound(domain: Domain, x, y):
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _into_disc(a: complex) -> complex:
+    """a, pulled into the closed unit disc with room for rounding."""
+    m = abs(a)
+    limit = 1.0 - 16.0 * _UNIT_ROUNDOFF
+    return a * (limit / m) if m > limit else a
+
+
+def _dual_value(R: float, c_p: complex, c_q: complex, nu_p: np.ndarray,
+                nu_q: np.ndarray, a: complex, b: complex) -> float:
+    """D(a, b) = Re(conj(a) c_p + conj(b) c_q) - R |a nu_p + b nu_q|,
+    rounded down.
+
+    R |w| is rounded up first: its error bound covers the rounding of
+    w = a nu_p + b nu_q and of the norm.  The linear part is an exactly
+    summed ``fsum`` of four rounded products, and the difference is then
+    padded down by a few ulps of the magnitudes involved.
+    """
+    u = _UNIT_ROUNDOFF
+    w = a * nu_p + b * nu_q
+    nw = float(np.linalg.norm(w))
+    slack = abs(a) * float(np.linalg.norm(nu_p)) \
+        + abs(b) * float(np.linalg.norm(nu_q)) + nw
+    norm_up = R * (nw * (1.0 + (2 * len(w) + 8) * u) + 4.0 * u * slack)
+    norm_up *= 1.0 + 4.0 * u
+    terms = (a.real * c_p.real, a.imag * c_p.imag,
+             b.real * c_q.real, b.imag * c_q.imag)
+    lin = math.fsum(terms)
+    pad = 4.0 * u * (sum(abs(t) for t in terms) + abs(lin) + norm_up)
+    return (lin - norm_up) - pad
+
+
+def _dual_disjointness(R: float, c_p: complex, c_q: complex,
+                       nu_p: np.ndarray, nu_q: np.ndarray) -> float:
+    """A certified lower bound on min over |u| <= R of |f(u)| + |g(u)|.
+
+    Maximizes the concave dual D over the two unit discs in the Cartesian
+    coordinates (Re a, Im a, Re b, Im b); D only sees a and b through the
+    Gram matrix of nu_p and nu_q, so the search evaluates that 2 x 2 form.
+    The optimizer's point is pulled into the discs and evaluated in full by
+    :func:`_dual_value`; a failed search gives a smaller value or NaN, never
+    an unsound one.
+    """
+    npp = float(np.vdot(nu_p, nu_p).real)
+    nqq = float(np.vdot(nu_q, nu_q).real)
+    gamma = complex(np.vdot(nu_p, nu_q))
+
+    def negative_dual(v: np.ndarray):
+        a, b = complex(v[0], v[1]), complex(v[2], v[3])
+        ab = a.conjugate() * b * gamma
+        nw = math.sqrt(max(0.0, (a.real * a.real + a.imag * a.imag) * npp
+                           + (b.real * b.real + b.imag * b.imag) * nqq
+                           + 2.0 * ab.real))
+        val = (a.conjugate() * c_p + b.conjugate() * c_q).real - R * nw
+        da, db = c_p, c_q
+        if nw > 0.0:
+            da = da - R * (a * npp + b * gamma) / nw
+            db = db - R * (b * nqq + a * gamma.conjugate()) / nw
+        return -val, -np.array([da.real, da.imag, db.real, db.imag])
+
+    def discs(v: np.ndarray) -> np.ndarray:
+        return np.array([1.0 - v[0] * v[0] - v[1] * v[1],
+                         1.0 - v[2] * v[2] - v[3] * v[3]])
+
+    def discs_jac(v: np.ndarray) -> np.ndarray:
+        return np.array([[-2.0 * v[0], -2.0 * v[1], 0.0, 0.0],
+                         [0.0, 0.0, -2.0 * v[2], -2.0 * v[3]]])
+
+    a0 = c_p / abs(c_p) if c_p else 1.0 + 0.0j
+    b0 = c_q / abs(c_q) if c_q else 1.0 + 0.0j
+    res = optimize.minimize(
+        negative_dual, np.array([a0.real, a0.imag, b0.real, b0.imag]),
+        jac=True, method="SLSQP",
+        constraints=[{"type": "ineq", "fun": discs, "jac": discs_jac}],
+        options={"maxiter": 100, "ftol": 1e-10})
+    a, b = complex(res.x[0], res.x[1]), complex(res.x[2], res.x[3])
+    return _dual_value(R, c_p, c_q, nu_p, nu_q, _into_disc(a), _into_disc(b))
+
+
+def pair_tube_bound(domain: Domain, x, y, *, contacts=None):
     """Additive two-projection lower bound for deep boundary-hugging pairs.
 
-    Writes f(z) = <p - z, nu_p> and g(z) = <q - z, nu_q> for the supporting
-    data at the two projections; both map the domain into the right
+    Writes f(z) = c_p - <nu_p, z> and g(z) = c_q - <nu_q, z>, with
+    c_p = <nu_p, p> and c_q = <nu_q, q>, for the supporting data at the
+    projections p of x and q of y; both map the domain into the right
     half-plane with |f(x)| and |g(y)| equal to the hyperplane gaps.  If the
     tubes {|f| < eta} and {|g| < eta} are disjoint inside the domain, any
     curve from x to y pays 1/2 log(eta/|f(x)|) to leave the first tube and
     1/2 log(eta/|g(y)|) to enter the second, and the two payments add.
-    Disjointness is certified by minimizing |f| + |g| over the bounding ball
-    (a convex program) and taking eta = 0.45 * mu, which leaves a 10% safety
-    margin over the exact disjointness threshold mu / 2.
 
+    The tubes are disjoint when 2 eta <= mu = min over the bounding ball
+    |u| <= R of |f(u)| + |g(u)|.  mu is certified from below by the
+    Lagrange dual D(a, b) = Re(conj(a) c_p + conj(b) c_q)
+    - R |a nu_p + b nu_q|: for |a|, |b| <= 1 and |u| <= R, weak duality gives
+    |f(u)| + |g(u)| >= Re(conj(a) f(u) + conj(b) g(u)) >= D(a, b), so any
+    feasible (a, b) bounds mu from below.  D is concave in
+    (Re a, Im a, Re b, Im b) and the two discs are convex, so one local
+    solve finds its maximum; the optimizer's point is pulled into the discs
+    and D is evaluated there rounded down (R |w| rounded up, the result
+    padded down by a few ulps).  eta is the exact disjointness threshold
+    mu / 2.
+
+    ``contacts`` takes the boundary contacts (p, nu_p) of x and (q, nu_q)
+    of y (None for an ambiguous one) when the caller already has them.
     Returns None when not applicable (unbounded domain, ambiguous
-    projections, or either point outside its tube).
+    projections, mu <= 0, or either point outside its tube).
     """
     if math.isinf(domain.bounding_radius):
         return None
     x, y = as_carray(x), as_carray(y)
-    try:
-        p = domain.nearest_boundary_point(x)
-        q = domain.nearest_boundary_point(y)
-    except AmbiguousProjectionError:
+    if contacts is None:
+        contacts = (_boundary_contact(domain, x), _boundary_contact(domain, y))
+    if contacts[0] is None or contacts[1] is None:
         return None
-    nu_p = domain.supporting_normal(p)
-    nu_q = domain.supporting_normal(q)
-
-    # real-view coefficients of the two complex-affine functionals
-    def affine(c0: complex, nu: np.ndarray):
-        def val(u: np.ndarray) -> complex:
-            z = u[0::2] + 1j * u[1::2]
-            return c0 - complex(np.vdot(nu, z))
-        return val
-
-    f = affine(complex(np.vdot(nu_p, p)), nu_p)
-    g = affine(complex(np.vdot(nu_q, q)), nu_q)
-
-    def objective(u: np.ndarray) -> float:
-        return abs(f(u)) + abs(g(u))
-
-    R = domain.bounding_radius
-    starts = [real_view(x), real_view(y), real_view(0.5 * (x + y)),
-              np.zeros(2 * domain.dim)]
-    mu = math.inf
-    cons = [{"type": "ineq", "fun": lambda u: R * R - float(np.dot(u, u)),
-             "jac": lambda u: -2.0 * u}]
-    for u0 in starts:
-        res = optimize.minimize(objective, u0, method="SLSQP",
-                                constraints=cons,
-                                options={"maxiter": 300, "ftol": 1e-12})
-        if res.fun < mu:
-            mu = float(res.fun)
+    (p, nu_p), (q, nu_q) = contacts
+    c_p = complex(np.vdot(nu_p, p))
+    c_q = complex(np.vdot(nu_q, q))
+    mu = _dual_disjointness(domain.bounding_radius, c_p, c_q, nu_p, nu_q)
     if not (mu > 0.0 and math.isfinite(mu)):
         return None
-    eta = 0.45 * mu
-    fx = abs(f(real_view(x)))
-    gy = abs(g(real_view(y)))
+    eta = 0.5 * mu
+    fx = abs(c_p - complex(np.vdot(nu_p, x)))
+    gy = abs(c_q - complex(np.vdot(nu_q, y)))
     if not (0.0 < fx < eta and 0.0 < gy < eta):
         return None
     return 0.5 * math.log(eta / fx) + 0.5 * math.log(eta / gy)
@@ -231,9 +304,11 @@ def distance_lower_bound_detailed(domain: Domain, x, y, tube: bool = True):
     ``pair-tube``             additive two-projection bound (when it applies)
 
     The ``directional`` branch is the repaired reading of a misprinted
-    display; reports flag values that rely on it.  ``tube=False`` skips the
-    pair-tube branch, which runs a small constrained solve per call; sweeps
-    over many pairs use this to stay fast.
+    display; reports flag values that rely on it.  Both projection branches
+    share one boundary projection of each point.  ``tube=False`` skips the
+    pair-tube branch, whose dual solve costs a few milliseconds per call;
+    the probes that sweep a grid of pairs pass it, which keeps their
+    reproducible outputs as they were.
     """
     x, y = as_carray(x), as_carray(y)
     if not domain.contains(x) or not domain.contains(y):
@@ -258,12 +333,15 @@ def distance_lower_bound_detailed(domain: Domain, x, y, tube: bool = True):
         ratio = max(ratio, 0.5 * math.log(lo_y / up_x))
     branches["delta-ratio"] = ratio
 
-    # (b) supporting half-plane projections at both ends
+    # (b) supporting half-plane projections at both ends; an ambiguous
+    # projection drops only its own source
+    contacts = (_boundary_contact(domain, x), _boundary_contact(domain, y))
     proj = 0.0
-    for source in (x, y):
-        val = _halfplane_projection_bound(domain, x, y, source)
-        if val is not None:
-            proj = max(proj, val)
+    for contact in contacts:
+        if contact is not None:
+            val = _halfplane_projection_bound(x, y, contact)
+            if val is not None:
+                proj = max(proj, val)
     branches["halfplane-projection"] = proj
 
     # (c) directional bound along the chord (repaired reading)
@@ -275,7 +353,7 @@ def distance_lower_bound_detailed(domain: Domain, x, y, tube: bool = True):
 
     # (d) additive pair bound for deep pairs
     if tube:
-        pt = pair_tube_bound(domain, x, y)
+        pt = pair_tube_bound(domain, x, y, contacts=contacts)
         if pt is not None:
             branches["pair-tube"] = pt
 

@@ -199,6 +199,21 @@ def test_point_outside_domain_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("koblab:")
 
 
+def test_bad_grid_exits_two(tmp_path, capsys):
+    # a grid that is not a list of numbers is a usage error, as a bad
+    # scalar flag is: exit 2 with a koblab: line, no traceback
+    for eps in ("abc", "1e-3,x", '["a"]', "[null]"):
+        assert run_cli(["case-bidisc", "--eps", eps, "--out", str(tmp_path),
+                        "--reproducible"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("koblab:")
+        assert "'eps'" in err or "grid" in err
+    cfg = write_config(tmp_path, "grid.json", {"eps": ["1e-3", "a"]})
+    assert run_cli(["case-bidisc", "--config", cfg, "--out", str(tmp_path),
+                    "--reproducible"]) == 2
+    assert "'eps'" in capsys.readouterr().err
+
+
 def test_unwritable_output_dir_exits_two(tmp_path, capsys):
     cfg = disc_pair_config(tmp_path)
     clash = tmp_path / "clash"

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from koblab.geometry import (
     Ball,
@@ -22,6 +23,8 @@ from koblab.geometry import (
 )
 from koblab.metric import (
     MetricBracket,
+    _boundary_contact,
+    _dual_disjointness,
     ball_distance,
     disc_distance,
     distance_bracket,
@@ -196,19 +199,134 @@ def test_lower_bound_trivial_and_symmetry():
 
 def test_lower_bound_ball_deep_pair():
     # both points hug opposite boundary points; the additive two-projection
-    # bound gives 1/2 log(0.9/0.1) + 1/2 log(0.9/0.1) = log 9
+    # bound gives 1/2 log(1/0.1) + 1/2 log(1/0.1) = log 10 (eta = mu/2 = 1)
     val = distance_lower_bound(Ball(2), [0.9, 0], [-0.9, 0])
     assert val >= 2.1972245 - 1e-6
     assert val <= ball_distance([0.9, 0], [-0.9, 0]) + 1e-12
 
 
 def test_pair_tube_bound_values():
+    # p = (1, 0), q = (-1, 0): mu = min over the unit ball of
+    # |1 - u1| + |1 + u1| = 2, so eta = mu/2 = 1 and the gaps are 0.1
     val = pair_tube_bound(Ball(2), [0.9, 0], [-0.9, 0])
-    assert val == pytest.approx(math.log(9.0), rel=1e-4)
-    # shallow points are outside their tubes: bound does not apply
-    assert pair_tube_bound(Ball(2), [0.1, 0], [-0.1, 0]) is None
+    assert val == pytest.approx(math.log(10.0), rel=1e-4)
+    # same tubes, gaps 0.9 < eta: 1/2 log(1/0.9) twice
+    val = pair_tube_bound(Ball(2), [0.1, 0], [-0.1, 0])
+    assert val == pytest.approx(math.log(1.0 / 0.9), rel=1e-4)
+    # p = (1, 0), q = (0, 1): mu = 2 - sqrt 2 at u = (1, 1)/sqrt 2, so
+    # eta = 0.293 is below both gaps 0.5: the points are outside their tubes
+    assert pair_tube_bound(Ball(2), [0.5, 0], [0, 0.5]) is None
     # unbounded domain: no bounding ball to minimize over
     assert pair_tube_bound(HalfPlane(), [1j], [2j]) is None
+
+
+TUBE_DOMAINS = {"ball2": Ball(2), "ellipsoid-1-2": Ellipsoid([1.0, 2.0]),
+                "ellipsoid-1-1.5-3": Ellipsoid([1.0, 1.5, 3.0])}
+
+
+def _deep_pairs(domain, count, rng):
+    """Seeded pairs, each point moved inward along the boundary normal by a
+    depth in [1e-3, 0.3] (below the smallest curvature radius 1/3)."""
+    a = getattr(domain, "axes", np.ones(domain.dim))
+    pairs = []
+    for _ in range(count):
+        pair = []
+        for _ in range(2):
+            d = rng.standard_normal(domain.dim) \
+                + 1j * rng.standard_normal(domain.dim)
+            b = d / math.sqrt(float(np.sum(np.abs(d) ** 2 / a ** 2)))
+            nu = b / a ** 2
+            depth = 10.0 ** rng.uniform(-3.0, math.log10(0.3))
+            pair.append(b - depth * nu / np.linalg.norm(nu))
+        pairs.append(tuple(pair))
+    return pairs
+
+
+def _tube_data(domain, x, y):
+    (p, nu_p), (q, nu_q) = (_boundary_contact(domain, x),
+                            _boundary_contact(domain, y))
+    c_p, c_q = complex(np.vdot(nu_p, p)), complex(np.vdot(nu_q, q))
+    mu = _dual_disjointness(domain.bounding_radius, c_p, c_q, nu_p, nu_q)
+    return c_p, c_q, nu_p, nu_q, mu
+
+
+@pytest.mark.parametrize("name", TUBE_DOMAINS)
+def test_pair_tube_dual_never_exceeds_primal(name):
+    # the certified mu is a lower bound on min over |u| <= R of |f| + |g|:
+    # it may not exceed a 30-start primal minimum (each optimizer point
+    # pulled into the ball first) nor |f| + |g| at 10^4 sampled points of
+    # the ball; and the concave dual solve should also reach that minimum
+    domain = TUBE_DOMAINS[name]
+    rng = np.random.default_rng(61)
+    R, n = domain.bounding_radius, domain.dim
+    for x, y in _deep_pairs(domain, 8, rng):
+        c_p, c_q, nu_p, nu_q, mu = _tube_data(domain, x, y)
+
+        def objective(z):
+            return np.abs(c_p - z @ np.conj(nu_p)) \
+                + np.abs(c_q - z @ np.conj(nu_q))
+
+        def feasible(v):
+            z = v[:n] + 1j * v[n:]
+            r = float(np.linalg.norm(z))
+            return z * (R / r) if r > R else z
+
+        def primal_with_gradient(v):
+            # d|c - <nu, z>| = -Re(conj(s) <nu, dz>) with s the unit phase
+            z = v[:n] + 1j * v[n:]
+            f, g = c_p - np.vdot(nu_p, z), c_q - np.vdot(nu_q, z)
+            grad = -(f / abs(f) if f else 0.0) * nu_p \
+                - (g / abs(g) if g else 0.0) * nu_q
+            return abs(f) + abs(g), np.concatenate([grad.real, grad.imag])
+
+        starts = [np.concatenate([s.real, s.imag]) for s in (x, y)]
+        starts += [rng.uniform(-R, R, 2 * n) / math.sqrt(2 * n)
+                   for _ in range(28)]
+        primal = math.inf
+        for v0 in starts:
+            res = optimize.minimize(
+                primal_with_gradient, v0, jac=True, method="SLSQP",
+                constraints=[{"type": "ineq",
+                              "fun": lambda v: R * R - float(v @ v),
+                              "jac": lambda v: -2.0 * v}],
+                options={"maxiter": 300, "ftol": 1e-14})
+            primal = min(primal, float(objective(feasible(res.x))))
+        w = rng.standard_normal((10_000, n)) \
+            + 1j * rng.standard_normal((10_000, n))
+        w *= (R * rng.uniform(0.0, 1.0, (10_000, 1)) ** (1.0 / (2 * n))
+              / np.linalg.norm(w, axis=1, keepdims=True))
+        sampled = float(np.min(objective(w)))
+        assert mu <= primal and mu <= sampled
+        assert mu >= primal - 1e-6 * max(1.0, primal)
+
+
+@pytest.mark.parametrize("name", ["ellipsoid-1-2", "ellipsoid-1-1.5-3"])
+def test_lower_bound_below_rescaled_ball_distance(name):
+    # z -> z/a maps the ellipsoid onto the unit ball, so the Kobayashi
+    # distance is ball_distance(x/a, y/a); no lower bound may exceed it
+    domain = TUBE_DOMAINS[name]
+    rng = np.random.default_rng(67)
+    a = domain.axes
+    tube_wins = 0
+    for x, y in _deep_pairs(domain, 40, rng):
+        best, branches = distance_lower_bound_detailed(domain, x, y)
+        assert best <= ball_distance(x / a, y / a) + 1e-10
+        tube_wins += branches.get("pair-tube", -1.0) >= best
+    assert tube_wins >= 5        # the pairs do exercise the tube
+
+
+def test_pair_tube_none_when_mu_vanishes():
+    # both contacts at (1, 0): f = g vanish together at u = p in the ball
+    dom = Ball(2)
+    x, y = np.array([0.9, 0.0]), np.array([0.8, 0.0])
+    assert _tube_data(dom, x, y)[-1] <= 0.0
+    assert pair_tube_bound(dom, x, y) is None
+    # polydisc faces |z1| = 1 and |z2| = 1: f = g = 0 at u = (1, 1), which
+    # lies on the bounding sphere of radius sqrt 2
+    dom = Polydisc(2)
+    x, y = np.array([0.99, 0.0]), np.array([0.0, 0.99])
+    assert _tube_data(dom, x, y)[-1] <= 0.0
+    assert pair_tube_bound(dom, x, y) is None
 
 
 def test_lower_bounds_never_exceed_exact_models():
