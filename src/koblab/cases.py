@@ -28,7 +28,8 @@ from .diagnostics import (ProbeReport, ProbeSample, _finest_half,
                           _linear_fit, _positive_grid, _power_fit,
                           goldilocks_probe, gromov_product,
                           log_estimate_residual, visibility_scan)
-from .geometry import GeometryError, OmegaPsi, Polydisc, PsiSpec
+from .geometry import (GeometryError, OmegaPsi, Polydisc, PsiSpec,
+                       _json_number)
 from .metric import MetricBracket, disc_distance, distance_lower_bound
 from .solver import SolverConfig, bidisc_boundary_geodesic
 
@@ -88,10 +89,13 @@ class OmegaPsiParams:
 
     @classmethod
     def from_json(cls, data: dict) -> "OmegaPsiParams":
-        return cls(psi=PsiSpec.from_json(data["psi"]),
-                   chi1=float(data.get("chi1", 1.0)),
-                   chi2=float(data.get("chi2", 1.0)),
-                   cap_radius=float(data.get("cap_radius", 3.0)))
+        if not isinstance(data, dict):
+            raise GeometryError("a params record must be a JSON object")
+        return cls(psi=PsiSpec.from_json(data.get("psi")),
+                   chi1=_json_number(data.get("chi1", 1.0), "chi1"),
+                   chi2=_json_number(data.get("chi2", 1.0), "chi2"),
+                   cap_radius=_json_number(data.get("cap_radius", 3.0),
+                                           "cap_radius"))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ from .diagnostics import (REPORT_SCHEMA, _g17, balls_inequality_check,
                           goldilocks_probe, gromov_product, growth_fit,
                           k_point_probe, localization_check,
                           sameheight_scaling, visibility_scan)
-from .geometry import GeometryError, domain_from_json, from_pairs, to_pairs
+from .geometry import (GeometryError, _json_number, domain_from_json,
+                       from_pairs, to_pairs)
 from .metric import distance_bracket
 from .solver import SolverConfig, solve_geodesic
 from .svg import render_report_svg
@@ -88,6 +89,13 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _number(cfg: dict, key: str, default=None, integer: bool = False):
+    """A config scalar as a float, or an int with ``integer``; required
+    when there is no default."""
+    val = _require(cfg, key) if default is None else cfg.get(key, default)
+    return _json_number(val, key, integer, error=UsageError)
+
+
 def _as_point(val, key: str) -> np.ndarray:
     if isinstance(val, (int, float, complex)):
         val = [val]
@@ -106,11 +114,7 @@ def _grid(cfg: dict, key: str, default: list) -> list:
     val = cfg.get(key, default)
     if not isinstance(val, (list, tuple)) or not val:
         raise UsageError(f"{key!r} must be a non-empty list")
-    try:
-        return [float(v) for v in val]
-    except (TypeError, ValueError):
-        raise UsageError(f"{key!r} must be a list of numbers, got "
-                         f"{val!r}") from None
+    return [_json_number(v, key, error=UsageError) for v in val]
 
 
 def _domain(cfg: dict):
@@ -248,9 +252,10 @@ def _cmd_visibility_scan(args, cfg):
 def _cmd_k_point(args, cfg):
     dom = _domain(cfg)
     rep = k_point_probe(dom, _point(cfg, "p"),
-                        float(_require(cfg, "w_radius")),
+                        _number(cfg, "w_radius"),
                         _grid(cfg, "eps", [1e-1, 1e-2, 1e-3, 1e-4]),
-                        sphere_samples=int(cfg.get("sphere_samples", 64)))
+                        sphere_samples=_number(cfg, "sphere_samples", 64,
+                                               integer=True))
     return {"report": rep}
 
 
@@ -260,8 +265,8 @@ def _cmd_k_point(args, cfg):
 def _cmd_growth_fit(args, cfg):
     dom = _domain(cfg)
     o = _as_point(cfg["o"], "o") if "o" in cfg else dom.base_point
-    rep = growth_fit(dom, o, int(cfg.get("samples", 40)), seed=args.seed,
-                     config=_solver(cfg))
+    rep = growth_fit(dom, o, _number(cfg, "samples", 40, integer=True),
+                     seed=args.seed, config=_solver(cfg))
     return {"report": rep}
 
 
@@ -271,8 +276,9 @@ def _cmd_goldilocks(args, cfg):
     dom = _domain(cfg)
     rep = goldilocks_probe(dom, _grid(cfg, "r", [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]),
                            seed=args.seed,
-                           anchors=int(cfg.get("anchors", 12)),
-                           extra_directions=int(cfg.get("extra_directions", 4)))
+                           anchors=_number(cfg, "anchors", 12, integer=True),
+                           extra_directions=_number(cfg, "extra_directions", 4,
+                                                    integer=True))
     return {"report": rep}
 
 
@@ -283,9 +289,10 @@ def _cmd_goldilocks(args, cfg):
 def _cmd_localize(args, cfg):
     dom = _domain(cfg)
     rep = localization_check(dom, _point(cfg, "center"),
-                             float(_require(cfg, "u_radius")),
-                             float(_require(cfg, "v_radius")),
-                             int(cfg.get("pairs", 100)), seed=args.seed)
+                             _number(cfg, "u_radius"),
+                             _number(cfg, "v_radius"),
+                             _number(cfg, "pairs", 100, integer=True),
+                             seed=args.seed)
     return {"report": rep}
 
 
@@ -312,7 +319,7 @@ def _cmd_balls_check(args, cfg):
     dom = _domain(cfg)
     holds, margin = balls_inequality_check(dom, _point(cfg, "q"),
                                            _point(cfg, "z"),
-                                           float(_require(cfg, "r")),
+                                           _number(cfg, "r"),
                                            config=_solver(cfg))
     payload = {"holds": bool(holds), "margin": float(margin),
                "domain": dom.to_json()}
@@ -326,9 +333,9 @@ def _cmd_balls_check(args, cfg):
 def _cmd_sameheight(args, cfg):
     dom = _domain(cfg)
     rep = sameheight_scaling(dom, _point(cfg, "center"),
-                             float(_require(cfg, "radius")),
+                             _number(cfg, "radius"),
                              _grid(cfg, "delta", [3e-2, 1e-2, 3e-3, 1e-3]),
-                             int(_require(cfg, "m_type")),
+                             _number(cfg, "m_type", integer=True),
                              config=_solver(cfg))
     return {"report": rep}
 

@@ -225,10 +225,7 @@ def gromov_product(domain: Domain, x, y, o, config: SolverConfig | None = None
     the other way around.  The product is nonnegative by the triangle
     inequality, so flooring the bracket at 0 keeps it certified.
     """
-    x, y, o = as_carray(x), as_carray(y), as_carray(o)
-    for point in (x, y, o):
-        if not domain.contains(point):
-            raise GeometryError("gromov_product needs interior points")
+    x, y, o = (domain._interior(p) for p in (x, y, o))
     xo = _pair_bracket(domain, x, o, config)
     oy = _pair_bracket(domain, o, y, config)
     xy = _pair_bracket(domain, x, y, config)

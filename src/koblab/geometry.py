@@ -16,10 +16,10 @@ Model domains (disc, half-plane, polydisc, ball, ellipsoid) implement these
 with closed forms.  The four Kobayashi models (disc, half-plane, polydisc,
 ball) also carry their closed-form distance and metric and the geodesic
 solver's segment kernels, through the ``Domain`` protocol.  The graph-type
-domain used in the flat-boundary experiments and arbitrary smooth convex
-bodies fall back to generic ray-sampling machinery with bisection along each
-ray; those code paths carry doubling self-checks in the test suite instead of
-closed-form guarantees.
+domain used in the flat-boundary experiments, and the slices that the
+iterated minimal basis takes, fall back to generic ray-sampling machinery
+with bisection along each ray; those code paths carry self-checks in the
+test suite instead of closed-form guarantees.
 """
 
 from __future__ import annotations
@@ -66,9 +66,10 @@ def from_pairs(pairs: Sequence) -> np.ndarray:
     """Parse [[re, im], ...] pairs into a complex array."""
     out = []
     for p in pairs:
-        if len(p) != 2:
+        if not isinstance(p, (list, tuple)) or len(p) != 2:
             raise GeometryError(f"coordinate pair must have 2 entries, got {p!r}")
-        out.append(complex(float(p[0]), float(p[1])))
+        out.append(complex(_json_number(p[0], "coordinate"),
+                           _json_number(p[1], "coordinate")))
     return np.array(out, dtype=complex)
 
 
@@ -180,51 +181,16 @@ def _ray_objective(contains: Callable[[np.ndarray], bool], z: np.ndarray,
     return objective
 
 
-def _rated_rays(contains: Callable[[np.ndarray], bool], z: np.ndarray,
-                count: int, cap: float) -> list:
-    """(exit time, direction) over the fixed sample directions, shortest first."""
-    rated = []
-    for u_real in _unit_directions(2 * len(z), count):
-        u = complex_view(u_real)
-        rated.append((ray_exit(contains, z, u, cap), u))
-    rated.sort(key=lambda t: t[0])
-    return rated
-
-
-def sampled_boundary_distance(
-    domain: "Domain",
-    z: np.ndarray,
-    n_dirs: int = 128,
-) -> float:
-    """Distance to the boundary by sampled rays + local refinement.
-
-    The three shortest rays are each polished by derivative-free descent.
-    Doubling ``n_dirs`` must leave the result stable (self-checked in tests).
-    """
-    cap = 4.0 * domain.bounding_radius + float(np.linalg.norm(z)) + 1.0
-    rated = _rated_rays(domain.contains, z, n_dirs, cap)
-    objective = _ray_objective(domain.contains, z, cap)
-    best = rated[0][0]
-    for _, u in rated[:3]:
-        res = optimize.minimize(
-            objective,
-            real_view(u),
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 600},
-        )
-        best = min(best, float(min(objective(res.x), objective(real_view(u)))))
-    return best
-
-
 def _sampled_contact(domain: "Domain", z: np.ndarray, count: int):
     """Nearest boundary contact from ``count`` sampled rays, the shortest
     polished by Nelder-Mead.
 
-    Returns (exit time, unit direction, all rated rays shortest first).
+    Returns (exit time, unit direction).
     """
     cap = 4.0 * domain.bounding_radius + float(np.linalg.norm(z)) + 1.0
-    rated = _rated_rays(domain.contains, z, count, cap)
-    best_r, best_u = rated[0]
+    rays = [(ray_exit(domain.contains, z, u, cap), u)
+            for u in map(complex_view, _unit_directions(2 * len(z), count))]
+    best_r, best_u = min(rays, key=lambda t: t[0])
     res = optimize.minimize(_ray_objective(domain.contains, z, cap),
                             real_view(best_u), method="Nelder-Mead",
                             options={"xatol": 1e-10, "fatol": 1e-14,
@@ -232,7 +198,7 @@ def _sampled_contact(domain: "Domain", z: np.ndarray, count: int):
     if res.fun < best_r:
         w = res.x / np.linalg.norm(res.x)
         best_r, best_u = res.fun, complex_view(w)
-    return best_r, best_u, rated
+    return best_r, best_u
 
 
 def scan_directional_distance(
@@ -1103,11 +1069,14 @@ class PsiSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PsiSpec":
+        if not isinstance(obj, dict):
+            raise GeometryError("a psi record must be a JSON object")
         form = obj.get("form")
         if form == "exp_neg_c_over_x":
-            return cls(form=form, c=float(obj.get("c", math.pi)))
+            return cls(form=form, c=_json_number(obj.get("c", math.pi), "c"))
         if form == "exp_neg_inv_log_pow":
-            return cls(form=form, alpha=float(obj.get("alpha", 2.0)))
+            return cls(form=form,
+                       alpha=_json_number(obj.get("alpha", 2.0), "alpha"))
         raise GeometryError(f"unknown psi form {form!r}")
 
 
@@ -1303,81 +1272,6 @@ class OmegaPsi(Domain):
         }
 
 
-class SmoothConvex(Domain):
-    """A convex domain given by a smooth defining function (negative inside).
-
-    ``func_lipschitz`` (a bound for the gradient norm of the defining
-    function over the domain) is what makes cheap certified inner radii
-    possible; without it ``inner_radius_fast`` returns 0, which disables the
-    estimates that need a one-sided boundary distance but keeps everything
-    else working.
-    """
-
-    def __init__(self, func: Callable[[np.ndarray], float], dim: int,
-                 bounding_radius: float, base_point,
-                 grad: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 func_lipschitz: Optional[float] = None):
-        self.func = func
-        self.dim = int(dim)
-        self.bounding_radius = float(bounding_radius)
-        self._base = as_carray(base_point)
-        self.grad = grad
-        self.func_lipschitz = (None if func_lipschitz is None
-                               else float(func_lipschitz))
-
-    def contains(self, z) -> bool:
-        arr = as_carray(z)
-        if np.linalg.norm(arr) > 2.0 * self.bounding_radius:
-            return False
-        return self.func(arr) < 0.0
-
-    def boundary_distance(self, z) -> float:
-        z = self._interior(z)
-        return sampled_boundary_distance(self, z)
-
-    def inner_radius_fast(self, z) -> float:
-        # the sampled boundary distance is an over-estimate, so it must not
-        # be used here; a certified radius needs the Lipschitz data
-        z = self._interior(z)
-        if self.func_lipschitz is None:
-            return 0.0
-        return max(0.0, -float(self.func(z)) / self.func_lipschitz)
-
-    def nearest_boundary_point(self, z) -> np.ndarray:
-        z = self._interior(z)
-        best_r, best_u, rated = _sampled_contact(self, z, 128)
-        # ambiguity scan: another sampled direction nearly as short but far away
-        for r, u in rated[1:]:
-            if r <= best_r * (1 + 1e-7) and np.linalg.norm(
-                    z + r * u - (z + best_r * best_u)) > 1e-4:
-                raise AmbiguousProjectionError("two near-minimal contacts found")
-            if r > best_r * 1.5:
-                break
-        return z + best_r * best_u
-
-    def supporting_normal(self, b) -> np.ndarray:
-        b = self._boundary(b)
-        if self.grad is not None:
-            g = np.asarray(self.grad(b))
-        else:
-            h = 1e-7
-            g = np.zeros(2 * self.dim)
-            for i in range(2 * self.dim):
-                dv = np.zeros(2 * self.dim)
-                dv[i] = h
-                g[i] = (self.func(b + complex_view(dv)) -
-                        self.func(b - complex_view(dv))) / (2 * h)
-            g = complex_view(g)
-        nrm = np.linalg.norm(g)
-        if nrm < 1e-12:
-            raise GeometryError("vanishing gradient at boundary point")
-        return g / nrm
-
-    @property
-    def base_point(self) -> np.ndarray:
-        return self._base
-
-
 class LocalizedDomain(Domain):
     """The intersection of a domain with an open euclidean ball.
 
@@ -1474,7 +1368,7 @@ class _SliceDomain(Domain):
 
     def nearest_boundary_point(self, w) -> np.ndarray:
         w = as_carray(w)
-        best_r, best_u, _ = _sampled_contact(self, w, 64 if self.dim == 1 else 128)
+        best_r, best_u = _sampled_contact(self, w, 64 if self.dim == 1 else 128)
         return w + best_r * best_u
 
 
@@ -1508,6 +1402,25 @@ def _generic_minimal_basis(domain: Domain, z) -> MinimalBasisResult:
 # ---------------------------------------------------------------------------
 
 
+def _json_number(val, name: str, integer: bool = False,
+                 error: type = GeometryError):
+    """An outside-input value as a float, or as an int with ``integer``.
+
+    Anything else (a string that is no number, null, a list, a fractional
+    count) raises ``error`` naming the field, never a bare ValueError.
+    """
+    try:
+        num = float(val)
+        if not integer:
+            return num
+        if num.is_integer():
+            return int(num)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    kind = "an integer" if integer else "a number"
+    raise error(f"{name!r} must be {kind}, got {val!r}")
+
+
 def domain_from_json(obj: dict) -> Domain:
     """Build a domain from its JSON description."""
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -1518,15 +1431,18 @@ def domain_from_json(obj: dict) -> Domain:
     if kind == "halfplane":
         return HalfPlane()
     if kind == "polydisc":
-        return Polydisc(int(obj.get("n", 2)))
+        return Polydisc(_json_number(obj.get("n", 2), "n", integer=True))
     if kind == "ball":
-        return Ball(int(obj.get("n", 2)))
+        return Ball(_json_number(obj.get("n", 2), "n", integer=True))
     if kind == "ellipsoid":
-        return Ellipsoid([float(a) for a in obj["axes"]])
+        axes = obj.get("axes")
+        if not isinstance(axes, (list, tuple)):
+            raise GeometryError("an ellipsoid record needs an 'axes' list")
+        return Ellipsoid([_json_number(a, "axes") for a in axes])
     if kind == "omega_psi":
         psi = PsiSpec.from_json(obj.get("psi", {"form": "exp_neg_c_over_x"}))
-        return OmegaPsi(psi,
-                        chi1=float(obj.get("chi1", 1.0)),
-                        chi2=float(obj.get("chi2", 1.0)),
-                        cap_radius=float(obj.get("cap_radius", 3.0)))
+        return OmegaPsi(
+            psi, chi1=_json_number(obj.get("chi1", 1.0), "chi1"),
+            chi2=_json_number(obj.get("chi2", 1.0), "chi2"),
+            cap_radius=_json_number(obj.get("cap_radius", 3.0), "cap_radius"))
     raise GeometryError(f"unknown domain kind {kind!r}")

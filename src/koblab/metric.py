@@ -15,7 +15,8 @@ arithmetic:
   (contraction under holomorphic maps), assembled in
   :func:`distance_lower_bound`;
 * distance upper bounds come from summing per-segment touching-disc
-  estimates along explicit paths, see :func:`segment_upper`.
+  estimates along explicit paths, see :func:`distance_bracket` and the
+  solver kernels of :meth:`~koblab.geometry.Domain.segment_kernels`.
 
 Every quantity that feeds a reported bracket is one-sided by construction:
 lower bounds only use certified under-estimates of boundary distances, upper
@@ -24,7 +25,6 @@ bounds only use certified inner radii.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -46,20 +46,16 @@ from .geometry import (
 __all__ = [
     "SignedBracket",
     "MetricBracket",
-    "metric_exact",
     "metric_bracket",
     "disc_distance",
     "halfplane_distance",
     "polydisc_distance",
     "ball_distance",
-    "model_distance",
     "distance_lower_bound",
     "distance_lower_bound_detailed",
     "pair_tube_bound",
-    "segment_upper",
     "distance_bracket",
     "halfplane_hole_distance",
-    "strip_to_disc",
 ]
 
 
@@ -105,21 +101,8 @@ class MetricBracket(SignedBracket):
 
 
 # ---------------------------------------------------------------------------
-# exact model formulas (the closed forms live on the domains)
+# metric brackets (the closed forms live on the domains)
 # ---------------------------------------------------------------------------
-
-
-def metric_exact(domain: Domain, z, X) -> float:
-    """Closed-form Kobayashi metric on the four model domains."""
-    z, X = as_carray(z), as_carray(X)
-    if not domain.contains(z):
-        raise GeometryError("metric_exact needs an interior point")
-    return domain.exact_metric(z, X)
-
-
-def model_distance(domain: Domain, x, y):
-    """Closed-form distance on a model domain, or None if there is none."""
-    return domain.exact_distance(as_carray(x), as_carray(y))
 
 
 def metric_bracket(domain: Domain, z, X) -> MetricBracket:
@@ -371,29 +354,6 @@ def distance_lower_bound(domain: Domain, x, y, tube: bool = True) -> float:
 # ---------------------------------------------------------------------------
 
 
-def segment_upper(domain: Domain, a, b) -> float:
-    """Certified upper bound for k_D(a, b) along one short segment.
-
-    Model domains use the exact pair distance.  Otherwise the full
-    euclidean ball of (certified) radius t around the better endpoint
-    contains the flat disc through both points, so
-    k_D(a,b) <= artanh(|b-a|/t); this requires |b-a| < t, and callers
-    subdivide until it holds.
-    """
-    a, b = as_carray(a), as_carray(b)
-    exact = domain.exact_distance(a, b)
-    if exact is not None:
-        return exact
-    u = float(np.linalg.norm(b - a))
-    if u == 0.0:
-        return 0.0
-    t = max(domain.inner_radius_fast(a), domain.inner_radius_fast(b))
-    if not u < t:
-        raise GeometryError("segment too long for a certified touching-disc "
-                            "bound; subdivide")
-    return math.atanh(u / t)
-
-
 def _certified_chain_upper(domain: Domain, a: np.ndarray, b: np.ndarray,
                            depth: int = 48) -> float:
     u = float(np.linalg.norm(b - a))
@@ -417,12 +377,10 @@ def distance_bracket(domain: Domain, x, y) -> MetricBracket:
     the best lower bound with a subdivided touching-disc upper bound along
     the straight segment (inside the domain by convexity).
     """
-    x, y = as_carray(x), as_carray(y)
+    x, y = domain._interior(x), domain._interior(y)
     exact = domain.exact_distance(x, y)
     if exact is not None:
         return MetricBracket(exact, exact)
-    if not domain.contains(x) or not domain.contains(y):
-        raise GeometryError("distance_bracket needs interior points")
     lower = distance_lower_bound(domain, x, y)
     upper = _certified_chain_upper(domain, x, y)
     if lower > upper * (1.0 + 1e-12):
@@ -446,14 +404,3 @@ def halfplane_hole_distance(delta: float, eta: float) -> float:
         raise GeometryError("halfplane_hole_distance needs 0 < delta < eta")
     return 0.5 * math.log(eta) - 0.5 * math.log(delta)
 
-
-def strip_to_disc(zeta: complex) -> complex:
-    """Conformal map of the strip { |Im zeta| < 1 } onto the unit disc.
-
-    (e^{pi zeta / 2} - 1) / (e^{pi zeta / 2} + 1), evaluated as
-    tanh(pi zeta / 4) for stability at large |Re zeta|.
-    """
-    zeta = complex(zeta)
-    if abs(zeta.imag) > 1.0:
-        raise GeometryError("strip_to_disc needs |Im zeta| <= 1")
-    return cmath.tanh(math.pi * zeta / 4.0)

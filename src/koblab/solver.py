@@ -21,22 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Domain, GeometryError, Polydisc, as_carray
-from .metric import (
-    MetricBracket,
-    disc_distance,
-    distance_lower_bound,
-    metric_bracket,
-)
+from .geometry import Domain, GeometryError, Polydisc, _json_number
+from .metric import MetricBracket, disc_distance, distance_lower_bound
 
 __all__ = [
     "SolverConfig",
     "Path",
     "GeodesicResult",
     "solve_geodesic",
-    "path_length",
-    "refine_path",
-    "straight_path",
     "bidisc_boundary_geodesic",
 ]
 
@@ -66,10 +58,14 @@ class SolverConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "SolverConfig":
+        if not isinstance(data, dict):
+            raise GeometryError("a solver record must be a JSON object")
         return cls(
-            control_points=int(data.get("control_points", 65)),
-            max_iter=int(data.get("max_iter", 5000)),
-            rel_tol=float(data.get("rel_tol", 1e-6)),
+            control_points=_json_number(data.get("control_points", 65),
+                                        "control_points", integer=True),
+            max_iter=_json_number(data.get("max_iter", 5000), "max_iter",
+                                  integer=True),
+            rel_tol=_json_number(data.get("rel_tol", 1e-6), "rel_tol"),
         )
 
     def to_json(self) -> dict:
@@ -166,21 +162,16 @@ class _ChainObjective:
         self.radius, self.seg, self.drive = domain.segment_kernels()
         self.drive_is_certified = self.drive is self.seg
 
+    def upper(self, a, b) -> float:
+        """Certified upper for k_D(a, b) (inf when not certifiable)."""
+        if self.model:
+            return self.seg(a, b, 0.0, 0.0)
+        return self.seg(a, b, self.radius(a), self.radius(b))
+
     def brackets(self, seg_uppers: list) -> list:
         if self.model:
             return [MetricBracket(s, s) for s in seg_uppers]
         return [MetricBracket(0.0, s) for s in seg_uppers]
-
-
-def _segment_evaluator(domain: Domain):
-    """seg(a, b) -> certified upper for k_D(a, b) (inf when not certifiable)."""
-    obj = _ChainObjective(domain)
-
-    def seg(a, b):
-        if obj.model:
-            return obj.seg(a, b, 0.0, 0.0)
-        return obj.seg(a, b, obj.radius(a), obj.radius(b))
-    return seg
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +184,12 @@ def _straight_points(x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     return (1.0 - s) * x[None, :] + s * y[None, :]
 
 
-def _ensure_valid(pts: np.ndarray, seg, cap: int) -> np.ndarray:
+def _ensure_valid(pts: np.ndarray, upper, cap: int) -> np.ndarray:
     """Insert midpoints until every segment admits a certified upper."""
     pts = list(pts)
     guard = 0
     while True:
-        vals = [seg(pts[j], pts[j + 1]) for j in range(len(pts) - 1)]
+        vals = [upper(pts[j], pts[j + 1]) for j in range(len(pts) - 1)]
         bad = [j for j, v in enumerate(vals) if not math.isfinite(v)]
         if not bad:
             return np.array(pts)
@@ -292,9 +283,7 @@ def solve_geodesic(domain: Domain, x, y, cfg: SolverConfig | None = None) -> Geo
     lengths are monotone across stages by construction.
     """
     cfg = cfg or SolverConfig()
-    x, y = as_carray(x), as_carray(y)
-    if not domain.contains(x) or not domain.contains(y):
-        raise GeometryError("solve_geodesic needs interior endpoints")
+    x, y = domain._interior(x), domain._interior(y)
 
     if np.array_equal(x, y):
         path = Path(points=x[None, :], domain=domain, segment_brackets=[])
@@ -309,7 +298,6 @@ def solve_geodesic(domain: Domain, x, y, cfg: SolverConfig | None = None) -> Geo
 
     lower = distance_lower_bound(domain, x, y)
     obj = _ChainObjective(domain)
-    seg = _segment_evaluator(domain)
 
     m = min(9, cfg.control_points) if cfg.control_points >= 3 else cfg.control_points
     m = max(m, 2)
@@ -326,7 +314,7 @@ def solve_geodesic(domain: Domain, x, y, cfg: SolverConfig | None = None) -> Geo
     pts, first_err = None, None
     for cand in starts:
         try:
-            valid = _ensure_valid(cand, seg, cfg.control_points)
+            valid = _ensure_valid(cand, obj.upper, cfg.control_points)
         except GeometryError as exc:
             if first_err is None:
                 first_err = exc
@@ -381,53 +369,6 @@ def solve_geodesic(domain: Domain, x, y, cfg: SolverConfig | None = None) -> Geo
     bracket = MetricBracket(min(lower, best_L), best_L)
     return GeodesicResult(path, bracket, iterations, converged,
                           float(np.min(deltas)), float(np.max(deltas)))
-
-
-# ---------------------------------------------------------------------------
-# quadrature (reporting only; not one-sided, see module docstring)
-# ---------------------------------------------------------------------------
-
-
-def path_length(domain: Domain, path: Path, side: str = "upper") -> float:
-    """Midpoint-rule integral of the chosen metric-bracket side."""
-    if side not in ("lower", "upper"):
-        raise GeometryError("side must be 'lower' or 'upper'")
-    pts = path.points
-    total = 0.0
-    for j in range(pts.shape[0] - 1):
-        a, b = pts[j], pts[j + 1]
-        mid = 0.5 * (a + b)
-        if not domain.contains(mid):
-            raise GeometryError("path midpoint outside the domain")
-        br = metric_bracket(domain, mid, b - a)
-        total += br.lower if side == "lower" else br.upper
-    return total
-
-
-def refine_path(path: Path) -> Path:
-    """Same path with euclidean midpoints inserted (for quadrature checks)."""
-    pts = _insert_midpoints(path.points)
-    obj = _ChainObjective(path.domain)
-    seg = _segment_evaluator(path.domain)
-    uppers = [seg(pts[j], pts[j + 1]) for j in range(pts.shape[0] - 1)]
-    if not all(math.isfinite(u) for u in uppers):
-        raise GeometryError("refinement produced an uncertifiable segment")
-    return Path(points=pts, domain=path.domain,
-                segment_brackets=obj.brackets(uppers),
-                endpoint_lower=path.endpoint_lower, meta=dict(path.meta))
-
-
-def straight_path(domain: Domain, x, y, m: int = 65) -> Path:
-    """The straight segment sampled at m points, with certified brackets."""
-    x, y = as_carray(x), as_carray(y)
-    if not domain.contains(x) or not domain.contains(y):
-        raise GeometryError("straight_path needs interior endpoints")
-    obj = _ChainObjective(domain)
-    seg = _segment_evaluator(domain)
-    pts = _straight_points(x, y, max(2, m))
-    pts = _ensure_valid(pts, seg, max(2, m))
-    uppers = [seg(pts[j], pts[j + 1]) for j in range(pts.shape[0] - 1)]
-    return Path(points=pts, domain=domain, segment_brackets=obj.brackets(uppers))
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,59 @@ def test_bad_grid_exits_two(tmp_path, capsys):
     assert "'eps'" in capsys.readouterr().err
 
 
+BALL = {"kind": "ball", "n": 2}
+DISTANCE = ["distance", "--x", "[[0,0],[0,0]]", "--y", "[[0.5,0],[0,0]]"]
+
+
+@pytest.mark.parametrize("argv, config, needle", [
+    (["k-point", "--eps", "1e-1"],
+     {"domain": BALL, "p": [[1, 0], [0, 0]], "w_radius": "abc"}, "w_radius"),
+    (["k-point", "--eps", "1e-1"],
+     {"domain": BALL, "p": [[1, 0], [0, 0]], "w_radius": 0.3,
+      "sphere_samples": None}, "sphere_samples"),
+    (DISTANCE, {"domain": {"kind": "ball", "n": "abc"}}, "'n'"),
+    (DISTANCE, {"domain": {"kind": "polydisc", "n": 2.7}}, "'n'"),
+    (DISTANCE, {"domain": {"kind": "ellipsoid"}}, "axes"),
+    (DISTANCE, {"domain": {"kind": "ellipsoid", "axes": [1, "x"]}}, "axes"),
+    (["geodesic", "--x", "[[0,0]]", "--y", "[[0.5,0]]"],
+     {"domain": {"kind": "disc"}, "solver": {"max_iter": "x"}}, "max_iter"),
+    (["distance", "--x", '[["a",0]]', "--y", "[[0.5,0]]"],
+     {"domain": {"kind": "disc"}}, "coordinate"),
+    (["distance", "--x", '[0.5,"a"]', "--y", "[[0.5,0]]"],
+     {"domain": {"kind": "disc"}}, "pair"),
+], ids=["w_radius-text", "sphere_samples-null", "n-text", "n-fractional",
+        "axes-missing", "axes-text", "solver-max_iter-text",
+        "coordinate-text", "coordinate-mixed"])
+def test_bad_config_value_exits_two(tmp_path, capsys, argv, config, needle):
+    # a config value of the wrong type is bad input: exit 2 with a koblab:
+    # line naming the field, no traceback
+    cfg = write_config(tmp_path, "bad.json", config)
+    assert run_cli(argv + ["--config", cfg, "--out", str(tmp_path),
+                           "--reproducible"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("koblab:") and needle in err
+    assert not list(tmp_path.glob("*-run.*"))
+
+
+@pytest.mark.parametrize("argv, domain", [
+    (["distance", "--x", "[[0,0],[0.9,0]]", "--y", "[[0.5,0],[0.95,0]]"],
+     {"kind": "disc"}),
+    (["gromov", "--x", "[[0.5,0]]", "--y", "[[0,0.5]]", "--o", "[[0,0]]"],
+     BALL),
+    (["distance", "--x", "[[0,0]]", "--y", "[[0.5,0]]"],
+     {"kind": "omega_psi"}),
+], ids=["disc-two-coordinates", "ball-one-coordinate",
+        "omega-psi-one-coordinate"])
+def test_wrong_point_dimension_exits_two(tmp_path, capsys, argv, domain):
+    # a point of the wrong dimension is rejected before any closed form
+    # could drop or index past its coordinates
+    cfg = write_config(tmp_path, "dim.json", {"domain": domain})
+    assert run_cli(argv + ["--config", cfg, "--out", str(tmp_path),
+                           "--reproducible"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("koblab:") and "dimension" in err
+
+
 def test_unwritable_output_dir_exits_two(tmp_path, capsys):
     cfg = disc_pair_config(tmp_path)
     clash = tmp_path / "clash"

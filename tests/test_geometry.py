@@ -21,7 +21,6 @@ from koblab.geometry import (
     OmegaPsi,
     Polydisc,
     PsiSpec,
-    SmoothConvex,
     as_carray,
     domain_from_json,
     from_pairs,
@@ -273,28 +272,6 @@ def test_omega_psi_boundary_distance_generic_point():
 
     assert d == pytest.approx(oracle, abs=1e-7)
     assert dom.inner_radius_fast(z) <= d + 1e-9
-
-
-def test_smooth_convex_matches_ellipsoid():
-    # run the generic sampled machinery on an ellipsoid in disguise and
-    # compare with the closed forms; doubling the ray count must not move
-    # the answer by more than 1e-6
-    axes = np.array([1.0, 2.0])
-
-    def f(z):
-        return float(np.sum(np.abs(z) ** 2 / axes**2)) - 1.0
-
-    generic = SmoothConvex(f, dim=2, bounding_radius=2.0, base_point=[0.0, 0.0])
-    exact = Ellipsoid(axes)
-    z = np.array([0.3 + 0.2j, -0.5 + 0.7j])
-    d_generic = generic.boundary_distance(z)
-    d_exact = exact.boundary_distance(z)
-    assert d_generic == pytest.approx(d_exact, abs=1e-6)
-
-    from koblab.geometry import sampled_boundary_distance
-
-    d_doubled = sampled_boundary_distance(generic, z, n_dirs=256)
-    assert abs(d_doubled - d_generic) < 1e-6
 
 
 # ---------------------------------------------------------------------------

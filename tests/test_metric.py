@@ -33,11 +33,8 @@ from koblab.metric import (
     halfplane_distance,
     halfplane_hole_distance,
     metric_bracket,
-    metric_exact,
     pair_tube_bound,
     polydisc_distance,
-    segment_upper,
-    strip_to_disc,
 )
 
 
@@ -104,14 +101,14 @@ def test_ball_distance_oracles():
 
 
 def test_metric_exact_oracles():
-    assert metric_exact(Disc(), [0.5], [1.0]) == pytest.approx(4.0 / 3.0, abs=1e-12)
-    assert metric_exact(Disc(), [0.0], [1.0]) == 1.0
-    assert metric_exact(Polydisc(2), [0.5, 0], [0, 1.0]) == 1.0
-    assert metric_exact(HalfPlane(), [2j], [1.0]) == pytest.approx(0.25)
+    assert Disc().exact_metric([0.5], [1.0]) == pytest.approx(4.0 / 3.0, abs=1e-12)
+    assert Disc().exact_metric([0.0], [1.0]) == 1.0
+    assert Polydisc(2).exact_metric([0.5, 0], [0, 1.0]) == 1.0
+    assert HalfPlane().exact_metric([2j], [1.0]) == pytest.approx(0.25)
     # ball at the origin is euclidean
-    assert metric_exact(Ball(2), [0, 0], [0.6, 0.8]) == pytest.approx(1.0)
+    assert Ball(2).exact_metric([0, 0], [0.6, 0.8]) == pytest.approx(1.0)
     with pytest.raises(GeometryError):
-        metric_exact(Ellipsoid([1.0, 2.0]), [0, 0], [1.0, 0])
+        Ellipsoid([1.0, 2.0]).exact_metric([0, 0], [1.0, 0])
 
 
 def test_ball_metric_matches_distance_derivative():
@@ -122,7 +119,7 @@ def test_ball_metric_matches_distance_derivative():
     X = np.array([0.5 - 0.3j, 0.8 + 0.1j])
     h = 1e-3
     fd = ball_distance(z - h * X, z + h * X) / (2 * h)
-    assert metric_exact(Ball(2), z, X) == pytest.approx(fd, rel=1e-6)
+    assert Ball(2).exact_metric(z, X) == pytest.approx(fd, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +130,7 @@ def test_ball_metric_matches_distance_derivative():
 def test_metric_bracket_examples():
     br = metric_bracket(Disc(), [0.5], [1.0])
     assert br.as_tuple() == pytest.approx((1.0, 2.0), abs=1e-12)
-    assert br.contains(metric_exact(Disc(), [0.5], [1.0]))
+    assert br.contains(Disc().exact_metric([0.5], [1.0]))
 
     br = metric_bracket(Ball(2), [0, 0], [1.0, 0])
     assert br.as_tuple() == pytest.approx((0.5, 1.0), abs=1e-12)
@@ -155,7 +152,7 @@ def test_metric_bracket_soundness_models():
             X = rng.standard_normal(dom.dim) + 1j * rng.standard_normal(dom.dim)
             checked += 1
             br = metric_bracket(dom, z, X)
-            exact = metric_exact(dom, z, X)
+            exact = dom.exact_metric(z, X)
             assert br.lower <= exact * (1 + 1e-12)
             assert exact <= br.upper * (1 + 1e-12)
             assert br.upper <= 2 * br.lower * (1 + 1e-12)
@@ -176,7 +173,7 @@ def test_metric_monotone_under_inclusion():
         if not ball.contains(z):
             continue
         X = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert metric_bracket(poly, z, X).lower <= metric_exact(ball, z, X) + 1e-12
+        assert metric_bracket(poly, z, X).lower <= ball.exact_metric(z, X) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +337,7 @@ def test_lower_bounds_never_exceed_exact_models():
             if not (dom.contains(z) and dom.contains(w)):
                 continue
             checked += 1
-            from koblab.metric import model_distance
-
-            exact = model_distance(dom, z, w)
+            exact = dom.exact_distance(z, w)
             assert distance_lower_bound(dom, z, w) <= exact + 1e-10
 
 
@@ -379,21 +374,32 @@ def test_lower_bound_omega_psi_runs():
 # ---------------------------------------------------------------------------
 
 
+def segment_upper(domain, a, b):
+    """The solver's certified per-segment upper for k(a, b)."""
+    radius, seg, _ = domain.segment_kernels()
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return seg(a, b, radius(a), radius(b))
+
+
 def test_segment_upper_models_exact():
-    assert segment_upper(Disc(), [0.0], [0.5]) == pytest.approx(
-        disc_distance(0, 0.5), abs=1e-14)
-    assert segment_upper(Ball(2), [0.9, 0], [-0.9, 0]) == pytest.approx(
-        math.log(19.0), abs=1e-12)
+    # the models' segment kernel and their collapsed bracket are the exact
+    # pair distance: artanh(1/2) on the disc, log 19 on the ball diameter
+    for dom, a, b, exact in ((Disc(), [0.0], [0.5], disc_distance(0, 0.5)),
+                             (Ball(2), [0.9, 0], [-0.9, 0], math.log(19.0))):
+        assert segment_upper(dom, a, b) == pytest.approx(exact, abs=1e-12)
+        br = distance_bracket(dom, a, b)
+        assert br.lower == br.upper == pytest.approx(exact, abs=1e-12)
 
 
 def test_segment_upper_generic_touching_disc():
     ell = Ellipsoid([1.0, 2.0])
-    a, b = np.array([0.0, 0.0]), np.array([0.2, 0.0])
-    up = segment_upper(ell, a, b)
+    up = segment_upper(ell, [0.0, 0.0], [0.2, 0.0])
     assert up == pytest.approx(math.atanh(0.2), abs=1e-12)  # inner radius 1 at 0
-    with pytest.raises(GeometryError):
-        # both endpoints have inner radius 0.5 < separation 1.0
-        segment_upper(ell, [0.5, 0.0], [-0.5, 0.0])
+    # both endpoints have inner radius 0.5 < separation 1.0: no certificate
+    assert segment_upper(ell, [0.5, 0.0], [-0.5, 0.0]) == math.inf
+    # the chain upper halves the chord until each piece certifies
+    br = distance_bracket(ell, [0.0, 0.0], [0.2, 0.0])
+    assert br.upper == pytest.approx(math.atanh(0.2), abs=1e-12)
 
 
 def test_distance_bracket_models_degenerate():
@@ -401,6 +407,16 @@ def test_distance_bracket_models_degenerate():
     assert br.lower == br.upper == ball_distance([0.5, 0.1], [-0.2, 0.3])
     br = distance_bracket(Disc(), [0.2], [0.7j])
     assert br.width == 0.0
+
+
+def test_distance_bracket_checks_points_first():
+    # the closed-form shortcut must not drop or misread coordinates
+    with pytest.raises(GeometryError, match="dimension"):
+        distance_bracket(Disc(), [0.0, 0.9], [0.5, 0.95])
+    with pytest.raises(GeometryError, match="dimension"):
+        distance_bracket(Ball(2), [0.5], [0.0])
+    with pytest.raises(GeometryError, match="not in the domain"):
+        distance_bracket(Ball(2), [0.9, 0.9], [0.0, 0.0])
 
 
 def test_distance_bracket_generic_orders():
@@ -460,19 +476,3 @@ def test_halfplane_hole_distance():
     with pytest.raises(GeometryError):
         halfplane_hole_distance(0.5, 0.5)
 
-
-def test_strip_to_disc_values():
-    assert strip_to_disc(0.0) == 0.0
-    assert strip_to_disc(2.0).real == pytest.approx(0.9171523356672744, abs=1e-12)
-    assert strip_to_disc(2.0).imag == 0.0
-    # interior maps strictly inside
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        zeta = complex(rng.uniform(-3, 3), rng.uniform(-0.99, 0.99))
-        assert abs(strip_to_disc(zeta)) < 1.0
-    # boundary lines land on the unit circle
-    for x in np.linspace(-5, 5, 21):
-        assert abs(abs(strip_to_disc(complex(x, 1.0))) - 1.0) < 1e-10
-        assert abs(abs(strip_to_disc(complex(x, -1.0))) - 1.0) < 1e-10
-    with pytest.raises(GeometryError):
-        strip_to_disc(1 + 2j)

@@ -8,16 +8,13 @@ import numpy as np
 import pytest
 
 from koblab.geometry import Ball, Disc, Ellipsoid, GeometryError, HalfPlane, Polydisc
-from koblab.metric import ball_distance, disc_distance, polydisc_distance, segment_upper
+from koblab.metric import ball_distance, disc_distance, polydisc_distance
 from koblab.solver import (
     GeodesicResult,
     Path,
     SolverConfig,
     bidisc_boundary_geodesic,
-    path_length,
-    refine_path,
     solve_geodesic,
-    straight_path,
 )
 
 CFG = SolverConfig(control_points=17, max_iter=2000, rel_tol=1e-6)
@@ -209,54 +206,6 @@ def test_path_validation():
     with pytest.raises(GeometryError):
         Path(points=np.array([[0.0], [2.0]], dtype=complex), domain=Disc(),
              segment_brackets=[None])
-
-
-def test_path_length_halfplane_exact_metric():
-    # on the half-plane the bracket lower side IS the metric |X|/(2 Im z)
-    h = HalfPlane()
-    path = straight_path(h, [1j], [2j], 513)
-    val = path_length(h, path, "lower")
-    assert abs(val - 0.5 * math.log(2.0)) < 1e-5
-    assert abs(val - 0.3465736) < 1e-5
-    doubled = path_length(h, refine_path(path), "lower")
-    assert abs(doubled - val) < 1e-6
-
-
-def test_path_length_disc_upper_overestimates():
-    d = Disc()
-    path = straight_path(d, [0.0], [0.5], 257)
-    val = path_length(d, path, "upper")
-    assert val >= 0.5493
-    # the upper side integrates |X|/(1-|z|): integral log 2
-    assert abs(val - math.log(2.0)) < 1e-3
-
-
-def test_path_length_doubling_stable_on_models():
-    b = Ball(2)
-    path = straight_path(b, [0.3, 0.1], [-0.2, 0.25j], 513)
-    for side in ("lower", "upper"):
-        v1 = path_length(b, path, side)
-        v2 = path_length(b, refine_path(path), side)
-        assert abs(v2 - v1) < 1e-6
-
-
-def test_path_length_single_point_and_validation():
-    d = Disc()
-    single = Path(points=np.array([[0.2]], dtype=complex), domain=d,
-                  segment_brackets=[])
-    assert path_length(d, single, "upper") == 0.0
-    assert path_length(d, single, "lower") == 0.0
-    path = straight_path(d, [0.0], [0.5], 9)
-    with pytest.raises(GeometryError):
-        path_length(d, path, "middle")
-
-
-def test_segment_upper_matches_path_brackets():
-    d = Disc()
-    path = straight_path(d, [0.0], [0.5], 9)
-    for j, br in enumerate(path.segment_brackets):
-        a, b = path.points[j], path.points[j + 1]
-        assert abs(br.upper - segment_upper(d, a, b)) < 1e-12
 
 
 def test_bidisc_equal_lengths_machine_precision():
