@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import optimize
@@ -269,9 +269,10 @@ def _lex_smallest_on_sphere(z0: np.ndarray, cols: np.ndarray, radius: float) -> 
 class Domain:
     """An open convex domain in C^n.
 
-    ``exact`` marks the model domains, whose Kobayashi distance and metric
-    have closed forms (:meth:`exact_distance`, :meth:`exact_metric`) and
-    whose solver segment kernels return exact pair distances.
+    ``exact`` marks the model domains: their Kobayashi distance and metric
+    have closed forms, which their segment kernels call, and
+    ``exact_error(d, delta)`` bounds the distance's rounding error, delta
+    the pair's smaller kernel radius.
     """
 
     dim: int
@@ -315,11 +316,11 @@ class Domain:
         """The ``(radius, seg, drive)`` closures of the geodesic descent.
 
         ``radius(p)`` is a cheap interior radius, negative outside.
-        ``seg(a, b, ra, rb)`` is the certified upper for k(a, b) given the
-        endpoint radii, inf when it cannot certify.  ``drive`` is the search
-        objective, which is ``seg`` itself unless a domain supplies a
-        smoother surrogate.  Here: the fast certified inner radius and the
-        touching-disc bound artanh(|b - a| / max(ra, rb)).
+        ``seg(a, b, ra, rb)`` is the upper for k(a, b) given the endpoint
+        radii, inf when it cannot certify (on models, the closed form up to
+        ``exact_error``).  ``drive`` is the search objective, ``seg``
+        unless a domain supplies a smoother surrogate.  Here: the fast
+        certified inner radius and artanh(|b - a| / max(ra, rb)).
         """
         dom = self
 
@@ -394,14 +395,24 @@ class Domain:
 # model domains: closed forms
 # ---------------------------------------------------------------------------
 
+_UNIT_ROUNDOFF = 2.0 ** -53
+
 
 def disc_distance(a: complex, b: complex) -> float:
     """Poincare distance on the unit disc.
 
-    Written as ½ log((|1-āb| + |a-b|)² / ((1-|a|²)(1-|b|²))) rather than
-    artanh of the Möbius ratio: the denominator is cancellation-free, which
-    keeps near-boundary pairs accurate to ~1e-12 where the ratio form loses
-    half the digits.
+    Written as ½ log((|1-āb| + |a-b|)² / ((1-|a|²)(1-|b|²))), not as artanh
+    of the Möbius ratio t, which loses digits as 1 - t cancels.
+
+    Rounding (Rump, Acta Numerica 2010): +, -, *, /, sqrt err by a factor
+    1 + e, |e| <= u = 2^-53, libm hypot (``abs``), log and pow by 1 ulp
+    (2u); delta = min(1-|a|, 1-|b|).  To first order, relative errors:
+    |1-āb| >= delta and fl(āb) errs by 2√2u|a||b|, so 2√2u/delta + 3u;
+    |a-b| 3u; 1-|a|² 6u|a|²/(1-|a|²) + u <= 3u/delta + u.  The quotient
+    then errs by eta <= (6 + 4√2)u/delta + 13u, and |d̂ - d| <= eta/2 + 2ud
+    <= u(2d + 12.33/delta).  For delta >= 1000u, second-order terms and the
+    computed radius for delta add below u/(2 delta): ``Disc.exact_error``
+    is u(2d + 13/delta).
     """
     a, b = complex(a), complex(b)
     if abs(a) >= 1.0 or abs(b) >= 1.0:
@@ -412,7 +423,11 @@ def disc_distance(a: complex, b: complex) -> float:
 
 
 def halfplane_distance(a: complex, b: complex) -> float:
-    """Poincare distance on the upper half-plane { Im > 0 }."""
+    """Poincare distance on the upper half-plane { Im > 0 }.
+
+    Rounding as in :func:`disc_distance`: |a - b̄|, |a - b| err by 3u, so
+    eta <= 11u and ``HalfPlane.exact_error`` is u(2d + 6), at any depth.
+    """
     a, b = complex(a), complex(b)
     if a.imag <= 0.0 or b.imag <= 0.0:
         raise GeometryError("halfplane_distance needs Im > 0")
@@ -424,7 +439,7 @@ def halfplane_distance(a: complex, b: complex) -> float:
 
 
 def polydisc_distance(z, w) -> float:
-    """max over coordinates of the disc distance."""
+    """max over coordinates of the disc distance, within the disc's bound."""
     z, w = as_carray(z), as_carray(w)
     if z.shape != w.shape:
         raise GeometryError("dimension mismatch")
@@ -432,28 +447,42 @@ def polydisc_distance(z, w) -> float:
 
 
 def ball_distance(z, w) -> float:
-    """Kobayashi (= Bergman up to scale) distance on the unit ball."""
+    """Kobayashi (= Bergman up to scale) distance on the unit ball.
+
+    With v = w - z and c = sum conj(z_j) v_j, the disc's log form holds with
+    M = |1 - <w, z>| = |(1-|z|²) - c| for |1-āb| and N = M tanh d =
+    sqrt((1-|z|²)|v|² + |c|²), a sum of nonnegative terms, for |a-b|.
+
+    Rounding as in :func:`disc_distance`, n = len(z), delta = min(1-|z|,
+    1-|w|); to first order 1-|z|² errs by (n+1)u/(2 delta) + u and c by
+    (n + 2√2)u|z||v|.  As M >= delta, M >= (1-|z|²)/2 and |v| <=
+    M/sqrt(1-|z|²), M errs by (2n + 1 + 2√2)u/delta + 5u; as N² >=
+    2 sqrt(1-|z|²)|v||c|, N by ((3n+1)/4 + √2)u/delta + (n/2 + 7)u.  So
+    eta <= (5n + 3 + 4√2)u/delta + (n + 21)u, |d̂ - d| <= u(2d +
+    (3n + 14.83)/delta), and for delta >= 20(n+5)²u the rest adds below
+    1.1u/delta: ``Ball.exact_error`` is u(2d + (3n + 16)/delta).
+    """
     z, w = as_carray(z), as_carray(w)
     if z.shape != w.shape:
         raise GeometryError("dimension mismatch")
-    nz2 = float(np.vdot(z, z).real)
-    nw2 = float(np.vdot(w, w).real)
-    if nz2 >= 1.0 or nw2 >= 1.0:
+    return _ball_distance(z.tolist(), w.tolist())
+
+
+def _ball_distance(z: list, w: list) -> float:
+    """:func:`ball_distance` of two lists of Python complex numbers."""
+    nz2 = nw2 = nv2 = 0.0
+    c = 0j
+    for zj, wj in zip(z, w):
+        vj = wj - zj
+        c += zj.conjugate() * vj
+        nz2 += zj.real * zj.real + zj.imag * zj.imag
+        nw2 += wj.real * wj.real + wj.imag * wj.imag
+        nv2 += vj.real * vj.real + vj.imag * vj.imag
+    dz, dw = 1.0 - nz2, 1.0 - nw2
+    if not (dz > 0.0 and dw > 0.0):
         raise GeometryError("ball_distance needs interior points")
-    inner = complex(np.sum(z * np.conj(w)))
-    # clamp: ratio can exceed 1 by rounding when z == w; the log form keeps
-    # near-boundary pairs accurate where artanh(sqrt(1-ratio)) would not be
-    ratio = min(1.0, (1.0 - nz2) * (1.0 - nw2) / abs(1.0 - inner) ** 2)
-    m = math.sqrt(max(0.0, 1.0 - ratio))
-    if ratio == 0.0:
-        raise GeometryError("pair too close to the boundary for the formula")
-    return max(0.0, 0.5 * math.log((1.0 + m) ** 2 / ratio))
-
-
-# The solver's segment kernels below use the artanh of the Möbius ratio on
-# plain complex scalars, not the log forms above: they run in the descent's
-# inner loop, and switching formulas would move every reported solver upper
-# in its last bits.
+    num = abs(dz - c) + math.sqrt(dz * nv2 + abs(c) ** 2)
+    return max(0.0, 0.5 * math.log(num * num / (dz * dw)))
 
 
 class Disc(Domain):
@@ -469,13 +498,15 @@ class Disc(Domain):
     def exact_metric(self, z, X) -> float:
         return abs(X[0]) / (1.0 - abs(z[0]) ** 2)
 
+    def exact_error(self, d, delta) -> float:
+        return _UNIT_ROUNDOFF * (2.0 * d + 13.0 / delta)
+
     def segment_kernels(self):
         def radius(p):
             return 1.0 - abs(p[0])
 
         def seg(a, b, ra, rb):
-            a0, b0 = a[0], b[0]
-            return math.atanh(abs(a0 - b0) / abs(1.0 - a0.conjugate() * b0))
+            return disc_distance(a[0], b[0])
         return radius, seg, seg
 
     def contains(self, z) -> bool:
@@ -531,13 +562,15 @@ class HalfPlane(Domain):
     def exact_metric(self, z, X) -> float:
         return abs(X[0]) / (2.0 * z[0].imag)
 
+    def exact_error(self, d, delta) -> float:
+        return _UNIT_ROUNDOFF * (2.0 * d + 6.0)
+
     def segment_kernels(self):
         def radius(p):
             return p[0].imag
 
         def seg(a, b, ra, rb):
-            a0, b0 = a[0], b[0]
-            return math.atanh(abs(a0 - b0) / abs(a0 - b0.conjugate()))
+            return halfplane_distance(a[0], b[0])
         return radius, seg, seg
 
     def contains(self, z) -> bool:
@@ -597,8 +630,10 @@ class Polydisc(Domain):
     def exact_metric(self, z, X) -> float:
         return max(abs(X[j]) / (1.0 - abs(z[j]) ** 2) for j in range(self.dim))
 
+    exact_error = Disc.exact_error
+
     def segment_kernels(self):
-        """The certified ``seg`` is the max over coordinate disc distances.
+        """``seg`` is the max of the coordinates' :func:`disc_distance`.
 
         Its flat ridges stall coordinate descent, so ``drive`` is the smooth
         euclidean norm of the per-coordinate distance vector; its minimizers
@@ -606,31 +641,14 @@ class Polydisc(Domain):
         and at a proportional allocation the per-segment max telescopes, so
         the final configuration also minimizes the certified sum.
         """
-        n = self.dim
-
         def radius(p):
-            worst = 0.0
-            for j in range(n):
-                m = abs(p[j])
-                if m > worst:
-                    worst = m
-            return 1.0 - worst
+            return 1.0 - max(map(abs, p))
 
         def seg(a, b, ra, rb):
-            worst = 0.0
-            for j in range(n):
-                m = abs(a[j] - b[j]) / abs(1.0 - a[j].conjugate() * b[j])
-                if m > worst:
-                    worst = m
-            return math.atanh(worst)
+            return max([disc_distance(aj, bj) for aj, bj in zip(a, b)])
 
         def drive(a, b, ra, rb):
-            total = 0.0
-            for j in range(n):
-                m = abs(a[j] - b[j]) / abs(1.0 - a[j].conjugate() * b[j])
-                s = math.atanh(min(m, 1.0 - 1e-16))
-                total += s * s
-            return math.sqrt(total)
+            return math.hypot(*[disc_distance(aj, bj) for aj, bj in zip(a, b)])
         return radius, seg, drive
 
     def contains(self, z) -> bool:
@@ -720,28 +738,17 @@ class Ball(Domain):
         s = 1.0 - nz2
         return math.sqrt((nX2 * s + abs(zx) ** 2)) / s
 
-    def segment_kernels(self):
-        n = self.dim
+    def exact_error(self, d, delta) -> float:
+        return _UNIT_ROUNDOFF * (2.0 * d + (3 * self.dim + 16.0) / delta)
 
+    def segment_kernels(self):
         def radius(p):
-            total = 0.0
-            for j in range(n):
-                q = p[j]
-                total += q.real * q.real + q.imag * q.imag
-            return 1.0 - math.sqrt(total)
+            # |p|² summed as in _ball_distance, so radius > 0 implies 1-|p|² > 0
+            return 1.0 - math.sqrt(sum(q.real * q.real + q.imag * q.imag
+                                       for q in p.tolist()))
 
         def seg(a, b, ra, rb):
-            na = 0.0
-            nb = 0.0
-            inner = 0j
-            for j in range(n):
-                aj, bj = a[j], b[j]
-                na += aj.real * aj.real + aj.imag * aj.imag
-                nb += bj.real * bj.real + bj.imag * bj.imag
-                inner += aj * bj.conjugate()
-            ratio = (1.0 - na) * (1.0 - nb) / abs(1.0 - inner) ** 2
-            m = math.sqrt(max(0.0, 1.0 - min(1.0, ratio)))
-            return math.atanh(min(m, 1.0 - 1e-16))
+            return _ball_distance(a.tolist(), b.tolist())
         return radius, seg, seg
 
     def contains(self, z) -> bool:
@@ -1123,7 +1130,6 @@ class OmegaPsi(Domain):
         self.cap_radius = float(cap_radius)
         self.dim = 2
         self.bounding_radius = self.cap_radius
-        self._delta_c_cache: Optional[float] = None
 
     # F and its gradient ------------------------------------------------------
 
@@ -1202,36 +1208,26 @@ class OmegaPsi(Domain):
         wall_bound = gap / math.sqrt(1.0 + lip * lip)
         return max(0.0, min(self.cap_radius - float(np.linalg.norm(arr)), wall_bound))
 
+    @functools.cached_property
     def projection_threshold(self) -> float:
-        """Uniqueness scale: half the minimal curvature radius seen by sampling."""
-        if self._delta_c_cache is not None:
-            return self._delta_c_cache
+        """Uniqueness scale, half the minimal curvature radius: the wall's
+        Hessian is diag(psi'', 2 chi1 past |y1| = 2, 2 chi2), the cap's is
+        1/cap_radius, and psi'' is sampled by differences at 17 points."""
         h = 1e-5
-        kappa_max = 1.0 / self.cap_radius  # cap sheet curvature
-        xs = np.linspace(-2.0, 2.0, 17)
-        ys = np.linspace(-2.5, 2.5, 11)
-        for x1 in xs:
-            for y1 in ys:
-                for y2 in (-0.5, 0.0, 0.5):
-                    hess = np.zeros((3, 3))
-                    g0 = np.array(self._wall_grad(x1, y1, y2))
-                    for i, dv in enumerate(np.eye(3) * h):
-                        g1 = np.array(self._wall_grad(x1 + dv[0], y1 + dv[1], y2 + dv[2]))
-                        hess[i] = (g1 - g0) / h
-                    kappa_max = max(kappa_max, float(np.max(np.abs(
-                        np.linalg.eigvalsh(0.5 * (hess + hess.T))))))
-        self._delta_c_cache = 0.5 / kappa_max
-        return self._delta_c_cache
+        psi_curv = max(abs((self.psi.derivative(x + h) - self.psi.derivative(x)) / h)
+                       for x in np.linspace(-2.0, 2.0, 17))
+        return 0.5 / max(1.0 / self.cap_radius, 2.0 * self.chi1,
+                         2.0 * self.chi2, psi_curv)
 
     def nearest_boundary_point(self, z) -> np.ndarray:
         z = self._interior(z)
         d_cap = self.cap_radius - float(np.linalg.norm(z))
         d_wall, contact = self._graph_distance(z)
         d = min(d_cap, d_wall)
-        if d > self.projection_threshold():
+        if d > self.projection_threshold:
             raise AmbiguousProjectionError(
                 f"projection at depth {d:.3g} exceeds the uniqueness threshold "
-                f"{self.projection_threshold():.3g}")
+                f"{self.projection_threshold:.3g}")
         if abs(d_cap - d_wall) <= 1e-7 * max(1.0, d):
             cap_pt = z * (self.cap_radius / np.linalg.norm(z))
             if np.linalg.norm(cap_pt - contact) > 1e-4:

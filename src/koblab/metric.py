@@ -35,12 +35,13 @@ from .geometry import (
     AmbiguousProjectionError,
     Domain,
     GeometryError,
+    _UNIT_ROUNDOFF,
+    _lex_key,
     as_carray,
     ball_distance,
     disc_distance,
     halfplane_distance,
     polydisc_distance,
-    real_view,
 )
 
 __all__ = [
@@ -146,9 +147,6 @@ def _halfplane_projection_bound(x: np.ndarray, y: np.ndarray, contact):
     if hx.imag <= 0.0 or hy.imag <= 0.0:
         return None  # numerically degenerate projection, drop the branch
     return halfplane_distance(hx, hy)
-
-
-_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _into_disc(a: complex) -> complex:
@@ -299,9 +297,7 @@ def distance_lower_bound_detailed(domain: Domain, x, y, tube: bool = True):
     if np.array_equal(x, y):
         return 0.0, {}
     # canonical order so the bound is exactly symmetric in its arguments
-    kx = tuple(np.round(real_view(x), 12))
-    ky = tuple(np.round(real_view(y), 12))
-    if ky < kx:
+    if _lex_key(y) < _lex_key(x):
         x, y = y, x
 
     branches = {}

@@ -1,12 +1,12 @@
 """Approximate geodesics by certified discrete length minimization.
 
 The optimizer never trusts quadrature: the objective is the sum of
-per-segment *certified* upper bounds (exact pair distances on model domains,
-touching-disc bounds elsewhere), so the reported ``distance.upper`` is a true
-upper bound for k_D at every stage of the search.  Each domain supplies these
-as closures through :meth:`~koblab.geometry.Domain.segment_kernels`; the
-solver itself holds no per-domain code.  Lower bounds come from the
-projection estimates in :mod:`koblab.metric`, never from the path itself.
+per-segment *certified* upper bounds (closed forms on model domains, widened
+by their rounding error and summed rounding up; touching-disc bounds
+elsewhere), so ``distance.upper`` is a true upper bound for k_D.  Domains
+supply them through :meth:`~koblab.geometry.Domain.segment_kernels`; the
+solver holds no per-domain code.  Lower bounds come from the projection
+estimates in :mod:`koblab.metric`, never from the path itself.
 
 The search is derivative-free coordinate descent with an adaptive step and
 staged midpoint refinement; the metric data is only Lipschitz (directional
@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Domain, GeometryError, Polydisc, _json_number
+from .geometry import (Domain, GeometryError, Polydisc, _UNIT_ROUNDOFF,
+                       _json_number)
 from .metric import MetricBracket, disc_distance, distance_lower_bound
 
 __all__ = [
@@ -157,21 +158,30 @@ class _ChainObjective:
     def __init__(self, domain: Domain):
         self.domain = domain
         self.model = domain.exact
-        self.margin = 1e-9 * (domain.bounding_radius
-                              if math.isfinite(domain.bounding_radius) else 1.0)
+        self.margin = 1e-9 * domain.bounding_radius  # bounded domains only
         self.radius, self.seg, self.drive = domain.segment_kernels()
-        self.drive_is_certified = self.drive is self.seg
 
     def upper(self, a, b) -> float:
-        """Certified upper for k_D(a, b) (inf when not certifiable)."""
-        if self.model:
-            return self.seg(a, b, 0.0, 0.0)
+        """Upper for k_D(a, b) (inf when not certifiable)."""
         return self.seg(a, b, self.radius(a), self.radius(b))
 
-    def brackets(self, seg_uppers: list) -> list:
-        if self.model:
-            return [MetricBracket(s, s) for s in seg_uppers]
-        return [MetricBracket(0.0, s) for s in seg_uppers]
+    def brackets(self, pts: np.ndarray, seg_uppers: list):
+        """Segment brackets and the certified upper of their sum.  On the
+        models each closed form is widened by ``exact_error`` at its smaller
+        endpoint radius; summing m - 1 terms errs by (m - 2)u times the sum
+        (Higham 2002, 4.2), one more u and ``nextafter`` cover the rest."""
+        if not self.model:
+            return ([MetricBracket(0.0, s) for s in seg_uppers],
+                    float(sum(seg_uppers)))
+        R = [self.radius(p) for p in pts]
+        out = []
+        for j, s in enumerate(seg_uppers):
+            e = self.domain.exact_error(s, min(R[j], R[j + 1]))
+            out.append(MetricBracket(max(0.0, math.nextafter(s - e, 0.0)),
+                                     math.nextafter(s + e, math.inf)))
+        total = float(sum(b.upper for b in out))
+        pad = (len(out) - 1) * _UNIT_ROUNDOFF * total
+        return out, math.nextafter(total + pad, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +229,7 @@ def _optimize_stage(obj: _ChainObjective, pts: np.ndarray, cfg: SolverConfig,
     D = [drive(pts[j], pts[j + 1], R[j], R[j + 1]) for j in range(m - 1)]
 
     def certified():
-        if obj.drive_is_certified:
+        if drive is seg:
             return list(D)
         return [seg(pts[j], pts[j + 1], R[j], R[j + 1]) for j in range(m - 1)]
 
@@ -299,8 +309,7 @@ def solve_geodesic(domain: Domain, x, y, cfg: SolverConfig | None = None) -> Geo
     lower = distance_lower_bound(domain, x, y)
     obj = _ChainObjective(domain)
 
-    m = min(9, cfg.control_points) if cfg.control_points >= 3 else cfg.control_points
-    m = max(m, 2)
+    m = min(9, cfg.control_points)
     starts = [_straight_points(x, y, m)]
     if not obj.model:
         # near a narrow corridor the straight chord may need thousands of
@@ -349,24 +358,21 @@ def solve_geodesic(domain: Domain, x, y, cfg: SolverConfig | None = None) -> Geo
         pts = _insert_midpoints(pts)
 
     # the descent may park two control points on the same spot (a
-    # zero-length segment costs nothing); drop the repeats and merge their
-    # segment uppers so the reported chain stays strict.  Every merged
-    # upper is a sum of certified uppers, hence certified by the triangle
-    # inequality, and the trailing endpoint survives by value.
+    # zero-length segment costs nothing); drop the repeats so the chain
+    # stays strict.  The segment into each kept point keeps the upper of
+    # the last segment of its run, which has the same ends.
     keep = [0]
     for j in range(1, best_pts.shape[0]):
         if not np.array_equal(best_pts[j], best_pts[keep[-1]]):
             keep.append(j)
-    if len(keep) < best_pts.shape[0]:
-        best_S = [float(sum(best_S[keep[i]:keep[i + 1]]))
-                  for i in range(len(keep) - 1)]
-        best_pts = best_pts[keep]
+    best_S = [best_S[j - 1] for j in keep[1:]]
+    best_pts = best_pts[keep]
 
-    path = Path(points=best_pts, domain=domain,
-                segment_brackets=obj.brackets(best_S),
+    brackets, upper = obj.brackets(best_pts, best_S)
+    path = Path(points=best_pts, domain=domain, segment_brackets=brackets,
                 endpoint_lower=lower)
     deltas = path.boundary_distances()
-    bracket = MetricBracket(min(lower, best_L), best_L)
+    bracket = MetricBracket(min(lower, upper), upper)
     return GeodesicResult(path, bracket, iterations, converged,
                           float(np.min(deltas)), float(np.max(deltas)))
 

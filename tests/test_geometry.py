@@ -315,13 +315,11 @@ def test_domain_protocol_closed_forms_and_kernels(domain, is_model):
         t = max(ra, rb)
         assert seg(x, y, ra, rb) == math.atanh(float(np.linalg.norm(y - x)) / t)
         return
-    # the descent's ratio-form kernel and the log-form closed form are two
-    # formulas for the same distance
+    # the descent's kernel calls the closed form: one formula, same bits
     rng = np.random.default_rng(20)
     for _ in range(25):
         x, y = _protocol_pair(domain, rng)
-        exact = domain.exact_distance(x, y)
-        assert seg(x, y, radius(x), radius(y)) == pytest.approx(exact, rel=1e-12)
+        assert seg(x, y, radius(x), radius(y)) == domain.exact_distance(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +366,16 @@ def test_omega_psi_supporting_normal_on_segment():
     dom = OmegaPsi(PsiSpec("exp_neg_c_over_x", c=math.pi))
     nu = dom.supporting_normal([1j, 0.0])
     assert np.allclose(nu, [0.0, -1.0], atol=1e-12)
+
+
+def test_omega_psi_projection_threshold_reads_the_diagonal_hessian():
+    # the wall's Hessian is diag(psi'', 2 chi1, 2 chi2); the sampled |psi''|
+    # of exp(-pi/x) stays below 0.4, so the constant curvature 2 chi1 rules
+    dom = OmegaPsi(PsiSpec("exp_neg_c_over_x", c=math.pi), chi1=3.0,
+                   chi2=0.5, cap_radius=4.0)
+    assert dom.projection_threshold == 0.5 / 6.0
+    with pytest.raises(AmbiguousProjectionError):
+        dom.nearest_boundary_point([0.0, 1.0])  # depth 1 > 1/12
 
 
 def test_localized_domain_ambiguity():

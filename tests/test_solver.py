@@ -122,7 +122,7 @@ def test_soundness_sweep_models():
         res = solve_geodesic(domain, x, y, LIGHT)
         exact = oracle(x, y)
         assert res.distance.lower <= exact + 1e-12
-        assert exact <= res.distance.upper + 1e-12
+        assert exact <= res.distance.upper
 
 
 def test_exhausted_sweep_budget_is_not_converged():
