@@ -313,14 +313,31 @@ class Domain:
         raise GeometryError(f"no closed-form metric for {type(self).__name__}")
 
     def segment_kernels(self):
-        """The ``(radius, seg, drive)`` closures of the geodesic descent.
+        """The ``(point, radius, terms, moved)`` closures of the geodesic
+        descent.
 
-        ``radius(p)`` is a cheap interior radius, negative outside.
-        ``seg(a, b, ra, rb)`` is the upper for k(a, b) given the endpoint
-        radii, inf when it cannot certify (on models, the closed form up to
-        ``exact_error``).  ``drive`` is the search objective, ``seg``
-        unless a domain supplies a smoother surrogate.  Here: the fast
-        certified inner radius and artanh(|b - a| / max(ra, rb)).
+        * ``point(p)`` turns a point array into the form the other three
+          take.  On the models that is a list of Python complex numbers, so
+          their kernels run on plain floats with no numpy scalar in the
+          loop.  Here it is the array itself: this kernel calls the
+          domain's numpy methods, which would only convert a list back.
+        * ``radius(p)`` is a cheap interior radius, negative outside.
+        * ``terms(a, b, ra, rb)`` is the list of nonnegative terms of the
+          segment [a, b], given interior endpoints and their radii.  The
+          max of the terms is the certified upper for k(a, b), inf when it
+          cannot certify (on models, the closed form up to
+          ``exact_error``); their euclidean norm is the search objective.
+          The polydisc has one term per coordinate, its disc distance;
+          every other domain has a single term, which both reductions
+          return unchanged.
+        * ``moved(T, a, b, ra, rb, slot)`` equals ``terms(a, b, ra, rb)``
+          when ``T`` is the segment's terms before one coordinate ``slot``
+          of one endpoint moved: it recomputes only the term that
+          coordinate enters (on a single-term kernel, that term) and
+          leaves ``T`` as it was.
+
+        Here: the fast certified inner radius and the single term
+        artanh(|b - a| / max(ra, rb)).
         """
         dom = self
 
@@ -329,15 +346,18 @@ class Domain:
                 return -1.0
             return dom.inner_radius_fast(p)
 
-        def seg(a, b, ra, rb):
+        def terms(a, b, ra, rb):
             u = float(np.linalg.norm(b - a))
             if u == 0.0:
-                return 0.0
+                return [0.0]
             t = max(ra, rb)
             if not u < t:
-                return math.inf
-            return math.atanh(u / t)
-        return radius, seg, seg
+                return [math.inf]
+            return [math.atanh(u / t)]
+
+        def moved(T, a, b, ra, rb, slot):
+            return terms(a, b, ra, rb)
+        return (lambda p: p), radius, terms, moved
 
     # -- boundary structure --------------------------------------------------
 
@@ -417,6 +437,11 @@ def disc_distance(a: complex, b: complex) -> float:
     a, b = complex(a), complex(b)
     if abs(a) >= 1.0 or abs(b) >= 1.0:
         raise GeometryError("disc_distance needs interior points")
+    return _disc_distance(a, b)
+
+
+def _disc_distance(a: complex, b: complex) -> float:
+    """:func:`disc_distance` of two interior Python complex numbers."""
     num = abs(1.0 - a.conjugate() * b) + abs(a - b)
     den = (1.0 - abs(a) ** 2) * (1.0 - abs(b) ** 2)
     return max(0.0, 0.5 * math.log(num * num / den))
@@ -505,9 +530,12 @@ class Disc(Domain):
         def radius(p):
             return 1.0 - abs(p[0])
 
-        def seg(a, b, ra, rb):
-            return disc_distance(a[0], b[0])
-        return radius, seg, seg
+        def terms(a, b, ra, rb):
+            return [_disc_distance(a[0], b[0])]
+
+        def moved(T, a, b, ra, rb, slot):
+            return [_disc_distance(a[0], b[0])]
+        return np.ndarray.tolist, radius, terms, moved
 
     def contains(self, z) -> bool:
         arr = as_carray(z)
@@ -569,9 +597,12 @@ class HalfPlane(Domain):
         def radius(p):
             return p[0].imag
 
-        def seg(a, b, ra, rb):
-            return halfplane_distance(a[0], b[0])
-        return radius, seg, seg
+        def terms(a, b, ra, rb):
+            return [halfplane_distance(a[0], b[0])]
+
+        def moved(T, a, b, ra, rb, slot):
+            return [halfplane_distance(a[0], b[0])]
+        return np.ndarray.tolist, radius, terms, moved
 
     def contains(self, z) -> bool:
         return as_carray(z)[0].imag > 0.0
@@ -633,23 +664,27 @@ class Polydisc(Domain):
     exact_error = Disc.exact_error
 
     def segment_kernels(self):
-        """``seg`` is the max of the coordinates' :func:`disc_distance`.
+        """One term per coordinate: its :func:`disc_distance`.
 
-        Its flat ridges stall coordinate descent, so ``drive`` is the smooth
-        euclidean norm of the per-coordinate distance vector; its minimizers
-        allocate every coordinate's length proportionally across segments,
-        and at a proportional allocation the per-segment max telescopes, so
-        the final configuration also minimizes the certified sum.
+        Their max, the distance, has flat ridges that stall coordinate
+        descent, so the descent drives the smooth euclidean norm of the
+        terms instead; its minimizers allocate every coordinate's length
+        proportionally across segments, and at a proportional allocation
+        the per-segment max telescopes, so the final configuration also
+        minimizes the certified sum.  A move of one coordinate changes only
+        that coordinate's term.
         """
         def radius(p):
             return 1.0 - max(map(abs, p))
 
-        def seg(a, b, ra, rb):
-            return max([disc_distance(aj, bj) for aj, bj in zip(a, b)])
+        def terms(a, b, ra, rb):
+            return [_disc_distance(aj, bj) for aj, bj in zip(a, b)]
 
-        def drive(a, b, ra, rb):
-            return math.hypot(*[disc_distance(aj, bj) for aj, bj in zip(a, b)])
-        return radius, seg, drive
+        def moved(T, a, b, ra, rb, slot):
+            T = T.copy()
+            T[slot] = _disc_distance(a[slot], b[slot])
+            return T
+        return np.ndarray.tolist, radius, terms, moved
 
     def contains(self, z) -> bool:
         arr = as_carray(z)
@@ -745,11 +780,14 @@ class Ball(Domain):
         def radius(p):
             # |p|² summed as in _ball_distance, so radius > 0 implies 1-|p|² > 0
             return 1.0 - math.sqrt(sum(q.real * q.real + q.imag * q.imag
-                                       for q in p.tolist()))
+                                       for q in p))
 
-        def seg(a, b, ra, rb):
-            return _ball_distance(a.tolist(), b.tolist())
-        return radius, seg, seg
+        def terms(a, b, ra, rb):
+            return [_ball_distance(a, b)]
+
+        def moved(T, a, b, ra, rb, slot):
+            return [_ball_distance(a, b)]
+        return np.ndarray.tolist, radius, terms, moved
 
     def contains(self, z) -> bool:
         arr = as_carray(z)

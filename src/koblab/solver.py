@@ -3,15 +3,28 @@
 The optimizer never trusts quadrature: the objective is the sum of
 per-segment *certified* upper bounds (closed forms on model domains, widened
 by their rounding error and summed rounding up; touching-disc bounds
-elsewhere), so ``distance.upper`` is a true upper bound for k_D.  Domains
-supply them through :meth:`~koblab.geometry.Domain.segment_kernels`; the
-solver holds no per-domain code.  Lower bounds come from the projection
-estimates in :mod:`koblab.metric`, never from the path itself.
+elsewhere), so ``distance.upper`` is a true upper bound for k_D.  Lower
+bounds come from the projection estimates in :mod:`koblab.metric`, never
+from the path itself.
 
 The search is derivative-free coordinate descent with an adaptive step and
 staged midpoint refinement; the metric data is only Lipschitz (directional
 distances kink at face transitions), so anything gradient-based would be
 fragile exactly where the interesting geometry happens.
+
+Domains supply the segment bounds through
+:meth:`~koblab.geometry.Domain.segment_kernels`; the solver holds no
+per-domain code.  A stage converts its control points once into the
+kernels' point form (lists of Python complex numbers on the models, the
+arrays themselves on generic domains, whose kernel calls numpy domain
+methods) and keeps, for each segment, its list of kernel terms: one disc
+distance per coordinate on the polydisc, a single term elsewhere.  The
+certified upper of a segment is the max of its terms and the drive
+objective their euclidean norm, which on the polydisc smooths the max's
+flat ridges.  A probe that moves one coordinate of a control point asks
+the two segments next to it for the term that coordinate enters and
+reuses the rest, so it recomputes one disc distance per segment on the
+polydisc.
 """
 
 from __future__ import annotations
@@ -145,25 +158,28 @@ class GeodesicResult:
 class _ChainObjective:
     """Certified per-segment uppers plus the bookkeeping the descent needs.
 
-    The ``(radius, seg, drive)`` kernels come from
+    The ``(point, radius, terms, moved)`` kernels come from
     :meth:`Domain.segment_kernels`, fetched once per solve so the inner
-    loop calls plain closures.  ``radius`` is a cheap interior radius
-    (negative outside); the descent caches one value per control point so
-    a probe on a generic domain costs a single radius evaluation.  ``seg``
-    is the certified upper bound the solver reports and ``drive`` the
-    search objective.  When they differ (the polydisc), reported lengths
-    still come from ``seg`` at the best configuration seen.
+    loop calls plain closures on points in the kernels' own form.
+    ``radius`` is a cheap interior radius (negative outside); the descent
+    caches one value per control point, so a probe on a generic domain
+    costs a single radius evaluation.  A segment's certified upper is the
+    max of its terms and the search objective their euclidean norm; when
+    they differ (the polydisc), reported lengths still come from the max
+    at the best configuration seen.
     """
 
     def __init__(self, domain: Domain):
         self.domain = domain
         self.model = domain.exact
         self.margin = 1e-9 * domain.bounding_radius  # bounded domains only
-        self.radius, self.seg, self.drive = domain.segment_kernels()
+        self.point, self.radius, self.terms, self.moved = \
+            domain.segment_kernels()
 
     def upper(self, a, b) -> float:
         """Upper for k_D(a, b) (inf when not certifiable)."""
-        return self.seg(a, b, self.radius(a), self.radius(b))
+        a, b = self.point(a), self.point(b)
+        return max(self.terms(a, b, self.radius(a), self.radius(b)))
 
     def brackets(self, pts: np.ndarray, seg_uppers: list):
         """Segment brackets and the certified upper of their sum.  On the
@@ -173,7 +189,7 @@ class _ChainObjective:
         if not self.model:
             return ([MetricBracket(0.0, s) for s in seg_uppers],
                     float(sum(seg_uppers)))
-        R = [self.radius(p) for p in pts]
+        R = [self.radius(self.point(p)) for p in pts]
         out = []
         for j, s in enumerate(seg_uppers):
             e = self.domain.exact_error(s, min(R[j], R[j + 1]))
@@ -221,22 +237,20 @@ def _optimize_stage(obj: _ChainObjective, pts: np.ndarray, cfg: SolverConfig,
     budget running out.  Moves are accepted on a strict decrease of the
     drive objective; the certified sum is re-evaluated per sweep and the
     best configuration is kept, so the returned upper never regresses
-    within a stage.
+    within a stage.  Each segment keeps its list of kernel terms, and a
+    probe recomputes only the terms its move changes.
     """
     m, n = pts.shape
-    radius, seg, drive = obj.radius, obj.seg, obj.drive
-    R = [radius(pts[j]) for j in range(m)]
-    D = [drive(pts[j], pts[j + 1], R[j], R[j + 1]) for j in range(m - 1)]
-
-    def certified():
-        if drive is seg:
-            return list(D)
-        return [seg(pts[j], pts[j + 1], R[j], R[j + 1]) for j in range(m - 1)]
-
-    best_S = certified()
-    best_L = float(sum(best_S))
-    best_pts = pts.copy()
+    radius, moved, margin = obj.radius, obj.moved, obj.margin
+    hypot = math.hypot
     scale = max(float(np.max(np.abs(np.diff(pts, axis=0)))), 1e-12)
+    P = [obj.point(p) for p in pts]
+    R = [radius(p) for p in P]
+    T = [obj.terms(P[j], P[j + 1], R[j], R[j + 1]) for j in range(m - 1)]
+    D = [hypot(*t) for t in T]
+    best_S = [max(t) for t in T]
+    best_L = float(sum(best_S))
+    best_P = list(P)
     h = 0.5 * scale
     h_min = cfg.rel_tol * scale
     sweeps = 0
@@ -249,30 +263,33 @@ def _optimize_stage(obj: _ChainObjective, pts: np.ndarray, cfg: SolverConfig,
                 step = h if c % 2 == 0 else 1j * h
                 slot = c // 2
                 for sgn in (1.0, -1.0):
-                    cand = pts[i].copy()
+                    cand = P[i].copy()
                     cand[slot] += sgn * step
                     rc = radius(cand)
-                    if rc < obj.margin:
+                    if rc < margin:
                         continue
-                    d1 = drive(pts[i - 1], cand, R[i - 1], rc)
+                    t1 = moved(T[i - 1], P[i - 1], cand, R[i - 1], rc, slot)
+                    d1 = hypot(*t1)
                     if not d1 <= base:
                         continue
-                    d2 = drive(cand, pts[i + 1], rc, R[i + 1])
+                    t2 = moved(T[i], cand, P[i + 1], rc, R[i + 1], slot)
+                    d2 = hypot(*t2)
                     if d1 + d2 < base - 1e-15:
-                        pts[i] = cand
+                        P[i] = cand
                         R[i] = rc
+                        T[i - 1], T[i] = t1, t2
                         D[i - 1], D[i] = d1, d2
                         base = d1 + d2
                         improved = True
                         break
         if improved:
-            S = certified()
+            S = [max(t) for t in T]
             L = float(sum(S))
             if L < best_L:
-                best_L, best_S, best_pts = L, S, pts.copy()
+                best_L, best_S, best_P = L, S, list(P)
         else:
             h *= 0.5
-    return best_pts, best_S, sweeps, h < h_min
+    return np.array(best_P, dtype=complex), best_S, sweeps, h < h_min
 
 
 def _insert_midpoints(pts: np.ndarray) -> np.ndarray:

@@ -306,20 +306,23 @@ def test_domain_protocol_closed_forms_and_kernels(domain, is_model):
     x = domain.base_point
     y = x + 0.1 * np.eye(domain.dim, dtype=complex)[0]
     assert (domain.exact_distance(x, y) is not None) is is_model
-    radius, seg, _ = domain.segment_kernels()
+    point, radius, terms, _ = domain.segment_kernels()
+
+    def seg(p, q):
+        a, b = point(p), point(q)
+        return max(terms(a, b, radius(a), radius(b)))
     if not is_model:
         with pytest.raises(GeometryError):
             domain.exact_metric(x, y - x)
         # the generic kernel is the touching-disc bound at the inner radius
-        ra, rb = radius(x), radius(y)
-        t = max(ra, rb)
-        assert seg(x, y, ra, rb) == math.atanh(float(np.linalg.norm(y - x)) / t)
+        t = max(radius(point(x)), radius(point(y)))
+        assert seg(x, y) == math.atanh(float(np.linalg.norm(y - x)) / t)
         return
     # the descent's kernel calls the closed form: one formula, same bits
     rng = np.random.default_rng(20)
     for _ in range(25):
         x, y = _protocol_pair(domain, rng)
-        assert seg(x, y, radius(x), radius(y)) == domain.exact_distance(x, y)
+        assert seg(x, y) == domain.exact_distance(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Geodesic solver: accuracy on model domains, certified invariants, and
 the bidisc double-geodesic construction."""
 
+import cmath
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from koblab.geometry import Ball, Disc, Ellipsoid, GeometryError, HalfPlane, Polydisc
 from koblab.metric import ball_distance, disc_distance, polydisc_distance
@@ -255,3 +258,91 @@ def test_solver_on_ellipsoid_brackets_ordered():
     assert 0.0 < res.distance.lower <= res.distance.upper
     assert res.min_boundary_distance > 0.0
     assert res.max_boundary_distance >= res.min_boundary_distance
+
+
+# ---------------------------------------------------------------------------
+# pinned trajectories and the polydisc's per-coordinate terms
+# ---------------------------------------------------------------------------
+
+# (domain, x, y, config name, lower hex, upper hex, iterations, converged),
+# recorded with the numpy-array kernels that preceded the plain-float ones.
+# Every kernel edit that moves the descent's path, by a single bit
+# anywhere, changes these.
+GOLDEN = (
+    (Disc(), [0.3 + 0.5j], [-0.6 + 0.1j], "light",
+     "0x1.6e646289af04cp-1", "0x1.35b8a7fdacb7fp+0", 54, True),
+    (Disc(), [0.3 + 0.5j], [-0.6 + 0.1j], "default",
+     "0x1.6e646289af04cp-1", "0x1.35b8a7f3e5cf1p+0", 223, True),
+    (Polydisc(2), [0.5 + 0.2j, -0.3j], [-0.4, 0.6 + 0.1j], "light",
+     "0x1.1a2d9e2306c6ep-1", "0x1.0313588a89321p+0", 78, True),
+    (Polydisc(2), [0.5 + 0.2j, -0.3j], [-0.4, 0.6 + 0.1j], "default",
+     "0x1.1a2d9e2306c6ep-1", "0x1.03135884336d5p+0", 331, True),
+    (Polydisc(3), [0.1j, 0.5, -0.2 + 0.3j], [0.7, -0.2j, 0.6 - 0.1j], "light",
+     "0x1.37030b8cc9354p-1", "0x1.056b6535067c9p+0", 87, True),
+    (Polydisc(3), [0.1j, 0.5, -0.2 + 0.3j], [0.7, -0.2j, 0.6 - 0.1j],
+     "default", "0x1.37030b8cc9354p-1", "0x1.056b652fe9bf7p+0", 428, True),
+    (Ball(2), [0.5 + 0.2j, -0.1], [-0.3, 0.4j], "light",
+     "0x1.0954e6ee736f3p-1", "0x1.096c26c8f8e6fp+0", 57, True),
+    (Ball(2), [0.5 + 0.2j, -0.1], [-0.3, 0.4j], "default",
+     "0x1.0954e6ee736f3p-1", "0x1.096c26b7dca8cp+0", 222, True),
+    (Ball(3), [0.7 + 0.2j, -0.3, 0.2j], [-0.5, 0.6j, 0.3 - 0.2j], "light",
+     "0x1.348b25f058c29p+0", "0x1.1d4d3336b83d3p+1", 86, True),
+    (Ball(3), [0.7 + 0.2j, -0.3, 0.2j], [-0.5, 0.6j, 0.3 - 0.2j], "default",
+     "0x1.348b25f058c29p+0", "0x1.1d4d331f96ac2p+1", 310, True),
+    # the generic touching-disc kernel
+    (Ellipsoid([1.0, 2.0]), [0.1, 0.3j], [0.5 + 0.2j, -0.9], "light",
+     "0x1.1afaca9cff934p-1", "0x1.b4e9c36b9ad4ep+0", 193, True),
+)
+CONFIGS = {"light": SolverConfig.light(), "default": SolverConfig()}
+
+
+@pytest.mark.parametrize(
+    "domain, x, y, cfg, lower, upper, iterations, converged", GOLDEN,
+    ids=[f"{type(g[0]).__name__}{g[0].dim}-{g[3]}" for g in GOLDEN])
+def test_solver_outputs_pinned_bit_for_bit(domain, x, y, cfg, lower, upper,
+                                           iterations, converged):
+    res = solve_geodesic(domain, np.array(x, dtype=complex),
+                         np.array(y, dtype=complex), CONFIGS[cfg])
+    assert res.distance.lower.hex() == lower
+    assert res.distance.upper.hex() == upper
+    assert res.iterations == iterations
+    assert res.converged is converged
+
+
+# interior disc points at depths 1e-12 to 1
+disc_points = st.builds(lambda e, t: (1.0 - 10.0 ** e) * cmath.exp(1j * t),
+                        st.floats(-12.0, 0.0), st.floats(0.0, 2 * math.pi))
+
+
+def _hexes(values):
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@given(data=st.data())
+def test_polydisc_single_slot_update_matches_full_terms(n, data):
+    point, radius, terms, moved = Polydisc(n).segment_kernels()
+    x, y = (np.array(data.draw(st.lists(disc_points, min_size=n, max_size=n)))
+            for _ in range(2))
+    a, b = point(x), point(y)
+    ra, rb = radius(a), radius(b)
+    assume(min(ra, rb) > 0.0)
+    T = terms(a, b, ra, rb)
+    # the reductions are the closed form and the norm of the disc distances
+    assert max(T).hex() == polydisc_distance(x, y).hex()
+    assert math.hypot(*T).hex() == math.hypot(
+        *[disc_distance(p, q) for p, q in zip(x, y)]).hex()
+    # a move of one coordinate of either endpoint
+    slot = data.draw(st.integers(0, n - 1))
+    before = _hexes(T)
+    for first in (True, False):
+        c = list(a if first else b)
+        c[slot] = data.draw(disc_points)
+        rc = radius(c)
+        assume(rc > 0.0)
+        if first:
+            got, full = moved(T, c, b, rc, rb, slot), terms(c, b, rc, rb)
+        else:
+            got, full = moved(T, a, c, ra, rc, slot), terms(a, c, ra, rc)
+        assert _hexes(got) == _hexes(full)
+    assert _hexes(T) == before
