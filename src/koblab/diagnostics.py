@@ -693,7 +693,7 @@ def localization_check(d_big: Domain, u_center, u_radius: float,
         def draw() -> np.ndarray:
             u = rng.standard_normal(2 * d_big.dim)
             u = complex_view(u / np.linalg.norm(u))
-            t_exit = ray_exit(inside, anchor, u, 2.0 * v_radius)
+            t_exit = ray_exit(lambda t: inside(anchor + t * u), 2.0 * v_radius)
             frac = 10.0 ** rng.uniform(-3.0, math.log10(0.5))
             return anchor + (1.0 - frac) * t_exit * u
 
@@ -804,7 +804,7 @@ def sameheight_scaling(domain: Domain, region_center, region_radius: float,
         if length == 0.0:
             raise GeometryError("degenerate tangent ray")
         u = ray / length
-        return base + ray_exit(domain.contains, base, u, cap) * u
+        return base + ray_exit(domain.ray(base, u), cap) * u
 
     def endpoint(bpt: np.ndarray, delta: float):
         """Point above bpt with boundary distance 0.75*delta (3% tolerance)."""

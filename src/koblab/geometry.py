@@ -139,37 +139,39 @@ def _unit_directions(dim_real: int, count: int) -> np.ndarray:
 
 
 def ray_exit(
-    contains: Callable[[np.ndarray], bool],
-    z: np.ndarray,
-    u: np.ndarray,
+    inside: Callable[[float], bool],
     hi_cap: float,
     rel_tol: float = 1e-9,
 ) -> float:
-    """sup { t > 0 : z + t*u in D } for a convex D containing z.
+    """sup { t > 0 : inside(t) } for a predicate true on an interval [0, T).
 
-    ``u`` is a unit vector in complex coordinates.  Bisection to relative
-    tolerance ``rel_tol``; the exit time is capped at ``hi_cap``.
+    ``inside`` is usually ``domain.ray(z, u)`` with u a unit vector: whether
+    z + t*u lies in a convex domain holding z (``contains(z + t*u)`` by
+    default, a plain-float test on ``OmegaPsi``; see :meth:`Domain.ray`).
+    The exit time is capped at ``hi_cap``: a doubling search brackets it,
+    then bisection narrows the bracket to relative width ``rel_tol`` and
+    returns its midpoint.
     """
     lo = 0.0
     hi = min(1e-3 * max(hi_cap, 1.0), hi_cap)
-    while contains(z + hi * u):
+    while inside(hi):
         lo = hi
         hi *= 2.0
         if hi >= hi_cap:
-            if contains(z + hi_cap * u):
+            if inside(hi_cap):
                 return hi_cap
             hi = hi_cap
             break
     while hi - lo > rel_tol * hi:
         mid = 0.5 * (lo + hi)
-        if contains(z + mid * u):
+        if inside(mid):
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def _ray_objective(contains: Callable[[np.ndarray], bool], z: np.ndarray,
+def _ray_objective(domain: "Domain", z: np.ndarray,
                    cap: float) -> Callable[[np.ndarray], float]:
     """Exit time along the real-view direction w, normalized (cap at w ~ 0)."""
 
@@ -177,7 +179,7 @@ def _ray_objective(contains: Callable[[np.ndarray], bool], z: np.ndarray,
         nrm = np.linalg.norm(w)
         if nrm < 1e-12:
             return cap
-        return ray_exit(contains, z, complex_view(w / nrm), cap)
+        return ray_exit(domain.ray(z, complex_view(w / nrm)), cap)
     return objective
 
 
@@ -188,10 +190,10 @@ def _sampled_contact(domain: "Domain", z: np.ndarray, count: int):
     Returns (exit time, unit direction).
     """
     cap = 4.0 * domain.bounding_radius + float(np.linalg.norm(z)) + 1.0
-    rays = [(ray_exit(domain.contains, z, u, cap), u)
+    rays = [(ray_exit(domain.ray(z, u), cap), u)
             for u in map(complex_view, _unit_directions(2 * len(z), count))]
     best_r, best_u = min(rays, key=lambda t: t[0])
-    res = optimize.minimize(_ray_objective(domain.contains, z, cap),
+    res = optimize.minimize(_ray_objective(domain, z, cap),
                             real_view(best_u), method="Nelder-Mead",
                             options={"xatol": 1e-10, "fatol": 1e-14,
                                      "maxiter": 800})
@@ -211,13 +213,17 @@ def scan_directional_distance(
 
     The slice D cap (z + C v) is a planar convex region containing 0; its
     boundary distance from 0 is the minimum over phases of the ray exit time.
+    Each exit time bisects ``domain.ray(z, u)`` (:meth:`Domain.ray`), so
+    on ``OmegaPsi``, whose ``ray`` tests membership on Python floats, a
+    probe makes no numpy call unless it lands within 1e-14 relative of the
+    cap sphere.
     """
     v = v / np.linalg.norm(v)
     cap = 4.0 * domain.bounding_radius + float(np.linalg.norm(z)) + 1.0
 
     def r_of(theta: float) -> float:
         u = np.exp(1j * theta) * v
-        return ray_exit(domain.contains, z, u, cap)
+        return ray_exit(domain.ray(z, u), cap)
 
     thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     values = [r_of(t) for t in thetas]
@@ -283,6 +289,29 @@ class Domain:
 
     def contains(self, z) -> bool:
         raise NotImplementedError
+
+    def ray(self, z: np.ndarray, u: np.ndarray) -> Callable[[float], bool]:
+        """The predicate ``inside(t)``: whether z + t*u lies in the domain.
+
+        ``z`` and ``u`` are complex arrays of the domain's dimension.  The
+        generic ray machinery (:func:`ray_exit` and its callers) bisects
+        this predicate, so a domain can set up each ray once instead of
+        building a numpy array per probe.  The default is
+        ``contains(z + t*u)``.
+
+        Only ``OmegaPsi`` overrides it: the models and the ellipsoid answer
+        directional queries in closed form, and Omega_psi is the domain
+        whose directional distances and contacts run through the ray
+        machinery in bulk.  Its ``ray`` converts z and u to Python complex
+        once and gives the same answer as ``contains`` on every t; its cap
+        test falls back to ``np.linalg.norm`` within 1e-14 relative of the
+        cap sphere, where a plain sum of squares could decide differently
+        (see ``OmegaPsi._inside``).  Domains that map a point before
+        testing it (``LocalizedDomain`` and the minimal-basis slices) keep
+        the default: mapping z and u apart rounds differently from mapping
+        z + t*u, so their exit times would move in the last bits.
+        """
+        return lambda t: self.contains(z + t * u)
 
     def boundary_distance(self, z) -> float:
         """Euclidean distance from an interior point to the boundary."""
@@ -385,7 +414,7 @@ class Domain:
         for _ in range(count):
             u = rng.standard_normal(2 * self.dim)
             u = complex_view(u / np.linalg.norm(u))
-            t = ray_exit(self.contains, base, u, cap)
+            t = ray_exit(self.ray(base, u), cap)
             out.append(base + t * u)
         return out
 
@@ -1182,10 +1211,38 @@ class OmegaPsi(Domain):
 
     def contains(self, z) -> bool:
         arr = as_carray(z)
-        if np.linalg.norm(arr) >= self.cap_radius:
+        if len(arr) != 2:
+            raise GeometryError("point dimension mismatch")
+        return self._inside(*arr.tolist())
+
+    def ray(self, z: np.ndarray, u: np.ndarray) -> Callable[[float], bool]:
+        """:meth:`Domain.ray` on Python floats: z and u are converted once,
+        and each probe runs :meth:`_inside`, the test ``contains`` runs."""
+        z1, z2 = z.tolist()
+        u1, u2 = u.tolist()
+        inside = self._inside
+        return lambda t: inside(z1 + t * u1, z2 + t * u2)
+
+    def _inside(self, z1: complex, z2: complex) -> bool:
+        """Membership of (z1, z2), the one formula ``contains`` and ``ray``
+        share.
+
+        The cap test must decide as ``np.linalg.norm(z) >= cap_radius``
+        does.  numpy sums r1² + r2² and i1² + i2² by BLAS dot products,
+        which may fuse multiply-adds (sqrt(fma(r2, r2, r1²) + fma(i2, i2,
+        i1²)) on x86-64), so a plain sum of squares can differ from it in
+        the last bit.  Both sums err by a few ulps, so the plain sum decides
+        when it is more than 1e-14 relative away from cap²; within that
+        band the test calls ``np.linalg.norm`` itself.
+        """
+        x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
+        sq = (x1 * x1 + x2 * x2) + (y1 * y1 + y2 * y2)
+        cap2 = self.cap_radius * self.cap_radius
+        if abs(sq - cap2) <= 1e-14 * cap2:
+            if np.linalg.norm(np.array([z1, z2])) >= self.cap_radius:
+                return False
+        elif sq >= cap2:
             return False
-        x1, y1 = arr[0].real, arr[0].imag
-        x2, y2 = arr[1].real, arr[1].imag
         return x2 > self._wall(x1, y1, y2)
 
     def _graph_distance(self, z: np.ndarray):

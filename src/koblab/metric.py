@@ -351,19 +351,27 @@ def distance_lower_bound(domain: Domain, x, y, tube: bool = True) -> float:
 
 
 def _certified_chain_upper(domain: Domain, a: np.ndarray, b: np.ndarray,
-                           depth: int = 48) -> float:
+                           ra: float, rb: float, depth: int = 48) -> float:
+    """Touching-disc upper for k(a, b) along the segment [a, b].
+
+    ``ra`` and ``rb`` are the fast inner radii of a and b.  A piece shorter
+    than half its larger end radius t costs artanh(|b - a| / t); a longer
+    one is halved, and each midpoint's radius is computed once and handed
+    to both halves.
+    """
     u = float(np.linalg.norm(b - a))
     if u == 0.0:
         return 0.0
-    t = max(domain.inner_radius_fast(a), domain.inner_radius_fast(b))
+    t = max(ra, rb)
     if u < 0.5 * t:
         return math.atanh(u / t)
     if depth == 0:
         raise GeometryError("certified upper bound did not converge; "
                             "endpoints too close to the boundary")
     mid = 0.5 * (a + b)
-    return (_certified_chain_upper(domain, a, mid, depth - 1)
-            + _certified_chain_upper(domain, mid, b, depth - 1))
+    rm = domain.inner_radius_fast(mid)
+    return (_certified_chain_upper(domain, a, mid, ra, rm, depth - 1)
+            + _certified_chain_upper(domain, mid, b, rm, rb, depth - 1))
 
 
 def distance_bracket(domain: Domain, x, y) -> MetricBracket:
@@ -378,7 +386,8 @@ def distance_bracket(domain: Domain, x, y) -> MetricBracket:
     if exact is not None:
         return MetricBracket(exact, exact)
     lower = distance_lower_bound(domain, x, y)
-    upper = _certified_chain_upper(domain, x, y)
+    upper = _certified_chain_upper(domain, x, y, domain.inner_radius_fast(x),
+                                   domain.inner_radius_fast(y))
     if lower > upper * (1.0 + 1e-12):
         # both sides are certified, so a real crossing means a broken domain
         raise GeometryError(f"bound crossing: lower {lower} > upper {upper}")

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from koblab.geometry import (
     AmbiguousProjectionError,
@@ -518,5 +520,99 @@ def test_domain_json_rejects_unknown():
 
 def test_ray_exit_bisection():
     dom = Disc()
-    t = ray_exit(dom.contains, np.array([0j]), np.array([1 + 0j]), hi_cap=8.0)
+    t = ray_exit(dom.ray(np.array([0j]), np.array([1 + 0j])), hi_cap=8.0)
     assert t == pytest.approx(1.0, rel=1e-9)
+    # a ray that never leaves returns the cap itself
+    up = HalfPlane().ray(np.array([1j]), np.array([1j]))
+    assert ray_exit(up, hi_cap=8.0) == 8.0
+    assert ray_exit(lambda t: t < 3.0, hi_cap=2.0) == 2.0
+
+
+PSI_PROFILES = [PsiSpec("exp_neg_c_over_x"),
+                PsiSpec("exp_neg_inv_log_pow", alpha=2.0)]
+PSI_IDS = [psi.form for psi in PSI_PROFILES]
+
+
+def omega_psi_contains_reference(dom, z):
+    """OmegaPsi membership as a numpy norm and the wall formula."""
+    z = np.asarray(z, dtype=complex)
+    if np.linalg.norm(z) >= dom.cap_radius:
+        return False
+    return z[1].real > dom._wall(z[0].real, z[0].imag, z[1].imag)
+
+
+def _ulps(t, k):
+    """t moved k representable doubles up (k < 0: down)."""
+    for _ in range(abs(k)):
+        t = math.nextafter(t, math.inf if k > 0 else -math.inf)
+    return t
+
+
+@pytest.mark.parametrize("psi", PSI_PROFILES, ids=PSI_IDS)
+@given(data=st.data())
+def test_omega_psi_ray_matches_contains(psi, data):
+    dom = OmegaPsi(psi)
+    x1 = data.draw(st.floats(-1.0, 1.0))
+    y1 = data.draw(st.floats(-2.6, 2.6))
+    y2 = data.draw(st.floats(-1.0, 1.0))
+    gap = data.draw(st.floats(1e-9, 2.0))
+    z = np.array([complex(x1, y1), complex(dom._wall(x1, y1, y2) + gap, y2)])
+    assume(np.linalg.norm(z) < dom.cap_radius)
+    w = np.array([data.draw(st.floats(-1.0, 1.0)) for _ in range(4)])
+    assume(np.linalg.norm(w) > 1e-3)
+    w = w / np.linalg.norm(w)
+    u = w[0::2] + 1j * w[1::2]
+
+    def reference(t):
+        return omega_psi_contains_reference(dom, z + t * u)
+
+    # the exit to the last bit, and the crossing of the cap sphere
+    lo, hi = 0.0, 2.0 * dom.cap_radius
+    while _ulps(lo, 1) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if reference(mid) else (lo, mid)
+    b = float(np.vdot(u, z).real)
+    t_cap = -b + math.sqrt(b * b + dom.cap_radius ** 2
+                           - float(np.linalg.norm(z)) ** 2)
+    base = data.draw(st.sampled_from(("free", "exit", "cap")))
+    if base == "free":
+        t = data.draw(st.floats(0.0, 2.0 * dom.cap_radius))
+    else:
+        t = _ulps(lo if base == "exit" else t_cap,
+                  data.draw(st.integers(-4, 4)))
+    inside = dom.ray(z, u)
+    assert inside(t) == dom.contains(z + t * u) == reference(t)
+    assert ray_exit(inside, 8.0) == ray_exit(reference, 8.0)
+
+
+# Points within an ulp of the cap sphere |z| = 3 where the plain sum of
+# squares and np.linalg.norm (whose BLAS dot products may fuse
+# multiply-adds) decided |z| >= 3 differently in a seeded search on an
+# x86-64 machine; all lie well inside the wall, so the cap alone decides
+# membership.
+CAP_TIES = [
+    ("-0x1.7674251a37afdp-3", "0x1.71531d02c615ap+0",
+     "0x1.4b346f753571bp+1", "-0x1.be3e920f409cap-2"),
+    ("0x1.453df6a832d00p-3", "-0x1.90734cc661c08p-3",
+     "0x1.7cb9d5e309014p+1", "0x1.321d31a4ad9e0p-2"),
+    ("0x1.1a9064a5e5d16p-2", "-0x1.010d1db227b34p-1",
+     "0x1.747c70cb0dd07p+1", "0x1.cdd8f7e7ebe92p-2"),
+    ("0x1.2dcd4412d8680p-3", "-0x1.1988865ac17d8p-3",
+     "0x1.7d79a8c228410p+1", "-0x1.1cc93edc20e06p-2"),
+    ("-0x1.f54f04595647ap-3", "-0x1.aa3f0bdaaaff8p-2",
+     "0x1.7911b503170bep+1", "0x1.311594a4a0a8ep-2"),
+    ("0x1.7982a2a129f4cp-4", "-0x1.ea0b2f4b29c49p-1",
+     "0x1.6baddec41bb92p+1", "0x1.af025baba9760p-5"),
+]
+
+
+@pytest.mark.parametrize("psi", PSI_PROFILES, ids=PSI_IDS)
+def test_omega_psi_cap_ties_follow_numpy_norm(psi):
+    dom = OmegaPsi(psi)
+    u = np.array([0.6, 0.8j])
+    for x1, y1, x2, y2 in CAP_TIES:
+        z = np.array([complex(float.fromhex(x1), float.fromhex(y1)),
+                      complex(float.fromhex(x2), float.fromhex(y2))])
+        expected = omega_psi_contains_reference(dom, z)
+        assert dom.contains(z) == expected
+        assert dom.ray(z, u)(0.0) == expected
