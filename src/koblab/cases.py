@@ -20,7 +20,6 @@ the report notes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,13 +27,11 @@ from .diagnostics import (ProbeReport, ProbeSample, _finest_half,
                           _linear_fit, _positive_grid, _power_fit,
                           goldilocks_probe, gromov_product,
                           log_estimate_residual, visibility_scan)
-from .geometry import (GeometryError, OmegaPsi, Polydisc, PsiSpec,
-                       _json_number)
+from .geometry import GeometryError, OmegaPsi, Polydisc
 from .metric import MetricBracket, disc_distance, distance_lower_bound
 from .solver import SolverConfig, bidisc_boundary_geodesic
 
 __all__ = [
-    "OmegaPsiParams",
     "omega_psi_upper_bound",
     "run_bidisc_case",
     "run_omega_psi_case",
@@ -44,66 +41,11 @@ _INCLUSION_SAMPLES = 256
 
 
 # ---------------------------------------------------------------------------
-# parameter record for the psi-profile family
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OmegaPsiParams:
-    """Parameters of the wedge domain built from a decay profile psi.
-
-    The regime flags encode the dichotomy the runner acts on: profiles
-    decaying strictly faster than exp(-pi/(2x)) kill visibility (the
-    ``non_visible`` flag, strict inequality c > pi/2), while the
-    log-power family is the slow-degeneration regime where the metric
-    blows up too fast for long shallow excursions (``goldilocks_regime``).
-    """
-
-    psi: PsiSpec
-    chi1: float = 1.0
-    chi2: float = 1.0
-    cap_radius: float = 3.0
-
-    def __post_init__(self):
-        self.domain()          # surface bad parameters with geometry's errors
-
-    @property
-    def non_visible(self) -> bool:
-        return self.psi.form == "exp_neg_c_over_x" and self.psi.c > math.pi / 2
-
-    @property
-    def goldilocks_regime(self) -> bool:
-        return self.psi.form == "exp_neg_inv_log_pow"
-
-    def domain(self) -> OmegaPsi:
-        return OmegaPsi(self.psi, chi1=self.chi1, chi2=self.chi2,
-                        cap_radius=self.cap_radius)
-
-    def eps_prime(self, epsilon: float) -> float:
-        """The half-width psi^{-1}(epsilon) of the depth-epsilon slice."""
-        return self.psi.inverse(float(epsilon))
-
-    def to_json(self) -> dict:
-        return {"psi": self.psi.to_json(), "chi1": self.chi1,
-                "chi2": self.chi2, "cap_radius": self.cap_radius}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "OmegaPsiParams":
-        if not isinstance(data, dict):
-            raise GeometryError("a params record must be a JSON object")
-        return cls(psi=PsiSpec.from_json(data.get("psi")),
-                   chi1=_json_number(data.get("chi1", 1.0), "chi1"),
-                   chi2=_json_number(data.get("chi2", 1.0), "chi2"),
-                   cap_radius=_json_number(data.get("cap_radius", 3.0),
-                                           "cap_radius"))
-
-
-# ---------------------------------------------------------------------------
 # certified analytic-disc upper bound
 # ---------------------------------------------------------------------------
 
 
-def omega_psi_upper_bound(params: OmegaPsiParams, epsilon: float) -> float:
+def omega_psi_upper_bound(dom: OmegaPsi, epsilon: float) -> float:
     """Certified upper bound for k((i, eps), (-i, eps)) via an analytic disc.
 
     With a = psi^{-1}(eps), the vertical strip {|Re| < a} maps onto the
@@ -123,15 +65,14 @@ def omega_psi_upper_bound(params: OmegaPsiParams, epsilon: float) -> float:
     epsilon = float(epsilon)
     if not epsilon > 0.0:
         raise GeometryError("epsilon must be positive")
-    dom = params.domain()
-    a = params.eps_prime(epsilon)
+    a = dom.psi.inverse(epsilon)       # the slice half-width psi^{-1}(eps)
     if not 0.0 < a <= 2.0:
         raise GeometryError(
             "the slice rectangle leaves the chart: psi^{-1}(eps) = "
             f"{a:.6g} > 2")
     # the rectangle (hence the disc image) must stay inside the cap sheet
     reach = math.sqrt(a * a + 4.0 + epsilon * epsilon)
-    if reach >= params.cap_radius:
+    if reach >= dom.cap_radius:
         raise GeometryError(
             "the slice rectangle leaves the bounded chart region")
 
@@ -142,8 +83,8 @@ def omega_psi_upper_bound(params: OmegaPsiParams, epsilon: float) -> float:
         raise GeometryError(
             "epsilon too large: the renormalized disc misses the points")
     attained = 2.0 * math.atanh(t / r)
-    if params.psi.form == "exp_neg_c_over_x":
-        bound = math.log(2.0) + (math.pi / (2.0 * params.psi.c)) \
+    if dom.psi.form == "exp_neg_c_over_x":
+        bound = math.log(2.0) + (math.pi / (2.0 * dom.psi.c)) \
             * math.log(1.0 / epsilon)
     else:
         bound = math.log(2.0) + math.pi / (2.0 * a)
@@ -252,40 +193,46 @@ def _check_chart_depth(dom: OmegaPsi, eps_grid) -> None:
                 f"{depth:.6g}")
 
 
-def run_omega_psi_case(params: OmegaPsiParams, eps_grid, seed: int = 0,
+def _fast_decay(dom: OmegaPsi) -> bool:
+    """Whether psi = exp(-c/x) with c > pi/2, strictly: the regime where
+    the certified product lower bounds grow without bound."""
+    return dom.psi.form == "exp_neg_c_over_x" and dom.psi.c > math.pi / 2
+
+
+def run_omega_psi_case(dom: OmegaPsi, eps_grid, seed: int = 0,
                        config: SolverConfig | None = None) -> ProbeReport:
     """Dichotomy runner for the psi-profile domains.
 
-    Fast-decay regime (``non_visible``): for each eps the product
-    (p_eps|q_eps)_o with p_eps = (i, eps), q_eps = (-i, eps), o = (0, 1)
-    is certified from below by
-    1/2 [k(p, o) + k(q, o)] - 1/2 upper(p, q), with the pair upper from
-    the analytic-disc construction; a growing sequence of lower bounds is
-    divergence evidence no sampling can retract.  Grid points whose disc
-    construction fails its inclusion check are reported as skipped, never
-    guessed.
+    The regime comes from ``dom.psi``.  Its threshold: psi = exp(-c/x)
+    with c > pi/2, strictly, decays faster than exp(-pi/(2x)), and that
+    kills visibility.  In this fast-decay regime, for each eps
+    the product (p_eps|q_eps)_o with p_eps = (i, eps), q_eps = (-i, eps),
+    o = (0, 1) is certified from below by 1/2 [k(p, o) + k(q, o)] - 1/2
+    upper(p, q), with the pair upper from the analytic-disc construction;
+    a growing sequence of lower bounds is divergence evidence no sampling
+    can retract.  Grid points whose disc construction fails its inclusion
+    check are reported as skipped, never guessed.
 
     Otherwise the runner combines the degeneration-rate probe with a
     geodesic scan along eps -> ((i, eps), (-i, eps)) and reports their
     joint consistency with visibility.
     """
     eps_grid = _positive_grid(eps_grid, "eps")
-    dom = params.domain()
     base = np.array([0.0, 1.0], dtype=complex)
     if not dom.contains(base):
         raise GeometryError("the report base point (0, 1) left the domain")
     _check_chart_depth(dom, eps_grid)
 
-    if params.non_visible:
-        return _run_divergence_case(params, dom, base, eps_grid)
+    if _fast_decay(dom):
+        return _run_divergence_case(dom, base, eps_grid)
     return _run_scan_case(dom, eps_grid, seed, config)
 
 
-def _run_divergence_case(params: OmegaPsiParams, dom: OmegaPsi,
-                         base: np.ndarray, eps_grid) -> ProbeReport:
+def _run_divergence_case(dom: OmegaPsi, base: np.ndarray,
+                         eps_grid) -> ProbeReport:
     def evaluate(eps: float):
         try:
-            pair_upper = omega_psi_upper_bound(params, eps)
+            pair_upper = omega_psi_upper_bound(dom, eps)
         except GeometryError as exc:
             return eps, str(exc)
         p = np.array([1j, eps], dtype=complex)

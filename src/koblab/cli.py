@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cases import OmegaPsiParams, run_bidisc_case, run_omega_psi_case
+from .cases import run_bidisc_case, run_omega_psi_case
 from .diagnostics import (REPORT_SCHEMA, _g17, balls_inequality_check,
                           goldilocks_probe, gromov_product, growth_fit,
                           k_point_probe, localization_check,
@@ -130,18 +130,26 @@ def _solver(cfg: dict) -> SolverConfig | None:
     return SolverConfig.from_json(cfg["solver"])
 
 
-def _psi_params(cfg: dict) -> OmegaPsiParams:
+def _psi_domain(cfg: dict):
+    """The case study's Omega_psi, from a ``params`` record or from the flat
+    keys psi, psi_form, c, alpha, chi1, chi2 and cap_radius."""
     if "params" in cfg:
-        return OmegaPsiParams.from_json(cfg["params"])
-    psi = dict(cfg.get("psi", {}))
-    psi.setdefault("form", cfg.get("psi_form", "exp_neg_c_over_x"))
-    for key in ("c", "alpha"):
-        if key in cfg:
-            psi.setdefault(key, cfg[key])
-    return OmegaPsiParams.from_json(
-        {"psi": psi, "chi1": cfg.get("chi1", 1.0),
-         "chi2": cfg.get("chi2", 1.0),
-         "cap_radius": cfg.get("cap_radius", 3.0)})
+        record = cfg["params"]
+        if not isinstance(record, dict):
+            raise UsageError("'params' must be a JSON object")
+    else:
+        psi = cfg.get("psi", {})
+        if not isinstance(psi, dict):
+            raise UsageError("'psi' must be a JSON object")
+        psi = dict(psi)
+        psi.setdefault("form", cfg.get("psi_form", "exp_neg_c_over_x"))
+        for key in ("c", "alpha"):
+            if key in cfg:
+                psi.setdefault(key, cfg[key])
+        record = {key: cfg[key] for key in ("chi1", "chi2", "cap_radius")
+                  if key in cfg}
+        record["psi"] = psi
+    return domain_from_json({**record, "kind": "omega_psi"})
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +314,11 @@ def _cmd_case_bidisc(args, cfg):
           _REPORT_CSV, svg=True, grid="eps",
           scalars=(("psi_form", str), ("c", float), ("alpha", float)))
 def _cmd_case_omega_psi(args, cfg):
-    params = _psi_params(cfg)
-    rep = run_omega_psi_case(params, _grid(cfg, "eps", [1e-1, 1e-2, 1e-3]),
+    dom = _psi_domain(cfg)
+    rep = run_omega_psi_case(dom, _grid(cfg, "eps", [1e-1, 1e-2, 1e-3]),
                              seed=args.seed, config=_solver(cfg))
-    return {"report": rep, "payload": {"params": params.to_json()}}
+    params = {k: v for k, v in dom.to_json().items() if k != "kind"}
+    return {"report": rep, "payload": {"params": params}}
 
 
 @_command("balls-check", "minimal-basis box bound for a certified metric ball",

@@ -320,12 +320,7 @@ class Domain:
     def directional_distance(self, z, v) -> float:
         """Radius of the largest complex disc through z in direction v/|v|."""
         z = self._interior(z)
-        v = as_carray(v)
-        if np.linalg.norm(v) == 0:
-            raise GeometryError("zero direction")
-        if len(v) != self.dim:
-            raise GeometryError("direction dimension mismatch")
-        return scan_directional_distance(self, z, v)
+        return scan_directional_distance(self, z, self._direction(v))
 
     def inner_radius_fast(self, z) -> float:
         """A cheap certified lower bound for boundary_distance (may be exact)."""
@@ -398,13 +393,52 @@ class Domain:
         raise NotImplementedError
 
     def minimal_basis(self, z) -> MinimalBasisResult:
-        return _generic_minimal_basis(self, z)
+        """The iterated minimal basis at interior z.
+
+        Stage k takes the nearest boundary contact of the slice
+        { z + cols @ w } (``cols`` an orthonormal basis of the complement
+        of the first k directions, the identity at k = 0) from
+        :meth:`_slice_contact`, records e_k = (contact - z) / tau_k, and
+        cuts e_k out of ``cols``.  This loop is the only one; domains
+        differ only in how they find a slice's contact.
+        """
+        z = self._interior(z)
+        n = self.dim
+        basis = np.zeros((n, n), dtype=complex)
+        contacts = np.zeros((n, n), dtype=complex)
+        taus = np.zeros(n)
+        cols = np.eye(n, dtype=complex)
+        for k in range(n):
+            contact, tau = self._slice_contact(z, cols, k)
+            taus[k] = tau
+            basis[k] = (contact - z) / tau
+            contacts[k] = contact
+            if k < n - 1:
+                cols = cols @ _null_basis(cols.conj().T @ basis[k])
+        return MinimalBasisResult(basis=basis, taus=taus, contacts=contacts)
+
+    def _slice_contact(self, z: np.ndarray, cols: np.ndarray, k: int):
+        """``(contact, tau)``: the nearest boundary point of the slice
+        { z + cols @ w } at stage k of :meth:`minimal_basis`, and its
+        distance from z.
+
+        Here: the nearest boundary point of the domain at k = 0, and after
+        that the sampled contact of the slice as a domain of its own
+        (``_SliceDomain``), which carries self-checks rather than a
+        closed-form guarantee.
+        """
+        if k == 0:
+            contact = self.nearest_boundary_point(z)
+            return contact, float(np.linalg.norm(contact - z))
+        sub = _SliceDomain(self, z, cols)
+        w = sub.nearest_boundary_point(np.zeros(cols.shape[1], dtype=complex))
+        return z + cols @ w, float(np.linalg.norm(w))
 
     # -- metadata ------------------------------------------------------------
 
     @property
     def base_point(self) -> np.ndarray:
-        raise NotImplementedError
+        return np.zeros(self.dim, dtype=complex)
 
     def boundary_anchor_points(self, count: int, rng: np.random.Generator) -> list:
         """Boundary points used to seed near-boundary sampling probes."""
@@ -437,6 +471,17 @@ class Domain:
         arr = as_carray(b)
         if len(arr) != self.dim:
             raise GeometryError("point dimension mismatch")
+        return arr
+
+    def _direction(self, v) -> np.ndarray:
+        """``v`` as a complex array, checked for every
+        ``directional_distance``: the domain's dimension and a finite
+        nonzero norm, so no override divides by zero or broadcasts."""
+        arr = as_carray(v)
+        if len(arr) != self.dim:
+            raise GeometryError("direction dimension mismatch")
+        if not 0.0 < np.linalg.norm(arr) < math.inf:
+            raise GeometryError("direction needs a finite nonzero norm")
         return arr
 
 
@@ -576,7 +621,7 @@ class Disc(Domain):
 
     def directional_distance(self, z, v) -> float:
         z = self._interior(z)
-        as_carray(v)
+        self._direction(v)
         return 1.0 - abs(z[0])
 
     def nearest_boundary_point(self, z) -> np.ndarray:
@@ -589,18 +634,8 @@ class Disc(Domain):
         b = self._boundary(b)
         return b / abs(b[0])
 
-    def minimal_basis(self, z) -> MinimalBasisResult:
-        z = self._interior(z)
-        contact = self.nearest_boundary_point(z)
-        tau = 1.0 - abs(z[0])
-        e = (contact - z) / tau
-        return MinimalBasisResult(
-            basis=e.reshape(1, 1), taus=np.array([tau]), contacts=contact.reshape(1, 1)
-        )
-
-    @property
-    def base_point(self) -> np.ndarray:
-        return np.array([0j])
+    def _slice_contact(self, z, cols, k):
+        return self.nearest_boundary_point(z), 1.0 - abs(z[0])
 
     def to_json(self) -> dict:
         return {"kind": "disc"}
@@ -642,7 +677,7 @@ class HalfPlane(Domain):
 
     def directional_distance(self, z, v) -> float:
         z = self._interior(z)
-        as_carray(v)
+        self._direction(v)
         return z[0].imag
 
     def nearest_boundary_point(self, z) -> np.ndarray:
@@ -653,14 +688,8 @@ class HalfPlane(Domain):
         self._boundary(b)
         return np.array([-1j])
 
-    def minimal_basis(self, z) -> MinimalBasisResult:
-        z = self._interior(z)
-        tau = z[0].imag
-        return MinimalBasisResult(
-            basis=np.array([[-1j]]),
-            taus=np.array([tau]),
-            contacts=np.array([[complex(z[0].real, 0.0)]]),
-        )
+    def _slice_contact(self, z, cols, k):
+        return self.nearest_boundary_point(z), z[0].imag
 
     def boundary_anchor_points(self, count: int, rng: np.random.Generator) -> list:
         return [np.array([complex(x, 0.0)]) for x in rng.uniform(-3.0, 3.0, count)]
@@ -725,7 +754,7 @@ class Polydisc(Domain):
 
     def directional_distance(self, z, v) -> float:
         z = self._interior(z)
-        v = as_carray(v)
+        v = self._direction(v)
         v = v / np.linalg.norm(v)
         gaps = 1.0 - np.abs(z)
         t = math.inf
@@ -757,25 +786,16 @@ class Polydisc(Domain):
         nu[j] = b[j] / abs(b[j])
         return nu
 
-    def minimal_basis(self, z) -> MinimalBasisResult:
-        z = self._interior(z)
+    def _slice_contact(self, z, cols, k):
+        # the slice is the sub-polydisc of the coordinates cols still moves
+        # (their rows of cols are unit, the others zero); its nearest face,
+        # ties toward the lexicographically smallest contact
         gaps = 1.0 - np.abs(z)
-        # order the faces by gap; break ties toward the lexicographically
-        # smallest contact point
-        order = sorted(range(self.dim), key=lambda j: (gaps[j], _lex_key(self._face_contact(z, j))))
-        basis = np.zeros((self.dim, self.dim), dtype=complex)
-        contacts = np.zeros((self.dim, self.dim), dtype=complex)
-        taus = np.zeros(self.dim)
-        for k, j in enumerate(order):
-            contact = self._face_contact(z, j)
-            basis[k, j] = (contact[j] - z[j]) / gaps[j]
-            taus[k] = gaps[j]
-            contacts[k] = contact
-        return MinimalBasisResult(basis=basis, taus=taus, contacts=contacts)
-
-    @property
-    def base_point(self) -> np.ndarray:
-        return np.zeros(self.dim, dtype=complex)
+        free = np.flatnonzero(np.linalg.norm(cols, axis=1) > 0.5)
+        ties = free[gaps[free] == gaps[free].min()]
+        if len(ties) > 1:
+            ties = sorted(ties, key=lambda j: _lex_key(self._face_contact(z, j)))
+        return self._face_contact(z, ties[0]), gaps[ties[0]]
 
     def to_json(self) -> dict:
         return {"kind": "polydisc", "n": self.dim}
@@ -828,7 +848,7 @@ class Ball(Domain):
 
     def directional_distance(self, z, v) -> float:
         z = self._interior(z)
-        v = as_carray(v)
+        v = self._direction(v)
         v = v / np.linalg.norm(v)
         zv = abs(np.vdot(v, z))  # |<z, v>|
         nz2 = float(np.vdot(z, z).real)
@@ -847,34 +867,14 @@ class Ball(Domain):
         b = self._boundary(b)
         return b / np.linalg.norm(b)
 
-    def minimal_basis(self, z) -> MinimalBasisResult:
-        z = self._interior(z)
-        n = self.dim
-        basis = np.zeros((n, n), dtype=complex)
-        contacts = np.zeros((n, n), dtype=complex)
-        taus = np.zeros(n)
-        contact = self.nearest_boundary_point(z)
-        taus[0] = 1.0 - float(np.linalg.norm(z))
-        basis[0] = (contact - z) / taus[0]
-        contacts[0] = contact
-        cols = _null_basis(basis[0])
+    def _slice_contact(self, z, cols, k):
+        if k == 0:
+            return self.nearest_boundary_point(z), 1.0 - float(np.linalg.norm(z))
         # every further slice is a ball centered at z inside the slice, so the
         # contact circle is a full sphere: all remaining taus coincide and the
         # contact is pinned by the lexicographic tie-break.
-        tau_rest = math.sqrt(max(0.0, 1.0 - float(np.vdot(z, z).real)))
-        for k in range(1, n):
-            contact = _lex_smallest_on_sphere(z, cols, tau_rest)
-            basis[k] = (contact - z) / tau_rest
-            contacts[k] = contact
-            taus[k] = tau_rest
-            if k < n - 1:
-                sub = _null_basis(cols.conj().T @ basis[k])
-                cols = cols @ sub
-        return MinimalBasisResult(basis=basis, taus=taus, contacts=contacts)
-
-    @property
-    def base_point(self) -> np.ndarray:
-        return np.zeros(self.dim, dtype=complex)
+        tau = math.sqrt(max(0.0, 1.0 - float(np.vdot(z, z).real)))
+        return _lex_smallest_on_sphere(z, cols, tau), tau
 
     def to_json(self) -> dict:
         return {"kind": "ball", "n": self.dim}
@@ -974,7 +974,7 @@ class Ellipsoid(Domain):
 
     def directional_distance(self, z, v) -> float:
         z = self._interior(z)
-        v = as_carray(v)
+        v = self._direction(v)
         v = v / np.linalg.norm(v)
         a2 = self.axes**2
         A = float(np.sum(np.abs(z) ** 2 / a2))
@@ -993,46 +993,24 @@ class Ellipsoid(Domain):
         nu = b / self.axes**2
         return nu / np.linalg.norm(nu)
 
-    def minimal_basis(self, z) -> MinimalBasisResult:
-        z = self._interior(z)
-        n = self.dim
-        basis = np.zeros((n, n), dtype=complex)
-        contacts = np.zeros((n, n), dtype=complex)
-        taus = np.zeros(n)
-        # stage 0 in ambient coordinates
-        contact = self.nearest_boundary_point(z)
-        taus[0] = float(np.linalg.norm(contact - z))
-        basis[0] = (contact - z) / taus[0]
-        contacts[0] = contact
-        cols = _null_basis(basis[0])
+    def _slice_contact(self, z, cols, k):
+        if k == 0:
+            return super()._slice_contact(z, cols, k)
+        # slice { z + cols @ w } of the ellipsoid is the Hermitian quadric
+        #   (w - w0)^* H (w - w0) < r2,  H = cols^* Lam cols,  zeta = cols^* Lam z
         lam = 1.0 / self.axes**2
-        for k in range(1, n):
-            # slice { z + cols @ w } of the ellipsoid is the Hermitian quadric
-            #   (w - w0)^* H (w - w0) < r2,  H = cols^* Lam cols,  zeta = cols^* Lam z
-            H = cols.conj().T @ (lam[:, None] * cols)
-            zeta = cols.conj().T @ (lam * z)
-            const = float(np.sum(np.abs(z) ** 2 * lam))
-            w0 = -np.linalg.solve(H, zeta)
-            r2 = 1.0 - const + float(np.real(np.conj(w0) @ (H @ w0)))
-            # diagonalize: v = evecs^* (w - w0) gives a paired real ellipsoid
-            evals, evecs = np.linalg.eigh(H)
-            semi = np.sqrt(r2 / evals)
-            vq = -(evecs.conj().T @ w0)  # the slice origin w = 0 in v-coordinates
-            p_real, _ = _project_interior_to_ellipsoid(real_view(vq), _paired_axes(semi))
-            w_contact = w0 + evecs @ complex_view(p_real)
-            contact = z + cols @ w_contact
-            tau = float(np.linalg.norm(contact - z))
-            taus[k] = tau
-            basis[k] = (contact - z) / tau
-            contacts[k] = contact
-            if k < n - 1:
-                sub = _null_basis(cols.conj().T @ basis[k])
-                cols = cols @ sub
-        return MinimalBasisResult(basis=basis, taus=taus, contacts=contacts)
-
-    @property
-    def base_point(self) -> np.ndarray:
-        return np.zeros(self.dim, dtype=complex)
+        H = cols.conj().T @ (lam[:, None] * cols)
+        zeta = cols.conj().T @ (lam * z)
+        const = float(np.sum(np.abs(z) ** 2 * lam))
+        w0 = -np.linalg.solve(H, zeta)
+        r2 = 1.0 - const + float(np.real(np.conj(w0) @ (H @ w0)))
+        # diagonalize: v = evecs^* (w - w0) gives a paired real ellipsoid
+        evals, evecs = np.linalg.eigh(H)
+        semi = np.sqrt(r2 / evals)
+        vq = -(evecs.conj().T @ w0)  # the slice origin w = 0 in v-coordinates
+        p_real, _ = _project_interior_to_ellipsoid(real_view(vq), _paired_axes(semi))
+        contact = z + cols @ (w0 + evecs @ complex_view(p_real))
+        return contact, float(np.linalg.norm(contact - z))
 
     def to_json(self) -> dict:
         return {"kind": "ellipsoid", "axes": [float(a) for a in self.axes]}
@@ -1398,7 +1376,7 @@ class LocalizedDomain(Domain):
 
     def directional_distance(self, z, v) -> float:
         z = self._interior(z)
-        v = as_carray(v)
+        v = self._direction(v)
         v = v / np.linalg.norm(v)
         w = z - self.center
         wv = abs(np.vdot(v, w))
@@ -1439,7 +1417,7 @@ class LocalizedDomain(Domain):
 
 
 # ---------------------------------------------------------------------------
-# generic minimal basis via slicing
+# minimal-basis slices
 # ---------------------------------------------------------------------------
 
 
@@ -1461,31 +1439,6 @@ class _SliceDomain(Domain):
         w = as_carray(w)
         best_r, best_u = _sampled_contact(self, w, 64 if self.dim == 1 else 128)
         return w + best_r * best_u
-
-
-def _generic_minimal_basis(domain: Domain, z) -> MinimalBasisResult:
-    z = domain._interior(z)
-    n = domain.dim
-    basis = np.zeros((n, n), dtype=complex)
-    contacts = np.zeros((n, n), dtype=complex)
-    taus = np.zeros(n)
-    cols = np.eye(n, dtype=complex)
-    for k in range(n):
-        if k == 0:
-            contact = domain.nearest_boundary_point(z)
-            tau = float(np.linalg.norm(contact - z))
-        else:
-            sub = _SliceDomain(domain, z, cols)
-            w = sub.nearest_boundary_point(np.zeros(cols.shape[1], dtype=complex))
-            tau = float(np.linalg.norm(w))
-            contact = z + cols @ w
-        taus[k] = tau
-        basis[k] = (contact - z) / tau
-        contacts[k] = contact
-        if k < n - 1:
-            sub_dirs = _null_basis(cols.conj().T @ basis[k])
-            cols = cols @ sub_dirs
-    return MinimalBasisResult(basis=basis, taus=taus, contacts=contacts)
 
 
 # ---------------------------------------------------------------------------

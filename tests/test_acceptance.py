@@ -16,12 +16,12 @@ import math
 import numpy as np
 
 from koblab import cli
-from koblab.cases import (OmegaPsiParams, omega_psi_upper_bound,
-                          run_bidisc_case, run_omega_psi_case)
+from koblab.cases import (omega_psi_upper_bound, run_bidisc_case,
+                          run_omega_psi_case)
 from koblab.diagnostics import (balls_inequality_check, k_point_probe,
                                 localization_check)
-from koblab.geometry import (Ball, Disc, Ellipsoid, HalfPlane, Polydisc,
-                             PsiSpec)
+from koblab.geometry import (Ball, Disc, Ellipsoid, HalfPlane, OmegaPsi,
+                             Polydisc, PsiSpec)
 from koblab.metric import (ball_distance, disc_distance, distance_bracket,
                            halfplane_hole_distance, polydisc_distance)
 from koblab.solver import SolverConfig, solve_geodesic
@@ -94,7 +94,7 @@ def test_criterion_03_bidisc_twin_geodesics():
 
 
 def test_criterion_04_segment_profile_bound_and_product_growth():
-    params = OmegaPsiParams(psi=PsiSpec(form="exp_neg_c_over_x", c=math.pi))
+    params = OmegaPsi(PsiSpec(form="exp_neg_c_over_x", c=math.pi))
     # certified analytic-disc upper at eps=1e-3, inclusion checked at 256
     # boundary samples inside the call (it raises on any violation)
     bound = omega_psi_upper_bound(params, 1e-3)

@@ -6,40 +6,40 @@ import math
 import numpy as np
 import pytest
 
-from koblab.cases import (OmegaPsiParams, omega_psi_upper_bound,
+from koblab.cases import (_fast_decay, omega_psi_upper_bound,
                           run_bidisc_case, run_omega_psi_case)
-from koblab.geometry import GeometryError, PsiSpec
+from koblab.geometry import GeometryError, OmegaPsi, PsiSpec, domain_from_json
 from koblab.svg import render_report_svg
 
 
 def pi_profile(c=math.pi, **kw):
-    return OmegaPsiParams(PsiSpec("exp_neg_c_over_x", c=c), **kw)
+    return OmegaPsi(PsiSpec("exp_neg_c_over_x", c=c), **kw)
 
 
 def log_profile(alpha=2.0):
-    return OmegaPsiParams(PsiSpec("exp_neg_inv_log_pow", alpha=alpha))
+    return OmegaPsi(PsiSpec("exp_neg_inv_log_pow", alpha=alpha))
 
 
 # ---------------------------------------------------------------------------
-# parameter record
+# the domain record
 # ---------------------------------------------------------------------------
 
 
 def test_regime_flags():
-    assert pi_profile().non_visible
-    assert not pi_profile().goldilocks_regime
-    # the fast-decay flag needs strict inequality c > pi/2
-    assert not pi_profile(c=math.pi / 2).non_visible
-    assert pi_profile(c=math.pi / 2 + 1e-9).non_visible
-    assert log_profile().goldilocks_regime
-    assert not log_profile().non_visible
+    assert _fast_decay(pi_profile())
+    # the fast-decay regime needs strict inequality c > pi/2
+    assert not _fast_decay(pi_profile(c=math.pi / 2))
+    assert _fast_decay(pi_profile(c=math.pi / 2 + 1e-9))
+    assert not _fast_decay(log_profile())
 
 
 def test_params_json_round_trip():
-    params = pi_profile(chi1=2.0, chi2=0.5, cap_radius=4.0)
-    back = OmegaPsiParams.from_json(params.to_json())
-    assert back == params
-    assert back.domain().cap_radius == 4.0
+    dom = pi_profile(chi1=2.0, chi2=0.5, cap_radius=4.0)
+    back = domain_from_json(dom.to_json())
+    assert isinstance(back, OmegaPsi)
+    assert back.to_json() == dom.to_json()
+    assert (back.psi, back.chi1, back.chi2, back.cap_radius) == \
+        (dom.psi, 2.0, 0.5, 4.0)
 
 
 def test_params_reject_bad_chart():
@@ -50,7 +50,7 @@ def test_params_reject_bad_chart():
 def test_eps_prime_closed_form():
     params = pi_profile()
     for eps in (1e-1, 1e-2, 1e-3, 1e-6):
-        assert params.eps_prime(eps) == pytest.approx(
+        assert params.psi.inverse(eps) == pytest.approx(
             math.pi / math.log(1.0 / eps), rel=1e-12)
 
 
@@ -95,7 +95,7 @@ def test_upper_bound_cap_precondition():
     # a shrunken cap: at eps=0.15 the rectangle's corner reach ~2.60
     # exceeds cap_radius=2.5 while psi^{-1}(eps)=1.66 is still chart-legal
     params = pi_profile(cap_radius=2.5)
-    assert params.eps_prime(0.15) < 2.0
+    assert params.psi.inverse(0.15) < 2.0
     with pytest.raises(GeometryError):
         omega_psi_upper_bound(params, 0.15)
     # the same eps passes with the default cap

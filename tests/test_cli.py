@@ -366,6 +366,34 @@ def test_case_omega_psi_inline_profile(tmp_path):
         assert row["upper"] is None or row["lower"] <= row["upper"]
 
 
+def test_case_omega_psi_params_record_matches_flat_keys(tmp_path):
+    # one domain given as a params record and as flat keys: the same bytes,
+    # and the payload's params echo the record
+    record = {"psi": {"form": "exp_neg_c_over_x", "c": 2.5}, "chi1": 2.0,
+              "chi2": 0.5, "cap_radius": 4.0}
+    flat = {"c": 2.5, "chi1": 2.0, "chi2": 0.5, "cap_radius": 4.0}
+    docs = []
+    for name, cfg in (("record", {"params": record}), ("flat", flat)):
+        path = write_config(tmp_path, f"{name}.json",
+                            {**cfg, "eps": [1e-1, 1e-2]})
+        out = tmp_path / name
+        assert run_cli(["case-omega-psi", "--config", path, "--out", str(out),
+                        "--reproducible"]) == 0
+        docs.append((out / "case-omega-psi-run.json").read_bytes())
+    assert docs[0] == docs[1]
+    assert json.loads(docs[0])["params"] == record
+
+
+@pytest.mark.parametrize("cfg", [{"params": [1, 2]}, {"params": "exp"},
+                                 {"params": None}, {"psi": "exp"}])
+def test_case_omega_psi_rejects_non_object_records(tmp_path, capsys, cfg):
+    path = write_config(tmp_path, "bad.json", cfg)
+    assert run_cli(["case-omega-psi", "--config", path,
+                    "--out", str(tmp_path / "out"), "--reproducible"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("koblab: ") and "must be a JSON object" in err
+
+
 def test_balls_check_margin_positive(tmp_path):
     cfg = write_config(tmp_path, "ball.json", {"domain": {"kind": "ball",
                                                "n": 2}})

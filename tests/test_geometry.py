@@ -29,6 +29,7 @@ from koblab.geometry import (
     ray_exit,
     to_pairs,
 )
+from koblab.metric import metric_bracket
 
 
 def brute_directional(domain, z, v, n_theta=512):
@@ -195,6 +196,34 @@ def test_directional_distance_examples():
     t = Ball(2).directional_distance([0.5, 0.0], [0.0, 1.0])
     assert t == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-12)  # 0.8660254
     assert Polydisc(2).directional_distance([0.5, 0.0], [1.0, 0.0]) == pytest.approx(0.5)
+
+
+DIRECTION_CASES = [
+    (Disc(), [0.3]),
+    (HalfPlane(), [1j]),
+    (Polydisc(2), [0.1, 0.1]),
+    (Ball(2), [0.1, 0.1]),
+    (Ellipsoid([1.0, 2.0]), [0.0, 0.0]),
+    (OmegaPsi(PsiSpec("exp_neg_c_over_x", c=math.pi)), [0.0, 1.0]),
+    (LocalizedDomain(Ball(2), [0.0, 0.0], 0.5), [0.1, 0.0]),
+]
+
+
+@pytest.mark.parametrize("dom,z", DIRECTION_CASES,
+                         ids=[type(d).__name__ for d, _ in DIRECTION_CASES])
+def test_directional_distance_rejects_bad_directions(dom, z):
+    # a direction of the wrong length must not broadcast or be cut short,
+    # and a zero direction must not divide by zero, in every override and
+    # in the generic scan, nor in the metric bracket built on them
+    bad = [[1.0] * (dom.dim + 1), [0.0] * dom.dim]
+    if dom.dim > 1:
+        bad.append([1.0] * (dom.dim - 1))
+    for v in bad:
+        with pytest.raises(GeometryError):
+            dom.directional_distance(z, v)
+        with pytest.raises(GeometryError):
+            metric_bracket(dom, z, v)
+    assert dom.directional_distance(z, [1.0] + [0.0] * (dom.dim - 1)) > 0.0
 
 
 def test_directional_distance_against_brute_force():
@@ -448,6 +477,167 @@ def test_minimal_basis_generic_omega_psi():
     assert res.taus[1] >= res.taus[0] - 1e-9
     # first direction is the downward normal onto the segment
     assert np.allclose(res.basis[0], [0.0, -1.0], atol=1e-4)
+
+# float.hex of taus, basis and contacts (real and imaginary parts in turn,
+# row by row): recorded from the per-domain minimal-basis code that the one
+# Domain.minimal_basis loop replaced, so the loop must reproduce every bit,
+# signed zeros included.  The tied polydisc gaps and the degenerate
+# Ellipsoid([1, 1, 2]) slices exercise the tie-breaks.
+PIN_DOMAINS = {
+    "disc": Disc(), "polydisc2": Polydisc(2), "polydisc3": Polydisc(3),
+    "ball2": Ball(2), "ball3": Ball(3), "ellipsoid12": Ellipsoid([1, 2]),
+    "ellipsoid112": Ellipsoid([1, 1, 2]),
+    "omega_psi": OmegaPsi(PsiSpec("exp_neg_c_over_x", c=math.pi)),
+}
+MINIMAL_BASIS_PINS = [
+    ('disc', [(0.3+0.4j)],
+     '0x1.0000000000000p-1',
+     '0x1.3333333333333p-1 0x1.999999999999ap-1',
+     '0x1.3333333333333p-1 0x1.999999999999ap-1'),
+    ('disc', [-0.6j],
+     '0x1.999999999999ap-2',
+     '0x0.0p+0 -0x1.0000000000000p+0',
+     '-0x0.0p+0 -0x1.0000000000000p+0'),
+    ('disc', [0j],
+     '0x1.0000000000000p+0',
+     '-0x1.0000000000000p+0 0x0.0p+0',
+     '-0x1.0000000000000p+0 0x0.0p+0'),
+    ('polydisc2', [0.5, 0.5j],
+     '0x1.0000000000000p-1 0x1.0000000000000p-1',
+     '0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 '
+     '0x0.0p+0 0x0.0p+0 0x0.0p+0',
+     '0x1.0000000000000p-1 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 '
+     '0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p-1'),
+    ('polydisc2', [(0.2-0.3j), 0.6],
+     '0x1.999999999999ap-2 0x1.4765517d90f38p-1',
+     '0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x1.1c01aa03be898p-1 '
+     '-0x1.aa027f059dce2p-1 0x0.0p+0 0x0.0p+0',
+     '0x1.999999999999ap-3 -0x1.3333333333333p-2 0x1.0000000000000p+0 '
+     '0x0.0p+0 0x1.1c01aa03be897p-1 -0x1.aa027f059dce1p-1 '
+     '0x1.3333333333333p-1 0x0.0p+0'),
+    ('polydisc3', [0.3, -0.3, 0.3j],
+     '0x1.6666666666666p-1 0x1.6666666666666p-1 0x1.6666666666666p-1',
+     '0x0.0p+0 0x0.0p+0 -0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 '
+     '0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 '
+     '0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0',
+     '0x1.3333333333333p-2 0x0.0p+0 -0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 '
+     '0x1.3333333333333p-2 0x1.3333333333333p-2 0x0.0p+0 '
+     '-0x1.3333333333333p-2 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 '
+     '0x1.0000000000000p+0 0x0.0p+0 -0x1.3333333333333p-2 0x0.0p+0 0x0.0p+0 '
+     '0x1.3333333333333p-2'),
+    ('polydisc3', [0.1, 0.8j, -0.4],
+     '0x1.9999999999998p-3 0x1.3333333333333p-1 0x1.ccccccccccccdp-1',
+     '0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 '
+     '0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.0000000000000p+0 0x0.0p+0 '
+     '0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0',
+     '0x1.999999999999ap-4 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 '
+     '-0x1.999999999999ap-2 0x0.0p+0 0x1.999999999999ap-4 0x0.0p+0 0x0.0p+0 '
+     '0x1.999999999999ap-1 -0x1.0000000000000p+0 0x0.0p+0 '
+     '0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x1.999999999999ap-1 '
+     '-0x1.999999999999ap-2 0x0.0p+0'),
+    ('ball2', [0.5, 0],
+     '0x1.0000000000000p-1 0x1.bb67ae8584caap-1',
+     '0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 '
+     '-0x1.0000000000000p+0 0x0.0p+0',
+     '0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p-1 '
+     '0x0.0p+0 -0x1.bb67ae8584caap-1 0x0.0p+0'),
+    ('ball2', [(0.3+0.1j), (-0.2+0.4j)],
+     '0x1.cf21d160ef71ap-2 0x1.ac5eb3f7ab2f8p-1',
+     '0x1.186f174f88473p-1 0x1.75e9746a0b098p-3 -0x1.75e9746a0b098p-2 '
+     '0x1.75e9746a0b098p-1 -0x1.a20bd700c2c3cp-1 0x0.0p+0 '
+     '-0x1.4e6fdf33cf036p-4 0x1.24a1e34d5522bp-1',
+     '0x1.186f174f88472p-1 0x1.75e9746a0b098p-3 -0x1.75e9746a0b098p-2 '
+     '0x1.75e9746a0b098p-1 -0x1.88533e7dbd011p-2 0x1.999999999999ap-4 '
+     '-0x1.12c0a4f818055p-2 0x1.c1a2416454126p-1'),
+    ('ball3', [0.5, 0, 0],
+     '0x1.0000000000000p-1 0x1.bb67ae8584caap-1 0x1.bb67ae8584caap-1',
+     '0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 '
+     '0x0.0p+0 0x0.0p+0 -0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 '
+     '0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.0000000000000p+0 0x0.0p+0',
+     '0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 '
+     '0x1.0000000000000p-1 0x0.0p+0 -0x1.bb67ae8584caap-1 0x0.0p+0 0x0.0p+0 '
+     '0x0.0p+0 0x1.0000000000000p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 '
+     '-0x1.bb67ae8584caap-1 0x0.0p+0'),
+    ('ball3', [(0.1+0.2j), -0.3, 0.4j],
+     '0x1.cf21d160ef71ap-2 0x1.ac5eb3f7ab2f8p-1 0x1.ac5eb3f7ab2f8p-1',
+     '0x1.75e9746a0b098p-3 0x1.75e9746a0b098p-2 -0x1.186f174f88473p-1 '
+     '0x0.0p+0 0x0.0p+0 0x1.75e9746a0b098p-1 -0x1.d363d1848dcbfp-1 '
+     '0x1.31fa808c55b43p-55 -0x1.c0b1bee5a6d70p-4 0x1.c0b1bee5a6d7dp-3 '
+     '0x1.2b2129ee6f3aep-2 0x1.2b2129ee6f3adp-3 -0x1.9198c8b8307c8p-52 '
+     '-0x1.31fa808c55b43p-52 -0x1.9999999999998p-1 0x0.0p+0 '
+     '0x1.7fa3ff18016c7p-54 -0x1.3333333333331p-1',
+     '0x1.75e9746a0b098p-3 0x1.75e9746a0b098p-2 -0x1.186f174f88472p-1 '
+     '0x0.0p+0 0x0.0p+0 0x1.75e9746a0b098p-1 -0x1.53d8b18e8f57fp-1 '
+     '0x1.999999999999bp-3 -0x1.910d182e809c0p-2 0x1.776793ed35a3fp-3 '
+     '0x1.f48a1a919cdb2p-3 0x1.0b5e101f00683p-1 0x1.9999999999985p-4 '
+     '0x1.9999999999992p-3 -0x1.f04bc32c88f2cp-1 0x0.0p+0 '
+     '0x1.40fa0d33502a4p-54 -0x1.a1c6930b35b00p-4'),
+    ('ellipsoid12', [(0.3+0.1j), (0.5-0.4j)],
+     '0x1.3da33520d11fbp-1 0x1.632d4c7f06aecp+0',
+     '0x1.db9ab004038e3p-1 0x1.3d11caad57b43p-2 0x1.44c57567bffe3p-3 '
+     '-0x1.03d12ab96664ep-3 -0x1.8a912c73a9a1ap-3 -0x1.070b72f7c66bdp-4 '
+     '0x1.877941ccaaca1p-1 -0x1.392dce3d556e7p-1',
+     '0x1.c0a87aad1e39cp-1 0x1.2b1afc73697bep-2 0x1.325ef1f037a2fp-1 '
+     '-0x1.ea318319f29e5p-2 0x1.0be5115941490p-5 0x1.65316c7701b68p-7 '
+     '0x1.8f9135c4d05c6p+0 -0x1.3fa75e370d16bp+0'),
+    ('ellipsoid12', [0, 0.5],
+     '0x1.ea33e2c83c140p-1 0x1.74f4ab7c877ddp+0',
+     '-0x1.f82ec882c0f9ap-1 0x0.0p+0 0x1.6482d37a5a3d0p-3 0x0.0p+0 '
+     '0x1.6482d37a5a3d0p-3 0x0.0p+0 0x1.f82ec882c0f9bp-1 0x0.0p+0',
+     '-0x1.e2b7dddfefa66p-1 0x0.0p+0 0x1.5555555555555p-1 0x0.0p+0 '
+     '0x1.03b16b6815880p-2 0x0.0p+0 0x1.ef42ecd8cf3ddp+0 0x0.0p+0'),
+    ('ellipsoid112', [0.2, 0.1j, 0.5],
+     '0x1.7953451c08c89p-1 0x1.df7bff22627e2p-1 0x1.7e90ae9d88de6p+0',
+     '0x1.c40444e4d6f66p-1 0x0.0p+0 0x0.0p+0 0x1.c40444e4d6f66p-2 '
+     '0x1.4883fd39f871dp-3 0x0.0p+0 0x1.b365c7eca1f04p-2 0x0.0p+0 0x0.0p+0 '
+     '-0x1.cae2320d276d9p-1 0x1.02859e7d16afdp-3 0x0.0p+0 '
+     '-0x1.988d42c47141dp-3 0x1.598dbf3f007b9p-58 0x1.598dbf3f007b7p-57 '
+     '0x1.623593112c060p-5 0x1.f53862ab4a519p-1 -0x1.00f5cc0abf17ap-110',
+     '0x1.b3850ed5650d6p-1 0x0.0p+0 0x0.0p+0 0x1.b3850ed5650d6p-2 '
+     '0x1.3c86a76ca0b42p-1 0x0.0p+0 0x1.3245fba0521e3p-1 0x0.0p+0 0x0.0p+0 '
+     '-0x1.7a8a8ca19a920p-1 0x1.3c86a76ca0b42p-1 0x0.0p+0 '
+     '-0x1.91e02c5104af8p-4 0x1.023267674969ap-57 0x1.0232676749699p-56 '
+     '0x1.5121d518fbaf8p-3 0x1.f682b469edeefp+0 -0x1.8000000000000p-110'),
+    ('ellipsoid112', [0, 0, 0],
+     '0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+1',
+     '-0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 '
+     '0x0.0p+0 0x0.0p+0 -0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 '
+     '0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.0000000000000p+0 0x0.0p+0',
+     '-0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 '
+     '0x0.0p+0 0x0.0p+0 -0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 '
+     '0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.0000000000000p+1 0x0.0p+0'),
+    ('omega_psi', [1j, 0.05],
+     '0x1.999999999999ap-5 0x1.0c76e86d7641ap+0',
+     '0x0.0p+0 0x0.0p+0 -0x1.0000000000000p+0 0x0.0p+0 0x1.fffffffddd354p-1 '
+     '0x1.76232cbf6c547p-16 0x0.0p+0 0x0.0p+0',
+     '0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x1.0c76e86c578c8p+0 '
+     '0x1.0001885a9abeep+0 0x1.999999999999ap-5 0x0.0p+0'),
+]
+
+
+def _hex_words(arr) -> str:
+    arr = np.asarray(arr).ravel()
+    if np.iscomplexobj(arr):
+        arr = np.column_stack([arr.real, arr.imag]).ravel()
+    return " ".join(float(x).hex() for x in arr)
+
+
+@pytest.mark.parametrize("name,z,taus,basis,contacts", MINIMAL_BASIS_PINS)
+def test_minimal_basis_pinned_bit_for_bit(name, z, taus, basis, contacts):
+    res = PIN_DOMAINS[name].minimal_basis(np.array(z, dtype=complex))
+    assert _hex_words(res.taus) == taus
+    assert _hex_words(res.basis) == basis
+    assert _hex_words(res.contacts) == contacts
+
+
+@pytest.mark.parametrize("z", [[0.3 + 0.7j], [-2.0 + 1e-3j], [5.0 + 40.0j]])
+def test_minimal_basis_halfplane(z):
+    # the contact is the real projection and tau the height, exactly; the
+    # direction is -i to within one ulp
+    res = HalfPlane().minimal_basis(z)
+    assert res.taus.tolist() == [z[0].imag]
+    assert res.contacts.tolist() == [[complex(z[0].real, 0.0)]]
+    assert abs(res.basis[0, 0] - (-1j)) <= 2.0 ** -52
 
 
 # ---------------------------------------------------------------------------
