@@ -16,6 +16,7 @@ input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -385,7 +386,14 @@ def _recheck(node, path: str = "$") -> list:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The ``koblab`` parser, built once per process.
+
+    Parsing leaves the parser unchanged, so every ``main`` call can share
+    it; ``main`` looks each command's handler up in ``_COMMANDS`` when it
+    runs, not through the parser.
+    """
     common = _Parser(add_help=False)
     common.add_argument("--config", help="path to a JSON experiment config")
     common.add_argument("--out", default=None,

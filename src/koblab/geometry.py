@@ -142,6 +142,7 @@ def ray_exit(
     inside: Callable[[float], bool],
     hi_cap: float,
     rel_tol: float = 1e-9,
+    floor: float = math.inf,
 ) -> float:
     """sup { t > 0 : inside(t) } for a predicate true on an interval [0, T).
 
@@ -151,11 +152,22 @@ def ray_exit(
     The exit time is capped at ``hi_cap``: a doubling search brackets it,
     then bisection narrows the bracket to relative width ``rel_tol`` and
     returns its midpoint.
+
+    ``floor`` lets a caller that wants only exits at most ``floor`` stop
+    early: the probes are the same and in the same order, but the search
+    returns ``lo`` as soon as the inside end ``lo`` exceeds ``floor``.  The
+    cut is exact.  ``lo`` never decreases, and both full returns,
+    ``0.5*(lo + hi)`` with lo < hi and ``hi_cap``, are at least ``lo`` in
+    floating point, so the full search would also end strictly above
+    ``floor``.  A result at most ``floor`` is the full search's, bit for
+    bit; a larger one only says the full search ends above ``floor``.
     """
     lo = 0.0
     hi = min(1e-3 * max(hi_cap, 1.0), hi_cap)
     while inside(hi):
         lo = hi
+        if lo > floor:
+            return lo
         hi *= 2.0
         if hi >= hi_cap:
             if inside(hi_cap):
@@ -166,9 +178,39 @@ def ray_exit(
         mid = 0.5 * (lo + hi)
         if inside(mid):
             lo = mid
+            if lo > floor:
+                return lo
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+@functools.cache
+def _coarse_to_fine(count: int) -> tuple:
+    """The indices 0..count-1 in bit-reversed order (0, 32, 16, 48, 8, ...
+    for 64), so that equally spaced samples fill the circle evenly."""
+    bits = max(count - 1, 0).bit_length()
+    return tuple(sorted(range(count),
+                        key=lambda i: format(i, f"0{bits}b")[::-1]))
+
+
+def _first_shortest_exit(rays: Sequence[Callable[[float], bool]],
+                         cap: float) -> tuple:
+    """(t, k): the least ``ray_exit(rays[k], cap)`` and the first index k
+    that attains it, as ``np.argmin`` would pick over the full list.
+
+    Rays are visited coarse to fine (:func:`_coarse_to_fine`) and each
+    bisection gets the running minimum as its ``floor``, so a ray that
+    cannot beat it stops as soon as it is known to exit later.  The cut
+    is exact (see :func:`ray_exit`), so t and k are those of the unpruned
+    loop; ties go to the smaller index whatever the visiting order.
+    """
+    best, k = math.inf, -1
+    for i in _coarse_to_fine(len(rays)):
+        t = ray_exit(rays[i], cap, floor=best)
+        if t < best or (t == best and i < k):
+            best, k = t, i
+    return best, k
 
 
 def _ray_objective(domain: "Domain", z: np.ndarray,
@@ -187,12 +229,14 @@ def _sampled_contact(domain: "Domain", z: np.ndarray, count: int):
     """Nearest boundary contact from ``count`` sampled rays, the shortest
     polished by Nelder-Mead.
 
-    Returns (exit time, unit direction).
+    The shortest ray is the first of the fixed directions with the least
+    exit time (:func:`_first_shortest_exit`, which cuts rays short once
+    they are known to exit later).  Returns (exit time, unit direction).
     """
     cap = 4.0 * domain.bounding_radius + float(np.linalg.norm(z)) + 1.0
-    rays = [(ray_exit(domain.ray(z, u), cap), u)
-            for u in map(complex_view, _unit_directions(2 * len(z), count))]
-    best_r, best_u = min(rays, key=lambda t: t[0])
+    dirs = [complex_view(w) for w in _unit_directions(2 * len(z), count)]
+    best_r, k = _first_shortest_exit([domain.ray(z, u) for u in dirs], cap)
+    best_u = dirs[k]
     res = optimize.minimize(_ray_objective(domain, z, cap),
                             real_view(best_u), method="Nelder-Mead",
                             options={"xatol": 1e-10, "fatol": 1e-14,
@@ -217,23 +261,31 @@ def scan_directional_distance(
     on ``OmegaPsi``, whose ``ray`` tests membership on Python floats, a
     probe makes no numpy call unless it lands within 1e-14 relative of the
     cap sphere.
+
+    The ``n_theta`` equally spaced phases are searched by
+    :func:`_first_shortest_exit`: coarse to fine, each bisection stopped
+    once it is known to exit after the running minimum.  The minimum and
+    its phase (the first on a tie, as ``np.argmin`` picks) are those of
+    the full scan, bit for bit.  A bounded Brent search over the two
+    neighbouring phase intervals then polishes that minimum.
     """
     v = v / np.linalg.norm(v)
     cap = 4.0 * domain.bounding_radius + float(np.linalg.norm(z)) + 1.0
 
+    def ray_at(theta: float) -> Callable[[float], bool]:
+        return domain.ray(z, np.exp(1j * theta) * v)
+
     def r_of(theta: float) -> float:
-        u = np.exp(1j * theta) * v
-        return ray_exit(domain.ray(z, u), cap)
+        return ray_exit(ray_at(theta), cap)
 
     thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    values = [r_of(t) for t in thetas]
-    k = int(np.argmin(values))
+    best, k = _first_shortest_exit([ray_at(t) for t in thetas], cap)
     h = 2.0 * math.pi / n_theta
     res = optimize.minimize_scalar(
         r_of, bounds=(thetas[k] - h, thetas[k] + h), method="bounded",
         options={"xatol": 1e-10},
     )
-    return float(min(res.fun, values[k]))
+    return float(min(res.fun, best))
 
 
 def _null_basis(u: np.ndarray) -> np.ndarray:
@@ -1265,10 +1317,18 @@ class OmegaPsi(Domain):
         The nearest wall point sits within the vertical gap g of the graph
         coordinates, so a Lipschitz constant of the wall over that ball gives
         dist >= g / sqrt(1 + L^2); the cap sheet contributes exactly.
+
+        The point is converted once with ``tolist()`` and the bound runs on
+        Python floats.  The cap term ``cap_radius - |z|`` keeps the bits of
+        ``np.linalg.norm`` (see :meth:`_inside` for why a plain sum of
+        squares can differ in the last bit): the plain estimate decides
+        alone when it exceeds the wall bound by more than 1e-13 relative to
+        the cap, since ``min`` then returns the wall bound whatever the cap
+        term's last bits; otherwise the term is recomputed with
+        ``np.linalg.norm``.
         """
-        arr = as_carray(z)
-        x1, y1 = arr[0].real, arr[0].imag
-        x2, y2 = arr[1].real, arr[1].imag
+        z1, z2 = as_carray(z).tolist()
+        x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
         gap = x2 - self._wall(x1, y1, y2)
         if gap <= 0:
             return 0.0
@@ -1279,7 +1339,11 @@ class OmegaPsi(Domain):
         gc = 2.0 * self.chi2 * (abs(y2) + gap)
         lip = math.sqrt(ga * ga + gb * gb + gc * gc)
         wall_bound = gap / math.sqrt(1.0 + lip * lip)
-        return max(0.0, min(self.cap_radius - float(np.linalg.norm(arr)), wall_bound))
+        cap = self.cap_radius
+        d_cap = cap - math.sqrt((x1 * x1 + x2 * x2) + (y1 * y1 + y2 * y2))
+        if d_cap - wall_bound <= 1e-13 * cap:
+            d_cap = cap - float(np.linalg.norm(np.array([z1, z2])))
+        return max(0.0, min(d_cap, wall_bound))
 
     @functools.cached_property
     def projection_threshold(self) -> float:

@@ -284,12 +284,15 @@ def distance_lower_bound_detailed(domain: Domain, x, y, tube: bool = True):
     ``directional``           1/2 log(1 + |x-y| / max(t_x, t_y))
     ``pair-tube``             additive two-projection bound (when it applies)
 
-    The ``directional`` branch is the repaired reading of a misprinted
-    display; reports flag values that rely on it.  Both projection branches
-    share one boundary projection of each point.  ``tube=False`` skips the
-    pair-tube branch, whose dual solve costs a few milliseconds per call;
-    the probes that sweep a grid of pairs pass it, which keeps their
-    reproducible outputs as they were.
+    The best bound is the largest branch value, floored at 0 (0 and an
+    empty dict for x == y); the dict holds each branch that applies.  The
+    ``directional`` branch is the repaired reading of a misprinted
+    display, with t_x, t_y the directional distances of the chord at its
+    ends.  No caller reports which branch won: they keep only the best
+    bound.  Both projection branches share one boundary projection of
+    each point.  ``tube=False`` skips the pair-tube branch, whose dual
+    solve costs a few milliseconds per call; the probes that sweep a grid
+    of pairs pass it, which keeps their reproducible outputs as they were.
     """
     x, y = as_carray(x), as_carray(y)
     if not domain.contains(x) or not domain.contains(y):

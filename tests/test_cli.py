@@ -93,6 +93,31 @@ def test_reproducible_runs_are_byte_identical(tmp_path):
     assert "metadata" not in doc
 
 
+def test_parser_shared_across_main_calls(tmp_path):
+    """One parser serves every ``main`` call in a process; flags of one
+    call do not leak into the next."""
+    cfg = write_config(tmp_path, "disc.json", {"domain": {"kind": "disc"}})
+    runs = [["distance", "--config", cfg, "--x", "[[0.1,0.2]]",
+             "--y", "[[-0.3,0]]", "--label", "one", "--format", "json",
+             "--seed", "3"],
+            ["visibility-scan", "--config", cfg, "--p", "[[1,0]]",
+             "--q", "[[-1,0]]", "--eps", "1e-1"]]
+
+    def outputs(out, fresh):
+        for argv in runs:
+            if fresh:
+                cli._build_parser.cache_clear()
+            assert run_cli(argv + ["--out", str(out), "--reproducible"]) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    shared = outputs(tmp_path / "shared", fresh=False)
+    assert outputs(tmp_path / "fresh", fresh=True) == shared
+    assert sorted(shared) == ["distance-one.json", "visibility-scan-run.csv",
+                              "visibility-scan-run.json",
+                              "visibility-scan-run.svg"]
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_timestamp_metadata_only_without_reproducible(tmp_path):
     cfg = disc_pair_config(tmp_path)
     out = tmp_path / "out"

@@ -9,13 +9,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from koblab.geometry import (
     AmbiguousProjectionError,
     Ball,
     Disc,
+    Domain,
     Ellipsoid,
     GeometryError,
     HalfPlane,
@@ -27,6 +29,7 @@ from koblab.geometry import (
     domain_from_json,
     from_pairs,
     ray_exit,
+    scan_directional_distance,
     to_pairs,
 )
 from koblab.metric import metric_bracket
@@ -718,6 +721,43 @@ def test_ray_exit_bisection():
     assert ray_exit(lambda t: t < 3.0, hi_cap=2.0) == 2.0
 
 
+def _flicker(t):
+    """Inside below 1 - 1e-9, outside above 1 + 1e-9, and in between a
+    pattern that flips with the low bits of t: not monotone in that band."""
+    if t < 1.0 - 1e-9:
+        return True
+    return t < 1.0 + 1e-9 and int(t * 2.0 ** 52) % 3 == 0
+
+
+@pytest.mark.parametrize("inside, hi_cap", [
+    (Disc().ray(np.array([0j]), np.array([1 + 0j])), 8.0),
+    (lambda t: True, 8.0),
+    (lambda t: t < 3.0, 2.0),
+    (_flicker, 8.0),
+], ids=["disc", "never-exits", "cap-below-exit", "flicker"])
+def test_ray_exit_floor_is_exact(inside, hi_cap):
+    probes = []
+
+    def recording(t):
+        probes.append(t)
+        return inside(t)
+
+    full = ray_exit(recording, hi_cap)
+    full_probes = list(probes)
+    inside_probes = [t for t in full_probes if inside(t)]
+    floors = [0.0, 0.5 * full, math.nextafter(full, 0.0), full,
+              math.nextafter(full, math.inf), 2.0 * full, math.inf]
+    for floor in floors + inside_probes:
+        probes.clear()
+        cut = ray_exit(recording, hi_cap, floor=floor)
+        # the same probes in the same order, stopped early at most
+        assert probes == full_probes[:len(probes)]
+        if full <= floor:
+            assert cut.hex() == full.hex()
+        else:
+            assert cut > floor
+
+
 PSI_PROFILES = [PsiSpec("exp_neg_c_over_x"),
                 PsiSpec("exp_neg_inv_log_pow", alpha=2.0)]
 PSI_IDS = [psi.form for psi in PSI_PROFILES]
@@ -806,3 +846,142 @@ def test_omega_psi_cap_ties_follow_numpy_norm(psi):
         expected = omega_psi_contains_reference(dom, z)
         assert dom.contains(z) == expected
         assert dom.ray(z, u)(0.0) == expected
+        assert dom.inner_radius_fast(z).hex() == \
+            inner_radius_reference(dom, z).hex()
+
+
+def unpruned_scan(domain, z, v, n_theta=64):
+    """The full phase scan: every phase's ray bisected to the end, the
+    first least exit by ``np.argmin``, then the same Brent polish."""
+    v = v / np.linalg.norm(v)
+    cap = 4.0 * domain.bounding_radius + float(np.linalg.norm(z)) + 1.0
+
+    def r_of(theta):
+        return ray_exit(domain.ray(z, np.exp(1j * theta) * v), cap)
+
+    thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    values = [r_of(t) for t in thetas]
+    k = int(np.argmin(values))
+    h = 2.0 * math.pi / n_theta
+    res = optimize.minimize_scalar(
+        r_of, bounds=(thetas[k] - h, thetas[k] + h), method="bounded",
+        options={"xatol": 1e-10},
+    )
+    return float(min(res.fun, values[k]))
+
+
+SCAN_DOMAINS = {
+    PSI_IDS[0]: OmegaPsi(PSI_PROFILES[0]),
+    PSI_IDS[1]: OmegaPsi(PSI_PROFILES[1]),
+    "localized": LocalizedDomain(OmegaPsi(PSI_PROFILES[0]),
+                                 np.array([0.5j, 0.05 + 0j]), 0.3),
+}
+
+
+@pytest.mark.parametrize("name", list(SCAN_DOMAINS))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_scan_directional_distance_matches_unpruned(name, data):
+    dom = SCAN_DOMAINS[name]
+    if name == "localized":
+        y1 = data.draw(st.floats(0.3, 0.7))
+        x1 = data.draw(st.floats(-0.1, 0.1, allow_subnormal=False))
+    else:
+        y1 = data.draw(st.floats(-2.6, 2.6))
+        x1 = data.draw(st.floats(-0.5, 0.5, allow_subnormal=False))
+    y2 = data.draw(st.floats(-0.1, 0.1))
+    gap = 10.0 ** data.draw(st.floats(-6.0, -1.0))
+    base = dom.base if name == "localized" else dom
+    z = np.array([complex(x1, y1), complex(base._wall(x1, y1, y2) + gap, y2)])
+    assume(dom.contains(z))
+    v = np.array([complex(data.draw(st.floats(-1.0, 1.0)),
+                          data.draw(st.floats(-1.0, 1.0)))
+                  for _ in range(2)])
+    assume(np.linalg.norm(v) > 1e-3)
+    assert scan_directional_distance(dom, z, v).hex() == \
+        unpruned_scan(dom, z, v).hex()
+
+
+class _TwoDips(Domain):
+    """A planar region whose exit time is 1.0 at exactly two scan phases,
+    8 and 40 of 64, and 1.5 at the others; next to phase 40 it dips to
+    0.95, so which of the two tied phases the polish starts from shows in
+    the result."""
+    dim = 1
+    bounding_radius = 2.0
+    h = 2.0 * math.pi / 64
+
+    def ray(self, z, u):
+        phi = float(np.angle(u[0])) % (2.0 * math.pi)
+
+        def tent(center, width):
+            return max(0.0, 1.0 - abs(phi - center) / width)
+
+        h = self.h
+        r = 1.5 - 0.5 * max(tent(8 * h, h), tent(40 * h, h)) \
+            - 0.3 * tent(40.5 * h, 0.5 * h)
+        return lambda t: t < r
+
+
+def test_scan_ties_go_to_the_first_phase():
+    dom, z, v = _TwoDips(), np.array([0j]), np.array([1 + 0j])
+    t = scan_directional_distance(dom, z, v)
+    assert t.hex() == unpruned_scan(dom, z, v).hex()
+    assert t == pytest.approx(1.0, rel=1e-6)
+
+
+def test_scan_directional_distance_prunes_probes():
+    class Counting(OmegaPsi):
+        probes = 0
+
+        def ray(self, z, u):
+            inside = super().ray(z, u)
+
+            def counted(t):
+                Counting.probes += 1
+                return inside(t)
+            return counted
+
+    dom = Counting(PsiSpec("exp_neg_c_over_x"))
+    z = np.array([0.3j, complex(dom._wall(0.0, 0.3, 0.0) + 1e-3, 0.0)])
+    v = np.array([1.0 + 0j, 0.2j])
+    pruned = scan_directional_distance(dom, z, v)
+    n_pruned, Counting.probes = Counting.probes, 0
+    full = unpruned_scan(dom, z, v)
+    assert pruned.hex() == full.hex()
+    assert n_pruned <= 0.5 * Counting.probes
+
+
+def inner_radius_reference(dom, z):
+    """OmegaPsi.inner_radius_fast on numpy scalars, the cap term through
+    ``np.linalg.norm``."""
+    arr = np.asarray(z, dtype=complex)
+    x1, y1 = arr[0].real, arr[0].imag
+    x2, y2 = arr[1].real, arr[1].imag
+    gap = x2 - dom._wall(x1, y1, y2)
+    if gap <= 0:
+        return 0.0
+    ga = abs(dom.psi.derivative(abs(x1) + gap))
+    gb = 2.0 * dom.chi1 * max(0.0, abs(y1) + gap - 2.0)
+    gc = 2.0 * dom.chi2 * (abs(y2) + gap)
+    lip = math.sqrt(ga * ga + gb * gb + gc * gc)
+    wall_bound = gap / math.sqrt(1.0 + lip * lip)
+    return max(0.0, min(dom.cap_radius - float(np.linalg.norm(arr)),
+                        wall_bound))
+
+
+@pytest.mark.parametrize("psi", PSI_PROFILES, ids=PSI_IDS)
+@given(data=st.data())
+def test_omega_psi_inner_radius_matches_numpy(psi, data):
+    dom = OmegaPsi(psi)
+    x1 = data.draw(st.floats(-1.0, 1.0, allow_subnormal=False))
+    y1 = data.draw(st.floats(-2.9, 2.9))
+    y2 = data.draw(st.floats(-1.0, 1.0))
+    gap = data.draw(st.sampled_from((1e-9, 1e-4, 1e-2, 0.5, 3.0)))
+    z = np.array([complex(x1, y1), complex(dom._wall(x1, y1, y2) + gap, y2)])
+    if data.draw(st.booleans()):
+        # onto the cap sphere, a few ulps of |z| in or out
+        scale = _ulps(dom.cap_radius, data.draw(st.integers(-4, 4)))
+        z = z * (scale / np.linalg.norm(z))
+    assert dom.inner_radius_fast(z).hex() == \
+        inner_radius_reference(dom, z).hex()
