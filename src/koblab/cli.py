@@ -131,18 +131,26 @@ def _solver(cfg: dict) -> SolverConfig | None:
     return SolverConfig.from_json(cfg["solver"])
 
 
-def _psi_domain(cfg: dict):
-    """The case study's Omega_psi, from a ``params`` record or from the flat
-    keys psi, psi_form, c, alpha, chi1, chi2 and cap_radius."""
-    if "params" in cfg:
-        record = cfg["params"]
-        if not isinstance(record, dict):
-            raise UsageError("'params' must be a JSON object")
+def _object(val, key: str) -> dict:
+    if not isinstance(val, dict):
+        raise UsageError(f"{key!r} must be a JSON object")
+    return val
+
+
+def _psi_domain(args, cfg: dict):
+    """The case study's Omega_psi, from an ``omega_psi`` ``domain`` record,
+    else a ``params`` record, else the flat keys psi, psi_form, c, alpha,
+    chi1, chi2 and cap_radius.  The flags --psi-form, --c and --alpha then
+    override the record's psi, as inline flags override the config file."""
+    if "domain" in cfg:
+        record = _object(cfg["domain"], "domain")
+        if record.get("kind") != "omega_psi":
+            raise UsageError(f"case-omega-psi needs an omega_psi domain, "
+                             f"got kind {record.get('kind')!r}")
+    elif "params" in cfg:
+        record = _object(cfg["params"], "params")
     else:
-        psi = cfg.get("psi", {})
-        if not isinstance(psi, dict):
-            raise UsageError("'psi' must be a JSON object")
-        psi = dict(psi)
+        psi = dict(_object(cfg.get("psi", {}), "psi"))
         psi.setdefault("form", cfg.get("psi_form", "exp_neg_c_over_x"))
         for key in ("c", "alpha"):
             if key in cfg:
@@ -150,6 +158,12 @@ def _psi_domain(cfg: dict):
         record = {key: cfg[key] for key in ("chi1", "chi2", "cap_radius")
                   if key in cfg}
         record["psi"] = psi
+    flags = {field: getattr(args, flag) for flag, field in
+             (("psi_form", "form"), ("c", "c"), ("alpha", "alpha"))
+             if getattr(args, flag) is not None}
+    if flags:
+        psi = _object(record.get("psi", {"form": "exp_neg_c_over_x"}), "psi")
+        record = {**record, "psi": {**psi, **flags}}
     return domain_from_json({**record, "kind": "omega_psi"})
 
 
@@ -315,7 +329,7 @@ def _cmd_case_bidisc(args, cfg):
           _REPORT_CSV, svg=True, grid="eps",
           scalars=(("psi_form", str), ("c", float), ("alpha", float)))
 def _cmd_case_omega_psi(args, cfg):
-    dom = _psi_domain(cfg)
+    dom = _psi_domain(args, cfg)
     rep = run_omega_psi_case(dom, _grid(cfg, "eps", [1e-1, 1e-2, 1e-3]),
                              seed=args.seed, config=_solver(cfg))
     params = {k: v for k, v in dom.to_json().items() if k != "kind"}
@@ -386,6 +400,15 @@ def _recheck(node, path: str = "$") -> list:
 # ---------------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """``--seed``: numpy's generators take only non-negative seeds."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"the seed must be a non-negative integer, got {text}")
+    return seed
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The ``koblab`` parser, built once per process.
@@ -399,8 +422,9 @@ def _build_parser() -> _Parser:
     common.add_argument("--out", default=None,
                         help="output directory (default: config output-dir "
                              "or the working directory)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for all random sampling (default 0)")
+    common.add_argument("--seed", type=_seed, default=0,
+                        help="seed for all random sampling, >= 0 "
+                             "(default 0)")
     common.add_argument("--reproducible", action="store_true",
                         help="freeze the default label and drop the "
                              "metadata block so JSON output is byte-stable")

@@ -663,16 +663,15 @@ def localization_check(d_big: Domain, u_center, u_radius: float,
     if n_pairs < 1 and pairs is None:
         raise GeometryError("need at least one pair")
     local = LocalizedDomain(d_big, u_center, u_radius)
+    window = LocalizedDomain(d_big, u_center, v_radius)
 
     if pairs is not None:
         checked = []
         for z, w in pairs:
             z, w = as_carray(z), as_carray(w)
-            for point in (z, w):
-                if float(np.linalg.norm(point - u_center)) >= v_radius or \
-                        not d_big.contains(point):
-                    raise GeometryError("localization pairs must lie inside "
-                                        "the inner window V")
+            if not (window.contains(z) and window.contains(w)):
+                raise GeometryError("localization pairs must lie inside "
+                                    "the inner window V")
             checked.append((z, w))
     else:
         anchor = None
@@ -686,14 +685,10 @@ def localization_check(d_big: Domain, u_center, u_radius: float,
             raise GeometryError("could not find an interior anchor inside V")
         rng = np.random.default_rng(seed)
 
-        def inside(a: np.ndarray) -> bool:
-            return float(np.linalg.norm(a - u_center)) < v_radius and \
-                d_big.contains(a)
-
         def draw() -> np.ndarray:
             u = rng.standard_normal(2 * d_big.dim)
             u = complex_view(u / np.linalg.norm(u))
-            t_exit = ray_exit(lambda t: inside(anchor + t * u), 2.0 * v_radius)
+            t_exit = ray_exit(window.ray(anchor, u), 2.0 * v_radius)
             frac = 10.0 ** rng.uniform(-3.0, math.log10(0.5))
             return anchor + (1.0 - frac) * t_exit * u
 
@@ -795,7 +790,6 @@ def sameheight_scaling(domain: Domain, region_center, region_radius: float,
     else:
         tangent = _null_basis(normal / np.linalg.norm(normal))[:, 0]
     base = domain.base_point
-    cap = 4.0 * domain.bounding_radius + 1.0
     cfg = config if config is not None else SolverConfig.light()
 
     def boundary_at(s: float) -> np.ndarray:
@@ -803,8 +797,7 @@ def sameheight_scaling(domain: Domain, region_center, region_radius: float,
         length = float(np.linalg.norm(ray))
         if length == 0.0:
             raise GeometryError("degenerate tangent ray")
-        u = ray / length
-        return base + ray_exit(domain.ray(base, u), cap) * u
+        return domain.exit_point(base, ray / length)
 
     def endpoint(bpt: np.ndarray, delta: float):
         """Point above bpt with boundary distance 0.75*delta (3% tolerance)."""

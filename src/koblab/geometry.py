@@ -128,6 +128,8 @@ class MinimalBasisResult:
 # ---------------------------------------------------------------------------
 
 _DIRECTION_SEED = 91261
+_RAY_REL_TOL = 1e-9     # relative width at which ray_exit stops bisecting
+_SCAN_PHASES = 64       # phases scan_directional_distance samples
 
 
 def _unit_directions(dim_real: int, count: int) -> np.ndarray:
@@ -141,7 +143,6 @@ def _unit_directions(dim_real: int, count: int) -> np.ndarray:
 def ray_exit(
     inside: Callable[[float], bool],
     hi_cap: float,
-    rel_tol: float = 1e-9,
     floor: float = math.inf,
 ) -> float:
     """sup { t > 0 : inside(t) } for a predicate true on an interval [0, T).
@@ -150,8 +151,8 @@ def ray_exit(
     z + t*u lies in a convex domain holding z (``contains(z + t*u)`` by
     default, a plain-float test on ``OmegaPsi``; see :meth:`Domain.ray`).
     The exit time is capped at ``hi_cap``: a doubling search brackets it,
-    then bisection narrows the bracket to relative width ``rel_tol`` and
-    returns its midpoint.
+    then bisection narrows the bracket to relative width ``_RAY_REL_TOL``
+    and returns its midpoint.
 
     ``floor`` lets a caller that wants only exits at most ``floor`` stop
     early: the probes are the same and in the same order, but the search
@@ -174,7 +175,7 @@ def ray_exit(
                 return hi_cap
             hi = hi_cap
             break
-    while hi - lo > rel_tol * hi:
+    while hi - lo > _RAY_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if inside(mid):
             lo = mid
@@ -247,22 +248,15 @@ def _sampled_contact(domain: "Domain", z: np.ndarray, count: int):
     return best_r, best_u
 
 
-def scan_directional_distance(
-    domain: "Domain",
-    z: np.ndarray,
-    v: np.ndarray,
-    n_theta: int = 64,
-) -> float:
+def scan_directional_distance(domain: "Domain", z: np.ndarray,
+                              v: np.ndarray) -> float:
     """Directional distance by scanning phases of the complex disc slice.
 
     The slice D cap (z + C v) is a planar convex region containing 0; its
     boundary distance from 0 is the minimum over phases of the ray exit time.
-    Each exit time bisects ``domain.ray(z, u)`` (:meth:`Domain.ray`), so
-    on ``OmegaPsi``, whose ``ray`` tests membership on Python floats, a
-    probe makes no numpy call unless it lands within 1e-14 relative of the
-    cap sphere.
+    Each exit time bisects ``domain.ray(z, u)`` (:meth:`Domain.ray`).
 
-    The ``n_theta`` equally spaced phases are searched by
+    The ``_SCAN_PHASES`` equally spaced phases are searched by
     :func:`_first_shortest_exit`: coarse to fine, each bisection stopped
     once it is known to exit after the running minimum.  The minimum and
     its phase (the first on a tie, as ``np.argmin`` picks) are those of
@@ -278,9 +272,9 @@ def scan_directional_distance(
     def r_of(theta: float) -> float:
         return ray_exit(ray_at(theta), cap)
 
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * math.pi, _SCAN_PHASES, endpoint=False)
     best, k = _first_shortest_exit([ray_at(t) for t in thetas], cap)
-    h = 2.0 * math.pi / n_theta
+    h = 2.0 * math.pi / _SCAN_PHASES
     res = optimize.minimize_scalar(
         r_of, bounds=(thetas[k] - h, thetas[k] + h), method="bounded",
         options={"xatol": 1e-10},
@@ -355,13 +349,11 @@ class Domain:
         directional queries in closed form, and Omega_psi is the domain
         whose directional distances and contacts run through the ray
         machinery in bulk.  Its ``ray`` converts z and u to Python complex
-        once and gives the same answer as ``contains`` on every t; its cap
-        test falls back to ``np.linalg.norm`` within 1e-14 relative of the
-        cap sphere, where a plain sum of squares could decide differently
-        (see ``OmegaPsi._inside``).  Domains that map a point before
-        testing it (``LocalizedDomain`` and the minimal-basis slices) keep
-        the default: mapping z and u apart rounds differently from mapping
-        z + t*u, so their exit times would move in the last bits.
+        once and gives the same answer as ``contains`` on every t.  Domains
+        that map a point before testing it (``LocalizedDomain`` and the
+        minimal-basis slices) keep the default: mapping z and u apart
+        rounds differently from mapping z + t*u, so their exit times would
+        move in the last bits.
         """
         return lambda t: self.contains(z + t * u)
 
@@ -494,15 +486,20 @@ class Domain:
 
     def boundary_anchor_points(self, count: int, rng: np.random.Generator) -> list:
         """Boundary points used to seed near-boundary sampling probes."""
-        cap = 4.0 * self.bounding_radius + 1.0
         out = []
         base = self.base_point
         for _ in range(count):
             u = rng.standard_normal(2 * self.dim)
             u = complex_view(u / np.linalg.norm(u))
-            t = ray_exit(self.ray(base, u), cap)
-            out.append(base + t * u)
+            out.append(self.exit_point(base, u))
         return out
+
+    def exit_point(self, base: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Where the ray base + t*u (u a unit vector, base interior) leaves
+        the domain, by :func:`ray_exit` with the exit time capped at
+        4 * bounding_radius + 1."""
+        cap = 4.0 * self.bounding_radius + 1.0
+        return base + ray_exit(self.ray(base, u), cap) * u
 
     def to_json(self) -> dict:
         raise GeometryError(f"{type(self).__name__} has no JSON form")
@@ -634,6 +631,15 @@ def _ball_distance(z: list, w: list) -> float:
         raise GeometryError("ball_distance needs interior points")
     num = abs(dz - c) + math.sqrt(dz * nv2 + abs(c) ** 2)
     return max(0.0, 0.5 * math.log(num * num / (dz * dw)))
+
+
+def _ball_exit(v: np.ndarray, w: np.ndarray, radius: float) -> float:
+    """Exit time of w + t*v (v a unit vector, |w| < radius) from the ball
+    |.| < radius about 0: -|<v, w>| + sqrt(|<v, w>|^2 + radius^2 - |w|^2),
+    the directional distance of the ball at w."""
+    wv = abs(np.vdot(v, w))
+    nw2 = float(np.vdot(w, w).real)
+    return -wv + math.sqrt(wv * wv + radius ** 2 - nw2)
 
 
 class Disc(Domain):
@@ -901,10 +907,7 @@ class Ball(Domain):
     def directional_distance(self, z, v) -> float:
         z = self._interior(z)
         v = self._direction(v)
-        v = v / np.linalg.norm(v)
-        zv = abs(np.vdot(v, z))  # |<z, v>|
-        nz2 = float(np.vdot(z, z).real)
-        return -zv + math.sqrt(zv * zv + 1.0 - nz2)
+        return _ball_exit(v / np.linalg.norm(v), z, 1.0)
 
     def nearest_boundary_point(self, z) -> np.ndarray:
         z = self._interior(z)
@@ -939,13 +942,12 @@ def _paired_axes(axes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _project_interior_to_ellipsoid(u: np.ndarray, b: np.ndarray):
+def _project_interior_to_ellipsoid(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Nearest point of the real ellipsoid {sum x_i^2/b_i^2 = 1} from inside.
 
-    Returns (p, ties) where ties is True when the contact is non-unique
-    (resolved toward the lexicographically smallest point).
-    Solves the KKT system p_i = b_i^2 u_i / (b_i^2 + nu) with the degenerate
-    minimal-axis branch handled explicitly.  The multiplier is carried as
+    A non-unique contact is resolved toward the lexicographically smallest
+    point.  Solves the KKT system p_i = b_i^2 u_i / (b_i^2 + nu) with the
+    degenerate minimal-axis branch handled explicitly.  The multiplier is carried as
     s = nu + m2 (m2 the smallest b_i^2), so the denominators read
     (b_i^2 - m2) + s and are exactly s on the minimal axes: near the pole
     s = 0 they keep their relative precision however small s gets.
@@ -978,8 +980,7 @@ def _project_interior_to_ellipsoid(u: np.ndarray, b: np.ndarray):
         # an absolute tolerance far below lo keeps brentq's relative precision
         s = optimize.brentq(lambda t: g(t) - 1.0, lo, m2, xtol=1e-300,
                             rtol=8.9e-16, maxiter=200)
-        p = np.where(nonzero, b2 * u / (gap + s), 0.0)
-        return p, False
+        return np.where(nonzero, b2 * u / (gap + s), 0.0)
 
     # degenerate branch: contact mass sits on the minimal axes where u_i = 0
     denom = np.where(gap > 0, gap, 1.0)
@@ -987,8 +988,7 @@ def _project_interior_to_ellipsoid(u: np.ndarray, b: np.ndarray):
     leftover = m2 * max(0.0, 1.0 - g_lim)
     idx = [i for i in range(len(b2)) if b2[i] <= m2 * (1 + 1e-12) and not nonzero[i]]
     p[idx[0]] = -math.sqrt(leftover)
-    ties = True
-    return p, ties
+    return p
 
 
 class Ellipsoid(Domain):
@@ -1009,7 +1009,7 @@ class Ellipsoid(Domain):
     def boundary_distance(self, z) -> float:
         z = self._interior(z)
         u = real_view(z)
-        p, _ = _project_interior_to_ellipsoid(u, _paired_axes(self.axes))
+        p = _project_interior_to_ellipsoid(u, _paired_axes(self.axes))
         return float(np.linalg.norm(u - p))
 
     def inner_radius_fast(self, z) -> float:
@@ -1037,7 +1037,7 @@ class Ellipsoid(Domain):
     def nearest_boundary_point(self, z) -> np.ndarray:
         z = self._interior(z)
         u = real_view(z)
-        p, _ = _project_interior_to_ellipsoid(u, _paired_axes(self.axes))
+        p = _project_interior_to_ellipsoid(u, _paired_axes(self.axes))
         return complex_view(p)
 
     def supporting_normal(self, b) -> np.ndarray:
@@ -1060,7 +1060,7 @@ class Ellipsoid(Domain):
         evals, evecs = np.linalg.eigh(H)
         semi = np.sqrt(r2 / evals)
         vq = -(evecs.conj().T @ w0)  # the slice origin w = 0 in v-coordinates
-        p_real, _ = _project_interior_to_ellipsoid(real_view(vq), _paired_axes(semi))
+        p_real = _project_interior_to_ellipsoid(real_view(vq), _paired_axes(semi))
         contact = z + cols @ (w0 + evecs @ complex_view(p_real))
         return contact, float(np.linalg.norm(contact - z))
 
@@ -1101,21 +1101,37 @@ class PsiSpec:
             raise GeometryError("psi needs alpha > 1")
 
     # pure formula, valid for 0 < x <= cut ---------------------------------
+    #
+    # psi = exp(-g).  Where exp(-g) underflows to 0 both psi and psi' are 0,
+    # and that is decided first: at tiny x the other factors overflow
+    # (x^-2 raises OverflowError below about 1e-154) or divide by an
+    # underflowed x*x, and 1/x itself overflows for subnormal x, which would
+    # make the log-power g inf * 0 = NaN.
 
     def _pure(self, x: float) -> float:
         if self.form == "exp_neg_c_over_x":
             return math.exp(-self.c / x)
-        L = math.log(1.0 / x)
-        return math.exp(-(1.0 / x) * L ** (-self.alpha))
+        inv = 1.0 / x
+        if inv == math.inf:
+            return 0.0
+        return math.exp(-inv * math.log(inv) ** (-self.alpha))
 
     def _pure_deriv(self, x: float) -> float:
         if self.form == "exp_neg_c_over_x":
-            return math.exp(-self.c / x) * self.c / (x * x)
-        L = math.log(1.0 / x)
+            e = math.exp(-self.c / x)
+            if e == 0.0:
+                return 0.0
+            return e * self.c / (x * x)
+        inv = 1.0 / x
+        if inv == math.inf:
+            return 0.0
+        L = math.log(inv)
         # g(x) = x^-1 L^-alpha, psi = exp(-g), g' = x^-2 L^(-alpha-1) (alpha - L)
-        g = (1.0 / x) * L ** (-self.alpha)
+        e = math.exp(-(inv * L ** (-self.alpha)))
+        if e == 0.0:
+            return 0.0
         gp = x ** (-2.0) * L ** (-self.alpha - 1.0) * (self.alpha - L)
-        return -gp * math.exp(-g)
+        return -gp * e
 
     @functools.cached_property
     def cut(self) -> float:
@@ -1253,27 +1269,22 @@ class OmegaPsi(Domain):
         inside = self._inside
         return lambda t: inside(z1 + t * u1, z2 + t * u2)
 
-    def _inside(self, z1: complex, z2: complex) -> bool:
-        """Membership of (z1, z2), the one formula ``contains`` and ``ray``
-        share.
+    def _cap_gap(self, z1: complex, z2: complex) -> float:
+        """cap_radius - |(z1, z2)| on Python floats.
 
-        The cap test must decide as ``np.linalg.norm(z) >= cap_radius``
-        does.  numpy sums r1² + r2² and i1² + i2² by BLAS dot products,
-        which may fuse multiply-adds (sqrt(fma(r2, r2, r1²) + fma(i2, i2,
-        i1²)) on x86-64), so a plain sum of squares can differ from it in
-        the last bit.  Both sums err by a few ulps, so the plain sum decides
-        when it is more than 1e-14 relative away from cap²; within that
-        band the test calls ``np.linalg.norm`` itself.
+        The one cap formula: membership, the inner radius, the boundary
+        distance and the nearest boundary point all read the cap from it,
+        so they agree on every point however close to the cap sphere.
         """
         x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
-        sq = (x1 * x1 + x2 * x2) + (y1 * y1 + y2 * y2)
-        cap2 = self.cap_radius * self.cap_radius
-        if abs(sq - cap2) <= 1e-14 * cap2:
-            if np.linalg.norm(np.array([z1, z2])) >= self.cap_radius:
-                return False
-        elif sq >= cap2:
-            return False
-        return x2 > self._wall(x1, y1, y2)
+        return self.cap_radius - math.sqrt((x1 * x1 + x2 * x2)
+                                           + (y1 * y1 + y2 * y2))
+
+    def _inside(self, z1: complex, z2: complex) -> bool:
+        """Membership of (z1, z2), the one test ``contains`` and ``ray``
+        share: a positive cap gap and a point above the wall."""
+        return self._cap_gap(z1, z2) > 0.0 and \
+            z2.real > self._wall(z1.real, z1.imag, z2.imag)
 
     def _graph_distance(self, z: np.ndarray):
         """Distance to the wall sheet { Re w2 <= F(w) } and the contact point."""
@@ -1307,7 +1318,7 @@ class OmegaPsi(Domain):
 
     def boundary_distance(self, z) -> float:
         z = self._interior(z)
-        d_cap = self.cap_radius - float(np.linalg.norm(z))
+        d_cap = self._cap_gap(*z.tolist())
         d_wall, _ = self._graph_distance(z)
         return min(d_cap, d_wall)
 
@@ -1316,16 +1327,9 @@ class OmegaPsi(Domain):
 
         The nearest wall point sits within the vertical gap g of the graph
         coordinates, so a Lipschitz constant of the wall over that ball gives
-        dist >= g / sqrt(1 + L^2); the cap sheet contributes exactly.
-
-        The point is converted once with ``tolist()`` and the bound runs on
-        Python floats.  The cap term ``cap_radius - |z|`` keeps the bits of
-        ``np.linalg.norm`` (see :meth:`_inside` for why a plain sum of
-        squares can differ in the last bit): the plain estimate decides
-        alone when it exceeds the wall bound by more than 1e-13 relative to
-        the cap, since ``min`` then returns the wall bound whatever the cap
-        term's last bits; otherwise the term is recomputed with
-        ``np.linalg.norm``.
+        dist >= g / sqrt(1 + L^2); the cap sheet contributes exactly
+        (:meth:`_cap_gap`).  The point is converted once with ``tolist()``
+        and the bound runs on Python floats.
         """
         z1, z2 = as_carray(z).tolist()
         x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
@@ -1339,11 +1343,7 @@ class OmegaPsi(Domain):
         gc = 2.0 * self.chi2 * (abs(y2) + gap)
         lip = math.sqrt(ga * ga + gb * gb + gc * gc)
         wall_bound = gap / math.sqrt(1.0 + lip * lip)
-        cap = self.cap_radius
-        d_cap = cap - math.sqrt((x1 * x1 + x2 * x2) + (y1 * y1 + y2 * y2))
-        if d_cap - wall_bound <= 1e-13 * cap:
-            d_cap = cap - float(np.linalg.norm(np.array([z1, z2])))
-        return max(0.0, min(d_cap, wall_bound))
+        return max(0.0, min(self._cap_gap(z1, z2), wall_bound))
 
     @functools.cached_property
     def projection_threshold(self) -> float:
@@ -1358,7 +1358,7 @@ class OmegaPsi(Domain):
 
     def nearest_boundary_point(self, z) -> np.ndarray:
         z = self._interior(z)
-        d_cap = self.cap_radius - float(np.linalg.norm(z))
+        d_cap = self._cap_gap(*z.tolist())
         d_wall, contact = self._graph_distance(z)
         d = min(d_cap, d_wall)
         if d > self.projection_threshold:
@@ -1442,11 +1442,8 @@ class LocalizedDomain(Domain):
         z = self._interior(z)
         v = self._direction(v)
         v = v / np.linalg.norm(v)
-        w = z - self.center
-        wv = abs(np.vdot(v, w))
-        nw2 = float(np.vdot(w, w).real)
-        t_ball = -wv + math.sqrt(wv * wv + self.radius**2 - nw2)
-        return min(self.base.directional_distance(z, v), t_ball)
+        return min(self.base.directional_distance(z, v),
+                   _ball_exit(v, z - self.center, self.radius))
 
     def nearest_boundary_point(self, z) -> np.ndarray:
         z = self._interior(z)

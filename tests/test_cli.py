@@ -365,6 +365,18 @@ def test_seed_changes_sampled_output(tmp_path):
     assert docs[0]["seed"] == 1 and docs[1]["seed"] == 2
 
 
+@pytest.mark.parametrize("name", ["growth-fit", "goldilocks", "localize"])
+def test_negative_seed_is_a_usage_error(name, tmp_path, capsys):
+    cfg = write_config(tmp_path, "ball.json", {"domain": {"kind": "ball",
+                                               "n": 2}})
+    assert run_cli([name, "--config", cfg, *SUBCOMMAND_CASES[name],
+                    "--seed", "-1", "--out", str(tmp_path / "out"),
+                    "--reproducible"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("koblab: ") and "non-negative" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_threads_accepted_only_as_one(tmp_path, capsys):
     cfg = write_config(tmp_path, "disc.json", {"domain": {"kind": "disc"}})
     args = ["k-point", "--config", cfg, "--p", "[[0.5,0]]",
@@ -407,6 +419,50 @@ def test_case_omega_psi_params_record_matches_flat_keys(tmp_path):
         docs.append((out / "case-omega-psi-run.json").read_bytes())
     assert docs[0] == docs[1]
     assert json.loads(docs[0])["params"] == record
+
+
+@pytest.mark.parametrize("cfg", [
+    {"domain": {"kind": "omega_psi", "psi": {"form": "exp_neg_c_over_x",
+                                             "c": 2.0}, "chi1": 2.0}},
+    {"params": {"psi": {"form": "exp_neg_c_over_x", "c": 2.0}, "chi1": 2.0}},
+    {"psi": {"c": 2.0}, "chi1": 2.0},
+], ids=["domain", "params", "flat"])
+def test_case_omega_psi_reads_config_and_flags_override(tmp_path, cfg):
+    # the config's profile is run, and an inline --c overrides its c
+    path = write_config(tmp_path, "cfg.json", {**cfg, "eps": [1e-1]})
+    for flags, c in (([], 2.0), (["--c", "3.0"], 3.0)):
+        out = tmp_path / f"c{c}"
+        assert run_cli(["case-omega-psi", "--config", path, *flags,
+                        "--out", str(out), "--reproducible"]) == 0
+        params = json.loads((out / "case-omega-psi-run.json").read_text())[
+            "params"]
+        assert params["psi"] == {"form": "exp_neg_c_over_x", "c": c}
+        assert params["chi1"] == 2.0
+
+
+def test_case_omega_psi_rejects_another_domain_kind(tmp_path, capsys):
+    path = write_config(tmp_path, "ball.json",
+                        {"domain": {"kind": "ball", "n": 2}})
+    assert run_cli(["case-omega-psi", "--config", path,
+                    "--out", str(tmp_path / "out"), "--reproducible"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("koblab: ") and "omega_psi" in err
+
+
+@pytest.mark.parametrize("psi", [{"form": "exp_neg_c_over_x"},
+                                 {"form": "exp_neg_inv_log_pow", "alpha": 2.0}],
+                         ids=["exp_neg_c_over_x", "exp_neg_inv_log_pow"])
+def test_distance_at_tiny_re_z1_on_omega_psi(tmp_path, psi):
+    # psi and psi' underflow to 0 at Re z1 = 1e-200; the bracket is finite
+    path = write_config(tmp_path, "psi.json",
+                        {"domain": {"kind": "omega_psi", "psi": psi}})
+    out = tmp_path / "out"
+    assert run_cli(["distance", "--config", path,
+                    "--x", "[[1e-200,0.5],[0.5,0]]",
+                    "--y", "[[0,-0.5],[0.5,0]]",
+                    "--out", str(out), "--reproducible"]) == 0
+    doc = json.loads((out / "distance-run.json").read_text())
+    assert 0.0 < doc["lower"] <= doc["upper"] < math.inf
 
 
 @pytest.mark.parametrize("cfg", [{"params": [1, 2]}, {"params": "exp"},
@@ -470,8 +526,10 @@ def test_output_goes_to_config_output_dir(tmp_path):
 
 
 # One small --reproducible run per subcommand, on Ball(2) with the light
-# solver wherever a domain is needed.  Keyed by name: a subcommand added to
-# the registry without a case here fails test_every_subcommand_runs.
+# solver wherever a domain is needed; case-omega-psi runs its own domain,
+# Omega_psi, and refuses a domain record of another kind.  Keyed by name: a
+# subcommand added to the registry without a case here fails
+# test_every_subcommand_runs.
 ORIGIN, NEAR = "[[0,0],[0,0]]", "[[0.3,0],[0,0.1]]"
 SUBCOMMAND_CASES = {
     "distance": ["--x", ORIGIN, "--y", NEAR],
@@ -498,8 +556,10 @@ SUBCOMMAND_CASES = {
 @pytest.mark.parametrize("name", sorted(cli._COMMANDS))
 def test_every_subcommand_runs(name, tmp_path, capsys):
     command = cli._COMMANDS[name]
-    cfg = write_config(tmp_path, "ball.json", {
-        "domain": {"kind": "ball", "n": 2},
+    domain = {"kind": "omega_psi"} if name == "case-omega-psi" else \
+        {"kind": "ball", "n": 2}
+    cfg = write_config(tmp_path, "domain.json", {
+        "domain": domain,
         "solver": {"control_points": 9, "max_iter": 400, "rel_tol": 1e-4}})
     out = tmp_path / "out"
     assert run_cli([name, "--config", cfg, *SUBCOMMAND_CASES[name],

@@ -763,12 +763,21 @@ PSI_PROFILES = [PsiSpec("exp_neg_c_over_x"),
 PSI_IDS = [psi.form for psi in PSI_PROFILES]
 
 
+def cap_gap_reference(dom, z):
+    """cap_radius - |z| for an OmegaPsi point, squares summed as
+    (x1² + x2²) + (y1² + y2²) on Python floats: the one cap formula."""
+    z1, z2 = complex(z[0]), complex(z[1])
+    x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
+    return dom.cap_radius - math.sqrt((x1 * x1 + x2 * x2)
+                                      + (y1 * y1 + y2 * y2))
+
+
 def omega_psi_contains_reference(dom, z):
-    """OmegaPsi membership as a numpy norm and the wall formula."""
-    z = np.asarray(z, dtype=complex)
-    if np.linalg.norm(z) >= dom.cap_radius:
+    """OmegaPsi membership as the cap formula and the wall formula."""
+    if not cap_gap_reference(dom, z) > 0.0:
         return False
-    return z[1].real > dom._wall(z[0].real, z[0].imag, z[1].imag)
+    z1, z2 = complex(z[0]), complex(z[1])
+    return z2.real > dom._wall(z1.real, z1.imag, z2.imag)
 
 
 def _ulps(t, k):
@@ -815,11 +824,11 @@ def test_omega_psi_ray_matches_contains(psi, data):
     assert ray_exit(inside, 8.0) == ray_exit(reference, 8.0)
 
 
-# Points within an ulp of the cap sphere |z| = 3 where the plain sum of
+# Points within an ulp of the cap sphere |z| = 3 where a plain sum of
 # squares and np.linalg.norm (whose BLAS dot products may fuse
 # multiply-adds) decided |z| >= 3 differently in a seeded search on an
-# x86-64 machine; all lie well inside the wall, so the cap alone decides
-# membership.
+# x86-64 machine, so the rounding of |z| decides them; all lie well inside
+# the wall, so the cap alone decides membership.
 CAP_TIES = [
     ("-0x1.7674251a37afdp-3", "0x1.71531d02c615ap+0",
      "0x1.4b346f753571bp+1", "-0x1.be3e920f409cap-2"),
@@ -836,18 +845,43 @@ CAP_TIES = [
 ]
 
 
+def cap_tie_points():
+    for x1, y1, x2, y2 in CAP_TIES:
+        yield np.array([complex(float.fromhex(x1), float.fromhex(y1)),
+                        complex(float.fromhex(x2), float.fromhex(y2))])
+
+
 @pytest.mark.parametrize("psi", PSI_PROFILES, ids=PSI_IDS)
-def test_omega_psi_cap_ties_follow_numpy_norm(psi):
+def test_omega_psi_cap_ties_follow_cap_gap(psi):
     dom = OmegaPsi(psi)
     u = np.array([0.6, 0.8j])
-    for x1, y1, x2, y2 in CAP_TIES:
-        z = np.array([complex(float.fromhex(x1), float.fromhex(y1)),
-                      complex(float.fromhex(x2), float.fromhex(y2))])
+    for z in cap_tie_points():
         expected = omega_psi_contains_reference(dom, z)
         assert dom.contains(z) == expected
         assert dom.ray(z, u)(0.0) == expected
         assert dom.inner_radius_fast(z).hex() == \
             inner_radius_reference(dom, z).hex()
+
+
+@pytest.mark.parametrize("psi", PSI_PROFILES, ids=PSI_IDS)
+def test_omega_psi_cap_gap_decides_on_the_sphere(psi):
+    # every cap tie moved onto the sphere, |z| within 4 ulps of the cap:
+    # membership, the inner radius and the boundary distance read the same
+    # cap gap, so they agree to the last bit
+    dom = OmegaPsi(psi)
+    seen = set()
+    for z0 in cap_tie_points():
+        for k in range(-4, 5):
+            z = z0 * (_ulps(dom.cap_radius, k) / np.linalg.norm(z0))
+            inside = omega_psi_contains_reference(dom, z)
+            assert dom.contains(z) == inside
+            seen.add(inside)
+            if inside:
+                assert 0.0 < dom.inner_radius_fast(z) <= \
+                    dom.boundary_distance(z)
+            else:
+                assert dom.inner_radius_fast(z) == 0.0
+    assert seen == {True, False}
 
 
 def unpruned_scan(domain, z, v, n_theta=64):
@@ -954,7 +988,7 @@ def test_scan_directional_distance_prunes_probes():
 
 def inner_radius_reference(dom, z):
     """OmegaPsi.inner_radius_fast on numpy scalars, the cap term through
-    ``np.linalg.norm``."""
+    :func:`cap_gap_reference`."""
     arr = np.asarray(z, dtype=complex)
     x1, y1 = arr[0].real, arr[0].imag
     x2, y2 = arr[1].real, arr[1].imag
@@ -966,13 +1000,12 @@ def inner_radius_reference(dom, z):
     gc = 2.0 * dom.chi2 * (abs(y2) + gap)
     lip = math.sqrt(ga * ga + gb * gb + gc * gc)
     wall_bound = gap / math.sqrt(1.0 + lip * lip)
-    return max(0.0, min(dom.cap_radius - float(np.linalg.norm(arr)),
-                        wall_bound))
+    return max(0.0, min(cap_gap_reference(dom, arr), wall_bound))
 
 
 @pytest.mark.parametrize("psi", PSI_PROFILES, ids=PSI_IDS)
 @given(data=st.data())
-def test_omega_psi_inner_radius_matches_numpy(psi, data):
+def test_omega_psi_inner_radius_matches_reference(psi, data):
     dom = OmegaPsi(psi)
     x1 = data.draw(st.floats(-1.0, 1.0, allow_subnormal=False))
     y1 = data.draw(st.floats(-2.9, 2.9))
@@ -985,3 +1018,14 @@ def test_omega_psi_inner_radius_matches_numpy(psi, data):
         z = z * (scale / np.linalg.norm(z))
     assert dom.inner_radius_fast(z).hex() == \
         inner_radius_reference(dom, z).hex()
+
+
+@pytest.mark.parametrize("psi", PSI_PROFILES, ids=PSI_IDS)
+def test_psi_underflows_to_zero_at_tiny_x(psi):
+    # exp(-g) underflows long before x^-2 overflows, x*x underflows or 1/x
+    # overflows; psi and psi' are 0 there, not an exception or NaN
+    for x in (1e-160, 1e-200, 5e-324):
+        assert psi.value(x) == 0.0
+        assert psi.derivative(x) == 0.0
+    dom = OmegaPsi(psi)
+    assert dom.boundary_distance(np.array([1e-200 + 0.5j, 0.5 + 0j])) > 0.0
