@@ -264,7 +264,6 @@ def _cmd_visibility_scan(args, cfg):
     dom = _domain(cfg)
     rep = visibility_scan(dom, _point(cfg, "p"), _point(cfg, "q"),
                           _grid(cfg, "eps", [1e-1, 1e-2, 1e-3]),
-                          approach=cfg.get("approach", "normal"),
                           config=_solver(cfg))
     return {"report": rep}
 

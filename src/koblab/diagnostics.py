@@ -406,7 +406,7 @@ def k_point_probe(domain: Domain, p, w_radius: float, eps_grid,
         if pull_norm == 0.0:
             continue
         w_in = w + (1e-5 / pull_norm) * pull
-        if not domain.contains(w_in) or domain.inner_radius_fast(w_in) <= 0.0:
+        if domain.inner_radius_fast(w_in) <= 0.0:   # as it is outside D
             continue
         w_out = p + (w_radius + 1e-6) * direction
         witnesses.append((w_in, w_out if domain.contains(w_out) else None))

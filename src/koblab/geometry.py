@@ -14,8 +14,9 @@ reduces to a handful of geometric primitives on an open convex domain D:
 
 Model domains (disc, half-plane, polydisc, ball, ellipsoid) implement these
 with closed forms.  The four Kobayashi models (disc, half-plane, polydisc,
-ball) also carry their closed-form distance and metric and the geodesic
-solver's segment kernels, through the ``Domain`` protocol.  The graph-type
+ball) also carry their closed-form distance and metric, and the bounded
+three the geodesic solver's segment kernels, through the ``Domain``
+protocol.  The graph-type
 domain used in the flat-boundary experiments, and the slices that the
 iterated minimal basis takes, fall back to generic ray-sampling machinery
 with bisection along each ray; those code paths carry self-checks in the
@@ -148,7 +149,7 @@ def ray_exit(
     """sup { t > 0 : inside(t) } for a predicate true on an interval [0, T).
 
     ``inside`` is usually ``domain.ray(z, u)`` with u a unit vector: whether
-    z + t*u lies in a convex domain holding z (``contains(z + t*u)`` by
+    z + t*u lies in a convex domain holding z (``_contains(z + t*u)`` by
     default, a plain-float test on ``OmegaPsi``; see :meth:`Domain.ray`).
     The exit time is capped at ``hi_cap``: a doubling search brackets it,
     then bisection narrows the bracket to relative width ``_RAY_REL_TOL``
@@ -321,6 +322,15 @@ def _lex_smallest_on_sphere(z0: np.ndarray, cols: np.ndarray, radius: float) -> 
 class Domain:
     """An open convex domain in C^n.
 
+    The public primitives (``contains``, ``inner_radius_fast``,
+    ``boundary_distance``, ``directional_distance``,
+    ``nearest_boundary_point``, ``supporting_normal``) are defined here
+    only.  Each converts and checks its input once: a finite point of the
+    domain's dimension, an interior one where the primitive needs it, a
+    finite nonzero direction.  It then calls the private method of the
+    same name (``_contains``, ``_inner_radius``, ...), which each domain
+    supplies with the geometry alone, on the checked complex array.
+
     ``exact`` marks the model domains: their Kobayashi distance and metric
     have closed forms, which their segment kernels call, and
     ``exact_error(d, delta)`` bounds the distance's rounding error, delta
@@ -331,9 +341,56 @@ class Domain:
     bounding_radius: float
     exact = False
 
-    # -- membership and distances ------------------------------------------
+    # -- the public primitives -----------------------------------------------
 
     def contains(self, z) -> bool:
+        """Whether z lies in the (open) domain."""
+        return self._contains(self._point(z))
+
+    def inner_radius_fast(self, z) -> float:
+        """A cheap certified lower bound for boundary_distance (may be
+        exact) at an interior point, and <= 0 outside: for a finite point
+        of the domain's dimension it never raises, and it is > 0 only
+        where ``contains`` holds."""
+        return self._inner_radius(self._point(z))
+
+    def boundary_distance(self, z) -> float:
+        """Euclidean distance from an interior point to the boundary."""
+        return self._boundary_distance(self._interior(z))
+
+    def directional_distance(self, z, v) -> float:
+        """Radius of the largest complex disc through z in direction v/|v|."""
+        return self._directional_distance(self._interior(z),
+                                          self._direction(v))
+
+    def nearest_boundary_point(self, z) -> np.ndarray:
+        """The boundary point nearest to interior z."""
+        return self._nearest_boundary_point(self._interior(z))
+
+    def supporting_normal(self, b) -> np.ndarray:
+        """Outward unit normal of a supporting hyperplane at boundary point b."""
+        return self._supporting_normal(self._point(b))
+
+    # -- the per-domain geometry, on checked complex arrays ---------------------
+
+    def _contains(self, z: np.ndarray) -> bool:
+        raise NotImplementedError
+
+    def _inner_radius(self, z: np.ndarray) -> float:
+        """Here the boundary distance, whose closed form on the models reads
+        <= 0 outside; the domains without one override this."""
+        return self._boundary_distance(z)
+
+    def _boundary_distance(self, z: np.ndarray) -> float:
+        raise NotImplementedError
+
+    def _directional_distance(self, z: np.ndarray, v: np.ndarray) -> float:
+        return scan_directional_distance(self, z, v)
+
+    def _nearest_boundary_point(self, z: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _supporting_normal(self, b: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def ray(self, z: np.ndarray, u: np.ndarray) -> Callable[[float], bool]:
@@ -343,7 +400,7 @@ class Domain:
         generic ray machinery (:func:`ray_exit` and its callers) bisects
         this predicate, so a domain can set up each ray once instead of
         building a numpy array per probe.  The default is
-        ``contains(z + t*u)``.
+        ``_contains(z + t*u)``.
 
         Only ``OmegaPsi`` overrides it: the models and the ellipsoid answer
         directional queries in closed form, and Omega_psi is the domain
@@ -355,20 +412,7 @@ class Domain:
         rounds differently from mapping z + t*u, so their exit times would
         move in the last bits.
         """
-        return lambda t: self.contains(z + t * u)
-
-    def boundary_distance(self, z) -> float:
-        """Euclidean distance from an interior point to the boundary."""
-        raise NotImplementedError
-
-    def directional_distance(self, z, v) -> float:
-        """Radius of the largest complex disc through z in direction v/|v|."""
-        z = self._interior(z)
-        return scan_directional_distance(self, z, self._direction(v))
-
-    def inner_radius_fast(self, z) -> float:
-        """A cheap certified lower bound for boundary_distance (may be exact)."""
-        return self.boundary_distance(z)
+        return lambda t: self._contains(z + t * u)
 
     # -- closed forms and solver kernels ---------------------------------------
 
@@ -389,7 +433,7 @@ class Domain:
           their kernels run on plain floats with no numpy scalar in the
           loop.  Here it is the array itself: this kernel calls the
           domain's numpy methods, which would only convert a list back.
-        * ``radius(p)`` is a cheap interior radius, negative outside.
+        * ``radius(p)`` is a cheap interior radius, <= 0 outside.
         * ``terms(a, b, ra, rb)`` is the list of nonnegative terms of the
           segment [a, b], given interior endpoints and their radii.  The
           max of the terms is the certified upper for k(a, b), inf when it
@@ -404,15 +448,9 @@ class Domain:
           coordinate enters (on a single-term kernel, that term) and
           leaves ``T`` as it was.
 
-        Here: the fast certified inner radius and the single term
+        Here: ``inner_radius_fast`` itself and the single term
         artanh(|b - a| / max(ra, rb)).
         """
-        dom = self
-
-        def radius(p):
-            if not dom.contains(p):
-                return -1.0
-            return dom.inner_radius_fast(p)
 
         def terms(a, b, ra, rb):
             u = float(np.linalg.norm(b - a))
@@ -425,16 +463,9 @@ class Domain:
 
         def moved(T, a, b, ra, rb, slot):
             return terms(a, b, ra, rb)
-        return (lambda p: p), radius, terms, moved
+        return (lambda p: p), self.inner_radius_fast, terms, moved
 
     # -- boundary structure --------------------------------------------------
-
-    def nearest_boundary_point(self, z) -> np.ndarray:
-        raise NotImplementedError
-
-    def supporting_normal(self, b) -> np.ndarray:
-        """Outward unit normal of a supporting hyperplane at boundary point b."""
-        raise NotImplementedError
 
     def minimal_basis(self, z) -> MinimalBasisResult:
         """The iterated minimal basis at interior z.
@@ -472,10 +503,10 @@ class Domain:
         closed-form guarantee.
         """
         if k == 0:
-            contact = self.nearest_boundary_point(z)
+            contact = self._nearest_boundary_point(z)
             return contact, float(np.linalg.norm(contact - z))
         sub = _SliceDomain(self, z, cols)
-        w = sub.nearest_boundary_point(np.zeros(cols.shape[1], dtype=complex))
+        w = sub._nearest_boundary_point(np.zeros(cols.shape[1], dtype=complex))
         return z + cols @ w, float(np.linalg.norm(w))
 
     # -- metadata ------------------------------------------------------------
@@ -506,29 +537,26 @@ class Domain:
 
     # -- helpers --------------------------------------------------------------
 
-    def _interior(self, z) -> np.ndarray:
+    def _point(self, z) -> np.ndarray:
+        """``z`` as a complex array, checked: finite, of the domain's
+        dimension."""
         arr = as_carray(z)
         if len(arr) != self.dim:
             raise GeometryError(
                 f"point dimension {len(arr)} != domain dimension {self.dim}"
             )
-        if not self.contains(arr):
+        return arr
+
+    def _interior(self, z) -> np.ndarray:
+        arr = self._point(z)
+        if not self._contains(arr):
             raise GeometryError(f"point {arr} is not in the domain")
         return arr
 
-    def _boundary(self, b) -> np.ndarray:
-        arr = as_carray(b)
-        if len(arr) != self.dim:
-            raise GeometryError("point dimension mismatch")
-        return arr
-
     def _direction(self, v) -> np.ndarray:
-        """``v`` as a complex array, checked for every
-        ``directional_distance``: the domain's dimension and a finite
-        nonzero norm, so no override divides by zero or broadcasts."""
-        arr = as_carray(v)
-        if len(arr) != self.dim:
-            raise GeometryError("direction dimension mismatch")
+        """``v`` as a checked complex array of finite nonzero norm, so no
+        ``_directional_distance`` divides by zero."""
+        arr = self._point(v)
         if not 0.0 < np.linalg.norm(arr) < math.inf:
             raise GeometryError("direction needs a finite nonzero norm")
         return arr
@@ -669,31 +697,25 @@ class Disc(Domain):
             return [_disc_distance(a[0], b[0])]
         return np.ndarray.tolist, radius, terms, moved
 
-    def contains(self, z) -> bool:
-        arr = as_carray(z)
-        return abs(arr[0]) < 1.0
+    def _contains(self, z) -> bool:
+        return abs(z[0]) < 1.0
 
-    def boundary_distance(self, z) -> float:
-        z = self._interior(z)
+    def _boundary_distance(self, z) -> float:
         return 1.0 - abs(z[0])
 
-    def directional_distance(self, z, v) -> float:
-        z = self._interior(z)
-        self._direction(v)
+    def _directional_distance(self, z, v) -> float:
         return 1.0 - abs(z[0])
 
-    def nearest_boundary_point(self, z) -> np.ndarray:
-        z = self._interior(z)
+    def _nearest_boundary_point(self, z) -> np.ndarray:
         if abs(z[0]) < 1e-14:
             return np.array([-1.0 + 0j])
         return z / abs(z[0])
 
-    def supporting_normal(self, b) -> np.ndarray:
-        b = self._boundary(b)
+    def _supporting_normal(self, b) -> np.ndarray:
         return b / abs(b[0])
 
     def _slice_contact(self, z, cols, k):
-        return self.nearest_boundary_point(z), 1.0 - abs(z[0])
+        return self._nearest_boundary_point(z), 1.0 - abs(z[0])
 
     def to_json(self) -> dict:
         return {"kind": "disc"}
@@ -715,39 +737,23 @@ class HalfPlane(Domain):
     def exact_error(self, d, delta) -> float:
         return _UNIT_ROUNDOFF * (2.0 * d + 6.0)
 
-    def segment_kernels(self):
-        def radius(p):
-            return p[0].imag
+    def _contains(self, z) -> bool:
+        return z[0].imag > 0.0
 
-        def terms(a, b, ra, rb):
-            return [halfplane_distance(a[0], b[0])]
-
-        def moved(T, a, b, ra, rb, slot):
-            return [halfplane_distance(a[0], b[0])]
-        return np.ndarray.tolist, radius, terms, moved
-
-    def contains(self, z) -> bool:
-        return as_carray(z)[0].imag > 0.0
-
-    def boundary_distance(self, z) -> float:
-        z = self._interior(z)
+    def _boundary_distance(self, z) -> float:
         return z[0].imag
 
-    def directional_distance(self, z, v) -> float:
-        z = self._interior(z)
-        self._direction(v)
+    def _directional_distance(self, z, v) -> float:
         return z[0].imag
 
-    def nearest_boundary_point(self, z) -> np.ndarray:
-        z = self._interior(z)
+    def _nearest_boundary_point(self, z) -> np.ndarray:
         return np.array([complex(z[0].real, 0.0)])
 
-    def supporting_normal(self, b) -> np.ndarray:
-        self._boundary(b)
+    def _supporting_normal(self, b) -> np.ndarray:
         return np.array([-1j])
 
     def _slice_contact(self, z, cols, k):
-        return self.nearest_boundary_point(z), z[0].imag
+        return self._nearest_boundary_point(z), z[0].imag
 
     def boundary_anchor_points(self, count: int, rng: np.random.Generator) -> list:
         return [np.array([complex(x, 0.0)]) for x in rng.uniform(-3.0, 3.0, count)]
@@ -802,17 +808,13 @@ class Polydisc(Domain):
             return T
         return np.ndarray.tolist, radius, terms, moved
 
-    def contains(self, z) -> bool:
-        arr = as_carray(z)
-        return bool(np.max(np.abs(arr)) < 1.0)
+    def _contains(self, z) -> bool:
+        return bool(np.max(np.abs(z)) < 1.0)
 
-    def boundary_distance(self, z) -> float:
-        z = self._interior(z)
+    def _boundary_distance(self, z) -> float:
         return float(np.min(1.0 - np.abs(z)))
 
-    def directional_distance(self, z, v) -> float:
-        z = self._interior(z)
-        v = self._direction(v)
+    def _directional_distance(self, z, v) -> float:
         v = v / np.linalg.norm(v)
         gaps = 1.0 - np.abs(z)
         t = math.inf
@@ -826,8 +828,7 @@ class Polydisc(Domain):
         w[j] = z[j] / abs(z[j]) if abs(z[j]) > 1e-14 else -1.0
         return w
 
-    def nearest_boundary_point(self, z) -> np.ndarray:
-        z = self._interior(z)
+    def _nearest_boundary_point(self, z) -> np.ndarray:
         gaps = 1.0 - np.abs(z)
         best = np.min(gaps)
         cands = [
@@ -837,8 +838,7 @@ class Polydisc(Domain):
         ]
         return min(cands, key=_lex_key)
 
-    def supporting_normal(self, b) -> np.ndarray:
-        b = self._boundary(b)
+    def _supporting_normal(self, b) -> np.ndarray:
         j = int(np.argmax(np.abs(b)))
         nu = np.zeros(self.dim, dtype=complex)
         nu[j] = b[j] / abs(b[j])
@@ -896,21 +896,16 @@ class Ball(Domain):
             return [_ball_distance(a, b)]
         return np.ndarray.tolist, radius, terms, moved
 
-    def contains(self, z) -> bool:
-        arr = as_carray(z)
-        return float(np.linalg.norm(arr)) < 1.0
+    def _contains(self, z) -> bool:
+        return float(np.linalg.norm(z)) < 1.0
 
-    def boundary_distance(self, z) -> float:
-        z = self._interior(z)
+    def _boundary_distance(self, z) -> float:
         return 1.0 - float(np.linalg.norm(z))
 
-    def directional_distance(self, z, v) -> float:
-        z = self._interior(z)
-        v = self._direction(v)
+    def _directional_distance(self, z, v) -> float:
         return _ball_exit(v / np.linalg.norm(v), z, 1.0)
 
-    def nearest_boundary_point(self, z) -> np.ndarray:
-        z = self._interior(z)
+    def _nearest_boundary_point(self, z) -> np.ndarray:
         r = np.linalg.norm(z)
         if r < 1e-14:
             out = np.zeros(self.dim, dtype=complex)
@@ -918,13 +913,12 @@ class Ball(Domain):
             return out
         return z / r
 
-    def supporting_normal(self, b) -> np.ndarray:
-        b = self._boundary(b)
+    def _supporting_normal(self, b) -> np.ndarray:
         return b / np.linalg.norm(b)
 
     def _slice_contact(self, z, cols, k):
         if k == 0:
-            return self.nearest_boundary_point(z), 1.0 - float(np.linalg.norm(z))
+            return self._nearest_boundary_point(z), 1.0 - float(np.linalg.norm(z))
         # every further slice is a ball centered at z inside the slice, so the
         # contact circle is a full sphere: all remaining taus coincide and the
         # contact is pinned by the lexicographic tie-break.
@@ -955,7 +949,10 @@ def _project_interior_to_ellipsoid(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     b2 = b * b
     m2 = float(np.min(b2))
     gap = b2 - m2
-    nonzero = np.abs(u) > 0.0
+    # a coordinate below 2^-150 sqrt(m2) counts as 0: dropping it moves the
+    # contact's distance by at most its size, and on a minimal axis it would
+    # put the root s too near the pole for the bracket walk and brentq
+    nonzero = np.abs(u) > 2.0 ** -150 * math.sqrt(m2)
 
     def g(s: float) -> float:
         return float(np.sum((b2[nonzero] * u[nonzero] / (gap[nonzero] + s)) ** 2 / b2[nonzero]))
@@ -996,37 +993,33 @@ class Ellipsoid(Domain):
 
     def __init__(self, axes: Sequence[float]):
         axes = np.asarray(axes, dtype=float)
-        if len(axes) < 1 or np.any(axes <= 0):
-            raise GeometryError("ellipsoid axes must be positive")
+        if len(axes) < 1 or not np.all((axes > 0) & (axes < math.inf)):
+            raise GeometryError("ellipsoid axes must be positive and finite")
         self.axes = axes
         self.dim = len(axes)
         self.bounding_radius = float(np.max(axes))
 
-    def contains(self, z) -> bool:
-        arr = as_carray(z)
-        return float(np.sum(np.abs(arr) ** 2 / self.axes**2)) < 1.0
+    def _contains(self, z) -> bool:
+        return float(np.sum(np.abs(z) ** 2 / self.axes**2)) < 1.0
 
-    def boundary_distance(self, z) -> float:
-        z = self._interior(z)
+    def _boundary_distance(self, z) -> float:
         u = real_view(z)
         p = _project_interior_to_ellipsoid(u, _paired_axes(self.axes))
         return float(np.linalg.norm(u - p))
 
-    def inner_radius_fast(self, z) -> float:
+    def _inner_radius(self, z) -> float:
         # two certified lower bounds for the boundary distance:
         #   - Lipschitz: with g = sum |z_j|^2/a_j^2 and y the nearest boundary
         #     point, 1 - g(z) <= sup ||grad g|| * delta <= 2 sqrt(sum 1/a_j^2) delta
         #   - radial concavity: z = sqrt(g) u with u on the boundary, and
         #     delta is concave, so delta(z) >= (1 - sqrt(g)) delta(0)
-        z = self._interior(z)
+        # outside, g >= 1 and both read <= 0, so the max is 0
         g = float(np.sum(np.abs(z) ** 2 / self.axes**2))
         lip = 2.0 * math.sqrt(float(np.sum(1.0 / self.axes**2)))
         radial = (1.0 - math.sqrt(g)) * float(np.min(self.axes))
         return max(0.0, (1.0 - g) / lip, radial)
 
-    def directional_distance(self, z, v) -> float:
-        z = self._interior(z)
-        v = self._direction(v)
+    def _directional_distance(self, z, v) -> float:
         v = v / np.linalg.norm(v)
         a2 = self.axes**2
         A = float(np.sum(np.abs(z) ** 2 / a2))
@@ -1034,14 +1027,12 @@ class Ellipsoid(Domain):
         beta = abs(np.sum(v * np.conj(z) / a2))
         return (-beta + math.sqrt(beta * beta + C * (1.0 - A))) / C
 
-    def nearest_boundary_point(self, z) -> np.ndarray:
-        z = self._interior(z)
+    def _nearest_boundary_point(self, z) -> np.ndarray:
         u = real_view(z)
         p = _project_interior_to_ellipsoid(u, _paired_axes(self.axes))
         return complex_view(p)
 
-    def supporting_normal(self, b) -> np.ndarray:
-        b = self._boundary(b)
+    def _supporting_normal(self, b) -> np.ndarray:
         nu = b / self.axes**2
         return nu / np.linalg.norm(nu)
 
@@ -1095,6 +1086,8 @@ class PsiSpec:
     def __post_init__(self):
         if self.form not in ("exp_neg_c_over_x", "exp_neg_inv_log_pow"):
             raise GeometryError(f"unknown psi form {self.form!r}")
+        if not (math.isfinite(self.c) and math.isfinite(self.alpha)):
+            raise GeometryError("psi needs finite c and alpha")
         if self.form == "exp_neg_c_over_x" and self.c <= 0:
             raise GeometryError("psi needs c > 0")
         if self.form == "exp_neg_inv_log_pow" and self.alpha <= 1:
@@ -1234,13 +1227,17 @@ class OmegaPsi(Domain):
 
     def __init__(self, psi: PsiSpec, chi1: float = 1.0, chi2: float = 1.0,
                  cap_radius: float = 3.0):
-        if cap_radius <= math.sqrt(5.0):
-            # the segment endpoints (+-2i, 0) must stay well inside the cap
-            raise GeometryError("cap radius too small for the flat segment")
         self.psi = psi
         self.chi1 = float(chi1)
         self.chi2 = float(chi2)
         self.cap_radius = float(cap_radius)
+        if not math.sqrt(5.0) < self.cap_radius < math.inf:
+            # the segment endpoints (+-2i, 0) must stay well inside the cap
+            raise GeometryError("cap radius must be finite and large enough "
+                                "for the flat segment")
+        if not (0.0 <= self.chi1 < math.inf and 0.0 <= self.chi2 < math.inf):
+            # a negative chi would bend the wall concave
+            raise GeometryError("chi1 and chi2 must be finite and >= 0")
         self.dim = 2
         self.bounding_radius = self.cap_radius
 
@@ -1255,15 +1252,12 @@ class OmegaPsi(Domain):
         dy1 = 2.0 * self.chi1 * t * (1.0 if y1 >= 0 else -1.0)
         return (self.psi.derivative(x1), dy1, 2.0 * self.chi2 * y2)
 
-    def contains(self, z) -> bool:
-        arr = as_carray(z)
-        if len(arr) != 2:
-            raise GeometryError("point dimension mismatch")
-        return self._inside(*arr.tolist())
+    def _contains(self, z) -> bool:
+        return self._inside(*z.tolist())
 
     def ray(self, z: np.ndarray, u: np.ndarray) -> Callable[[float], bool]:
         """:meth:`Domain.ray` on Python floats: z and u are converted once,
-        and each probe runs :meth:`_inside`, the test ``contains`` runs."""
+        and each probe runs :meth:`_inside`, the test ``_contains`` runs."""
         z1, z2 = z.tolist()
         u1, u2 = u.tolist()
         inside = self._inside
@@ -1281,7 +1275,7 @@ class OmegaPsi(Domain):
                                            + (y1 * y1 + y2 * y2))
 
     def _inside(self, z1: complex, z2: complex) -> bool:
-        """Membership of (z1, z2), the one test ``contains`` and ``ray``
+        """Membership of (z1, z2), the one test ``_contains`` and ``ray``
         share: a positive cap gap and a point above the wall."""
         return self._cap_gap(z1, z2) > 0.0 and \
             z2.real > self._wall(z1.real, z1.imag, z2.imag)
@@ -1316,22 +1310,22 @@ class OmegaPsi(Domain):
         contact = np.array([complex(a, bb), complex(self._wall(a, bb, cc), cc)])
         return math.sqrt(max(best.fun, 0.0)), contact
 
-    def boundary_distance(self, z) -> float:
-        z = self._interior(z)
+    def _boundary_distance(self, z) -> float:
         d_cap = self._cap_gap(*z.tolist())
         d_wall, _ = self._graph_distance(z)
         return min(d_cap, d_wall)
 
-    def inner_radius_fast(self, z) -> float:
+    def _inner_radius(self, z) -> float:
         """Certified lower bound for boundary_distance.
 
         The nearest wall point sits within the vertical gap g of the graph
         coordinates, so a Lipschitz constant of the wall over that ball gives
         dist >= g / sqrt(1 + L^2); the cap sheet contributes exactly
         (:meth:`_cap_gap`).  The point is converted once with ``tolist()``
-        and the bound runs on Python floats.
+        and the bound runs on Python floats.  Outside, the vertical gap or
+        the cap gap is <= 0, and so is the bound.
         """
-        z1, z2 = as_carray(z).tolist()
+        z1, z2 = z.tolist()
         x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
         gap = x2 - self._wall(x1, y1, y2)
         if gap <= 0:
@@ -1356,8 +1350,7 @@ class OmegaPsi(Domain):
         return 0.5 / max(1.0 / self.cap_radius, 2.0 * self.chi1,
                          2.0 * self.chi2, psi_curv)
 
-    def nearest_boundary_point(self, z) -> np.ndarray:
-        z = self._interior(z)
+    def _nearest_boundary_point(self, z) -> np.ndarray:
         d_cap = self._cap_gap(*z.tolist())
         d_wall, contact = self._graph_distance(z)
         d = min(d_cap, d_wall)
@@ -1373,8 +1366,7 @@ class OmegaPsi(Domain):
             return z * (self.cap_radius / np.linalg.norm(z))
         return contact
 
-    def supporting_normal(self, b) -> np.ndarray:
-        b = self._boundary(b)
+    def _supporting_normal(self, b) -> np.ndarray:
         if abs(np.linalg.norm(b) - self.cap_radius) < 1e-6 * self.cap_radius:
             return b / np.linalg.norm(b)
         x1, y1 = b[0].real, b[0].imag
@@ -1422,55 +1414,51 @@ class LocalizedDomain(Domain):
         self.bounding_radius = min(
             base.bounding_radius, float(np.linalg.norm(self.center)) + self.radius)
 
-    def contains(self, z) -> bool:
-        arr = as_carray(z)
-        if np.linalg.norm(arr - self.center) >= self.radius:
-            return False
-        return self.base.contains(arr)
+    # a point of the window has the base's dimension and, when interior,
+    # lies in the base, so the base's private methods take it unchecked
 
-    def boundary_distance(self, z) -> float:
-        z = self._interior(z)
-        return min(self.base.boundary_distance(z),
+    def _contains(self, z) -> bool:
+        if np.linalg.norm(z - self.center) >= self.radius:
+            return False
+        return self.base._contains(z)
+
+    def _boundary_distance(self, z) -> float:
+        return min(self.base._boundary_distance(z),
                    self.radius - float(np.linalg.norm(z - self.center)))
 
-    def inner_radius_fast(self, z) -> float:
-        arr = as_carray(z)
-        return min(self.base.inner_radius_fast(arr),
-                   self.radius - float(np.linalg.norm(arr - self.center)))
+    def _inner_radius(self, z) -> float:
+        return min(self.base._inner_radius(z),
+                   self.radius - float(np.linalg.norm(z - self.center)))
 
-    def directional_distance(self, z, v) -> float:
-        z = self._interior(z)
-        v = self._direction(v)
+    def _directional_distance(self, z, v) -> float:
         v = v / np.linalg.norm(v)
-        return min(self.base.directional_distance(z, v),
+        return min(self.base._directional_distance(z, v),
                    _ball_exit(v, z - self.center, self.radius))
 
-    def nearest_boundary_point(self, z) -> np.ndarray:
-        z = self._interior(z)
+    def _nearest_boundary_point(self, z) -> np.ndarray:
         w = z - self.center
         nw = float(np.linalg.norm(w))
         d_ball = self.radius - nw
-        d_base = self.base.boundary_distance(z)
+        d_base = self.base._boundary_distance(z)
         tied = abs(d_ball - d_base) <= 1e-7 * max(1.0, min(d_ball, d_base))
         if (tied or d_ball < d_base) and nw == 0.0:
             raise AmbiguousProjectionError(
                 "every direction exits the window sphere at the same distance")
         if tied:
             sphere_pt = self.center + w * (self.radius / nw)
-            base_pt = self.base.nearest_boundary_point(z)
+            base_pt = self.base._nearest_boundary_point(z)
             if np.linalg.norm(sphere_pt - base_pt) > 1e-4:
                 raise AmbiguousProjectionError("window sphere and base boundary tie")
             return sphere_pt if d_ball <= d_base else base_pt
         if d_ball < d_base:
             return self.center + w * (self.radius / nw)
-        return self.base.nearest_boundary_point(z)
+        return self.base._nearest_boundary_point(z)
 
-    def supporting_normal(self, b) -> np.ndarray:
-        b = self._boundary(b)
+    def _supporting_normal(self, b) -> np.ndarray:
         if abs(np.linalg.norm(b - self.center) - self.radius) < 1e-6 * self.radius:
             w = b - self.center
             return w / np.linalg.norm(w)
-        return self.base.supporting_normal(b)
+        return self.base._supporting_normal(b)
 
     @property
     def base_point(self) -> np.ndarray:
@@ -1492,12 +1480,10 @@ class _SliceDomain(Domain):
         self.dim = cols.shape[1]
         self.bounding_radius = parent.bounding_radius + float(np.linalg.norm(origin))
 
-    def contains(self, w) -> bool:
-        arr = as_carray(w)
-        return self.parent.contains(self.origin + self.cols @ arr)
+    def _contains(self, w) -> bool:
+        return self.parent._contains(self.origin + self.cols @ w)
 
-    def nearest_boundary_point(self, w) -> np.ndarray:
-        w = as_carray(w)
+    def _nearest_boundary_point(self, w) -> np.ndarray:
         best_r, best_u = _sampled_contact(self, w, 64 if self.dim == 1 else 128)
         return w + best_r * best_u
 
@@ -1509,20 +1495,23 @@ class _SliceDomain(Domain):
 
 def _json_number(val, name: str, integer: bool = False,
                  error: type = GeometryError):
-    """An outside-input value as a float, or as an int with ``integer``.
+    """An outside-input value as a finite float, or as an int with
+    ``integer``.
 
-    Anything else (a string that is no number, null, a list, a fractional
-    count) raises ``error`` naming the field, never a bare ValueError.
+    Anything else (a string that is no number, null, a list, inf or nan, a
+    fractional count) raises ``error`` naming the field, never a bare
+    ValueError.
     """
     try:
         num = float(val)
-        if not integer:
-            return num
-        if num.is_integer():
-            return int(num)
+        if math.isfinite(num):
+            if not integer:
+                return num
+            if num.is_integer():
+                return int(num)
     except (TypeError, ValueError, OverflowError):
         pass
-    kind = "an integer" if integer else "a number"
+    kind = "an integer" if integer else "a finite number"
     raise error(f"{name!r} must be {kind}, got {val!r}")
 
 

@@ -259,12 +259,26 @@ DISTANCE = ["distance", "--x", "[[0,0],[0,0]]", "--y", "[[0.5,0],[0,0]]"]
      {"domain": {"kind": "disc"}}, "coordinate"),
     (["distance", "--x", '[0.5,"a"]', "--y", "[[0.5,0]]"],
      {"domain": {"kind": "disc"}}, "pair"),
+    (DISTANCE, {"domain": {"kind": "ellipsoid", "axes": [1, math.inf]}},
+     "axes"),
+    (["geodesic", "--x", "[[0,0]]", "--y", "[[0.5,0]]"],
+     {"domain": {"kind": "disc"}, "solver": {"rel_tol": math.nan}},
+     "rel_tol"),
+    (["k-point", "--eps", "1e-1"],
+     {"domain": BALL, "p": [[1, 0], [0, 0]], "w_radius": math.inf},
+     "w_radius"),
+    (["case-omega-psi", "--c", "inf"], {}, "'c'"),
+    (["case-omega-psi", "--c", "nan"], {}, "'c'"),
+    (["case-omega-psi", "--psi-form", "exp_neg_inv_log_pow",
+      "--alpha", "nan"], {}, "'alpha'"),
 ], ids=["w_radius-text", "sphere_samples-null", "n-text", "n-fractional",
         "axes-missing", "axes-text", "solver-max_iter-text",
-        "coordinate-text", "coordinate-mixed"])
+        "coordinate-text", "coordinate-mixed", "axes-inf", "rel_tol-nan",
+        "w_radius-inf", "c-inf-flag", "c-nan-flag", "alpha-nan-flag"])
 def test_bad_config_value_exits_two(tmp_path, capsys, argv, config, needle):
-    # a config value of the wrong type is bad input: exit 2 with a koblab:
-    # line naming the field, no traceback
+    # a config value or flag of the wrong type, or not finite, is bad
+    # input: exit 2 with a koblab: line naming the field, no traceback,
+    # no hang and no JSON "Infinity"
     cfg = write_config(tmp_path, "bad.json", config)
     assert run_cli(argv + ["--config", cfg, "--out", str(tmp_path),
                            "--reproducible"]) == 2

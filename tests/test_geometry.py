@@ -125,6 +125,55 @@ def test_omega_psi_membership():
     assert dom.contains([1.0, 0.05])            # e^{-pi} = 0.0432...
 
 
+# every domain class, each Omega_psi profile, and a window around Omega_psi
+CONTRACT_DOMAINS = {
+    "Disc": Disc(),
+    "HalfPlane": HalfPlane(),
+    "Polydisc": Polydisc(2),
+    "Ball": Ball(2),
+    "Ellipsoid": Ellipsoid([1.0, 2.0]),
+    "OmegaPsi-exp": OmegaPsi(PsiSpec("exp_neg_c_over_x")),
+    "OmegaPsi-logpow": OmegaPsi(PsiSpec("exp_neg_inv_log_pow", alpha=2.0)),
+    "LocalizedDomain": LocalizedDomain(OmegaPsi(PsiSpec("exp_neg_c_over_x")),
+                                       [0.5j, 0.3], 0.5),
+}
+
+
+@pytest.mark.parametrize("name", list(CONTRACT_DOMAINS))
+def test_primitives_reject_a_point_of_the_wrong_dimension(name):
+    # every public primitive checks the dimension, on every domain, before
+    # a closed form can drop a coordinate or numpy can broadcast one
+    dom = CONTRACT_DOMAINS[name]
+    z = dom.base_point
+    for bad in ([0.1] * (dom.dim - 1), [0.1] * (dom.dim + 1)):
+        for call in (dom.contains, dom.inner_radius_fast,
+                     dom.boundary_distance, dom.nearest_boundary_point,
+                     dom.supporting_normal,
+                     lambda p: dom.directional_distance(p, z),
+                     lambda p: dom.directional_distance(z, p)):
+            with pytest.raises(GeometryError, match="dimension"):
+                call(bad)
+
+
+@pytest.mark.parametrize("name", list(CONTRACT_DOMAINS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_inner_radius_is_positive_only_inside(name, data):
+    # for any finite point the fast inner radius answers without raising:
+    # > 0 only where contains holds, and a lower bound inside
+    dom = CONTRACT_DOMAINS[name]
+    scale = data.draw(st.floats(0.0, 2.0 * min(dom.bounding_radius, 3.0)))
+    offset = [complex(data.draw(st.floats(-1.0, 1.0)),
+                      data.draw(st.floats(-1.0, 1.0)))
+              for _ in range(dom.dim)]
+    z = dom.base_point + scale * np.array(offset)
+    r = dom.inner_radius_fast(z)
+    if dom.contains(z):
+        assert r <= dom.boundary_distance(z) + 1e-12
+    else:
+        assert r <= 0.0
+
+
 # ---------------------------------------------------------------------------
 # boundary distances (closed forms)
 # ---------------------------------------------------------------------------
@@ -140,6 +189,19 @@ def test_boundary_distance_models():
     e = Ellipsoid([2.0, 1.0])
     d = e.boundary_distance([0.5, 0.0])
     assert d == pytest.approx(math.sqrt((0.5 - 2 / 3) ** 2 + 8 / 9), rel=1e-12)
+
+
+@pytest.mark.parametrize("tiny", [1e-60, 1e-100, 1e-200, 1e-310, 5e-324])
+def test_ellipsoid_distance_at_a_tiny_minimal_axis_coordinate(tiny):
+    # a minimal-axis coordinate far below the axis put the projection's
+    # multiplier so near the pole that brentq ran out of iterations or the
+    # bracket walk gave up; the distance is within tiny of the one at 0
+    e = Ellipsoid([1.0, 2.0])
+    for z, ref in (([tiny, 0.5], [0.0, 0.5]), ([1j * tiny, 0.0], [0.0, 0.0]),
+                   ([tiny, 1.9j], [0.0, 1.9j])):
+        assert e.boundary_distance(z) == pytest.approx(
+            e.boundary_distance(ref), abs=1e-15)
+        assert e.contains(e.nearest_boundary_point(z)) is False
 
 
 def test_ellipsoid_distance_against_parametric_oracle():
@@ -340,6 +402,10 @@ def test_domain_protocol_closed_forms_and_kernels(domain, is_model):
     x = domain.base_point
     y = x + 0.1 * np.eye(domain.dim, dtype=complex)[0]
     assert (domain.exact_distance(x, y) is not None) is is_model
+    if isinstance(domain, HalfPlane):
+        # the solver refuses unbounded domains, so the half-plane has no
+        # kernel of its own to compare with its closed form
+        return
     point, radius, terms, _ = domain.segment_kernels()
 
     def seg(p, q):
@@ -709,6 +775,32 @@ def test_domain_json_rejects_unknown():
         domain_from_json({"kind": "torus"})
     with pytest.raises(GeometryError):
         domain_from_json({})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PsiSpec("exp_neg_c_over_x", c=math.inf),
+    lambda: PsiSpec("exp_neg_c_over_x", c=math.nan),
+    lambda: PsiSpec("exp_neg_inv_log_pow", alpha=math.nan),
+    lambda: PsiSpec("exp_neg_inv_log_pow", alpha=math.inf),
+    lambda: OmegaPsi(PsiSpec("exp_neg_c_over_x"), chi1=-1.0),
+    lambda: OmegaPsi(PsiSpec("exp_neg_c_over_x"), chi2=-1.0),
+    lambda: OmegaPsi(PsiSpec("exp_neg_c_over_x"), chi1=math.nan),
+    lambda: OmegaPsi(PsiSpec("exp_neg_c_over_x"), chi2=math.inf),
+    lambda: OmegaPsi(PsiSpec("exp_neg_c_over_x"), cap_radius=math.nan),
+    lambda: OmegaPsi(PsiSpec("exp_neg_c_over_x"), cap_radius=math.inf),
+    lambda: Ellipsoid([1.0, math.nan]),
+    lambda: Ellipsoid([1.0, math.inf]),
+    lambda: domain_from_json({"kind": "ellipsoid", "axes": [1.0, math.inf]}),
+    lambda: domain_from_json({"kind": "omega_psi", "chi1": math.nan}),
+], ids=["c-inf", "c-nan", "alpha-nan", "alpha-inf", "chi1-negative",
+        "chi2-negative", "chi1-nan", "chi2-inf", "cap-nan", "cap-inf",
+        "axis-nan", "axis-inf", "json-axis-inf", "json-chi1-nan"])
+def test_domains_reject_invalid_parameters(build):
+    # non-finite parameters, and a negative chi, which bends the wall
+    # concave: with chi1 = -1, (2.8i, -0.2) and (-2.8i, -0.2) are inside
+    # and their midpoint (0, -0.2) is not
+    with pytest.raises(GeometryError):
+        build()
 
 
 def test_ray_exit_bisection():

@@ -63,6 +63,12 @@ def test_bench_tracer_patches_and_restores(monkeypatch, tmp_path):
     for layer, (module, function) in LAYERS.items():
         fn = getattr(importlib.import_module("koblab." + module), function)
         assert fn in originals, f"no patch site for layer {layer}"
+    # the geometry layers wrap each public primitive where it is defined,
+    # on Domain; a primitive moved or renamed there would drop its numbers
+    sites = {(owner, attr) for owner, attr, _, _ in targets}
+    for attr in importlib.import_module("spans").GEOMETRY_METHODS:
+        assert (koblab.geometry.Domain, attr) in sites, \
+            f"no patch site for layer geometry.{attr}"
     for layer in ("cli", "metric.bracket", "metric.lower_bound",
                   "metric.pair_tube"):
         assert tracer.calls[layer] >= 1, layer
