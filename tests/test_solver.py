@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from koblab.geometry import Ball, Disc, Ellipsoid, GeometryError, HalfPlane, Polydisc
+from koblab.geometry import (Ball, Disc, Ellipsoid, GeometryError, HalfPlane,
+                             OmegaPsi, Polydisc, PsiSpec)
 from koblab.metric import ball_distance, disc_distance, polydisc_distance
 from koblab.solver import (
     GeodesicResult,
@@ -292,6 +293,12 @@ GOLDEN = (
     # the generic touching-disc kernel
     (Ellipsoid([1.0, 2.0]), [0.1, 0.3j], [0.5 + 0.2j, -0.9], "light",
      "0x1.1afaca9cff934p-1", "0x1.b4e9c36b9ad4ep+0", 193, True),
+    # recorded with the kernels that recomputed every probe of every sweep
+    (Ellipsoid([1.0, 2.0]), [0.5, 0.5], [-0.5, -0.5], "default",
+     "0x1.994d489e448c0p-1", "0x1.cb303713f7d7ap+0", 148, True),
+    (OmegaPsi(PsiSpec("exp_neg_c_over_x")), [0.2 + 0.5j, 0.5],
+     [-0.5j, 0.2 + 0.1j], "light",
+     "0x1.ff74425c9856cp-2", "0x1.da527325538f2p+1", 105, True),
 )
 CONFIGS = {"light": SolverConfig.light(), "default": SolverConfig()}
 
