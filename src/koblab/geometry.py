@@ -48,11 +48,17 @@ class AmbiguousProjectionError(GeometryError):
 
 
 def as_carray(x) -> np.ndarray:
-    """Coerce a point/vector (sequence or scalar) to a complex array."""
-    arr = np.atleast_1d(np.asarray(x, dtype=complex))
-    if arr.ndim != 1:
+    """Coerce a point/vector (sequence or scalar) to a complex array.
+
+    A complex entry is finite only when both of its parts are, so
+    ``isfinite`` on the complex array itself rejects inf or nan in either.
+    """
+    arr = np.asarray(x, dtype=complex)
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
+    elif arr.ndim > 1:
         raise GeometryError(f"expected a 1-d complex point, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.isfinite(arr).all():
         raise GeometryError("point has non-finite entries")
     return arr
 
@@ -425,7 +431,7 @@ class Domain:
         raise GeometryError(f"no closed-form metric for {type(self).__name__}")
 
     def segment_kernels(self):
-        """The ``(point, radius, terms, moved)`` closures of the geodesic
+        """The ``(point, node, terms, moved)`` closures of the geodesic
         descent.
 
         * ``point(p)`` turns a point array into the form the other three
@@ -433,24 +439,40 @@ class Domain:
           their kernels run on plain floats with no numpy scalar in the
           loop.  Here it is the array itself: this kernel calls the
           domain's numpy methods, which would only convert a list back.
-        * ``radius(p)`` is a cheap interior radius, <= 0 outside.
-        * ``terms(a, b, ra, rb)`` is the list of nonnegative terms of the
-          segment [a, b], given interior endpoints and their radii.  The
+        * ``node(p)`` is ``(radius, factor)``: a cheap interior radius,
+          <= 0 outside, and the point's share of every segment term it
+          enters, computed once per point so that no term recomputes it.
+          Where the radius is > 0 the factor is the one the terms need at
+          an interior point.
+        * ``terms(a, b, fa, fb)`` is the list of nonnegative terms of the
+          segment [a, b], given interior endpoints and their factors.  The
           max of the terms is the certified upper for k(a, b), inf when it
           cannot certify (on models, the closed form up to
           ``exact_error``); their euclidean norm is the search objective.
           The polydisc has one term per coordinate, its disc distance;
           every other domain has a single term, which both reductions
           return unchanged.
-        * ``moved(T, a, b, ra, rb, slot)`` equals ``terms(a, b, ra, rb)``
+        * ``moved(T, a, b, fa, fb, slot)`` equals ``terms(a, b, fa, fb)``
           when ``T`` is the segment's terms before one coordinate ``slot``
           of one endpoint moved: it recomputes only the term that
           coordinate enters (on a single-term kernel, that term) and
           leaves ``T`` as it was.
 
-        Here: ``inner_radius_fast`` itself and the single term
-        artanh(|b - a| / max(ra, rb)).
+        The factors: 1 - |z_j|^2 per coordinate on the disc and the
+        polydisc, from the same ``abs`` as the radius; 1 - |z|^2 on the
+        ball, from the one sum that also gives the radius.  Here the factor
+        is the radius ``inner_radius_fast`` itself and the single term is
+        artanh(|b - a| / max(fa, fb)).
+
+        The closures keep no state: a node depends only on its point and a
+        term only on its endpoints and their factors.  A visit of the
+        descent to a control point therefore reads only that point, its
+        two neighbours and the step, which is what lets the descent skip
+        the visits of settled points exactly.
         """
+        def node(p):
+            r = self.inner_radius_fast(p)
+            return r, r
 
         def terms(a, b, ra, rb):
             u = float(np.linalg.norm(b - a))
@@ -463,7 +485,7 @@ class Domain:
 
         def moved(T, a, b, ra, rb, slot):
             return terms(a, b, ra, rb)
-        return (lambda p: p), self.inner_radius_fast, terms, moved
+        return (lambda p: p), node, terms, moved
 
     # -- boundary structure --------------------------------------------------
 
@@ -586,16 +608,17 @@ def disc_distance(a: complex, b: complex) -> float:
     is u(2d + 13/delta).
     """
     a, b = complex(a), complex(b)
-    if abs(a) >= 1.0 or abs(b) >= 1.0:
+    ra, rb = abs(a), abs(b)
+    if ra >= 1.0 or rb >= 1.0:
         raise GeometryError("disc_distance needs interior points")
-    return _disc_distance(a, b)
+    return _disc_distance(a, b, 1.0 - ra ** 2, 1.0 - rb ** 2)
 
 
-def _disc_distance(a: complex, b: complex) -> float:
-    """:func:`disc_distance` of two interior Python complex numbers."""
+def _disc_distance(a: complex, b: complex, fa: float, fb: float) -> float:
+    """:func:`disc_distance` of two interior Python complex numbers, given
+    their factors fa = 1 - |a|^2 and fb = 1 - |b|^2."""
     num = abs(1.0 - a.conjugate() * b) + abs(a - b)
-    den = (1.0 - abs(a) ** 2) * (1.0 - abs(b) ** 2)
-    return max(0.0, 0.5 * math.log(num * num / den))
+    return max(0.0, 0.5 * math.log(num * num / (fa * fb)))
 
 
 def halfplane_distance(a: complex, b: complex) -> float:
@@ -641,22 +664,30 @@ def ball_distance(z, w) -> float:
     z, w = as_carray(z), as_carray(w)
     if z.shape != w.shape:
         raise GeometryError("dimension mismatch")
-    return _ball_distance(z.tolist(), w.tolist())
+    z, w = z.tolist(), w.tolist()
+    dz, dw = 1.0 - _norm2(z), 1.0 - _norm2(w)
+    if not (dz > 0.0 and dw > 0.0):
+        raise GeometryError("ball_distance needs interior points")
+    return _ball_distance(z, w, dz, dw)
 
 
-def _ball_distance(z: list, w: list) -> float:
-    """:func:`ball_distance` of two lists of Python complex numbers."""
-    nz2 = nw2 = nv2 = 0.0
+def _norm2(z: list) -> float:
+    """|z|^2 of a list of Python complex numbers, summed left to right."""
+    s = 0.0
+    for q in z:
+        s += q.real * q.real + q.imag * q.imag
+    return s
+
+
+def _ball_distance(z: list, w: list, dz: float, dw: float) -> float:
+    """:func:`ball_distance` of two lists of Python complex numbers, given
+    their factors dz = 1 - |z|^2 and dw = 1 - |w|^2."""
+    nv2 = 0.0
     c = 0j
     for zj, wj in zip(z, w):
         vj = wj - zj
         c += zj.conjugate() * vj
-        nz2 += zj.real * zj.real + zj.imag * zj.imag
-        nw2 += wj.real * wj.real + wj.imag * wj.imag
         nv2 += vj.real * vj.real + vj.imag * vj.imag
-    dz, dw = 1.0 - nz2, 1.0 - nw2
-    if not (dz > 0.0 and dw > 0.0):
-        raise GeometryError("ball_distance needs interior points")
     num = abs(dz - c) + math.sqrt(dz * nv2 + abs(c) ** 2)
     return max(0.0, 0.5 * math.log(num * num / (dz * dw)))
 
@@ -687,15 +718,16 @@ class Disc(Domain):
         return _UNIT_ROUNDOFF * (2.0 * d + 13.0 / delta)
 
     def segment_kernels(self):
-        def radius(p):
-            return 1.0 - abs(p[0])
+        def node(p):
+            r = abs(p[0])
+            return 1.0 - r, 1.0 - r ** 2
 
-        def terms(a, b, ra, rb):
-            return [_disc_distance(a[0], b[0])]
+        def terms(a, b, fa, fb):
+            return [_disc_distance(a[0], b[0], fa, fb)]
 
-        def moved(T, a, b, ra, rb, slot):
-            return [_disc_distance(a[0], b[0])]
-        return np.ndarray.tolist, radius, terms, moved
+        def moved(T, a, b, fa, fb, slot):
+            return [_disc_distance(a[0], b[0], fa, fb)]
+        return np.ndarray.tolist, node, terms, moved
 
     def _contains(self, z) -> bool:
         return abs(z[0]) < 1.0
@@ -794,19 +826,21 @@ class Polydisc(Domain):
         proportionally across segments, and at a proportional allocation
         the per-segment max telescopes, so the final configuration also
         minimizes the certified sum.  A move of one coordinate changes only
-        that coordinate's term.
+        that coordinate's term.  The factors are the list of 1 - |z_j|^2.
         """
-        def radius(p):
-            return 1.0 - max(map(abs, p))
+        def node(p):
+            r = [abs(q) for q in p]
+            return 1.0 - max(r), [1.0 - rj ** 2 for rj in r]
 
-        def terms(a, b, ra, rb):
-            return [_disc_distance(aj, bj) for aj, bj in zip(a, b)]
+        def terms(a, b, fa, fb):
+            return [_disc_distance(aj, bj, fj, gj)
+                    for aj, bj, fj, gj in zip(a, b, fa, fb)]
 
-        def moved(T, a, b, ra, rb, slot):
+        def moved(T, a, b, fa, fb, slot):
             T = T.copy()
-            T[slot] = _disc_distance(a[slot], b[slot])
+            T[slot] = _disc_distance(a[slot], b[slot], fa[slot], fb[slot])
             return T
-        return np.ndarray.tolist, radius, terms, moved
+        return np.ndarray.tolist, node, terms, moved
 
     def _contains(self, z) -> bool:
         return bool(np.max(np.abs(z)) < 1.0)
@@ -884,17 +918,17 @@ class Ball(Domain):
         return _UNIT_ROUNDOFF * (2.0 * d + (3 * self.dim + 16.0) / delta)
 
     def segment_kernels(self):
-        def radius(p):
-            # |p|² summed as in _ball_distance, so radius > 0 implies 1-|p|² > 0
-            return 1.0 - math.sqrt(sum(q.real * q.real + q.imag * q.imag
-                                       for q in p))
+        def node(p):
+            # one sum for both, so radius > 0 implies the factor 1-|p|² > 0
+            s = _norm2(p)
+            return 1.0 - math.sqrt(s), 1.0 - s
 
-        def terms(a, b, ra, rb):
-            return [_ball_distance(a, b)]
+        def terms(a, b, fa, fb):
+            return [_ball_distance(a, b, fa, fb)]
 
-        def moved(T, a, b, ra, rb, slot):
-            return [_ball_distance(a, b)]
-        return np.ndarray.tolist, radius, terms, moved
+        def moved(T, a, b, fa, fb, slot):
+            return [_ball_distance(a, b, fa, fb)]
+        return np.ndarray.tolist, node, terms, moved
 
     def _contains(self, z) -> bool:
         return float(np.linalg.norm(z)) < 1.0

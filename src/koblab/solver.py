@@ -17,14 +17,25 @@ Domains supply the segment bounds through
 per-domain code.  A stage converts its control points once into the
 kernels' point form (lists of Python complex numbers on the models, the
 arrays themselves on generic domains, whose kernel calls numpy domain
-methods) and keeps, for each segment, its list of kernel terms: one disc
-distance per coordinate on the polydisc, a single term elsewhere.  The
-certified upper of a segment is the max of its terms and the drive
-objective their euclidean norm, which on the polydisc smooths the max's
-flat ridges.  A probe that moves one coordinate of a control point asks
-the two segments next to it for the term that coordinate enters and
-reuses the rest, so it recomputes one disc distance per segment on the
-polydisc.
+methods) and keeps, for each control point, the factor its segment terms
+share (1 - |z_j|^2 per coordinate on the disc and polydisc, 1 - |z|^2 on
+the ball, the inner radius elsewhere), computed once per point by the
+kernels' ``node``.  For each segment it keeps its list of kernel terms:
+one disc distance per coordinate on the polydisc, a single term
+elsewhere.  The certified upper of a segment is the max of its terms and
+the drive objective their euclidean norm, which on the polydisc smooths
+the max's flat ridges.  A probe that moves one coordinate of a control
+point computes the candidate's node once, asks the two segments next to
+it for the term that coordinate enters and reuses the rest, so it
+recomputes one disc distance per segment on the polydisc.
+
+A visit to a control point depends only on it, its two neighbours and the
+step, so the descent skips the visits of settled points: a point is
+settled when its last visit moved nothing and neither it nor a neighbour
+has moved, nor the step halved, since.  The skipped visit would probe the
+same candidates against the same terms and factors and again move
+nothing, so the sweeps, the moves and every output are those of the full
+descent, bit for bit.
 """
 
 from __future__ import annotations
@@ -158,28 +169,28 @@ class GeodesicResult:
 class _ChainObjective:
     """Certified per-segment uppers plus the bookkeeping the descent needs.
 
-    The ``(point, radius, terms, moved)`` kernels come from
+    The ``(point, node, terms, moved)`` kernels come from
     :meth:`Domain.segment_kernels`, fetched once per solve so the inner
     loop calls plain closures on points in the kernels' own form.
-    ``radius`` is a cheap interior radius (negative outside); the descent
-    caches one value per control point, so a probe on a generic domain
-    costs a single radius evaluation.  A segment's certified upper is the
-    max of its terms and the search objective their euclidean norm; when
-    they differ (the polydisc), reported lengths still come from the max
-    at the best configuration seen.
+    ``node`` gives a point's cheap interior radius (negative outside) and
+    the factor its terms take; the descent caches one factor per control
+    point, so a probe costs a single node evaluation.  A segment's
+    certified upper is the max of its terms and the search objective their
+    euclidean norm; when they differ (the polydisc), reported lengths
+    still come from the max at the best configuration seen.
     """
 
     def __init__(self, domain: Domain):
         self.domain = domain
         self.model = domain.exact
         self.margin = 1e-9 * domain.bounding_radius  # bounded domains only
-        self.point, self.radius, self.terms, self.moved = \
+        self.point, self.node, self.terms, self.moved = \
             domain.segment_kernels()
 
     def upper(self, a, b) -> float:
         """Upper for k_D(a, b) (inf when not certifiable)."""
         a, b = self.point(a), self.point(b)
-        return max(self.terms(a, b, self.radius(a), self.radius(b)))
+        return max(self.terms(a, b, self.node(a)[1], self.node(b)[1]))
 
     def brackets(self, pts: np.ndarray, seg_uppers: list):
         """Segment brackets and the certified upper of their sum.  On the
@@ -189,7 +200,7 @@ class _ChainObjective:
         if not self.model:
             return ([MetricBracket(0.0, s) for s in seg_uppers],
                     float(sum(seg_uppers)))
-        R = [self.radius(self.point(p)) for p in pts]
+        R = [self.node(self.point(p))[0] for p in pts]
         out = []
         for j, s in enumerate(seg_uppers):
             e = self.domain.exact_error(s, min(R[j], R[j + 1]))
@@ -232,21 +243,29 @@ def _optimize_stage(obj: _ChainObjective, pts: np.ndarray, cfg: SolverConfig,
                     iter_budget: int):
     """Coordinate descent at fixed resolution.
 
-    Returns (best points, their certified uppers, sweeps, settled), where
-    ``settled`` says the step fell below ``h_min`` rather than the sweep
+    Returns (best points, their certified uppers, sweeps, fine), where
+    ``fine`` says the step fell below ``h_min`` rather than the sweep
     budget running out.  Moves are accepted on a strict decrease of the
     drive objective; the certified sum is re-evaluated per sweep and the
     best configuration is kept, so the returned upper never regresses
-    within a stage.  Each segment keeps its list of kernel terms, and a
-    probe recomputes only the terms its move changes.
+    within a stage.  Each control point keeps its node factor ``F[i]`` and
+    each segment its list of kernel terms; a probe computes its
+    candidate's node once and recomputes only the terms its move changes.
+
+    ``settled[i]`` says a visit to point i would move nothing.  A visit
+    reads only P[i - 1], P[i], P[i + 1], the terms and factors they fix,
+    and h, so the flag is set when the visit starts, cleared for i - 1, i
+    and i + 1 whenever point i moves, and cleared everywhere when h
+    halves; a visit whose flag is still set is skipped, exactly, as it
+    would repeat the last one.
     """
     m, n = pts.shape
-    radius, moved, margin = obj.radius, obj.moved, obj.margin
+    node, moved, margin = obj.node, obj.moved, obj.margin
     hypot = math.hypot
     scale = max(float(np.max(np.abs(np.diff(pts, axis=0)))), 1e-12)
     P = [obj.point(p) for p in pts]
-    R = [radius(p) for p in P]
-    T = [obj.terms(P[j], P[j + 1], R[j], R[j + 1]) for j in range(m - 1)]
+    F = [node(p)[1] for p in P]
+    T = [obj.terms(P[j], P[j + 1], F[j], F[j + 1]) for j in range(m - 1)]
     D = [hypot(*t) for t in T]
     best_S = [max(t) for t in T]
     best_L = float(sum(best_S))
@@ -254,10 +273,14 @@ def _optimize_stage(obj: _ChainObjective, pts: np.ndarray, cfg: SolverConfig,
     h = 0.5 * scale
     h_min = cfg.rel_tol * scale
     sweeps = 0
+    settled = [False] * m
     while h >= h_min and sweeps < iter_budget:
         sweeps += 1
         improved = False
         for i in range(1, m - 1):
+            if settled[i]:
+                continue
+            settled[i] = True
             base = D[i - 1] + D[i]
             for c in range(2 * n):
                 step = h if c % 2 == 0 else 1j * h
@@ -265,21 +288,22 @@ def _optimize_stage(obj: _ChainObjective, pts: np.ndarray, cfg: SolverConfig,
                 for sgn in (1.0, -1.0):
                     cand = P[i].copy()
                     cand[slot] += sgn * step
-                    rc = radius(cand)
+                    rc, fc = node(cand)
                     if rc < margin:
                         continue
-                    t1 = moved(T[i - 1], P[i - 1], cand, R[i - 1], rc, slot)
+                    t1 = moved(T[i - 1], P[i - 1], cand, F[i - 1], fc, slot)
                     d1 = hypot(*t1)
                     if not d1 <= base:
                         continue
-                    t2 = moved(T[i], cand, P[i + 1], rc, R[i + 1], slot)
+                    t2 = moved(T[i], cand, P[i + 1], fc, F[i + 1], slot)
                     d2 = hypot(*t2)
                     if d1 + d2 < base - 1e-15:
                         P[i] = cand
-                        R[i] = rc
+                        F[i] = fc
                         T[i - 1], T[i] = t1, t2
                         D[i - 1], D[i] = d1, d2
                         base = d1 + d2
+                        settled[i - 1] = settled[i] = settled[i + 1] = False
                         improved = True
                         break
         if improved:
@@ -289,6 +313,7 @@ def _optimize_stage(obj: _ChainObjective, pts: np.ndarray, cfg: SolverConfig,
                 best_L, best_S, best_P = L, S, list(P)
         else:
             h *= 0.5
+            settled = [False] * m
     return np.array(best_P, dtype=complex), best_S, sweeps, h < h_min
 
 
@@ -356,21 +381,21 @@ def solve_geodesic(domain: Domain, x, y, cfg: SolverConfig | None = None) -> Geo
     converged = False
     prev_L = math.inf
     while iterations < cfg.max_iter:
-        pts, S, sweeps, settled = _optimize_stage(obj, pts, cfg,
-                                                  cfg.max_iter - iterations)
+        pts, S, sweeps, fine = _optimize_stage(obj, pts, cfg,
+                                               cfg.max_iter - iterations)
         iterations += sweeps
         L = float(sum(S))
         if L < best_L:
             best_L, best_pts, best_S = L, pts.copy(), list(S)
         # either stop counts as converged only if the last stage's step
-        # settled below h_min instead of running out of sweeps
+        # fell below h_min instead of running out of sweeps
         improvement = (prev_L - L) / max(L, 1e-300)
         if math.isfinite(prev_L) and improvement < cfg.rel_tol:
-            converged = settled
+            converged = fine
             break
         prev_L = L
         if pts.shape[0] >= cfg.control_points:
-            converged = settled
+            converged = fine
             break
         pts = _insert_midpoints(pts)
 

@@ -95,6 +95,34 @@ def test_pairs_reject_bad_input():
         from_pairs([[1.0, 2.0, 3.0]])
 
 
+@pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(-math.inf, 1.0),
+                                 complex(math.nan, 0.0), complex(0.0, math.inf),
+                                 complex(1.0, -math.inf), complex(0.0, math.nan)])
+def test_as_carray_rejects_non_finite_real_or_imaginary_part(bad):
+    for x in ([0.5, bad], np.array([bad, 0.25j]), bad):
+        with pytest.raises(GeometryError, match="non-finite"):
+            as_carray(x)
+
+
+def test_as_carray_shapes_and_values():
+    # a 0-d scalar becomes a point of length 1
+    for x in (0.5, 0.5 + 0.25j, np.complex128(0.5 + 0.25j), np.array(2.0)):
+        z = as_carray(x)
+        assert z.shape == (1,) and z.dtype == complex
+        assert z[0] == complex(x)
+    # a list of Python complex numbers keeps its values and order
+    z = as_carray([0.5 - 0.25j, -1j, 3.0])
+    assert z.dtype == complex and z.tolist() == [0.5 - 0.25j, -1j, 3 + 0j]
+    # a complex array passes through without a copy
+    w = np.array([0.1, 0.2j])
+    assert as_carray(w) is w
+    # a 2-d array is refused, even with one row or one column
+    for x in (np.zeros((2, 2)), np.zeros((1, 3)), np.zeros((3, 1)),
+              [[0.1j], [0.2]]):
+        with pytest.raises(GeometryError, match="1-d"):
+            as_carray(x)
+
+
 # ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------
@@ -406,16 +434,16 @@ def test_domain_protocol_closed_forms_and_kernels(domain, is_model):
         # the solver refuses unbounded domains, so the half-plane has no
         # kernel of its own to compare with its closed form
         return
-    point, radius, terms, _ = domain.segment_kernels()
+    point, node, terms, _ = domain.segment_kernels()
 
     def seg(p, q):
         a, b = point(p), point(q)
-        return max(terms(a, b, radius(a), radius(b)))
+        return max(terms(a, b, node(a)[1], node(b)[1]))
     if not is_model:
         with pytest.raises(GeometryError):
             domain.exact_metric(x, y - x)
         # the generic kernel is the touching-disc bound at the inner radius
-        t = max(radius(point(x)), radius(point(y)))
+        t = max(node(point(x))[0], node(point(y))[0])
         assert seg(x, y) == math.atanh(float(np.linalg.norm(y - x)) / t)
         return
     # the descent's kernel calls the closed form: one formula, same bits

@@ -377,10 +377,10 @@ def test_lower_bound_omega_psi_runs():
 
 def segment_upper(domain, a, b):
     """The solver's certified per-segment upper for k(a, b)."""
-    point, radius, terms, _ = domain.segment_kernels()
+    point, node, terms, _ = domain.segment_kernels()
     a = point(np.asarray(a, dtype=complex))
     b = point(np.asarray(b, dtype=complex))
-    return max(terms(a, b, radius(a), radius(b)))
+    return max(terms(a, b, node(a)[1], node(b)[1]))
 
 
 def test_segment_upper_models_exact():

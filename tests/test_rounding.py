@@ -85,8 +85,8 @@ MODELS = [Disc(), Polydisc(2), Ball(2), Ball(3)]
 @given(data=st.data())
 def test_closed_form_within_derived_bound(domain, data):
     x, y = data.draw(model_pairs(domain))
-    point, radius = domain.segment_kernels()[:2]
-    delta = min(radius(point(x)), radius(point(y)))
+    point, node = domain.segment_kernels()[:2]
+    delta = min(node(point(x))[0], node(point(y))[0])
     assume(delta > 0.0)
     got = domain.exact_distance(x, y)
     with mpmath.workdps(DIGITS):

@@ -328,13 +328,13 @@ def _hexes(values):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @given(data=st.data())
 def test_polydisc_single_slot_update_matches_full_terms(n, data):
-    point, radius, terms, moved = Polydisc(n).segment_kernels()
+    point, node, terms, moved = Polydisc(n).segment_kernels()
     x, y = (np.array(data.draw(st.lists(disc_points, min_size=n, max_size=n)))
             for _ in range(2))
     a, b = point(x), point(y)
-    ra, rb = radius(a), radius(b)
+    (ra, fa), (rb, fb) = node(a), node(b)
     assume(min(ra, rb) > 0.0)
-    T = terms(a, b, ra, rb)
+    T = terms(a, b, fa, fb)
     # the reductions are the closed form and the norm of the disc distances
     assert max(T).hex() == polydisc_distance(x, y).hex()
     assert math.hypot(*T).hex() == math.hypot(
@@ -345,11 +345,53 @@ def test_polydisc_single_slot_update_matches_full_terms(n, data):
     for first in (True, False):
         c = list(a if first else b)
         c[slot] = data.draw(disc_points)
-        rc = radius(c)
+        rc, fc = node(c)
         assume(rc > 0.0)
         if first:
-            got, full = moved(T, c, b, rc, rb, slot), terms(c, b, rc, rb)
+            got, full = moved(T, c, b, fc, fb, slot), terms(c, b, fc, fb)
         else:
-            got, full = moved(T, a, c, ra, rc, slot), terms(a, c, ra, rc)
+            got, full = moved(T, a, c, fa, fc, slot), terms(a, c, fa, fc)
         assert _hexes(got) == _hexes(full)
     assert _hexes(T) == before
+
+
+def _ball_point(n):
+    """Interior points of the unit ball in C^n at depths 1e-12 to 1."""
+    direction = st.lists(st.floats(-1.0, 1.0), min_size=2 * n,
+                         max_size=2 * n).filter(lambda v: max(map(abs, v)) > 0.1)
+
+    def build(e, v):
+        z = np.array(v[:n]) + 1j * np.array(v[n:])
+        return (1.0 - 10.0 ** e) * z / np.linalg.norm(z)
+    return st.builds(build, st.floats(-12.0, 0.0), direction)
+
+
+KERNEL_MODELS = [Disc(), Polydisc(2), Polydisc(3), Ball(2), Ball(3)]
+
+
+@pytest.mark.parametrize("domain", KERNEL_MODELS,
+                         ids=[f"{type(d).__name__}{d.dim}" for d in KERNEL_MODELS])
+@given(data=st.data())
+def test_model_kernel_factors_and_terms(domain, data):
+    n = domain.dim
+    points = (_ball_point(n) if isinstance(domain, Ball) else
+              st.lists(disc_points, min_size=n, max_size=n).map(np.array))
+    point, node, terms, moved = domain.segment_kernels()
+    x, y = data.draw(points), data.draw(points)
+    a, b = point(x), point(y)
+    (ra, fa), (rb, fb) = node(a), node(b)
+    # a positive radius certifies every factor the terms divide by
+    for r, f in ((ra, fa), (rb, fb)):
+        if r > 0.0:
+            assert min(np.atleast_1d(f)) > 0.0
+    assume(min(ra, rb) > 0.0)
+    # the kernel's upper is the closed form, bit for bit
+    T = terms(a, b, fa, fb)
+    assert max(T).hex() == domain.exact_distance(x, y).hex()
+    # a move of one coordinate: the updated terms are the full ones
+    slot = data.draw(st.integers(0, n - 1))
+    c = list(a)
+    c[slot] = complex(data.draw(points)[slot])
+    rc, fc = node(c)
+    assume(rc > 0.0)
+    assert _hexes(moved(T, c, b, fc, fb, slot)) == _hexes(terms(c, b, fc, fb))
