@@ -383,7 +383,7 @@ def _recheck(node, path: str = "$") -> list:
                 if isinstance(hi, float) and not math.isfinite(hi):
                     problems.append(
                         f"{path}: upper is {'NaN' if math.isnan(hi) else hi}")
-                elif lo > hi + 1e-12:
+                elif not lo <= hi:
                     problems.append(
                         f"{path}: certified lower {lo!r} exceeds upper {hi!r}")
         for key, val in node.items():

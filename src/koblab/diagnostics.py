@@ -651,7 +651,11 @@ def localization_check(d_big: Domain, u_center, u_radius: float,
 
         C_emp = sup over pairs of (lower k_{D cap U} - upper k_D),
 
-    both sides certified.  A genuine violation of the localization
+    both sides certified.  The two sides bound different distances, so a
+    positive difference is the overhead measured, not a crossing: each
+    sample's ``lower`` is the difference rounded down, a certified lower
+    bound on k_{D cap U} - k_D, its ``upper`` is None, and its inputs carry
+    the two sides.  A genuine violation of the localization
     comparison would need C_emp to grow without bound along refinements,
     which a single run cannot certify, so the verdict stays "consistent"
     with the measured constant attached.
@@ -703,14 +707,18 @@ def localization_check(d_big: Domain, u_center, u_radius: float,
         upper_global = distance_bracket(d_big, z, w).upper
         diff = lower_local - upper_global
         c_emp = max(c_emp, diff)
-        samples.append(ProbeSample(float(i), lower_local, upper_global, diff,
-                                   (), {"z": to_pairs(z), "w": to_pairs(w)}))
+        samples.append(ProbeSample(
+            float(i), math.nextafter(diff, -math.inf), None, diff, (),
+            {"z": to_pairs(z), "w": to_pairs(w), "local_lower": lower_local,
+             "global_upper": upper_global}))
     fitted = {"C_emp": c_emp, "n_pairs": len(checked)}
     return ProbeReport(
         "localization", [float(i) for i in range(len(checked))], samples,
         fitted, "consistent", "bounded-overhead",
-        ["sample lower/upper hold the local lower and the global upper; the "
-         "statistic is their difference",
+        ["the statistic is the local lower minus the global upper; sample "
+         "lower is it rounded down, a certified lower bound on "
+         "k_{D cap U} - k_D, and upper is null; inputs hold local_lower and "
+         "global_upper",
          "a violation verdict would need certified growth along refinements"])
 
 

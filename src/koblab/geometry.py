@@ -461,8 +461,11 @@ class Domain:
         The factors: 1 - |z_j|^2 per coordinate on the disc and the
         polydisc, from the same ``abs`` as the radius; 1 - |z|^2 on the
         ball, from the one sum that also gives the radius.  Here the factor
-        is the radius ``inner_radius_fast`` itself and the single term is
-        artanh(|b - a| / max(fa, fb)).
+        is the inner radius itself, read through ``_inner_radius`` as the
+        descent's points are its own checked arrays, and the single term is
+        the rounded-up touching-disc bound :func:`_touching_disc_upper` at
+        t = max(fa, fb), the one the chord upper of
+        :func:`koblab.metric.distance_bracket` also calls.
 
         The closures keep no state: a node depends only on its point and a
         term only on its endpoints and their factors.  A visit of the
@@ -471,17 +474,11 @@ class Domain:
         the visits of settled points exactly.
         """
         def node(p):
-            r = self.inner_radius_fast(p)
+            r = self._inner_radius(p)
             return r, r
 
         def terms(a, b, ra, rb):
-            u = float(np.linalg.norm(b - a))
-            if u == 0.0:
-                return [0.0]
-            t = max(ra, rb)
-            if not u < t:
-                return [math.inf]
-            return [math.atanh(u / t)]
+            return [_touching_disc_upper(a, b, max(ra, rb))]
 
         def moved(T, a, b, ra, rb, slot):
             return terms(a, b, ra, rb)
@@ -589,6 +586,59 @@ class Domain:
 # ---------------------------------------------------------------------------
 
 _UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _up(x: float, steps: int) -> float:
+    """x moved ``steps`` floats up.  One step, x⁺ = nextafter(x, inf),
+    exceeds every real that rounds to x, and x(1 + u) for x >= 0; when
+    |x - y| <= k ulp(y) for a real y, 2k steps reach y, as ulp(y) <=
+    2 ulp(x) and each step is at least ulp(x)."""
+    for _ in range(steps):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def _touching_disc_upper(a: np.ndarray, b: np.ndarray, t: float) -> float:
+    """artanh(|b - a| / t) rounded up: 0 for b = a, inf unless the
+    rounded-up quotient is < 1.
+
+    When a ball of radius t about a or b lies in the domain, so does the
+    complex disc of radius t through [a, b] about that end, and the
+    Kobayashi distance contracts: k(a, b) <= artanh(|b - a| / t).  This is
+    the one touching-disc bound; the chord upper and the generic solver
+    kernel both call it.
+
+    Rounding (u = 2^-53, x⁺ as in :func:`_up`), on the plain floats of
+    ``(b - a).view(float).tolist()``, the parts of b - a:
+
+    * the subtraction: each real and imaginary part of b - a is rounded
+      once, so |b - a| <= (1 + u)|fl(b - a)|, one step;
+    * the sum of squares and the sqrt: ``math.hypot``, whose error is
+      under 1 ulp (Python 3.10 on), two steps; it scales, so a tiny
+      |b - a| neither underflows nor loses its relative accuracy;
+    * the quotient by t: one step, so q bounds |b - a| / t;
+    * libm atanh is within 2 ulps (glibc's listed maximum for double),
+      four steps.
+    """
+    h = math.hypot(*(b - a).view(float).tolist())
+    if h == 0.0:
+        return 0.0
+    q = _up(_up(h, 3) / t, 1) if t > 0.0 else math.inf
+    return _up(math.atanh(q), 4) if q < 1.0 else math.inf
+
+
+def _sum_up(values: list) -> float:
+    """A certified upper bound on the exact sum of nonnegative floats.
+
+    Summing k terms left to right errs by at most (k - 1)u times the sum
+    (Higham 2002, 4.2; the (k - 1)u form is Rump, BIT 52, 2012).  The pad
+    (k - 1)u·ŝ covers that to first order, and ``nextafter`` covers the
+    pad's own rounding and the second-order rest for k < 10^7, while the
+    pad does not underflow.
+    """
+    total = float(sum(values))
+    pad = (len(values) - 1) * _UNIT_ROUNDOFF * total
+    return math.nextafter(total + pad, math.inf)
 
 
 def disc_distance(a: complex, b: complex) -> float:

@@ -18,9 +18,16 @@ arithmetic:
   estimates along explicit paths, see :func:`distance_bracket` and the
   solver kernels of :meth:`~koblab.geometry.Domain.segment_kernels`.
 
-Every quantity that feeds a reported bracket is one-sided by construction:
-lower bounds only use certified under-estimates of boundary distances, upper
-bounds only use certified inner radii.
+Every side rests on an inequality that holds exactly: lower bounds only use
+certified under-estimates of boundary distances, upper bounds only use
+certified inner radii.  In floating point these sides round outward: the
+model closed forms (each within its derived ``exact_error``, which the
+solver widens by), the pair-tube bound (rounded down), the touching-disc
+term :func:`~koblab.geometry._touching_disc_upper` and the chord's and the
+solver's segment sums :func:`~koblab.geometry._sum_up`.  Still plain
+double: the model ``distance_bracket`` [d, d], the directional lower at
+``ray_exit``'s midpoint, the half-plane projection bound, the tube gaps
+|f(x)| and |g(y)|, and the bidisc paths' artanh grids.
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ from .geometry import (
     GeometryError,
     _UNIT_ROUNDOFF,
     _lex_key,
+    _sum_up,
+    _touching_disc_upper,
     as_carray,
     ball_distance,
     disc_distance,
@@ -353,28 +362,31 @@ def distance_lower_bound(domain: Domain, x, y, tube: bool = True) -> float:
 # ---------------------------------------------------------------------------
 
 
+# artanh(1/2): a piece whose touching-disc term reaches it spans at least
+# half its larger end radius, and is halved
+_SPLIT_TERM = 0.5 * math.log(3.0)
+
+
 def _certified_chain_upper(domain: Domain, a: np.ndarray, b: np.ndarray,
                            ra: float, rb: float, depth: int = 48) -> float:
     """Touching-disc upper for k(a, b) along the segment [a, b].
 
-    ``ra`` and ``rb`` are the fast inner radii of a and b.  A piece shorter
-    than half its larger end radius t costs artanh(|b - a| / t); a longer
-    one is halved, and each midpoint's radius is computed once and handed
-    to both halves.
+    ``ra`` and ``rb`` are the fast inner radii of a and b.  A piece costs
+    its rounded-up touching-disc term at t = max(ra, rb) when that term is
+    below artanh(1/2), i.e. when the piece is shorter than t/2; a longer
+    one is halved, each midpoint's radius is computed once and handed to
+    both halves, and the halves add rounding up.
     """
-    u = float(np.linalg.norm(b - a))
-    if u == 0.0:
-        return 0.0
-    t = max(ra, rb)
-    if u < 0.5 * t:
-        return math.atanh(u / t)
+    s = _touching_disc_upper(a, b, max(ra, rb))
+    if s < _SPLIT_TERM:
+        return s
     if depth == 0:
         raise GeometryError("certified upper bound did not converge; "
                             "endpoints too close to the boundary")
     mid = 0.5 * (a + b)
     rm = domain.inner_radius_fast(mid)
-    return (_certified_chain_upper(domain, a, mid, ra, rm, depth - 1)
-            + _certified_chain_upper(domain, mid, b, rm, rb, depth - 1))
+    return _sum_up([_certified_chain_upper(domain, a, mid, ra, rm, depth - 1),
+                    _certified_chain_upper(domain, mid, b, rm, rb, depth - 1)])
 
 
 def distance_bracket(domain: Domain, x, y) -> MetricBracket:

@@ -2,10 +2,10 @@
 
 The optimizer never trusts quadrature: the objective is the sum of
 per-segment *certified* upper bounds (closed forms on model domains, widened
-by their rounding error and summed rounding up; touching-disc bounds
-elsewhere), so ``distance.upper`` is a true upper bound for k_D.  Lower
-bounds come from the projection estimates in :mod:`koblab.metric`, never
-from the path itself.
+by their rounding error; rounded-up touching-disc bounds elsewhere; summed
+rounding up on both), so ``distance.upper`` is a true upper bound for k_D.
+Lower bounds come from the projection estimates in :mod:`koblab.metric`,
+never from the path itself.
 
 The search is derivative-free coordinate descent with an adaptive step and
 staged midpoint refinement; the metric data is only Lipschitz (directional
@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (Domain, GeometryError, Polydisc, _UNIT_ROUNDOFF,
-                       _json_number)
+from .geometry import (Domain, GeometryError, Polydisc, _json_number,
+                       _sum_up)
 from .metric import MetricBracket, disc_distance, distance_lower_bound
 
 __all__ = [
@@ -195,20 +195,20 @@ class _ChainObjective:
     def brackets(self, pts: np.ndarray, seg_uppers: list):
         """Segment brackets and the certified upper of their sum.  On the
         models each closed form is widened by ``exact_error`` at its smaller
-        endpoint radius; summing m - 1 terms errs by (m - 2)u times the sum
-        (Higham 2002, 4.2), one more u and ``nextafter`` cover the rest."""
-        if not self.model:
-            return ([MetricBracket(0.0, s) for s in seg_uppers],
-                    float(sum(seg_uppers)))
-        R = [self.node(self.point(p))[0] for p in pts]
-        out = []
-        for j, s in enumerate(seg_uppers):
-            e = self.domain.exact_error(s, min(R[j], R[j + 1]))
-            out.append(MetricBracket(max(0.0, math.nextafter(s - e, 0.0)),
-                                     math.nextafter(s + e, math.inf)))
-        total = float(sum(b.upper for b in out))
-        pad = (len(out) - 1) * _UNIT_ROUNDOFF * total
-        return out, math.nextafter(total + pad, math.inf)
+        endpoint radius; elsewhere each segment's upper is its rounded-up
+        touching-disc term.  Both add through the one rounded-up sum
+        :func:`~koblab.geometry._sum_up`."""
+        if self.model:
+            R = [self.node(self.point(p))[0] for p in pts]
+            out = []
+            for j, s in enumerate(seg_uppers):
+                e = self.domain.exact_error(s, min(R[j], R[j + 1]))
+                out.append(MetricBracket(
+                    max(0.0, math.nextafter(s - e, 0.0)),
+                    math.nextafter(s + e, math.inf)))
+        else:
+            out = [MetricBracket(0.0, s) for s in seg_uppers]
+        return out, _sum_up([b.upper for b in out])
 
 
 # ---------------------------------------------------------------------------

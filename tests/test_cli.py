@@ -336,6 +336,32 @@ def test_recheck_rejects_inverted_bracket(tmp_path, capsys, monkeypatch):
     assert not (out / "distance-run.json").exists()
 
 
+def test_recheck_rejects_a_crossing_of_one_ulp():
+    # a certified lower may not exceed its upper by any amount
+    problems = cli._recheck({"lower": 1.0,
+                             "upper": math.nextafter(1.0, 0.0)})
+    assert len(problems) == 1 and "exceeds upper" in problems[0]
+    assert cli._recheck({"lower": 1.0, "upper": 1.0}) == []
+
+
+def test_localize_sound_run_with_positive_overhead(tmp_path):
+    # the D cap U lower and the D upper bound different distances, so a
+    # positive C_emp is a measurement, not a crossing
+    cfg = write_config(tmp_path, "ball.json", {"domain": {"kind": "ball",
+                                               "n": 2}})
+    out = tmp_path / "out"
+    assert run_cli(["localize", "--config", cfg,
+                    "--center", "[[0.5,0],[0,0]]", "--u-radius", "0.6",
+                    "--v-radius", "0.3", "--pairs", "60", "--seed", "1",
+                    "--out", str(out), "--reproducible"]) == 0
+    rep = json.loads((out / "localize-run.json").read_text())["report"]
+    assert rep["fitted_parameters"]["C_emp"] == 0.020228470865726544
+    for s in rep["samples"]:
+        assert s["upper"] is None
+        assert s["lower"] <= s["statistic"] == \
+            s["inputs"]["local_lower"] - s["inputs"]["global_upper"]
+
+
 def test_recheck_rejects_nan_bracket(tmp_path, capsys, monkeypatch):
     def bad_builder(args, cfg):
         return {"payload": {"rows": [{"lower": float("nan"),

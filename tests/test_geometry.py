@@ -25,6 +25,7 @@ from koblab.geometry import (
     OmegaPsi,
     Polydisc,
     PsiSpec,
+    _touching_disc_upper,
     as_carray,
     domain_from_json,
     from_pairs,
@@ -442,9 +443,11 @@ def test_domain_protocol_closed_forms_and_kernels(domain, is_model):
     if not is_model:
         with pytest.raises(GeometryError):
             domain.exact_metric(x, y - x)
-        # the generic kernel is the touching-disc bound at the inner radius
+        # the generic kernel calls the one rounded-up touching-disc bound
+        # at the inner radius: one formula, same bits
         t = max(node(point(x))[0], node(point(y))[0])
-        assert seg(x, y) == math.atanh(float(np.linalg.norm(y - x)) / t)
+        assert seg(x, y) == _touching_disc_upper(x, y, t)
+        assert seg(x, y) >= math.atanh(float(np.linalg.norm(y - x)) / t)
         return
     # the descent's kernel calls the closed form: one formula, same bits
     rng = np.random.default_rng(20)

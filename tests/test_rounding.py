@@ -1,13 +1,18 @@
-"""Outward rounding of the model closed forms and of the solver's uppers,
-against 50-digit mpmath references computed apart from koblab."""
+"""Outward rounding of the model closed forms, of the touching-disc bound,
+of the certified sum and of the solver's uppers, against 50-digit mpmath
+references computed apart from koblab."""
+
+import math
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from koblab.geometry import Ball, Disc, Polydisc
+from koblab.geometry import (Ball, Disc, Ellipsoid, Polydisc, _sum_up,
+                             _touching_disc_upper)
+from koblab.metric import distance_bracket
 from koblab.solver import SolverConfig, solve_geodesic
 
 DIGITS = 50
@@ -124,3 +129,112 @@ def test_default_solver_upper_at_or_above_distance(domain, x, y):
     assert res.distance.lower <= k
     # the rounding stays far below the solver's own tolerance
     assert float(res.distance.upper - k) < 1e-9 * float(k)
+
+
+# ---------------------------------------------------------------------------
+# the touching-disc bound and the certified sum round up
+# ---------------------------------------------------------------------------
+
+
+def mp_norm(a, b):
+    """|b - a| of two complex float vectors, at 50 digits."""
+    with mpmath.workdps(DIGITS):
+        return mpmath.sqrt(mpmath.fsum(abs(_mpc(q) - _mpc(p)) ** 2
+                                       for p, q in zip(a, b)))
+
+
+@st.composite
+def touching_segments(draw):
+    """(a, b, t) in dimensions 1 to 3: |b - a| from 1e-300 to 1, and t
+    either a few times |b - a| or a float just above it, so the quotient
+    sits just below 1."""
+    dim = draw(st.integers(1, 3))
+    a = np.array([complex(draw(coords), draw(coords)) for _ in range(dim)])
+    length = 10.0 ** draw(st.floats(-300.0, 0.0))
+    b = a + length * draw(unit_vectors(dim))
+    assume(not np.array_equal(a, b))
+    n = float(mp_norm(a, b))
+    if draw(st.booleans()):
+        t = n * draw(st.floats(1.0, 8.0))
+    else:
+        t = n
+        for _ in range(draw(st.integers(1, 40))):
+            t = math.nextafter(t, math.inf)
+    return a, b, t
+
+
+@given(touching_segments())
+def test_touching_disc_upper_at_or_above_artanh(seg):
+    a, b, t = seg
+    got = _touching_disc_upper(a, b, t)
+    with mpmath.workdps(DIGITS):
+        q = mp_norm(a, b) / mpmath.mpf(t)
+        if q >= 1:
+            assert got == math.inf
+        else:
+            assert mpmath.mpf(got) >= mpmath.atanh(q)
+
+
+def test_touching_disc_upper_edges():
+    a = np.array([0.25 + 0.1j, -0.2j])
+    assert _touching_disc_upper(a, a.copy(), 0.5) == 0.0
+    b = a + np.array([0.5, 0.0])     # |b - a| = 0.5 exactly
+    assert _touching_disc_upper(a, b, 0.5) == math.inf
+    assert _touching_disc_upper(a, b, 0.0) == math.inf
+    assert _touching_disc_upper(a, b, -1.0) == math.inf
+    assert _touching_disc_upper(a, b, 1.0) >= math.atanh(0.5)
+
+
+@given(st.lists(st.floats(0.0, 1e6) | st.floats(0.0, 1e-290), min_size=1,
+                max_size=64))
+def test_sum_up_at_or_above_exact_sum(values):
+    got = _sum_up(values)
+    with mpmath.workdps(DIGITS):
+        assert mpmath.mpf(got) >= mpmath.fsum(mpmath.mpf(v) for v in values)
+
+
+# ---------------------------------------------------------------------------
+# ellipsoid uppers stay above the distance, with no slack
+# ---------------------------------------------------------------------------
+
+AXES = (1.0, 2.0)
+
+
+def mp_ellipsoid(x, y):
+    """k of Ellipsoid(AXES): the 50-digit ball distance of the points
+    rescaled, in mpmath, by the axes, a linear biholomorphism."""
+    with mpmath.workdps(DIGITS):
+        return mp_ball([_mpc(c) / ax for c, ax in zip(x, AXES)],
+                       [_mpc(c) / ax for c, ax in zip(y, AXES)])
+
+
+@st.composite
+def ellipsoid_pairs(draw):
+    """Pairs at depths 1e-6 to 1 in the rescaled ball."""
+    def point():
+        depth = 10.0 ** draw(st.floats(-6.0, 0.0))
+        return (1.0 - depth) * draw(unit_vectors(2)) * np.array(AXES)
+    return point(), point()
+
+
+@settings(max_examples=60)
+@given(ellipsoid_pairs())
+def test_ellipsoid_bracket_upper_at_or_above_distance(pair):
+    x, y = pair
+    dom = Ellipsoid(list(AXES))
+    assume(dom.contains(x) and dom.contains(y))
+    assert distance_bracket(dom, x, y).upper >= mp_ellipsoid(x, y)
+
+
+ELLIPSOID_SOLVES = (
+    ([0.1, 0.3j], [0.5 + 0.2j, -0.9]),
+    ([0.9, 0.0], [0.0, 1.9j]),
+    ([0.5, 0.5], [-0.5, -0.5]),
+)
+
+
+@pytest.mark.parametrize("x, y", ELLIPSOID_SOLVES)
+def test_ellipsoid_light_solve_upper_at_or_above_distance(x, y):
+    res = solve_geodesic(Ellipsoid(list(AXES)), np.array(x, dtype=complex),
+                         np.array(y, dtype=complex), SolverConfig.light())
+    assert res.distance.upper >= mp_ellipsoid(x, y)

@@ -268,7 +268,10 @@ def test_solver_on_ellipsoid_brackets_ordered():
 # (domain, x, y, config name, lower hex, upper hex, iterations, converged),
 # recorded with the numpy-array kernels that preceded the plain-float ones.
 # Every kernel edit that moves the descent's path, by a single bit
-# anywhere, changes these.
+# anywhere, changes these.  The three generic-kernel uppers were
+# re-recorded, 17 to 19 ulps higher, when the touching-disc term and the
+# non-model segment sum began to round up; their lowers, iterations and
+# flags kept every bit.
 GOLDEN = (
     (Disc(), [0.3 + 0.5j], [-0.6 + 0.1j], "light",
      "0x1.6e646289af04cp-1", "0x1.35b8a7fdacb7fp+0", 54, True),
@@ -292,13 +295,13 @@ GOLDEN = (
      "0x1.348b25f058c29p+0", "0x1.1d4d331f96ac2p+1", 310, True),
     # the generic touching-disc kernel
     (Ellipsoid([1.0, 2.0]), [0.1, 0.3j], [0.5 + 0.2j, -0.9], "light",
-     "0x1.1afaca9cff934p-1", "0x1.b4e9c36b9ad4ep+0", 193, True),
+     "0x1.1afaca9cff934p-1", "0x1.b4e9c36b9ad5fp+0", 193, True),
     # recorded with the kernels that recomputed every probe of every sweep
     (Ellipsoid([1.0, 2.0]), [0.5, 0.5], [-0.5, -0.5], "default",
-     "0x1.994d489e448c0p-1", "0x1.cb303713f7d7ap+0", 148, True),
+     "0x1.994d489e448c0p-1", "0x1.cb303713f7d8cp+0", 148, True),
     (OmegaPsi(PsiSpec("exp_neg_c_over_x")), [0.2 + 0.5j, 0.5],
      [-0.5j, 0.2 + 0.1j], "light",
-     "0x1.ff74425c9856cp-2", "0x1.da527325538f2p+1", 105, True),
+     "0x1.ff74425c9856cp-2", "0x1.da52732553905p+1", 105, True),
 )
 CONFIGS = {"light": SolverConfig.light(), "default": SolverConfig()}
 
