@@ -264,6 +264,8 @@ DISTANCE = ["distance", "--x", "[[0,0],[0,0]]", "--y", "[[0.5,0],[0,0]]"]
     (["geodesic", "--x", "[[0,0]]", "--y", "[[0.5,0]]"],
      {"domain": {"kind": "disc"}, "solver": {"rel_tol": math.nan}},
      "rel_tol"),
+    (["geodesic", "--x", "[[0,0]]", "--y", "[[0.5,0]]"],
+     {"domain": {"kind": "disc"}, "solver": {"rel_tol": 2}}, "rel_tol"),
     (["k-point", "--eps", "1e-1"],
      {"domain": BALL, "p": [[1, 0], [0, 0]], "w_radius": math.inf},
      "w_radius"),
@@ -274,7 +276,8 @@ DISTANCE = ["distance", "--x", "[[0,0],[0,0]]", "--y", "[[0.5,0],[0,0]]"]
 ], ids=["w_radius-text", "sphere_samples-null", "n-text", "n-fractional",
         "axes-missing", "axes-text", "solver-max_iter-text",
         "coordinate-text", "coordinate-mixed", "axes-inf", "rel_tol-nan",
-        "w_radius-inf", "c-inf-flag", "c-nan-flag", "alpha-nan-flag"])
+        "rel_tol-above-half", "w_radius-inf", "c-inf-flag", "c-nan-flag",
+        "alpha-nan-flag"])
 def test_bad_config_value_exits_two(tmp_path, capsys, argv, config, needle):
     # a config value or flag of the wrong type, or not finite, is bad
     # input: exit 2 with a koblab: line naming the field, no traceback,
