@@ -285,7 +285,7 @@ def visibility_scan(domain: Domain, p, q, eps_grid, approach="normal",
     ``approach`` is ``"normal"`` (inward-normal offsets) or a callable
     ``eps -> (p_eps, q_eps)``.
     """
-    p, q = as_carray(p), as_carray(q)
+    p, q = domain._point(p), domain._point(q)
     if float(np.linalg.norm(p - q)) <= 1e-9:
         raise GeometryError("visibility_scan needs two distinct boundary points")
     eps_grid = _positive_grid(eps_grid, "eps")

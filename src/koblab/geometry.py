@@ -335,7 +335,10 @@ class Domain:
     domain's dimension, an interior one where the primitive needs it, a
     finite nonzero direction.  It then calls the private method of the
     same name (``_contains``, ``_inner_radius``, ...), which each domain
-    supplies with the geometry alone, on the checked complex array.
+    supplies with the geometry alone, on the checked complex array.  The
+    two boundary queries share one: ``boundary_distance`` and
+    ``nearest_boundary_point`` read the distance and the contact of the
+    domain's one metric projection ``_project``.
 
     ``exact`` marks the model domains: their Kobayashi distance and metric
     have closed forms, which their segment kernels call, and
@@ -362,7 +365,7 @@ class Domain:
 
     def boundary_distance(self, z) -> float:
         """Euclidean distance from an interior point to the boundary."""
-        return self._boundary_distance(self._interior(z))
+        return self._project(self._interior(z))[0]
 
     def directional_distance(self, z, v) -> float:
         """Radius of the largest complex disc through z in direction v/|v|."""
@@ -370,8 +373,12 @@ class Domain:
                                           self._direction(v))
 
     def nearest_boundary_point(self, z) -> np.ndarray:
-        """The boundary point nearest to interior z."""
-        return self._nearest_boundary_point(self._interior(z))
+        """The boundary point nearest to interior z; raises
+        ``AmbiguousProjectionError`` where it is not unique."""
+        contact = self._project(self._interior(z))[1]
+        if isinstance(contact, AmbiguousProjectionError):
+            raise contact
+        return contact
 
     def supporting_normal(self, b) -> np.ndarray:
         """Outward unit normal of a supporting hyperplane at boundary point b."""
@@ -383,18 +390,20 @@ class Domain:
         raise NotImplementedError
 
     def _inner_radius(self, z: np.ndarray) -> float:
-        """Here the boundary distance, whose closed form on the models reads
-        <= 0 outside; the domains without one override this."""
-        return self._boundary_distance(z)
+        """Here the distance of :meth:`_project`, whose closed form on the
+        models reads <= 0 outside; the domains without one override this."""
+        return self._project(z)[0]
 
-    def _boundary_distance(self, z: np.ndarray) -> float:
+    def _project(self, z: np.ndarray) -> tuple:
+        """``(distance, contact)``: the metric projection of interior z onto
+        the boundary.  ``distance`` is the Euclidean boundary distance and
+        ``contact`` the nearest boundary point, or, where that point is not
+        unique, an ``AmbiguousProjectionError`` returned rather than raised,
+        so the distance still reads."""
         raise NotImplementedError
 
     def _directional_distance(self, z: np.ndarray, v: np.ndarray) -> float:
         return scan_directional_distance(self, z, v)
-
-    def _nearest_boundary_point(self, z: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def _supporting_normal(self, b: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -516,16 +525,18 @@ class Domain:
         { z + cols @ w } at stage k of :meth:`minimal_basis`, and its
         distance from z.
 
-        Here: the nearest boundary point of the domain at k = 0, and after
-        that the sampled contact of the slice as a domain of its own
-        (``_SliceDomain``), which carries self-checks rather than a
-        closed-form guarantee.
+        Here: the contact and distance of :meth:`_project` at k = 0 (an
+        ambiguous contact raises), and after that the sampled contact of the
+        slice as a domain of its own (``_SliceDomain``), which carries
+        self-checks rather than a closed-form guarantee.
         """
         if k == 0:
-            contact = self._nearest_boundary_point(z)
-            return contact, float(np.linalg.norm(contact - z))
+            tau, contact = self._project(z)
+            if isinstance(contact, AmbiguousProjectionError):
+                raise contact
+            return contact, tau
         sub = _SliceDomain(self, z, cols)
-        w = sub._nearest_boundary_point(np.zeros(cols.shape[1], dtype=complex))
+        w = sub._contact(np.zeros(cols.shape[1], dtype=complex))
         return z + cols @ w, float(np.linalg.norm(w))
 
     # -- metadata ------------------------------------------------------------
@@ -782,22 +793,16 @@ class Disc(Domain):
     def _contains(self, z) -> bool:
         return abs(z[0]) < 1.0
 
-    def _boundary_distance(self, z) -> float:
-        return 1.0 - abs(z[0])
+    def _project(self, z) -> tuple:
+        r = abs(z[0])
+        contact = np.array([-1.0 + 0j]) if r < 1e-14 else z / r
+        return 1.0 - r, contact
 
     def _directional_distance(self, z, v) -> float:
         return 1.0 - abs(z[0])
 
-    def _nearest_boundary_point(self, z) -> np.ndarray:
-        if abs(z[0]) < 1e-14:
-            return np.array([-1.0 + 0j])
-        return z / abs(z[0])
-
     def _supporting_normal(self, b) -> np.ndarray:
         return b / abs(b[0])
-
-    def _slice_contact(self, z, cols, k):
-        return self._nearest_boundary_point(z), 1.0 - abs(z[0])
 
     def to_json(self) -> dict:
         return {"kind": "disc"}
@@ -822,20 +827,14 @@ class HalfPlane(Domain):
     def _contains(self, z) -> bool:
         return z[0].imag > 0.0
 
-    def _boundary_distance(self, z) -> float:
-        return z[0].imag
+    def _project(self, z) -> tuple:
+        return z[0].imag, np.array([complex(z[0].real, 0.0)])
 
     def _directional_distance(self, z, v) -> float:
         return z[0].imag
 
-    def _nearest_boundary_point(self, z) -> np.ndarray:
-        return np.array([complex(z[0].real, 0.0)])
-
     def _supporting_normal(self, b) -> np.ndarray:
         return np.array([-1j])
-
-    def _slice_contact(self, z, cols, k):
-        return self._nearest_boundary_point(z), z[0].imag
 
     def boundary_anchor_points(self, count: int, rng: np.random.Generator) -> list:
         return [np.array([complex(x, 0.0)]) for x in rng.uniform(-3.0, 3.0, count)]
@@ -895,7 +894,8 @@ class Polydisc(Domain):
     def _contains(self, z) -> bool:
         return bool(np.max(np.abs(z)) < 1.0)
 
-    def _boundary_distance(self, z) -> float:
+    def _inner_radius(self, z) -> float:
+        # the distance of _project without the contact it also builds
         return float(np.min(1.0 - np.abs(z)))
 
     def _directional_distance(self, z, v) -> float:
@@ -912,15 +912,15 @@ class Polydisc(Domain):
         w[j] = z[j] / abs(z[j]) if abs(z[j]) > 1e-14 else -1.0
         return w
 
-    def _nearest_boundary_point(self, z) -> np.ndarray:
+    def _project(self, z) -> tuple:
+        # the nearest face; faces within 1e-13 of it tie toward the
+        # lexicographically smallest contact
         gaps = 1.0 - np.abs(z)
-        best = np.min(gaps)
-        cands = [
-            self._face_contact(z, j)
-            for j in range(self.dim)
-            if gaps[j] <= best + 1e-13
-        ]
-        return min(cands, key=_lex_key)
+        best = float(np.min(gaps))
+        ties = np.flatnonzero(gaps <= best + 1e-13)
+        if len(ties) == 1:
+            return best, self._face_contact(z, ties[0])
+        return best, min((self._face_contact(z, j) for j in ties), key=_lex_key)
 
     def _supporting_normal(self, b) -> np.ndarray:
         j = int(np.argmax(np.abs(b)))
@@ -983,26 +983,23 @@ class Ball(Domain):
     def _contains(self, z) -> bool:
         return float(np.linalg.norm(z)) < 1.0
 
-    def _boundary_distance(self, z) -> float:
-        return 1.0 - float(np.linalg.norm(z))
+    def _project(self, z) -> tuple:
+        r = float(np.linalg.norm(z))
+        if r >= 1e-14:
+            return 1.0 - r, z / r
+        contact = np.zeros(self.dim, dtype=complex)
+        contact[0] = -1.0
+        return 1.0 - r, contact
 
     def _directional_distance(self, z, v) -> float:
         return _ball_exit(v / np.linalg.norm(v), z, 1.0)
-
-    def _nearest_boundary_point(self, z) -> np.ndarray:
-        r = np.linalg.norm(z)
-        if r < 1e-14:
-            out = np.zeros(self.dim, dtype=complex)
-            out[0] = -1.0
-            return out
-        return z / r
 
     def _supporting_normal(self, b) -> np.ndarray:
         return b / np.linalg.norm(b)
 
     def _slice_contact(self, z, cols, k):
         if k == 0:
-            return self._nearest_boundary_point(z), 1.0 - float(np.linalg.norm(z))
+            return super()._slice_contact(z, cols, k)
         # every further slice is a ball centered at z inside the slice, so the
         # contact circle is a full sphere: all remaining taus coincide and the
         # contact is pinned by the lexicographic tie-break.
@@ -1086,10 +1083,10 @@ class Ellipsoid(Domain):
     def _contains(self, z) -> bool:
         return float(np.sum(np.abs(z) ** 2 / self.axes**2)) < 1.0
 
-    def _boundary_distance(self, z) -> float:
+    def _project(self, z) -> tuple:
         u = real_view(z)
         p = _project_interior_to_ellipsoid(u, _paired_axes(self.axes))
-        return float(np.linalg.norm(u - p))
+        return float(np.linalg.norm(u - p)), complex_view(p)
 
     def _inner_radius(self, z) -> float:
         # two certified lower bounds for the boundary distance:
@@ -1110,11 +1107,6 @@ class Ellipsoid(Domain):
         C = float(np.sum(np.abs(v) ** 2 / a2))
         beta = abs(np.sum(v * np.conj(z) / a2))
         return (-beta + math.sqrt(beta * beta + C * (1.0 - A))) / C
-
-    def _nearest_boundary_point(self, z) -> np.ndarray:
-        u = real_view(z)
-        p = _project_interior_to_ellipsoid(u, _paired_axes(self.axes))
-        return complex_view(p)
 
     def _supporting_normal(self, b) -> np.ndarray:
         nu = b / self.axes**2
@@ -1394,11 +1386,6 @@ class OmegaPsi(Domain):
         contact = np.array([complex(a, bb), complex(self._wall(a, bb, cc), cc)])
         return math.sqrt(max(best.fun, 0.0)), contact
 
-    def _boundary_distance(self, z) -> float:
-        d_cap = self._cap_gap(*z.tolist())
-        d_wall, _ = self._graph_distance(z)
-        return min(d_cap, d_wall)
-
     def _inner_radius(self, z) -> float:
         """Certified lower bound for boundary_distance.
 
@@ -1434,21 +1421,22 @@ class OmegaPsi(Domain):
         return 0.5 / max(1.0 / self.cap_radius, 2.0 * self.chi1,
                          2.0 * self.chi2, psi_curv)
 
-    def _nearest_boundary_point(self, z) -> np.ndarray:
+    def _project(self, z) -> tuple:
         d_cap = self._cap_gap(*z.tolist())
         d_wall, contact = self._graph_distance(z)
         d = min(d_cap, d_wall)
         if d > self.projection_threshold:
-            raise AmbiguousProjectionError(
+            return d, AmbiguousProjectionError(
                 f"projection at depth {d:.3g} exceeds the uniqueness threshold "
                 f"{self.projection_threshold:.3g}")
-        if abs(d_cap - d_wall) <= 1e-7 * max(1.0, d):
+        tied = abs(d_cap - d_wall) <= 1e-7 * max(1.0, d)
+        if tied or d_cap < d_wall:
             cap_pt = z * (self.cap_radius / np.linalg.norm(z))
-            if np.linalg.norm(cap_pt - contact) > 1e-4:
-                raise AmbiguousProjectionError("cap and wall contacts tie")
-        if d_cap < d_wall:
-            return z * (self.cap_radius / np.linalg.norm(z))
-        return contact
+            if tied and np.linalg.norm(cap_pt - contact) > 1e-4:
+                return d, AmbiguousProjectionError("cap and wall contacts tie")
+            if d_cap < d_wall:
+                contact = cap_pt
+        return d, contact
 
     def _supporting_normal(self, b) -> np.ndarray:
         if abs(np.linalg.norm(b) - self.cap_radius) < 1e-6 * self.cap_radius:
@@ -1506,10 +1494,6 @@ class LocalizedDomain(Domain):
             return False
         return self.base._contains(z)
 
-    def _boundary_distance(self, z) -> float:
-        return min(self.base._boundary_distance(z),
-                   self.radius - float(np.linalg.norm(z - self.center)))
-
     def _inner_radius(self, z) -> float:
         return min(self.base._inner_radius(z),
                    self.radius - float(np.linalg.norm(z - self.center)))
@@ -1519,24 +1503,26 @@ class LocalizedDomain(Domain):
         return min(self.base._directional_distance(z, v),
                    _ball_exit(v, z - self.center, self.radius))
 
-    def _nearest_boundary_point(self, z) -> np.ndarray:
+    def _project(self, z) -> tuple:
         w = z - self.center
         nw = float(np.linalg.norm(w))
         d_ball = self.radius - nw
-        d_base = self.base._boundary_distance(z)
+        d_base, base_pt = self.base._project(z)
+        d = min(d_base, d_ball)
         tied = abs(d_ball - d_base) <= 1e-7 * max(1.0, min(d_ball, d_base))
-        if (tied or d_ball < d_base) and nw == 0.0:
-            raise AmbiguousProjectionError(
+        if not (tied or d_ball < d_base):
+            return d, base_pt
+        if nw == 0.0:
+            return d, AmbiguousProjectionError(
                 "every direction exits the window sphere at the same distance")
-        if tied:
-            sphere_pt = self.center + w * (self.radius / nw)
-            base_pt = self.base._nearest_boundary_point(z)
-            if np.linalg.norm(sphere_pt - base_pt) > 1e-4:
-                raise AmbiguousProjectionError("window sphere and base boundary tie")
-            return sphere_pt if d_ball <= d_base else base_pt
-        if d_ball < d_base:
-            return self.center + w * (self.radius / nw)
-        return self.base._nearest_boundary_point(z)
+        sphere_pt = self.center + w * (self.radius / nw)
+        if not tied:
+            return d, sphere_pt
+        if isinstance(base_pt, AmbiguousProjectionError):
+            return d, base_pt
+        if np.linalg.norm(sphere_pt - base_pt) > 1e-4:
+            return d, AmbiguousProjectionError("window sphere and base boundary tie")
+        return d, sphere_pt if d_ball <= d_base else base_pt
 
     def _supporting_normal(self, b) -> np.ndarray:
         if abs(np.linalg.norm(b - self.center) - self.radius) < 1e-6 * self.radius:
@@ -1567,7 +1553,8 @@ class _SliceDomain(Domain):
     def _contains(self, w) -> bool:
         return self.parent._contains(self.origin + self.cols @ w)
 
-    def _nearest_boundary_point(self, w) -> np.ndarray:
+    def _contact(self, w) -> np.ndarray:
+        """The sampled nearest boundary contact of w (no ``_project``)."""
         best_r, best_u = _sampled_contact(self, w, 64 if self.dim == 1 else 128)
         return w + best_r * best_u
 

@@ -13,7 +13,8 @@ arithmetic:
   ``z`` in direction ``X``), which is the standard convex-domain squeeze;
 * distance lower bounds come from holomorphic projections onto half-planes
   (contraction under holomorphic maps), assembled in
-  :func:`distance_lower_bound`;
+  :func:`distance_lower_bound`, which takes each endpoint's boundary
+  distance and contact from one :meth:`~koblab.geometry.Domain._project`;
 * distance upper bounds come from summing per-segment touching-disc
   estimates along explicit paths, see :func:`distance_bracket` and the
   solver kernels of :meth:`~koblab.geometry.Domain.segment_kernels`.
@@ -135,13 +136,14 @@ def metric_bracket(domain: Domain, z, X) -> MetricBracket:
 
 
 def _boundary_contact(domain: Domain, z: np.ndarray):
-    """(p, nu): the nearest boundary point of z and its supporting normal,
-    or None when the projection is ambiguous."""
-    try:
-        p = domain.nearest_boundary_point(z)
-    except AmbiguousProjectionError:
-        return None
-    return p, domain.supporting_normal(p)
+    """(delta, contact) from one boundary projection of interior z:
+    delta is its boundary distance, and contact is (p, nu), the nearest
+    boundary point and its supporting normal, or None when the projection
+    is ambiguous."""
+    delta, p = domain._project(z)
+    if isinstance(p, AmbiguousProjectionError):
+        return delta, None
+    return delta, (p, domain.supporting_normal(p))
 
 
 def _halfplane_projection_bound(x: np.ndarray, y: np.ndarray, contact):
@@ -266,9 +268,12 @@ def pair_tube_bound(domain: Domain, x, y, *, contacts=None):
     """
     if math.isinf(domain.bounding_radius):
         return None
-    x, y = as_carray(x), as_carray(y)
     if contacts is None:
-        contacts = (_boundary_contact(domain, x), _boundary_contact(domain, y))
+        x, y = domain._interior(x), domain._interior(y)
+        contacts = (_boundary_contact(domain, x)[1],
+                    _boundary_contact(domain, y)[1])
+    else:
+        x, y = as_carray(x), as_carray(y)
     if contacts[0] is None or contacts[1] is None:
         return None
     (p, nu_p), (q, nu_q) = contacts
@@ -298,10 +303,11 @@ def distance_lower_bound_detailed(domain: Domain, x, y, tube: bool = True):
     ``directional`` branch is the repaired reading of a misprinted
     display, with t_x, t_y the directional distances of the chord at its
     ends.  No caller reports which branch won: they keep only the best
-    bound.  Both projection branches share one boundary projection of
-    each point.  ``tube=False`` skips the pair-tube branch, whose dual
-    solve costs a few milliseconds per call; the probes that sweep a grid
-    of pairs pass it, which keeps their reproducible outputs as they were.
+    bound.  The ratio and both projection branches share one boundary
+    projection of each point, ``Domain._project``.  ``tube=False`` skips
+    the pair-tube branch, whose dual solve costs a few milliseconds per
+    call; the probes that sweep a grid of pairs pass it, which keeps their
+    reproducible outputs as they were.
     """
     x, y = as_carray(x), as_carray(y)
     if not domain.contains(x) or not domain.contains(y):
@@ -314,9 +320,13 @@ def distance_lower_bound_detailed(domain: Domain, x, y, tube: bool = True):
 
     branches = {}
 
+    # one boundary projection per point: its distance is the upper of (a),
+    # its contact the source of (b) and (d)
+    (up_x, up_y), contacts = zip(_boundary_contact(domain, x),
+                                 _boundary_contact(domain, y))
+
     # (a) boundary-distance ratio: certified lower over certified upper
     lo_x, lo_y = domain.inner_radius_fast(x), domain.inner_radius_fast(y)
-    up_x, up_y = domain.boundary_distance(x), domain.boundary_distance(y)
     ratio = 0.0
     if lo_x > 0.0 and up_y > 0.0:
         ratio = max(ratio, 0.5 * math.log(lo_x / up_y))
@@ -326,7 +336,6 @@ def distance_lower_bound_detailed(domain: Domain, x, y, tube: bool = True):
 
     # (b) supporting half-plane projections at both ends; an ambiguous
     # projection drops only its own source
-    contacts = (_boundary_contact(domain, x), _boundary_contact(domain, y))
     proj = 0.0
     for contact in contacts:
         if contact is not None:

@@ -297,8 +297,10 @@ def test_bad_config_value_exits_two(tmp_path, capsys, argv, config, needle):
      BALL),
     (["distance", "--x", "[[0,0]]", "--y", "[[0.5,0]]"],
      {"kind": "omega_psi"}),
+    (["visibility-scan", "--p", "[[1,0],[0,0],[0,0]]", "--q",
+      "[[-1,0],[0,0]]", "--eps", "1e-1"], BALL),
 ], ids=["disc-two-coordinates", "ball-one-coordinate",
-        "omega-psi-one-coordinate"])
+        "omega-psi-one-coordinate", "visibility-scan-mixed-dimensions"])
 def test_wrong_point_dimension_exits_two(tmp_path, capsys, argv, domain):
     # a point of the wrong dimension is rejected before any closed form
     # could drop or index past its coordinates

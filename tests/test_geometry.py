@@ -33,7 +33,7 @@ from koblab.geometry import (
     scan_directional_distance,
     to_pairs,
 )
-from koblab.metric import metric_bracket
+from koblab.metric import distance_lower_bound, metric_bracket
 
 
 def brute_directional(domain, z, v, n_theta=512):
@@ -517,6 +517,77 @@ def test_localized_domain_ambiguity():
     dom = LocalizedDomain(Ball(2), center=[0.0, 0.0], radius=1.0)
     with pytest.raises(AmbiguousProjectionError):
         dom.nearest_boundary_point([0.0, 0.0])
+
+
+# one metric projection per point: Domain._project gives the boundary
+# distance and the nearest boundary point together
+
+PROJECTED = {
+    "disc": (Disc(), 1.0),
+    "halfplane": (HalfPlane(), 2.0),
+    "polydisc2": (Polydisc(2), 1.0),
+    "ball2": (Ball(2), 1.0),
+    "ellipsoid-1-2": (Ellipsoid([1.0, 2.0]), 2.0),
+    "omega-psi": (OmegaPsi(PsiSpec("exp_neg_c_over_x", c=math.pi)), 1.4),
+    "localized-ball2": (LocalizedDomain(Ball(2), [0.3, 0.0], 0.6), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", PROJECTED)
+def test_contact_lies_at_the_boundary_distance(name):
+    # where the contact is unique, |nearest_boundary_point(z) - z| is the
+    # boundary distance: both come from the same projection
+    dom, box = PROJECTED[name]
+    rng = np.random.default_rng(83)
+    checked = 0
+    while checked < 20:
+        z = rng.uniform(-box, box, dom.dim) + 1j * rng.uniform(-box, box, dom.dim)
+        if not dom.contains(z):
+            continue
+        checked += 1
+        d = dom.boundary_distance(z)
+        try:
+            b = dom.nearest_boundary_point(z)
+        except AmbiguousProjectionError:
+            continue
+        assert float(np.linalg.norm(b - z)) == pytest.approx(d, rel=1e-12)
+
+
+def _count_projections(monkeypatch, cls):
+    """Record the point of every ``cls._project`` call."""
+    calls = []
+    project = cls._project
+
+    def counting(self, z):
+        calls.append(tuple(z))
+        return project(self, z)
+    monkeypatch.setattr(cls, "_project", counting)
+    return calls
+
+
+@pytest.mark.parametrize("dom, x, y", [
+    (Ellipsoid([1.0, 2.0]), [0.9, 0.0], [-0.9, 0.1j]),
+    (OmegaPsi(PsiSpec("exp_neg_c_over_x", c=math.pi)),
+     [1j, 0.05], [-1j, 0.02]),
+], ids=["ellipsoid", "omega-psi"])
+def test_lower_bound_projects_each_endpoint_once(monkeypatch, dom, x, y):
+    calls = _count_projections(monkeypatch, type(dom))
+    assert distance_lower_bound(dom, x, y) > 0.0
+    assert sorted(calls) == sorted([tuple(as_carray(x)), tuple(as_carray(y))])
+
+
+@pytest.mark.parametrize("radius, z", [
+    (0.8, [0.9, 0.3]),     # the base boundary is nearer
+    (0.8, [0.3, 0.0]),     # the window sphere is nearer
+    (0.5, [0.7, 0.0]),     # both, at the same point
+], ids=["base", "sphere", "tie"])
+def test_localized_nearest_point_projects_its_base_once(monkeypatch, radius, z):
+    dom = LocalizedDomain(Ball(2), [0.5, 0.0], radius)
+    calls = _count_projections(monkeypatch, Ball)
+    b = dom.nearest_boundary_point(z)
+    assert len(calls) == 1
+    assert float(np.linalg.norm(b - as_carray(z))) == pytest.approx(
+        dom.boundary_distance(z), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -241,8 +241,8 @@ def _deep_pairs(domain, count, rng):
 
 
 def _tube_data(domain, x, y):
-    (p, nu_p), (q, nu_q) = (_boundary_contact(domain, x),
-                            _boundary_contact(domain, y))
+    (p, nu_p), (q, nu_q) = (_boundary_contact(domain, x)[1],
+                            _boundary_contact(domain, y)[1])
     c_p, c_q = complex(np.vdot(nu_p, p)), complex(np.vdot(nu_q, q))
     mu = _dual_disjointness(domain.bounding_radius, c_p, c_q, nu_p, nu_q)
     return c_p, c_q, nu_p, nu_q, mu

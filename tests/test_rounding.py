@@ -127,8 +127,17 @@ def test_default_solver_upper_at_or_above_distance(domain, x, y):
     k = mp_distance(domain, x, y)
     assert res.distance.upper >= k
     assert res.distance.lower <= k
-    # the rounding stays far below the solver's own tolerance
+    # the descent ends within 1e-9 relative of the distance at the default
+    # rel_tol; this bounds its accuracy, not the rounding
     assert float(res.distance.upper - k) < 1e-9 * float(k)
+    # the rounding: the upper lies at or above the exact length L of the
+    # path it reports, and only by the certified sum's outward rounding
+    pts = res.path.points
+    with mpmath.workdps(DIGITS):
+        L = mpmath.fsum(mp_distance(domain, a, b)
+                        for a, b in zip(pts[:-1], pts[1:]))
+        assert mpmath.mpf(res.distance.upper) >= L
+        assert mpmath.mpf(res.distance.upper) - L < 1e-11 * L
 
 
 # ---------------------------------------------------------------------------
