@@ -774,7 +774,7 @@ def sameheight_scaling(domain: Domain, region_center, region_radius: float,
     if isinstance(domain, Polydisc):
         raise GeometryError("a polydisc face has infinite type; the scaling "
                             "probe needs a finite-type region")
-    center = as_carray(region_center)
+    center = domain._point(region_center)
     region_radius = float(region_radius)
     if region_radius <= 0.0:
         raise GeometryError("the region radius must be positive")

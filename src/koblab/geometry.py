@@ -471,10 +471,14 @@ class Domain:
         polydisc, from the same ``abs`` as the radius; 1 - |z|^2 on the
         ball, from the one sum that also gives the radius.  Here the factor
         is the inner radius itself, read through ``_inner_radius`` as the
-        descent's points are its own checked arrays, and the single term is
-        the rounded-up touching-disc bound :func:`_touching_disc_upper` at
-        t = max(fa, fb), the one the chord upper of
-        :func:`koblab.metric.distance_bracket` also calls.
+        descent's and the chord's points are their own checked arrays, and
+        the single term is the rounded-up touching-disc bound
+        :func:`_touching_disc_upper` at t = max(fa, fb).
+
+        These kernels are the one source of a segment's certified upper:
+        the descent of :func:`koblab.solver.solve_geodesic` and the
+        subdivided chord of :func:`koblab.metric.distance_bracket` both read
+        them, so a domain that changes its terms changes both uppers.
 
         The closures keep no state: a node depends only on its point and a
         term only on its endpoints and their factors.  A visit of the
@@ -616,8 +620,9 @@ def _touching_disc_upper(a: np.ndarray, b: np.ndarray, t: float) -> float:
     When a ball of radius t about a or b lies in the domain, so does the
     complex disc of radius t through [a, b] about that end, and the
     Kobayashi distance contracts: k(a, b) <= artanh(|b - a| / t).  This is
-    the one touching-disc bound; the chord upper and the generic solver
-    kernel both call it.
+    the one touching-disc bound.  Its one caller is the generic segment
+    kernel of :meth:`Domain.segment_kernels`, which the chord upper and the
+    geodesic descent both read.
 
     Rounding (u = 2^-53, x⁺ as in :func:`_up`), on the plain floats of
     ``(b - a).view(float).tolist()``, the parts of b - a:
@@ -912,15 +917,19 @@ class Polydisc(Domain):
         w[j] = z[j] / abs(z[j]) if abs(z[j]) > 1e-14 else -1.0
         return w
 
-    def _project(self, z) -> tuple:
-        # the nearest face; faces within 1e-13 of it tie toward the
-        # lexicographically smallest contact
-        gaps = 1.0 - np.abs(z)
+    def _nearest_face(self, z: np.ndarray, faces: np.ndarray) -> tuple:
+        """``(gap, contact)`` of the face among ``faces`` (coordinate
+        indices) nearest to z; faces within 1e-13 of it tie toward the
+        lexicographically smallest contact."""
+        gaps = 1.0 - np.abs(z[faces])
         best = float(np.min(gaps))
-        ties = np.flatnonzero(gaps <= best + 1e-13)
+        ties = faces[gaps <= best + 1e-13]
         if len(ties) == 1:
             return best, self._face_contact(z, ties[0])
         return best, min((self._face_contact(z, j) for j in ties), key=_lex_key)
+
+    def _project(self, z) -> tuple:
+        return self._nearest_face(z, np.arange(self.dim))
 
     def _supporting_normal(self, b) -> np.ndarray:
         j = int(np.argmax(np.abs(b)))
@@ -929,15 +938,14 @@ class Polydisc(Domain):
         return nu
 
     def _slice_contact(self, z, cols, k):
+        if k == 0:
+            return super()._slice_contact(z, cols, k)
         # the slice is the sub-polydisc of the coordinates cols still moves
-        # (their rows of cols are unit, the others zero); its nearest face,
-        # ties toward the lexicographically smallest contact
-        gaps = 1.0 - np.abs(z)
+        # (their rows of cols are unit, the others zero): its nearest face,
+        # under the tie rule of _project
         free = np.flatnonzero(np.linalg.norm(cols, axis=1) > 0.5)
-        ties = free[gaps[free] == gaps[free].min()]
-        if len(ties) > 1:
-            ties = sorted(ties, key=lambda j: _lex_key(self._face_contact(z, j)))
-        return self._face_contact(z, ties[0]), gaps[ties[0]]
+        gap, contact = self._nearest_face(z, free)
+        return contact, gap
 
     def to_json(self) -> dict:
         return {"kind": "polydisc", "n": self.dim}

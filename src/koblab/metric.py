@@ -15,20 +15,23 @@ arithmetic:
   (contraction under holomorphic maps), assembled in
   :func:`distance_lower_bound`, which takes each endpoint's boundary
   distance and contact from one :meth:`~koblab.geometry.Domain._project`;
-* distance upper bounds come from summing per-segment touching-disc
-  estimates along explicit paths, see :func:`distance_bracket` and the
-  solver kernels of :meth:`~koblab.geometry.Domain.segment_kernels`.
+* distance upper bounds come from summing per-segment certified terms
+  along explicit paths.  Both paths, the subdivided chord of
+  :func:`distance_bracket` and the geodesic descent of :mod:`koblab.solver`,
+  read one source of segment terms, the domain's
+  :meth:`~koblab.geometry.Domain.segment_kernels`: rounded-up touching-disc
+  bounds on non-model domains.
 
 Every side rests on an inequality that holds exactly: lower bounds only use
 certified under-estimates of boundary distances, upper bounds only use
 certified inner radii.  In floating point these sides round outward: the
 model closed forms (each within its derived ``exact_error``, which the
-solver widens by), the pair-tube bound (rounded down), the touching-disc
-term :func:`~koblab.geometry._touching_disc_upper` and the chord's and the
-solver's segment sums :func:`~koblab.geometry._sum_up`.  Still plain
-double: the model ``distance_bracket`` [d, d], the directional lower at
-``ray_exit``'s midpoint, the half-plane projection bound, the tube gaps
-|f(x)| and |g(y)|, and the bidisc paths' artanh grids.
+solver widens by), the pair-tube bound (rounded down), the generic
+kernel's touching-disc term and the chord's and the solver's segment sums
+:func:`~koblab.geometry._sum_up`.  Still plain double: the model
+``distance_bracket`` [d, d], the directional lower at ``ray_exit``'s
+midpoint, the half-plane projection bound, the tube gaps |f(x)| and
+|g(y)|, and the bidisc paths' artanh grids.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from .geometry import (
     _UNIT_ROUNDOFF,
     _lex_key,
     _sum_up,
-    _touching_disc_upper,
     as_carray,
     ball_distance,
     disc_distance,
@@ -376,42 +378,50 @@ def distance_lower_bound(domain: Domain, x, y, tube: bool = True) -> float:
 _SPLIT_TERM = 0.5 * math.log(3.0)
 
 
-def _certified_chain_upper(domain: Domain, a: np.ndarray, b: np.ndarray,
-                           ra: float, rb: float, depth: int = 48) -> float:
-    """Touching-disc upper for k(a, b) along the segment [a, b].
+def _certified_chain_upper(kernels, a: np.ndarray, b: np.ndarray,
+                           fa, fb, depth: int = 48) -> float:
+    """Certified upper for k(a, b) along the segment [a, b].
 
-    ``ra`` and ``rb`` are the fast inner radii of a and b.  A piece costs
-    its rounded-up touching-disc term at t = max(ra, rb) when that term is
-    below artanh(1/2), i.e. when the piece is shorter than t/2; a longer
-    one is halved, each midpoint's radius is computed once and handed to
-    both halves, and the halves add rounding up.
+    ``kernels`` are the domain's ``(point, node, terms, moved)`` of
+    :meth:`~koblab.geometry.Domain.segment_kernels`, and ``fa``, ``fb`` the
+    node factors of a and b.  A piece costs the max of its segment terms
+    when that is below artanh(1/2), i.e. on the generic kernel when the
+    piece is shorter than half its larger end radius; a longer one is
+    halved, each midpoint's factor is computed once and handed to both
+    halves, and the halves add rounding up.  The points stay arrays: on
+    the models ``point`` gives lists, which ``+`` would concatenate, but
+    models never reach the chord.
     """
-    s = _touching_disc_upper(a, b, max(ra, rb))
+    point, node, terms, _ = kernels
+    s = max(terms(point(a), point(b), fa, fb))
     if s < _SPLIT_TERM:
         return s
     if depth == 0:
         raise GeometryError("certified upper bound did not converge; "
                             "endpoints too close to the boundary")
     mid = 0.5 * (a + b)
-    rm = domain.inner_radius_fast(mid)
-    return _sum_up([_certified_chain_upper(domain, a, mid, ra, rm, depth - 1),
-                    _certified_chain_upper(domain, mid, b, rm, rb, depth - 1)])
+    fm = node(point(mid))[1]
+    return _sum_up([_certified_chain_upper(kernels, a, mid, fa, fm, depth - 1),
+                    _certified_chain_upper(kernels, mid, b, fm, fb, depth - 1)])
 
 
 def distance_bracket(domain: Domain, x, y) -> MetricBracket:
     """Certified two-sided distance bracket.
 
     Model domains collapse to the exact value.  General convex domains pair
-    the best lower bound with a subdivided touching-disc upper bound along
-    the straight segment (inside the domain by convexity).
+    the best lower bound with a subdivided upper along the straight segment
+    (inside the domain by convexity), whose pieces cost the domain's own
+    segment terms, those of the geodesic descent.
     """
     x, y = domain._interior(x), domain._interior(y)
     exact = domain.exact_distance(x, y)
     if exact is not None:
         return MetricBracket(exact, exact)
     lower = distance_lower_bound(domain, x, y)
-    upper = _certified_chain_upper(domain, x, y, domain.inner_radius_fast(x),
-                                   domain.inner_radius_fast(y))
+    kernels = domain.segment_kernels()
+    point, node, _, _ = kernels
+    upper = _certified_chain_upper(kernels, x, y, node(point(x))[1],
+                                   node(point(y))[1])
     if lower > upper * (1.0 + 1e-12):
         # both sides are certified, so a real crossing means a broken domain
         raise GeometryError(f"bound crossing: lower {lower} > upper {upper}")

@@ -22,11 +22,12 @@ path's scale, whether sweeps without moves or sweeps with too little gain
 halved it there.
 
 Domains supply the segment bounds through
-:meth:`~koblab.geometry.Domain.segment_kernels`; the solver holds no
-per-domain code.  A stage converts its control points once into the
-kernels' point form (lists of Python complex numbers on the models, the
-arrays themselves on generic domains, whose kernel calls numpy domain
-methods) and keeps, for each control point, the factor its segment terms
+:meth:`~koblab.geometry.Domain.segment_kernels`, fetched once per solve and
+read directly, as the chord upper of :func:`koblab.metric.distance_bracket`
+reads them; the solver holds no per-domain code.  A stage converts its
+control points once into the kernels' point form (lists of Python
+complex numbers on the models, the arrays themselves on generic domains,
+whose kernel calls numpy domain methods) and keeps, for each control point, the factor its segment terms
 share (1 - |z_j|^2 per coordinate on the disc and polydisc, 1 - |z|^2 on
 the ball, the inner radius elsewhere), computed once per point by the
 kernels' ``node``.  For each segment it keeps its list of kernel terms:
@@ -179,56 +180,6 @@ class GeodesicResult:
 
 
 # ---------------------------------------------------------------------------
-# per-segment certified uppers, specialized for speed in the inner loop
-# ---------------------------------------------------------------------------
-
-
-class _ChainObjective:
-    """Certified per-segment uppers plus the bookkeeping the descent needs.
-
-    The ``(point, node, terms, moved)`` kernels come from
-    :meth:`Domain.segment_kernels`, fetched once per solve so the inner
-    loop calls plain closures on points in the kernels' own form.
-    ``node`` gives a point's cheap interior radius (negative outside) and
-    the factor its terms take; the descent caches one factor per control
-    point, so a probe costs a single node evaluation.  A segment's
-    certified upper is the max of its terms and the search objective their
-    euclidean norm; when they differ (the polydisc), reported lengths
-    still come from the max at the best configuration seen.
-    """
-
-    def __init__(self, domain: Domain):
-        self.domain = domain
-        self.model = domain.exact
-        self.margin = 1e-9 * domain.bounding_radius  # bounded domains only
-        self.point, self.node, self.terms, self.moved = \
-            domain.segment_kernels()
-
-    def upper(self, a, b) -> float:
-        """Upper for k_D(a, b) (inf when not certifiable)."""
-        a, b = self.point(a), self.point(b)
-        return max(self.terms(a, b, self.node(a)[1], self.node(b)[1]))
-
-    def brackets(self, pts: np.ndarray, seg_uppers: list):
-        """Segment brackets and the certified upper of their sum.  On the
-        models each closed form is widened by ``exact_error`` at its smaller
-        endpoint radius; elsewhere each segment's upper is its rounded-up
-        touching-disc term.  Both add through the one rounded-up sum
-        :func:`~koblab.geometry._sum_up`."""
-        if self.model:
-            R = [self.node(self.point(p))[0] for p in pts]
-            out = []
-            for j, s in enumerate(seg_uppers):
-                e = self.domain.exact_error(s, min(R[j], R[j + 1]))
-                out.append(MetricBracket(
-                    max(0.0, math.nextafter(s - e, 0.0)),
-                    math.nextafter(s + e, math.inf)))
-        else:
-            out = [MetricBracket(0.0, s) for s in seg_uppers]
-        return out, _sum_up([b.upper for b in out])
-
-
-# ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
 
@@ -263,9 +214,11 @@ def _ensure_valid(pts: np.ndarray, upper, cap: int) -> np.ndarray:
 _MIN_GAIN = 1e-2
 
 
-def _optimize_stage(obj: _ChainObjective, pts: np.ndarray, cfg: SolverConfig,
-                    iter_budget: int):
-    """Coordinate descent at fixed resolution.
+def _optimize_stage(kernels, margin: float, pts: np.ndarray,
+                    cfg: SolverConfig, iter_budget: int):
+    """Coordinate descent at fixed resolution on the domain's
+    ``(point, node, terms, moved)`` kernels; a candidate whose node radius
+    is below ``margin`` is not probed.
 
     Returns (best points, their certified uppers, sweeps, fine), where
     ``fine`` says the step fell below ``h_min`` rather than the sweep
@@ -288,12 +241,12 @@ def _optimize_stage(obj: _ChainObjective, pts: np.ndarray, cfg: SolverConfig,
     would repeat the last one.
     """
     m, n = pts.shape
-    node, moved, margin = obj.node, obj.moved, obj.margin
+    point, node, terms, moved = kernels
     hypot = math.hypot
     scale = max(float(np.max(np.abs(np.diff(pts, axis=0)))), 1e-12)
-    P = [obj.point(p) for p in pts]
+    P = [point(p) for p in pts]
     F = [node(p)[1] for p in P]
-    T = [obj.terms(P[j], P[j + 1], F[j], F[j + 1]) for j in range(m - 1)]
+    T = [terms(P[j], P[j + 1], F[j], F[j + 1]) for j in range(m - 1)]
     D = [hypot(*t) for t in T]
     best_S = [max(t) for t in T]
     best_L = float(sum(best_S))
@@ -379,11 +332,17 @@ def solve_geodesic(domain: Domain, x, y, cfg: SolverConfig | None = None) -> Geo
             "geodesic endpoints must keep boundary distance >= 1e-6")
 
     lower = distance_lower_bound(domain, x, y)
-    obj = _ChainObjective(domain)
+    kernels = domain.segment_kernels()
+    point, node, terms, _ = kernels
+    margin = 1e-9 * domain.bounding_radius
+
+    def seg_upper(a, b):
+        a, b = point(a), point(b)
+        return max(terms(a, b, node(a)[1], node(b)[1]))
 
     m = min(9, cfg.control_points)
     starts = [_straight_points(x, y, m)]
-    if not obj.model:
+    if not domain.exact:
         # near a narrow corridor the straight chord may need thousands of
         # points before every segment certifies; an arch through the base
         # point usually certifies at coarse resolution, so offer it as an
@@ -395,7 +354,7 @@ def solve_geodesic(domain: Domain, x, y, cfg: SolverConfig | None = None) -> Geo
     pts, first_err = None, None
     for cand in starts:
         try:
-            valid = _ensure_valid(cand, obj.upper, cfg.control_points)
+            valid = _ensure_valid(cand, seg_upper, cfg.control_points)
         except GeometryError as exc:
             if first_err is None:
                 first_err = exc
@@ -411,7 +370,7 @@ def solve_geodesic(domain: Domain, x, y, cfg: SolverConfig | None = None) -> Geo
     converged = False
     prev_L = math.inf
     while iterations < cfg.max_iter:
-        pts, S, sweeps, fine = _optimize_stage(obj, pts, cfg,
+        pts, S, sweeps, fine = _optimize_stage(kernels, margin, pts, cfg,
                                                cfg.max_iter - iterations)
         iterations += sweeps
         L = float(sum(S))
@@ -440,7 +399,19 @@ def solve_geodesic(domain: Domain, x, y, cfg: SolverConfig | None = None) -> Geo
     best_S = [best_S[j - 1] for j in keep[1:]]
     best_pts = best_pts[keep]
 
-    brackets, upper = obj.brackets(best_pts, best_S)
+    # on the models each closed form is widened by ``exact_error`` at its
+    # smaller endpoint radius; elsewhere each segment's upper is its
+    # kernel's certified term.  Both add through the one rounded-up sum.
+    if domain.exact:
+        R = [node(point(p))[0] for p in best_pts]
+        brackets = []
+        for j, s in enumerate(best_S):
+            e = domain.exact_error(s, min(R[j], R[j + 1]))
+            brackets.append(MetricBracket(max(0.0, math.nextafter(s - e, 0.0)),
+                                          math.nextafter(s + e, math.inf)))
+    else:
+        brackets = [MetricBracket(0.0, s) for s in best_S]
+    upper = _sum_up([b.upper for b in brackets])
     path = Path(points=best_pts, domain=domain, segment_brackets=brackets,
                 endpoint_lower=lower)
     deltas = path.boundary_distances()

@@ -299,8 +299,11 @@ def test_bad_config_value_exits_two(tmp_path, capsys, argv, config, needle):
      {"kind": "omega_psi"}),
     (["visibility-scan", "--p", "[[1,0],[0,0],[0,0]]", "--q",
       "[[-1,0],[0,0]]", "--eps", "1e-1"], BALL),
+    (["sameheight", "--center", "[[0,0]]", "--radius", "0.3", "--delta",
+      "1e-2", "--m-type", "2"], {"kind": "omega_psi"}),
 ], ids=["disc-two-coordinates", "ball-one-coordinate",
-        "omega-psi-one-coordinate", "visibility-scan-mixed-dimensions"])
+        "omega-psi-one-coordinate", "visibility-scan-mixed-dimensions",
+        "sameheight-omega-psi-one-coordinate"])
 def test_wrong_point_dimension_exits_two(tmp_path, capsys, argv, domain):
     # a point of the wrong dimension is rejected before any closed form
     # could drop or index past its coordinates

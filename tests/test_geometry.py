@@ -610,6 +610,19 @@ def test_minimal_basis_polydisc_example():
     assert res.orthonormality_defect() < 1e-12
 
 
+@pytest.mark.parametrize("dom, z", [
+    (Polydisc(2), [0.5 + 1e-14, 0.5]),
+    (Polydisc(2), [0.5, 0.5 + 1e-14j]),
+    (Polydisc(2), [-0.3, 0.3 - 5e-14]),
+    (Polydisc(3), [0.2, 0.7 + 2e-14, -0.7]),
+])
+def test_polydisc_first_contact_is_the_nearest_boundary_point(dom, z):
+    # faces within 1e-13 of the nearest one tie the same way in the
+    # projection and in the minimal basis's first slice
+    contact = dom.minimal_basis(z).contacts[0]
+    assert np.array_equal(contact, dom.nearest_boundary_point(z))
+
+
 def test_minimal_basis_invariants_random():
     rng = np.random.default_rng(17)
     domains = [Ball(2), Polydisc(2), Ellipsoid([1.0, 2.0])]

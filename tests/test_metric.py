@@ -454,26 +454,51 @@ def test_ellipsoid_bracket_with_tiny_minimal_axis_coordinate(x, y):
 
 
 class _CountingEllipsoid(Ellipsoid):
-    """An ellipsoid that records every point its fast inner radius sees."""
+    """An ellipsoid that records every point its inner radius sees."""
 
     def __init__(self, axes):
         super().__init__(axes)
         self.seen = []
 
-    def inner_radius_fast(self, z):
+    def _inner_radius(self, z):
         self.seen.append(np.asarray(z, dtype=complex).tobytes())
-        return super().inner_radius_fast(z)
+        return super()._inner_radius(z)
 
 
 def test_chain_upper_one_inner_radius_per_point():
     dom = _CountingEllipsoid([1.0, 2.0])
     x = np.array([0.95, 0.0], dtype=complex)
     y = np.array([0.9j, 0.3], dtype=complex)
-    upper = _certified_chain_upper(dom, x, y, dom.inner_radius_fast(x),
-                                   dom.inner_radius_fast(y))
+    kernels = dom.segment_kernels()
+    point, node, _, _ = kernels
+    upper = _certified_chain_upper(kernels, x, y, node(point(x))[1],
+                                   node(point(y))[1])
     assert math.isfinite(upper)
     assert len(dom.seen) > 10        # the segment was subdivided
     assert len(dom.seen) == len(set(dom.seen))
+
+
+class _ScaledKernelEllipsoid(Ellipsoid):
+    """An ellipsoid whose segment terms are the generic ones times 1.5,
+    still certified uppers, only looser."""
+
+    def segment_kernels(self):
+        point, node, terms, moved = super().segment_kernels()
+
+        def scaled(a, b, fa, fb):
+            return [1.5 * t for t in terms(a, b, fa, fb)]
+        return point, node, scaled, moved
+
+
+def test_chord_upper_reads_the_segment_kernels():
+    # the chord's pieces cost the domain's own segment terms, so a domain
+    # that changes its terms moves distance_bracket's upper with them
+    x, y = _P(0.0, 0.0), _P(0.2, 0.0)
+    plain = distance_bracket(Ellipsoid([1.0, 2.0]), x, y)
+    scaled = distance_bracket(_ScaledKernelEllipsoid([1.0, 2.0]), x, y)
+    assert plain.upper == pytest.approx(math.atanh(0.2), abs=1e-12)
+    assert scaled.upper == 1.5 * plain.upper
+    assert scaled.lower == plain.lower
 
 
 def _P(*coords):
