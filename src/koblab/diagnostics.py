@@ -589,7 +589,8 @@ def goldilocks_probe(domain: Domain, r_grid, seed: int = 0,
                 continue
             used += 1
             for v in dirs:
-                t = domain.directional_distance(x, v)
+                # only the maximum is kept, so best_t is an exact stop
+                t = domain.directional_distance(x, v, stop=best_t)
                 if math.isfinite(t):
                     best_t = max(best_t, t)
         if used == 0 or best_t <= 0.0:

@@ -203,7 +203,7 @@ def _coarse_to_fine(count: int) -> tuple:
 
 
 def _first_shortest_exit(rays: Sequence[Callable[[float], bool]],
-                         cap: float) -> tuple:
+                         cap: float, stop: float = -math.inf) -> tuple:
     """(t, k): the least ``ray_exit(rays[k], cap)`` and the first index k
     that attains it, as ``np.argmin`` would pick over the full list.
 
@@ -212,12 +212,22 @@ def _first_shortest_exit(rays: Sequence[Callable[[float], bool]],
     cannot beat it stops as soon as it is known to exit later.  The cut
     is exact (see :func:`ray_exit`), so t and k are those of the unpruned
     loop; ties go to the smaller index whatever the visiting order.
+
+    ``stop`` lets a caller that only needs to know whether the least exit
+    is above ``stop`` return as soon as the running minimum is at most
+    ``stop``; the rays left are not visited.  The running minimum only
+    falls, so such a t at most ``stop`` says only that the full loop's t
+    is at most ``stop`` too (and its k is then the running one, not the
+    full loop's).  A t above ``stop`` comes from the full loop, bit for
+    bit, with its k.
     """
     best, k = math.inf, -1
     for i in _coarse_to_fine(len(rays)):
         t = ray_exit(rays[i], cap, floor=best)
         if t < best or (t == best and i < k):
             best, k = t, i
+            if best <= stop:
+                break
     return best, k
 
 
@@ -256,7 +266,7 @@ def _sampled_contact(domain: "Domain", z: np.ndarray, count: int):
 
 
 def scan_directional_distance(domain: "Domain", z: np.ndarray,
-                              v: np.ndarray) -> float:
+                              v: np.ndarray, stop: float = -math.inf) -> float:
     """Directional distance by scanning phases of the complex disc slice.
 
     The slice D cap (z + C v) is a planar convex region containing 0; its
@@ -269,6 +279,14 @@ def scan_directional_distance(domain: "Domain", z: np.ndarray,
     its phase (the first on a tie, as ``np.argmin`` picks) are those of
     the full scan, bit for bit.  A bounded Brent search over the two
     neighbouring phase intervals then polishes that minimum.
+
+    ``stop`` is for callers that keep the result only when it exceeds
+    ``stop`` (a running maximum, say).  The phase search returns as soon
+    as its running minimum is at most ``stop``, skipping the phases left
+    and the polish; the polish only lowers the result, so the full scan
+    is at most ``stop`` too.  A result at most ``stop`` says only that;
+    a result above ``stop`` is the full scan's, bit for bit.  The default
+    never stops.
     """
     v = v / np.linalg.norm(v)
     cap = 4.0 * domain.bounding_radius + float(np.linalg.norm(z)) + 1.0
@@ -280,7 +298,9 @@ def scan_directional_distance(domain: "Domain", z: np.ndarray,
         return ray_exit(ray_at(theta), cap)
 
     thetas = np.linspace(0.0, 2.0 * math.pi, _SCAN_PHASES, endpoint=False)
-    best, k = _first_shortest_exit([ray_at(t) for t in thetas], cap)
+    best, k = _first_shortest_exit([ray_at(t) for t in thetas], cap, stop)
+    if best <= stop:
+        return best
     h = 2.0 * math.pi / _SCAN_PHASES
     res = optimize.minimize_scalar(
         r_of, bounds=(thetas[k] - h, thetas[k] + h), method="bounded",
@@ -367,10 +387,18 @@ class Domain:
         """Euclidean distance from an interior point to the boundary."""
         return self._project(self._interior(z))[0]
 
-    def directional_distance(self, z, v) -> float:
-        """Radius of the largest complex disc through z in direction v/|v|."""
+    def directional_distance(self, z, v, stop: float = -math.inf) -> float:
+        """Radius of the largest complex disc through z in direction v/|v|.
+
+        ``stop`` is an exact early exit for callers that keep the result
+        only when it exceeds ``stop``: a result above ``stop`` is the
+        unstopped one, bit for bit, and a result at most ``stop`` says only
+        that the unstopped one is at most ``stop`` as well.  The phase scan
+        (:func:`scan_directional_distance`) uses it to skip work; the closed
+        forms ignore it.
+        """
         return self._directional_distance(self._interior(z),
-                                          self._direction(v))
+                                          self._direction(v), stop)
 
     def nearest_boundary_point(self, z) -> np.ndarray:
         """The boundary point nearest to interior z; raises
@@ -402,8 +430,9 @@ class Domain:
         so the distance still reads."""
         raise NotImplementedError
 
-    def _directional_distance(self, z: np.ndarray, v: np.ndarray) -> float:
-        return scan_directional_distance(self, z, v)
+    def _directional_distance(self, z: np.ndarray, v: np.ndarray,
+                              stop: float = -math.inf) -> float:
+        return scan_directional_distance(self, z, v, stop)
 
     def _supporting_normal(self, b: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -803,7 +832,7 @@ class Disc(Domain):
         contact = np.array([-1.0 + 0j]) if r < 1e-14 else z / r
         return 1.0 - r, contact
 
-    def _directional_distance(self, z, v) -> float:
+    def _directional_distance(self, z, v, stop=-math.inf) -> float:
         return 1.0 - abs(z[0])
 
     def _supporting_normal(self, b) -> np.ndarray:
@@ -835,7 +864,7 @@ class HalfPlane(Domain):
     def _project(self, z) -> tuple:
         return z[0].imag, np.array([complex(z[0].real, 0.0)])
 
-    def _directional_distance(self, z, v) -> float:
+    def _directional_distance(self, z, v, stop=-math.inf) -> float:
         return z[0].imag
 
     def _supporting_normal(self, b) -> np.ndarray:
@@ -903,7 +932,7 @@ class Polydisc(Domain):
         # the distance of _project without the contact it also builds
         return float(np.min(1.0 - np.abs(z)))
 
-    def _directional_distance(self, z, v) -> float:
+    def _directional_distance(self, z, v, stop=-math.inf) -> float:
         v = v / np.linalg.norm(v)
         gaps = 1.0 - np.abs(z)
         t = math.inf
@@ -999,7 +1028,7 @@ class Ball(Domain):
         contact[0] = -1.0
         return 1.0 - r, contact
 
-    def _directional_distance(self, z, v) -> float:
+    def _directional_distance(self, z, v, stop=-math.inf) -> float:
         return _ball_exit(v / np.linalg.norm(v), z, 1.0)
 
     def _supporting_normal(self, b) -> np.ndarray:
@@ -1108,7 +1137,7 @@ class Ellipsoid(Domain):
         radial = (1.0 - math.sqrt(g)) * float(np.min(self.axes))
         return max(0.0, (1.0 - g) / lip, radial)
 
-    def _directional_distance(self, z, v) -> float:
+    def _directional_distance(self, z, v, stop=-math.inf) -> float:
         v = v / np.linalg.norm(v)
         a2 = self.axes**2
         A = float(np.sum(np.abs(z) ** 2 / a2))
@@ -1506,9 +1535,9 @@ class LocalizedDomain(Domain):
         return min(self.base._inner_radius(z),
                    self.radius - float(np.linalg.norm(z - self.center)))
 
-    def _directional_distance(self, z, v) -> float:
+    def _directional_distance(self, z, v, stop=-math.inf) -> float:
         v = v / np.linalg.norm(v)
-        return min(self.base._directional_distance(z, v),
+        return min(self.base._directional_distance(z, v, stop),
                    _ball_exit(v, z - self.center, self.radius))
 
     def _project(self, z) -> tuple:

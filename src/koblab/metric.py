@@ -263,6 +263,24 @@ def pair_tube_bound(domain: Domain, x, y, *, contacts=None):
     padded down by a few ulps).  eta is the exact disjointness threshold
     mu / 2.
 
+    Before the dual solve, a cheap upper bound on mu settles most
+    rejections exactly.  x and y lie in the domain, hence in the bounding ball, so
+    m = min(|f(x)| + |g(x)|, |f(y)| + |g(y)|) >= mu >= the solved
+    D.  With m rounded up to m+, |f(x)| >= m+/2 or |g(y)| >= m+/2 means
+    the solved eta = D/2 <= m+/2 would reject as well, and None is
+    returned without the solve.  The rounding of m: the computed
+    s = <nu, z> is within (2n + 2) u sum_i |nu_i| |z_i| <= (2n + 2) u |nu| |z|
+    of the exact one (one complex product per term, then n - 1 additions
+    in any order, n = dim, u the unit roundoff); c - s and its modulus add
+    u |c - s| and 2 u |c - s|.  The error of each gap is therefore at most
+    (2n + 6) u (|c| + |nu| |z|), which covers the cancellation in c - s
+    when z is near the plane; the sum of the two gaps adds u of itself.
+    m+ pads the computed sum by (4n + 16) u (|c_p| + |c_q|
+    + (|nu_p| + |nu_q|) |z| + sum): doubling the first-order constant
+    covers the second-order terms, the rounding of the norms and of the
+    pad itself.  When the check passes, the dual runs as before, so the
+    result is the same either way, bit for bit.
+
     ``contacts`` takes the boundary contacts (p, nu_p) of x and (q, nu_q)
     of y (None for an ambiguous one) when the caller already has them.
     Returns None when not applicable (unbounded domain, ambiguous
@@ -281,12 +299,21 @@ def pair_tube_bound(domain: Domain, x, y, *, contacts=None):
     (p, nu_p), (q, nu_q) = contacts
     c_p = complex(np.vdot(nu_p, p))
     c_q = complex(np.vdot(nu_q, q))
+    gaps = [(abs(c_p - complex(np.vdot(nu_p, z))),
+             abs(c_q - complex(np.vdot(nu_q, z)))) for z in (x, y)]
+    fx, gy = gaps[0][0], gaps[1][1]
+    # m_up >= mu, so a gap at or above m_up/2 fails the solved eta too
+    scale = abs(c_p) + abs(c_q)
+    slope = float(np.linalg.norm(nu_p)) + float(np.linalg.norm(nu_q))
+    pad = (4 * len(x) + 16) * _UNIT_ROUNDOFF
+    m_up = min(f + g + pad * (scale + slope * float(np.linalg.norm(z)) + f + g)
+               for z, (f, g) in zip((x, y), gaps))
+    if fx >= 0.5 * m_up or gy >= 0.5 * m_up:
+        return None
     mu = _dual_disjointness(domain.bounding_radius, c_p, c_q, nu_p, nu_q)
     if not (mu > 0.0 and math.isfinite(mu)):
         return None
     eta = 0.5 * mu
-    fx = abs(c_p - complex(np.vdot(nu_p, x)))
-    gy = abs(c_q - complex(np.vdot(nu_q, y)))
     if not (0.0 < fx < eta and 0.0 < gy < eta):
         return None
     return 0.5 * math.log(eta / fx) + 0.5 * math.log(eta / gy)
@@ -307,9 +334,15 @@ def distance_lower_bound_detailed(domain: Domain, x, y, tube: bool = True):
     ends.  No caller reports which branch won: they keep only the best
     bound.  The ratio and both projection branches share one boundary
     projection of each point, ``Domain._project``.  ``tube=False`` skips
-    the pair-tube branch, whose dual solve costs a few milliseconds per
-    call; the probes that sweep a grid of pairs pass it, which keeps their
-    reproducible outputs as they were.
+    the pair-tube branch, whose dual solve costs a few milliseconds when
+    it runs (:func:`pair_tube_bound` first settles most pairs that the
+    solve would reject with an exact, cheap check); the probes that sweep
+    a grid of pairs pass it, which keeps their reproducible outputs as
+    they were.
+    The two directional scans of (c) share one early exit: the end with
+    the larger boundary distance is scanned first, and its t is the
+    ``stop`` of the other scan, which is exact because only the larger t
+    is kept.
     """
     x, y = as_carray(x), as_carray(y)
     if not domain.contains(x) or not domain.contains(y):
@@ -346,10 +379,17 @@ def distance_lower_bound_detailed(domain: Domain, x, y, tube: bool = True):
                 proj = max(proj, val)
     branches["halfplane-projection"] = proj
 
-    # (c) directional bound along the chord (repaired reading)
+    # (c) directional bound along the chord (repaired reading); only the
+    # larger end counts, so the end farther from the boundary is scanned
+    # first and its t stops the other scan (exact, see directional_distance)
     u = float(np.linalg.norm(y - x))
-    t = max(domain.directional_distance(x, y - x),
-            domain.directional_distance(y, y - x))
+    if up_x >= up_y:
+        t_x = domain.directional_distance(x, y - x)
+        t_y = domain.directional_distance(y, y - x, stop=t_x)
+    else:
+        t_y = domain.directional_distance(y, y - x)
+        t_x = domain.directional_distance(x, y - x, stop=t_y)
+    t = max(t_x, t_y)
     if math.isfinite(t) and t > 0.0:
         branches["directional"] = 0.5 * math.log1p(u / t)
 

@@ -414,6 +414,20 @@ def test_goldilocks_single_point_inconclusive():
     assert rep.detail == "single-sample"
 
 
+def test_goldilocks_stop_keeps_the_samples(monkeypatch):
+    # each directional scan stops at the running maximum; the samples are
+    # those of unstopped scans, bit for bit
+    dom = OmegaPsi(PsiSpec("exp_neg_inv_log_pow", alpha=2.0))
+    grid = [1e-1, 1e-2]
+    got = goldilocks_probe(dom, grid, seed=1, anchors=3, extra_directions=1)
+    unstopped = OmegaPsi.directional_distance
+    monkeypatch.setattr(dom, "directional_distance",
+                        lambda z, v, stop=-math.inf: unstopped(dom, z, v))
+    ref = goldilocks_probe(dom, grid, seed=1, anchors=3, extra_directions=1)
+    assert [(s.lower.hex(), s.statistic.hex()) for s in got.samples] == \
+        [(s.lower.hex(), s.statistic.hex()) for s in ref.samples]
+
+
 def test_goldilocks_grid_validation():
     B = Ball(2)
     with pytest.raises(GeometryError):

@@ -1193,6 +1193,89 @@ def test_scan_directional_distance_prunes_probes():
     assert n_pruned <= 0.5 * Counting.probes
 
 
+STOP_DOMAINS = dict(SCAN_DOMAINS, ellipsoid=Ellipsoid([1.0, 1.5]),
+                    ball=Ball(2))
+
+
+def _stop_case(name, data):
+    """An interior point and a direction of a ``STOP_DOMAINS`` domain: near
+    the Omega_psi wall as in the unpruned-scan test, anywhere inside on the
+    closed-form domains."""
+    dom = STOP_DOMAINS[name]
+    if name in SCAN_DOMAINS:
+        if name == "localized":
+            y1 = data.draw(st.floats(0.3, 0.7))
+            x1 = data.draw(st.floats(-0.1, 0.1, allow_subnormal=False))
+        else:
+            y1 = data.draw(st.floats(-2.6, 2.6))
+            x1 = data.draw(st.floats(-0.5, 0.5, allow_subnormal=False))
+        y2 = data.draw(st.floats(-0.1, 0.1))
+        gap = 10.0 ** data.draw(st.floats(-6.0, -1.0))
+        base = dom.base if name == "localized" else dom
+        z = np.array([complex(x1, y1),
+                      complex(base._wall(x1, y1, y2) + gap, y2)])
+    else:
+        z = np.array([complex(data.draw(st.floats(-1.5, 1.5)),
+                              data.draw(st.floats(-1.5, 1.5)))
+                      for _ in range(2)])
+    assume(dom.contains(z))
+    v = np.array([complex(data.draw(st.floats(-1.0, 1.0)),
+                          data.draw(st.floats(-1.0, 1.0)))
+                  for _ in range(2)])
+    assume(np.linalg.norm(v) > 1e-3)
+    return dom, z, v
+
+
+@pytest.mark.parametrize("name", list(STOP_DOMAINS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_directional_distance_stop_is_exact(name, data):
+    # a result above stop is the unstopped one bit for bit; one at or below
+    # stop only says the unstopped one is at or below stop too
+    dom, z, v = _stop_case(name, data)
+    full = dom.directional_distance(z, v)
+    kind = data.draw(st.sampled_from(["scaled", "equal", "below", "above"]))
+    if kind == "scaled":
+        stop = full * (1.0 + data.draw(st.floats(-0.2, 0.2)))
+    elif kind == "equal":
+        stop = full
+    else:
+        stop = math.nextafter(full, -math.inf if kind == "below" else math.inf)
+    got = dom.directional_distance(z, v, stop=stop)
+    if full > stop:
+        assert got.hex() == full.hex()
+    else:
+        assert got <= stop
+    assert dom.directional_distance(z, v, stop=-math.inf).hex() == full.hex()
+
+
+def test_scan_stop_skips_phases_and_polish():
+    class Counting(OmegaPsi):
+        probes = 0
+
+        def ray(self, z, u):
+            inside = super().ray(z, u)
+
+            def counted(t):
+                Counting.probes += 1
+                return inside(t)
+            return counted
+
+    dom = Counting(PsiSpec("exp_neg_c_over_x"))
+    z = np.array([0.3j, complex(dom._wall(0.0, 0.3, 0.0) + 1e-3, 0.0)])
+    v = np.array([1.0 + 0j, 0.2j])
+    full = scan_directional_distance(dom, z, v)
+    n_full, Counting.probes = Counting.probes, 0
+    # a stop at twice the value is met by the first phase alone
+    stopped = scan_directional_distance(dom, z, v, stop=2.0 * full)
+    assert stopped <= 2.0 * full
+    assert Counting.probes <= 0.2 * n_full
+    Counting.probes = 0
+    assert scan_directional_distance(dom, z, v, stop=0.5 * full).hex() == \
+        full.hex()
+    assert Counting.probes == n_full
+
+
 def inner_radius_reference(dom, z):
     """OmegaPsi.inner_radius_fast on numpy scalars, the cap term through
     :func:`cap_gap_reference`."""

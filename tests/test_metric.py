@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from koblab import metric as metric_module
+
 from koblab.geometry import (
     Ball,
     Disc,
@@ -325,6 +327,113 @@ def test_pair_tube_none_when_mu_vanishes():
     x, y = np.array([0.99, 0.0]), np.array([0.0, 0.99])
     assert _tube_data(dom, x, y)[-1] <= 0.0
     assert pair_tube_bound(dom, x, y) is None
+
+
+def _pair_tube_reference(domain, x, y):
+    """pair_tube_bound without its pre-check: the dual is always solved and
+    the tube accepted only when both gaps lie strictly inside eta = mu/2."""
+    if math.isinf(domain.bounding_radius):
+        return None
+    x, y = domain._interior(x), domain._interior(y)
+    contacts = (_boundary_contact(domain, x)[1],
+                _boundary_contact(domain, y)[1])
+    if contacts[0] is None or contacts[1] is None:
+        return None
+    (p, nu_p), (q, nu_q) = contacts
+    c_p, c_q = complex(np.vdot(nu_p, p)), complex(np.vdot(nu_q, q))
+    mu = _dual_disjointness(domain.bounding_radius, c_p, c_q, nu_p, nu_q)
+    if not (mu > 0.0 and math.isfinite(mu)):
+        return None
+    eta = 0.5 * mu
+    fx = abs(c_p - complex(np.vdot(nu_p, x)))
+    gy = abs(c_q - complex(np.vdot(nu_q, y)))
+    if not (0.0 < fx < eta and 0.0 < gy < eta):
+        return None
+    return 0.5 * math.log(eta / fx) + 0.5 * math.log(eta / gy)
+
+
+def _deep_polydisc_pairs(count, rng):
+    """Seeded Polydisc(2) pairs: one coordinate of each point at depth in
+    [1e-3, 0.3] below its unit circle, the other anywhere in its disc."""
+    pairs = []
+    for _ in range(count):
+        pair = []
+        for _ in range(2):
+            j = rng.integers(2)
+            z = np.sqrt(rng.uniform(0.0, 0.8, 2)) \
+                * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 2))
+            depth = 10.0 ** rng.uniform(-3.0, math.log10(0.3))
+            z[j] = (1.0 - depth) * np.exp(2j * math.pi * rng.uniform())
+            pair.append(z)
+        pairs.append(tuple(pair))
+    return pairs
+
+
+def _segment_pairs(count, rng):
+    """Seeded Omega_psi pairs (i y, eps) near the flat segment, as the
+    Omega_psi case study draws them: |y| <= 1.8, eps in [1e-3, 1e-1]."""
+    return [tuple(np.array([1j * rng.uniform(-1.8, 1.8),
+                            10.0 ** rng.uniform(-3.0, -1.0)])
+                  for _ in range(2)) for _ in range(count)]
+
+
+EXACTNESS_CASES = {
+    "ball2": (Ball(2), lambda rng: _deep_pairs(Ball(2), 40, rng)),
+    "polydisc2": (Polydisc(2), lambda rng: _deep_polydisc_pairs(40, rng)),
+    **{name: (dom, lambda rng, dom=dom: _deep_pairs(dom, 40, rng))
+       for name, dom in TUBE_DOMAINS.items() if name != "ball2"},
+    "omega-psi-exp": (OmegaPsi(PsiSpec("exp_neg_c_over_x", c=math.pi)),
+                      lambda rng: _segment_pairs(16, rng)),
+    "omega-psi-logpow": (OmegaPsi(PsiSpec("exp_neg_inv_log_pow", alpha=2.0)),
+                         lambda rng: _segment_pairs(8, rng)),
+}
+
+
+def _bits(value):
+    return None if value is None else value.hex()
+
+
+@pytest.mark.parametrize("name", EXACTNESS_CASES)
+def test_pair_tube_bound_matches_always_solved_reference(name, monkeypatch):
+    # the pre-check only skips solves whose eta would reject: every result,
+    # None included, is the always-solved one bit for bit
+    domain, draw = EXACTNESS_CASES[name]
+    solves = []
+    monkeypatch.setattr(
+        metric_module, "_dual_disjointness",
+        lambda *args: solves.append(1) or _dual_disjointness(*args))
+    accepted = 0
+    pairs = draw(np.random.default_rng(71))
+    for x, y in pairs:
+        got = pair_tube_bound(domain, x, y)
+        assert _bits(got) == _bits(_pair_tube_reference(domain, x, y))
+        accepted += got is not None
+    if name.startswith("omega-psi"):
+        # near the flat segment the pre-check rules out most solves
+        assert 2 * len(solves) < len(pairs)
+    else:
+        assert accepted >= 3              # deep pairs reach the tube
+
+
+@pytest.mark.parametrize("name", EXACTNESS_CASES)
+def test_lower_bound_matches_unstopped_reference(name, monkeypatch):
+    # (best, branches) equals the bound built from two unstopped directional
+    # scans and the always-solved tube, bit for bit
+    domain, draw = EXACTNESS_CASES[name]
+    pairs = draw(np.random.default_rng(73))
+    got = [distance_lower_bound_detailed(domain, x, y) for x, y in pairs]
+    unstopped = type(domain).directional_distance
+    monkeypatch.setattr(
+        domain, "directional_distance",
+        lambda z, v, stop=-math.inf: unstopped(domain, z, v))
+    monkeypatch.setattr(metric_module, "pair_tube_bound",
+                        lambda dom, x, y, contacts=None:
+                        _pair_tube_reference(dom, x, y))
+    for (x, y), (best, branches) in zip(pairs, got):
+        ref_best, ref_branches = distance_lower_bound_detailed(domain, x, y)
+        assert best.hex() == ref_best.hex()
+        assert {k: v.hex() for k, v in branches.items()} == \
+            {k: v.hex() for k, v in ref_branches.items()}
 
 
 def test_lower_bounds_never_exceed_exact_models():
