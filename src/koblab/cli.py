@@ -97,6 +97,14 @@ def _number(cfg: dict, key: str, default=None, integer: bool = False):
     return _json_number(val, key, integer, error=UsageError)
 
 
+def _text(cfg: dict, key: str):
+    """A config string, or None when the field is absent."""
+    val = cfg.get(key)
+    if val is not None and not isinstance(val, str):
+        raise UsageError(f"{key!r} must be a string, got {val!r}")
+    return val
+
+
 def _as_point(val, key: str) -> np.ndarray:
     if isinstance(val, (int, float, complex)):
         val = [val]
@@ -238,11 +246,12 @@ def _cmd_geodesic(args, cfg):
         head += [f"re{j}", f"im{j}"]
     head.append("boundary_distance")
     lines = [",".join(head)]
-    for i, pt in enumerate(res.path.points):
+    for i, (pt, delta) in enumerate(zip(res.path.points,
+                                        res.boundary_distances)):
         row = [str(i)]
         for c in pt:
             row += [_g17(c.real), _g17(c.imag)]
-        row.append(_g17(dom.boundary_distance(pt)))
+        row.append(_g17(delta))
         lines.append(",".join(row))
     return {"payload": payload, "csv": "\n".join(lines) + "\n"}
 
@@ -471,19 +480,20 @@ def main(argv=None) -> int:
             raise UsageError("a subcommand is required (see --help)")
         command = _COMMANDS[args.command]
         cfg = _merge_config(args, command)
+        cfg_label, cfg_dir = _text(cfg, "label"), _text(cfg, "output-dir")
         out = command.build(args, cfg)
     except (UsageError, GeometryError, OSError, json.JSONDecodeError) as exc:
         print(f"koblab: {exc}", file=sys.stderr)
         return 2
 
-    label = args.label or cfg.get("label") or \
+    label = args.label or cfg_label or \
         ("run" if args.reproducible else
          time.strftime("%Y%m%dT%H%M%SZ", time.gmtime()))
     fmt = args.format or cfg.get("format", "both")
     if fmt not in ("json", "csv", "both"):
         print(f"koblab: unknown format {fmt!r}", file=sys.stderr)
         return 2
-    out_dir = args.out or cfg.get("output-dir") or "."
+    out_dir = args.out or cfg_dir or "."
 
     report = out.get("report")
     doc = {

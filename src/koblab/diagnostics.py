@@ -383,6 +383,9 @@ def k_point_probe(domain: Domain, p, w_radius: float, eps_grid,
     w_radius = float(w_radius)
     if w_radius <= 0.0:
         raise GeometryError("the window radius must be positive")
+    if sphere_samples < 0:
+        raise GeometryError(
+            f"'sphere_samples' must be >= 0, got {sphere_samples}")
     eps_grid = _positive_grid(eps_grid, "eps")
     if any(e >= w_radius for e in eps_grid):
         raise GeometryError("eps must stay inside the window (eps < w_radius)")
@@ -553,6 +556,9 @@ def goldilocks_probe(domain: Domain, r_grid, seed: int = 0,
     r_grid = _positive_grid(r_grid, "r")
     if any(r_grid[i] <= r_grid[i + 1] for i in range(len(r_grid) - 1)):
         raise GeometryError("the r grid must decrease strictly")
+    if extra_directions < 0:
+        raise GeometryError(
+            f"'extra_directions' must be >= 0, got {extra_directions}")
     if math.isfinite(domain.bounding_radius) and \
             r_grid[0] >= domain.bounding_radius:
         raise GeometryError("r must stay below the bounding radius")

@@ -17,10 +17,11 @@ with closed forms.  The four Kobayashi models (disc, half-plane, polydisc,
 ball) also carry their closed-form distance and metric, and the bounded
 three the geodesic solver's segment kernels, through the ``Domain``
 protocol.  The graph-type
-domain used in the flat-boundary experiments, and the slices that the
-iterated minimal basis takes, fall back to generic ray-sampling machinery
-with bisection along each ray; those code paths carry self-checks in the
-test suite instead of closed-form guarantees.
+domain used in the flat-boundary experiments falls back to generic ray
+machinery with bisection along each ray, and so does the iterated minimal
+basis past its first contact on such a domain: the later slice of a
+2-dimensional domain is the directional phase scan.  Those code paths
+carry self-checks in the test suite instead of closed-form guarantees.
 """
 
 from __future__ import annotations
@@ -231,43 +232,11 @@ def _first_shortest_exit(rays: Sequence[Callable[[float], bool]],
     return best, k
 
 
-def _ray_objective(domain: "Domain", z: np.ndarray,
-                   cap: float) -> Callable[[np.ndarray], float]:
-    """Exit time along the real-view direction w, normalized (cap at w ~ 0)."""
-
-    def objective(w: np.ndarray) -> float:
-        nrm = np.linalg.norm(w)
-        if nrm < 1e-12:
-            return cap
-        return ray_exit(domain.ray(z, complex_view(w / nrm)), cap)
-    return objective
-
-
-def _sampled_contact(domain: "Domain", z: np.ndarray, count: int):
-    """Nearest boundary contact from ``count`` sampled rays, the shortest
-    polished by Nelder-Mead.
-
-    The shortest ray is the first of the fixed directions with the least
-    exit time (:func:`_first_shortest_exit`, which cuts rays short once
-    they are known to exit later).  Returns (exit time, unit direction).
-    """
-    cap = 4.0 * domain.bounding_radius + float(np.linalg.norm(z)) + 1.0
-    dirs = [complex_view(w) for w in _unit_directions(2 * len(z), count)]
-    best_r, k = _first_shortest_exit([domain.ray(z, u) for u in dirs], cap)
-    best_u = dirs[k]
-    res = optimize.minimize(_ray_objective(domain, z, cap),
-                            real_view(best_u), method="Nelder-Mead",
-                            options={"xatol": 1e-10, "fatol": 1e-14,
-                                     "maxiter": 800})
-    if res.fun < best_r:
-        w = res.x / np.linalg.norm(res.x)
-        best_r, best_u = res.fun, complex_view(w)
-    return best_r, best_u
-
-
-def scan_directional_distance(domain: "Domain", z: np.ndarray,
-                              v: np.ndarray, stop: float = -math.inf) -> float:
-    """Directional distance by scanning phases of the complex disc slice.
+def _phase_search(domain: "Domain", z: np.ndarray, v: np.ndarray,
+                  stop: float = -math.inf) -> tuple:
+    """``(t, u)``: the shortest exit from z over the phases of the complex
+    line z + C v, and the unit direction u = e^(i theta) v / |v| whose ray
+    exits at t, so z + t*u is the line's nearest boundary point.
 
     The slice D cap (z + C v) is a planar convex region containing 0; its
     boundary distance from 0 is the minimum over phases of the ray exit time.
@@ -280,13 +249,12 @@ def scan_directional_distance(domain: "Domain", z: np.ndarray,
     the full scan, bit for bit.  A bounded Brent search over the two
     neighbouring phase intervals then polishes that minimum.
 
-    ``stop`` is for callers that keep the result only when it exceeds
-    ``stop`` (a running maximum, say).  The phase search returns as soon
-    as its running minimum is at most ``stop``, skipping the phases left
-    and the polish; the polish only lowers the result, so the full scan
-    is at most ``stop`` too.  A result at most ``stop`` says only that;
-    a result above ``stop`` is the full scan's, bit for bit.  The default
-    never stops.
+    ``stop`` is for callers that keep t only when it exceeds ``stop`` (a
+    running maximum, say).  The phase search returns as soon as its
+    running minimum is at most ``stop``, skipping the phases left and the
+    polish; the polish only lowers t, so the full search's t is at most
+    ``stop`` too.  A t at most ``stop`` says only that; a t above ``stop``
+    is the full search's, bit for bit.  The default never stops.
     """
     v = v / np.linalg.norm(v)
     cap = 4.0 * domain.bounding_radius + float(np.linalg.norm(z)) + 1.0
@@ -299,14 +267,22 @@ def scan_directional_distance(domain: "Domain", z: np.ndarray,
 
     thetas = np.linspace(0.0, 2.0 * math.pi, _SCAN_PHASES, endpoint=False)
     best, k = _first_shortest_exit([ray_at(t) for t in thetas], cap, stop)
-    if best <= stop:
-        return best
-    h = 2.0 * math.pi / _SCAN_PHASES
-    res = optimize.minimize_scalar(
-        r_of, bounds=(thetas[k] - h, thetas[k] + h), method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return float(min(res.fun, best))
+    if best > stop:
+        h = 2.0 * math.pi / _SCAN_PHASES
+        res = optimize.minimize_scalar(
+            r_of, bounds=(thetas[k] - h, thetas[k] + h), method="bounded",
+            options={"xatol": 1e-10},
+        )
+        if res.fun < best:
+            return float(res.fun), np.exp(1j * res.x) * v
+    return best, np.exp(1j * thetas[k]) * v
+
+
+def scan_directional_distance(domain: "Domain", z: np.ndarray,
+                              v: np.ndarray, stop: float = -math.inf) -> float:
+    """Directional distance by scanning phases of the complex disc slice:
+    the exit time t of :func:`_phase_search`, with its ``stop``."""
+    return _phase_search(domain, z, v, stop)[0]
 
 
 def _null_basis(u: np.ndarray) -> np.ndarray:
@@ -450,11 +426,10 @@ class Domain:
         directional queries in closed form, and Omega_psi is the domain
         whose directional distances and contacts run through the ray
         machinery in bulk.  Its ``ray`` converts z and u to Python complex
-        once and gives the same answer as ``contains`` on every t.  Domains
-        that map a point before testing it (``LocalizedDomain`` and the
-        minimal-basis slices) keep the default: mapping z and u apart
-        rounds differently from mapping z + t*u, so their exit times would
-        move in the last bits.
+        once and gives the same answer as ``contains`` on every t.
+        ``LocalizedDomain``, which maps a point before testing it, keeps
+        the default: mapping z and u apart rounds differently from mapping
+        z + t*u, so its exit times would move in the last bits.
         """
         return lambda t: self._contains(z + t * u)
 
@@ -531,12 +506,14 @@ class Domain:
     def minimal_basis(self, z) -> MinimalBasisResult:
         """The iterated minimal basis at interior z.
 
-        Stage k takes the nearest boundary contact of the slice
-        { z + cols @ w } (``cols`` an orthonormal basis of the complement
-        of the first k directions, the identity at k = 0) from
-        :meth:`_slice_contact`, records e_k = (contact - z) / tau_k, and
-        cuts e_k out of ``cols``.  This loop is the only one; domains
-        differ only in how they find a slice's contact.
+        Stage 0 takes the nearest boundary point of z from :meth:`_project`
+        (an ambiguous contact raises).  Stage k >= 1 takes the nearest
+        boundary contact of the slice { z + cols @ w } (``cols`` an
+        orthonormal basis of the complement of the first k directions)
+        from :meth:`_slice_contact`.  Each stage records
+        e_k = (contact - z) / tau_k and cuts e_k out of ``cols``.  This loop
+        is the only one; domains differ only in how they find a slice's
+        contact.
         """
         z = self._interior(z)
         n = self.dim
@@ -544,33 +521,35 @@ class Domain:
         contacts = np.zeros((n, n), dtype=complex)
         taus = np.zeros(n)
         cols = np.eye(n, dtype=complex)
+        tau, contact = self._project(z)
+        if isinstance(contact, AmbiguousProjectionError):
+            raise contact
         for k in range(n):
-            contact, tau = self._slice_contact(z, cols, k)
+            if k > 0:
+                cols = cols @ _null_basis(cols.conj().T @ basis[k - 1])
+                contact, tau = self._slice_contact(z, cols)
             taus[k] = tau
             basis[k] = (contact - z) / tau
             contacts[k] = contact
-            if k < n - 1:
-                cols = cols @ _null_basis(cols.conj().T @ basis[k])
         return MinimalBasisResult(basis=basis, taus=taus, contacts=contacts)
 
-    def _slice_contact(self, z: np.ndarray, cols: np.ndarray, k: int):
+    def _slice_contact(self, z: np.ndarray, cols: np.ndarray):
         """``(contact, tau)``: the nearest boundary point of the slice
-        { z + cols @ w } at stage k of :meth:`minimal_basis`, and its
-        distance from z.
+        { z + cols @ w } at a stage k >= 1 of :meth:`minimal_basis`, and
+        its distance from z.
 
-        Here: the contact and distance of :meth:`_project` at k = 0 (an
-        ambiguous contact raises), and after that the sampled contact of the
-        slice as a domain of its own (``_SliceDomain``), which carries
-        self-checks rather than a closed-form guarantee.
+        Here a one-column slice is the complex line through z along
+        ``cols[:, 0]``, whose nearest boundary point is z + t*u from the
+        phase search of the directional distance (:func:`_phase_search`),
+        at tau = t.  A wider slice, which only a ``LocalizedDomain`` of
+        dimension >= 3 leaves to this method, raises ``GeometryError``.
         """
-        if k == 0:
-            tau, contact = self._project(z)
-            if isinstance(contact, AmbiguousProjectionError):
-                raise contact
-            return contact, tau
-        sub = _SliceDomain(self, z, cols)
-        w = sub._contact(np.zeros(cols.shape[1], dtype=complex))
-        return z + cols @ w, float(np.linalg.norm(w))
+        if cols.shape[1] != 1:
+            raise GeometryError(
+                f"{type(self).__name__} has no minimal-basis contact for a "
+                f"{cols.shape[1]}-dimensional slice")
+        t, u = _phase_search(self, z, cols[:, 0])
+        return z + t * u, t
 
     # -- metadata ------------------------------------------------------------
 
@@ -966,9 +945,7 @@ class Polydisc(Domain):
         nu[j] = b[j] / abs(b[j])
         return nu
 
-    def _slice_contact(self, z, cols, k):
-        if k == 0:
-            return super()._slice_contact(z, cols, k)
+    def _slice_contact(self, z, cols):
         # the slice is the sub-polydisc of the coordinates cols still moves
         # (their rows of cols are unit, the others zero): its nearest face,
         # under the tie rule of _project
@@ -1034,9 +1011,7 @@ class Ball(Domain):
     def _supporting_normal(self, b) -> np.ndarray:
         return b / np.linalg.norm(b)
 
-    def _slice_contact(self, z, cols, k):
-        if k == 0:
-            return super()._slice_contact(z, cols, k)
+    def _slice_contact(self, z, cols):
         # every further slice is a ball centered at z inside the slice, so the
         # contact circle is a full sphere: all remaining taus coincide and the
         # contact is pinned by the lexicographic tie-break.
@@ -1149,9 +1124,7 @@ class Ellipsoid(Domain):
         nu = b / self.axes**2
         return nu / np.linalg.norm(nu)
 
-    def _slice_contact(self, z, cols, k):
-        if k == 0:
-            return super()._slice_contact(z, cols, k)
+    def _slice_contact(self, z, cols):
         # slice { z + cols @ w } of the ellipsoid is the Hermitian quadric
         #   (w - w0)^* H (w - w0) < r2,  H = cols^* Lam cols,  zeta = cols^* Lam z
         lam = 1.0 / self.axes**2
@@ -1570,30 +1543,6 @@ class LocalizedDomain(Domain):
     @property
     def base_point(self) -> np.ndarray:
         return self.center
-
-
-# ---------------------------------------------------------------------------
-# minimal-basis slices
-# ---------------------------------------------------------------------------
-
-
-class _SliceDomain(Domain):
-    """The domain { w in C^k : origin + cols @ w in parent }."""
-
-    def __init__(self, parent: Domain, origin: np.ndarray, cols: np.ndarray):
-        self.parent = parent
-        self.origin = origin
-        self.cols = cols
-        self.dim = cols.shape[1]
-        self.bounding_radius = parent.bounding_radius + float(np.linalg.norm(origin))
-
-    def _contains(self, w) -> bool:
-        return self.parent._contains(self.origin + self.cols @ w)
-
-    def _contact(self, w) -> np.ndarray:
-        """The sampled nearest boundary contact of w (no ``_project``)."""
-        best_r, best_u = _sampled_contact(self, w, 64 if self.dim == 1 else 128)
-        return w + best_r * best_u
 
 
 # ---------------------------------------------------------------------------

@@ -165,8 +165,15 @@ class GeodesicResult:
     distance: MetricBracket
     iterations: int
     converged: bool
-    min_boundary_distance: float
-    max_boundary_distance: float
+    boundary_distances: np.ndarray   # one per path point
+
+    @property
+    def min_boundary_distance(self) -> float:
+        return float(np.min(self.boundary_distances))
+
+    @property
+    def max_boundary_distance(self) -> float:
+        return float(np.max(self.boundary_distances))
 
     def to_json(self) -> dict:
         return {
@@ -322,8 +329,8 @@ def solve_geodesic(domain: Domain, x, y, cfg: SolverConfig | None = None) -> Geo
 
     if np.array_equal(x, y):
         path = Path(points=x[None, :], domain=domain, segment_brackets=[])
-        d = domain.boundary_distance(x)
-        return GeodesicResult(path, MetricBracket(0.0, 0.0), 0, True, d, d)
+        return GeodesicResult(path, MetricBracket(0.0, 0.0), 0, True,
+                              path.boundary_distances())
 
     if not math.isfinite(domain.bounding_radius):
         raise GeometryError("geodesic search supports bounded domains only")
@@ -414,10 +421,9 @@ def solve_geodesic(domain: Domain, x, y, cfg: SolverConfig | None = None) -> Geo
     upper = _sum_up([b.upper for b in brackets])
     path = Path(points=best_pts, domain=domain, segment_brackets=brackets,
                 endpoint_lower=lower)
-    deltas = path.boundary_distances()
     bracket = MetricBracket(min(lower, upper), upper)
     return GeodesicResult(path, bracket, iterations, converged,
-                          float(np.min(deltas)), float(np.max(deltas)))
+                          path.boundary_distances())
 
 
 # ---------------------------------------------------------------------------

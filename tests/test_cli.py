@@ -163,6 +163,31 @@ def test_geodesic_csv_lists_path_points(tmp_path):
     assert doc["distance"]["lower"] <= doc["distance"]["upper"]
 
 
+def test_geodesic_csv_boundary_distances_are_the_path_points(tmp_path):
+    # the CSV's last column is the boundary distance of its own row's point,
+    # and the JSON's min and max are those of that column
+    from koblab.geometry import Ball
+
+    cfg = write_config(tmp_path, "ball_pair.json", {
+        "domain": {"kind": "ball", "n": 2}, "x": [[0.1, 0], [0, 0]],
+        "y": [[0.5, 0.2], [0, -0.3]],
+        "solver": {"control_points": 9, "max_iter": 400, "rel_tol": 1e-4}})
+    out = tmp_path / "out"
+    assert run_cli(["geodesic", "--config", cfg, "--out", str(out),
+                    "--reproducible"]) == 0
+    doc = json.loads((out / "geodesic-run.json").read_text())
+    rows = [line.split(",") for line in
+            (out / "geodesic-run.csv").read_text().splitlines()[1:]]
+    dom = Ball(2)
+    for row in rows:
+        point = [complex(float(row[1]), float(row[2])),
+                 complex(float(row[3]), float(row[4]))]
+        assert row[5] == "%.17g" % dom.boundary_distance(point)
+    deltas = [float(row[5]) for row in rows]
+    assert doc["min_boundary_distance"] == min(deltas)
+    assert doc["max_boundary_distance"] == max(deltas)
+
+
 def test_svg_written_for_grid_commands_only(tmp_path):
     cfg = write_config(tmp_path, "ball.json", {"domain": {"kind": "ball",
                                                "n": 2}})
@@ -273,11 +298,17 @@ DISTANCE = ["distance", "--x", "[[0,0],[0,0]]", "--y", "[[0.5,0],[0,0]]"]
     (["case-omega-psi", "--c", "nan"], {}, "'c'"),
     (["case-omega-psi", "--psi-form", "exp_neg_inv_log_pow",
       "--alpha", "nan"], {}, "'alpha'"),
+    (["k-point", "--eps", "1e-1"],
+     {"domain": BALL, "p": [[1, 0], [0, 0]], "w_radius": 0.3,
+      "sphere_samples": -1}, "'sphere_samples'"),
+    (["goldilocks", "--r", "1e-1"],
+     {"domain": BALL, "extra_directions": -2}, "'extra_directions'"),
 ], ids=["w_radius-text", "sphere_samples-null", "n-text", "n-fractional",
         "axes-missing", "axes-text", "solver-max_iter-text",
         "coordinate-text", "coordinate-mixed", "axes-inf", "rel_tol-nan",
         "rel_tol-above-half", "w_radius-inf", "c-inf-flag", "c-nan-flag",
-        "alpha-nan-flag"])
+        "alpha-nan-flag", "sphere_samples-negative",
+        "extra_directions-negative"])
 def test_bad_config_value_exits_two(tmp_path, capsys, argv, config, needle):
     # a config value or flag of the wrong type, or not finite, is bad
     # input: exit 2 with a koblab: line naming the field, no traceback,
@@ -561,6 +592,22 @@ def test_help_documents_csv_columns(capsys):
         cli.main(["geodesic", "--help"])
     text = capsys.readouterr().out
     assert "boundary_distance" in text
+
+
+@pytest.mark.parametrize("field, value", [
+    ("label", {"a": 1}), ("label", 7), ("output-dir", 5), ("output-dir", [])])
+def test_config_label_and_output_dir_must_be_strings(tmp_path, monkeypatch,
+                                                     capsys, field, value):
+    # a label or output directory of another type is bad input: exit 2
+    # with a koblab: line naming the field, and nothing written
+    cfg = write_config(tmp_path, "bad.json", {
+        "domain": {"kind": "disc"}, "x": [[0, 0]], "y": [[0.5, 0]],
+        field: value})
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["distance", "--config", cfg, "--reproducible"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("koblab:") and repr(field) in err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
 def test_output_goes_to_config_output_dir(tmp_path):

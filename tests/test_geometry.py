@@ -25,6 +25,7 @@ from koblab.geometry import (
     OmegaPsi,
     Polydisc,
     PsiSpec,
+    _null_basis,
     _touching_disc_upper,
     as_carray,
     domain_from_json,
@@ -662,11 +663,58 @@ def test_minimal_basis_generic_omega_psi():
     # first direction is the downward normal onto the segment
     assert np.allclose(res.basis[0], [0.0, -1.0], atol=1e-4)
 
+OMEGA_PI = OmegaPsi(PsiSpec("exp_neg_c_over_x", c=math.pi))
+
+
+@pytest.mark.parametrize("dom, z", [
+    (OMEGA_PI, [1j, 0.05]),
+    (OMEGA_PI, [0.02 - 0.7j, 0.01 + 0.03j]),
+    (OMEGA_PI, [-0.05 + 1.6j, 0.2 - 0.05j]),
+    # a window wider than Omega_psi: the directional distance is the base's
+    (LocalizedDomain(OMEGA_PI, [0.5j, 0.3], 10.0), [0.04 + 0.5j, 0.02]),
+], ids=["omega-segment", "omega-near-wall", "omega-far", "localized-wide"])
+def test_minimal_basis_second_tau_is_the_directional_distance(dom, z):
+    # on a 2-dimensional domain without a closed-form slice the second
+    # stage is the complex line orthogonal to e_0, and its contact is the
+    # directional phase scan's: tau_1 is that directional distance, bit
+    # for bit, and the contact lies on the boundary
+    z = np.array(z, dtype=complex)
+    res = dom.minimal_basis(z)
+    v = _null_basis(res.basis[0])[:, 0]
+    assert res.taus[1].hex() == dom.directional_distance(z, v).hex()
+    contact = res.contacts[1]
+    assert abs(np.linalg.norm(contact - z) - res.taus[1]) <= 1e-12
+    assert dom.contains(z + (1.0 - 1e-6) * (contact - z))
+    assert not dom.contains(z + (1.0 + 1e-6) * (contact - z))
+
+
+def test_minimal_basis_narrow_window_scans_the_window_rays():
+    # a window that cuts the slice line: the window's directional distance
+    # takes the closed-form sphere exit, while the slice contact scans the
+    # window's own rays, so tau_1 is the phase scan of the window domain
+    dom = LocalizedDomain(OMEGA_PI, [0.5j, 0.3], 0.5)
+    z = np.array([0.04 + 0.5j, 0.02])
+    res = dom.minimal_basis(z)
+    v = _null_basis(res.basis[0])[:, 0]
+    assert res.taus[1].hex() == scan_directional_distance(dom, z, v).hex()
+    assert res.taus[1] == pytest.approx(dom.directional_distance(z, v),
+                                        rel=1e-8)
+
+
+def test_minimal_basis_wide_generic_slice_raises():
+    # a window of dimension 3 leaves a 2-dimensional slice to the generic
+    # contact, which answers only complex lines
+    dom = LocalizedDomain(Ball(3), [0.0, 0.0, 0.0], 0.5)
+    with pytest.raises(GeometryError, match="2-dimensional slice"):
+        dom.minimal_basis([0.1, 0.0, 0.0])
+
+
 # float.hex of taus, basis and contacts (real and imaginary parts in turn,
 # row by row): recorded from the per-domain minimal-basis code that the one
 # Domain.minimal_basis loop replaced, so the loop must reproduce every bit,
 # signed zeros included.  The tied polydisc gaps and the degenerate
-# Ellipsoid([1, 1, 2]) slices exercise the tie-breaks.
+# Ellipsoid([1, 1, 2]) slices exercise the tie-breaks.  Omega_psi's second
+# row is the directional phase scan's contact along the slice line.
 PIN_DOMAINS = {
     "disc": Disc(), "polydisc2": Polydisc(2), "polydisc3": Polydisc(3),
     "ball2": Ball(2), "ball3": Ball(3), "ellipsoid12": Ellipsoid([1, 2]),
@@ -791,11 +839,11 @@ MINIMAL_BASIS_PINS = [
      '0x0.0p+0 0x0.0p+0 -0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 '
      '0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.0000000000000p+1 0x0.0p+0'),
     ('omega_psi', [1j, 0.05],
-     '0x1.999999999999ap-5 0x1.0c76e86d7641ap+0',
-     '0x0.0p+0 0x0.0p+0 -0x1.0000000000000p+0 0x0.0p+0 0x1.fffffffddd354p-1 '
-     '0x1.76232cbf6c547p-16 0x0.0p+0 0x0.0p+0',
-     '0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x1.0c76e86c578c8p+0 '
-     '0x1.0001885a9abeep+0 0x1.999999999999ap-5 0x0.0p+0'),
+     '0x1.999999999999ap-5 0x1.0c76e86c4fd2ap+0',
+     '0x0.0p+0 0x0.0p+0 -0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0 '
+     '0x0.0p+0 0x0.0p+0 0x0.0p+0',
+     '0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x1.0c76e86c4fd2ap+0 '
+     '0x1.0000000000000p+0 0x1.999999999999ap-5 0x0.0p+0'),
 ]
 
 
