@@ -473,33 +473,74 @@ class Domain:
 
         The factors: 1 - |z_j|^2 per coordinate on the disc and the
         polydisc, from the same ``abs`` as the radius; 1 - |z|^2 on the
-        ball, from the one sum that also gives the radius.  Here the factor
-        is the inner radius itself, read through ``_inner_radius`` as the
-        descent's and the chord's points are their own checked arrays, and
-        the single term is the rounded-up touching-disc bound
-        :func:`_touching_disc_upper` at t = max(fa, fb).
+        ball, from the one sum that also gives the radius.  Here ``node`` is
+        :meth:`_node`, read directly as the descent's and the chord's points
+        are their own checked arrays, and the single term is the rounded-up
+        touching-disc bound :func:`_touching_disc_upper` at
+
+            t = max(ra, rb, rho(a, u), rho(b, u)),  u = (b - a)/|b - a|,
+
+        ra and rb the node radii and rho the *line radius* of
+        :meth:`_line_radius`: a certified radius of a disc about the end in
+        the segment's own complex line, through the factor and bounds on
+        |u_j| (:func:`_unit_bounds`).  Where a domain has no line radius,
+        rho is the node radius, so the term reads t = max(ra, rb) and makes
+        no further call.  Each (factor, direction bounds) pair computes its
+        rho once, so a chord's midpoint pays for one line radius, not two.
 
         These kernels are the one source of a segment's certified upper:
         the descent of :func:`koblab.solver.solve_geodesic` and the
         subdivided chord of :func:`koblab.metric.distance_bracket` both read
         them, so a domain that changes its terms changes both uppers.
 
-        The closures keep no state: a node depends only on its point and a
-        term only on its endpoints and their factors.  A visit of the
-        descent to a control point therefore reads only that point, its
-        two neighbours and the step, which is what lets the descent skip
-        the visits of settled points exactly.
+        The closures keep no state that changes an answer: a node depends
+        only on its point and a term only on its endpoints and their
+        factors (the line radii's memo is a pure function of its key).  A
+        visit of the descent to a control point therefore reads only that
+        point, its two neighbours and the step, which is what lets the
+        descent skip the visits of settled points exactly.
         """
-        def node(p):
-            r = self._inner_radius(p)
-            return r, r
+        node = self._node
+        line_radius = self._line_radius
+        if line_radius is None:
+            def terms(a, b, ra, rb):
+                return [_touching_disc_upper(a, b, max(ra, rb))]
+        else:
+            memo = {}
 
-        def terms(a, b, ra, rb):
-            return [_touching_disc_upper(a, b, max(ra, rb))]
+            def rho(f, q):
+                key = (f, q)
+                r = memo.get(key)
+                if r is None:
+                    if len(memo) >= _LINE_MEMO:
+                        memo.clear()
+                    r = memo[key] = line_radius(f, q)
+                return r
 
-        def moved(T, a, b, ra, rb, slot):
-            return terms(a, b, ra, rb)
+            def terms(a, b, fa, fb):
+                d = (b - a).view(float).tolist()
+                if not any(d):
+                    return [0.0]
+                q = _unit_bounds(d)
+                t = max(fa[0], fb[0], rho(fa, q), rho(fb, q))
+                return [_touching_disc_upper(a, b, t)]
+
+        def moved(T, a, b, fa, fb, slot):
+            return terms(a, b, fa, fb)
         return (lambda p: p), node, terms, moved
+
+    def _node(self, z: np.ndarray) -> tuple:
+        """``(radius, factor)`` of the generic kernel's ``node``: the inner
+        radius, and the point's share of its segment terms, which here is
+        the inner radius again."""
+        r = self._inner_radius(z)
+        return r, r
+
+    # ``_line_radius(factor, q)``: a certified lower bound on the radius of
+    # the largest disc {z + zeta*u : |zeta| < r} in D, for the point whose
+    # node factor is ``factor`` and every unit u with |u_j| <= q[j].  None
+    # here: the line radius is the node radius.  Only ``OmegaPsi`` has one.
+    _line_radius = None
 
     # -- boundary structure --------------------------------------------------
 
@@ -649,6 +690,28 @@ def _touching_disc_upper(a: np.ndarray, b: np.ndarray, t: float) -> float:
         return 0.0
     q = _up(_up(h, 3) / t, 1) if t > 0.0 else math.inf
     return _up(math.atanh(q), 4) if q < 1.0 else math.inf
+
+
+_UNIT_GRID = 2.0 ** 20   # the direction bounds of _unit_bounds are on 2^-20
+_LINE_MEMO = 1 << 12     # line radii a segment-kernel memo holds at most
+
+
+def _unit_bounds(d: list) -> tuple:
+    """Bounds q_j >= |u_j| on the coordinates of the unit direction
+    u = (b - a)/|b - a|, given ``d``, the plain floats of fl(b - a) as
+    :func:`_touching_disc_upper` reads them, not all zero.
+
+    Each part of fl(b - a) is rounded once, ``math.hypot`` errs by under
+    1 ulp, and the quotient is rounded once, so |u_j| <= fl(h_j/h)(1 + 8u)
+    <= fl(h_j/h) + 2^-48.  Rounded up onto the grid of 2^-20, the bounds of
+    nearby directions agree, so the pieces of one chord share them and a
+    memo of the line radius hits; the grid costs at most 2^-20 of each
+    bound, and every bound is > 0.
+    """
+    h = math.hypot(*d)
+    return tuple(math.ceil((math.hypot(d[k], d[k + 1]) / h + 2.0 ** -48)
+                           * _UNIT_GRID) / _UNIT_GRID
+                 for k in range(0, len(d), 2))
 
 
 def _sum_up(values: list) -> float:
@@ -1220,6 +1283,12 @@ class PsiSpec:
             return 0.5 * self.c  # inflection of exp(-c/x)
         return _loglog_convexity_cut(self.alpha)
 
+    @functools.cached_property
+    def _at_cut(self) -> tuple:
+        """(psi(cut), psi'(cut)), the continuation's value and slope, which
+        value, derivative and inverse read past the cut."""
+        return self._pure(self.cut), self._pure_deriv(self.cut)
+
     def value(self, x: float) -> float:
         x = abs(float(x))
         if x == 0.0:
@@ -1227,8 +1296,7 @@ class PsiSpec:
         cut = self.cut
         if x <= cut:
             return self._pure(x)
-        a = self._pure(cut)
-        b = self._pure_deriv(cut)
+        a, b = self._at_cut
         s = x - cut
         return a + b * s + b * s * s  # convex C^1 continuation
 
@@ -1241,23 +1309,75 @@ class PsiSpec:
         cut = self.cut
         if x <= cut:
             return sign * self._pure_deriv(x)
-        b = self._pure_deriv(cut)
+        b = self._at_cut[1]
         s = x - cut
         return sign * (b + 2.0 * b * s)
 
+    def value_up(self, x: float) -> float:
+        """A certified upper bound on psi(x), the exact profile at the float
+        x, covering the rounding of :meth:`value`.
+
+        With g = -log psi(x), each of the at most six elementary operations
+        that build g (glibc's listed maxima: 1 ulp for exp, log and pow) errs
+        by at most 2u relatively, the power L^-alpha by alpha times the
+        error of L, and exp(-g) turns an error e*g of g into a relative
+        error of about e*g; so psi errs by at most about
+        (g + 1)(alpha + 6)u, alpha read as 0 on the exp form.  Past the cut
+        the quadratic continuation errs as psi(cut) and psi'(cut) do (its
+        slope loses at most the factor L/(L - alpha) < 3 to cancellation)
+        plus four operations, so g is taken as at least -log psi(cut).  The
+        pad (g + 2)(alpha + 8) 16u covers both with room to spare.  Below
+        2^-1000, where a subnormal result has no relative accuracy, the
+        bound is 2^-1000.
+        """
+        v = self.value(x)
+        if v < 2.0 ** -1000:
+            return 2.0 ** -1000
+        g = max(-math.log(v), self._cut_gain)
+        alpha = self.alpha if self.form == "exp_neg_inv_log_pow" else 0.0
+        pad = (g + 2.0) * (alpha + 8.0) * 16.0 * _UNIT_ROUNDOFF
+        return _up(v + v * pad, 2)
+
+    @functools.cached_property
+    def _cut_gain(self) -> float:
+        return -math.log(self._at_cut[0])
+
     def inverse(self, u: float) -> float:
-        """The x >= 0 with psi(x) = u."""
+        """The x >= 0 with psi(x) = u.
+
+        On the exp form's pure region it is the closed form c/log(1/u).  On
+        the log-power form's, with s = log(1/x), psi(x) = u reads
+        s - alpha log s = w = log log(1/u), whose left side is convex and
+        increasing past s = alpha, where the root lies.  At most six Newton
+        steps solve it from s0 = max(2(w + alpha(log(2 alpha) - 1)),
+        2 alpha): the tangent of log at 2 alpha bounds the left side below
+        by s/2 - alpha(log(2 alpha) - 1), so s0 is at or past the root, and
+        from there Newton decreases monotonically to it.  The result is
+        then shrunk until ``value(x) <= u``, so it never overshoots u.
+        """
         if not 0.0 < u:
             raise GeometryError("psi inverse needs u > 0")
         cut = self.cut
-        if u <= self._pure(cut):
+        a, b = self._at_cut
+        if u <= a:
             if self.form == "exp_neg_c_over_x":
                 return self.c / math.log(1.0 / u)
-            return optimize.brentq(lambda x: self._pure(x) - u, 1e-300, cut,
-                                   xtol=1e-300, rtol=8.9e-16, maxiter=400)
+            alpha = self.alpha
+            w = math.log(-math.log(u))
+            s = max(2.0 * (w + alpha * (math.log(2.0 * alpha) - 1.0)),
+                    2.0 * alpha)
+            for _ in range(6):
+                step = (s - alpha * math.log(s) - w) / (1.0 - alpha / s)
+                s -= step
+                if abs(step) <= 4.0 * _UNIT_ROUNDOFF * s:
+                    break
+            x = min(math.exp(-s), cut)
+            shrink = 2.0 ** -52
+            while self.value(x) > u:
+                x *= 1.0 - shrink
+                shrink *= 2.0
+            return x
         # continuation region: quadratic, solve directly
-        a = self._pure(cut)
-        b = self._pure_deriv(cut)
         s = (-b + math.sqrt(b * b + 4.0 * b * (u - a))) / (2.0 * b)
         return cut + s
 
@@ -1406,19 +1526,96 @@ class OmegaPsi(Domain):
         and the bound runs on Python floats.  Outside, the vertical gap or
         the cap gap is <= 0, and so is the bound.
         """
+        return self._node(z)[0]
+
+    def _node(self, z) -> tuple:
+        """``(radius, factor)`` of the generic kernel: the inner radius, and
+        as the factor the plain floats :meth:`_line_radius` reads, the
+        inner radius, |x1|, |y1|, |y2|, x2 and the cap gap."""
         z1, z2 = z.tolist()
         x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
+        cap = self._cap_gap(z1, z2)
         gap = x2 - self._wall(x1, y1, y2)
         if gap <= 0:
+            r = 0.0
+        else:
+            # sup of each gradient component over the ball of radius gap (the
+            # wall profile is even and convex in each variable, so the sup is
+            # at the rim)
+            ga = abs(self.psi.derivative(abs(x1) + gap))
+            gb = 2.0 * self.chi1 * max(0.0, abs(y1) + gap - 2.0)
+            gc = 2.0 * self.chi2 * (abs(y2) + gap)
+            lip = math.sqrt(ga * ga + gb * gb + gc * gc)
+            wall_bound = gap / math.sqrt(1.0 + lip * lip)
+            r = max(0.0, min(cap, wall_bound))
+        return r, (r, abs(x1), abs(y1), abs(y2), x2, cap)
+
+    def _line_radius(self, f: tuple, q: tuple) -> float:
+        """A certified radius rho >= the inner radius of the disc
+        {z + zeta*u : |zeta| < rho} in the domain, for the point with node
+        factor ``f`` and every unit u with |u1| <= q1, |u2| <= q2.
+
+        On that disc |Re w1| <= |x1| + r q1, |Im w1| <= |y1| + r q1,
+        |Im w2| <= |y2| + r q2 and Re w2 >= x2 - r q2, where r = |zeta|.  As
+        psi is even and nondecreasing in |x| (its quadratic continuation
+        too), the wall function G = F - Re w2 is at most
+
+            M(r) = psi(|x1| + r q1) + chi1((|y1| + r q1 - 2)_+)^2
+                   + chi2(|y2| + r q2)^2 + r q2 - x2,
+
+        which increases strictly in r (q2 > 0).  So M(r) <= 0 puts the disc
+        of radius r below the wall, and r <= the cap gap puts it inside the
+        cap ball.  The guess is the even iterate Phi(Phi(0)) of
+
+            Phi(r) = (psi^-1(x2 - chi1(...)^2 - chi2(...)^2 - r q2) - |x1|)/q1,
+
+        which is nonincreasing, so Phi(0) is at or past the root of M and
+        Phi(Phi(0)) at or before it; the odd iterate Phi(0) is not sound.
+        The guess is never trusted: r is capped at the cap gap and taken
+        only once :meth:`_line_wall_up`, M's psi, chi and sum terms rounded
+        up, certifies it; else r shrinks by 2^-20 up to twice, and the
+        inner radius is the fallback.
+        """
+        r0, cap = f[0], f[5]
+        if not r0 > 0.0:
+            return r0
+        r = self._line_phi(f, q, 0.0)
+        if not r > r0:
+            return r0
+        r = min(cap, self._line_phi(f, q, min(cap, r)))
+        for _ in range(3):
+            if not r > r0:
+                return r0
+            if self._line_wall_up(f, q, r) < f[4]:
+                return r
+            r *= 1.0 - 2.0 ** -20
+        return r0
+
+    def _line_phi(self, f: tuple, q: tuple, r: float) -> float:
+        """Phi(r) of :meth:`_line_radius` in plain floats, 0 where its
+        psi budget is not positive."""
+        _, ax1, ay1, ay2, x2, _ = f
+        q1, q2 = q
+        s = max(0.0, ay1 + r * q1 - 2.0)
+        c = ay2 + r * q2
+        budget = x2 - self.chi1 * s * s - self.chi2 * c * c - r * q2
+        if not budget > 0.0:
             return 0.0
-        # sup of each gradient component over the ball of radius gap (the wall
-        # profile is even and convex in each variable, so the sup is at the rim)
-        ga = abs(self.psi.derivative(abs(x1) + gap))
-        gb = 2.0 * self.chi1 * max(0.0, abs(y1) + gap - 2.0)
-        gc = 2.0 * self.chi2 * (abs(y2) + gap)
-        lip = math.sqrt(ga * ga + gb * gb + gc * gc)
-        wall_bound = gap / math.sqrt(1.0 + lip * lip)
-        return max(0.0, min(self._cap_gap(z1, z2), wall_bound))
+        return (self.psi.inverse(budget) - ax1) / q1
+
+    def _line_wall_up(self, f: tuple, q: tuple, r: float) -> float:
+        """M(r) + x2 of :meth:`_line_radius`, rounded up: each sum of two
+        nonnegative floats and each product two steps up (:func:`_up`), psi
+        by :meth:`PsiSpec.value_up`, and the four terms by
+        :func:`_sum_up`."""
+        _, ax1, ay1, ay2, _, _ = f
+        q1, q2 = q
+        s = _up(ay1 + r * q1, 2) - 2.0
+        s = _up(s, 1) if s > 0.0 else 0.0
+        c = _up(ay2 + r * q2, 2)
+        return _sum_up([self.psi.value_up(_up(ax1 + r * q1, 2)),
+                        _up(self.chi1 * s * s, 2), _up(self.chi2 * c * c, 2),
+                        _up(r * q2, 1)])
 
     @functools.cached_property
     def projection_threshold(self) -> float:

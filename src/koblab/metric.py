@@ -20,14 +20,18 @@ arithmetic:
   :func:`distance_bracket` and the geodesic descent of :mod:`koblab.solver`,
   read one source of segment terms, the domain's
   :meth:`~koblab.geometry.Domain.segment_kernels`: rounded-up touching-disc
-  bounds on non-model domains.
+  bounds on non-model domains, whose touching disc for [a, b] takes the
+  largest of both ends' inner radii and, on Omega_psi, their line radii:
+  certified discs in the complex line of b - a, about c/log(1/eps) next to
+  the flat segment, where the inner radius is about eps.
 
 Every side rests on an inequality that holds exactly: lower bounds only use
 certified under-estimates of boundary distances, upper bounds only use
-certified inner radii.  In floating point these sides round outward: the
-model closed forms (each within its derived ``exact_error``, which the
-solver widens by), the pair-tube bound (rounded down), the generic
-kernel's touching-disc term and the chord's and the solver's segment sums
+certified inner and line radii.  In floating point these sides round
+outward: the model closed forms (each within its derived ``exact_error``,
+which the solver widens by), the pair-tube bound (rounded down), the
+generic kernel's touching-disc term, Omega_psi's line radius (its wall
+bound rounded up) and the chord's and the solver's segment sums
 :func:`~koblab.geometry._sum_up`.  Still plain double: the model
 ``distance_bracket`` [d, d], the directional lower at ``ray_exit``'s
 midpoint, the half-plane projection bound, the tube gaps |f(x)| and

@@ -2,7 +2,8 @@
 
 The optimizer never trusts quadrature: the objective is the sum of
 per-segment *certified* upper bounds (closed forms on model domains, widened
-by their rounding error; rounded-up touching-disc bounds elsewhere; summed
+by their rounding error; rounded-up touching-disc bounds elsewhere, on
+Omega_psi at the line radius of the segment's complex line; summed
 rounding up on both), so ``distance.upper`` is a true upper bound for k_D.
 Lower bounds come from the projection estimates in :mod:`koblab.metric`,
 never from the path itself.
@@ -29,15 +30,16 @@ control points once into the kernels' point form (lists of Python
 complex numbers on the models, the arrays themselves on generic domains,
 whose kernel calls numpy domain methods) and keeps, for each control point, the factor its segment terms
 share (1 - |z_j|^2 per coordinate on the disc and polydisc, 1 - |z|^2 on
-the ball, the inner radius elsewhere), computed once per point by the
-kernels' ``node``.  For each segment it keeps its list of kernel terms:
-one disc distance per coordinate on the polydisc, a single term
-elsewhere.  The certified upper of a segment is the max of its terms and
-the drive objective their euclidean norm, which on the polydisc smooths
-the max's flat ridges.  A probe that moves one coordinate of a control
-point computes the candidate's node once, asks the two segments next to
-it for the term that coordinate enters and reuses the rest, so it
-recomputes one disc distance per segment on the polydisc.
+the ball, the inner radius elsewhere, with on Omega_psi the plain floats
+its line radius reads), computed once per point by the kernels' ``node``.
+For each segment it keeps its list of kernel terms: one disc distance per
+coordinate on the polydisc, a single term elsewhere.  The certified upper
+of a segment is the max of its terms and the drive objective their
+euclidean norm, which on the polydisc smooths the max's flat ridges.  A
+probe that moves one coordinate of a control point computes the
+candidate's node once, asks the two segments next to it for the term that
+coordinate enters and reuses the rest, so it recomputes one disc distance
+per segment on the polydisc.
 
 A visit to a control point depends only on it, its two neighbours and the
 step, so the descent skips the visits of settled points: a point is

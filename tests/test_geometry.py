@@ -5,8 +5,10 @@ derivations (frozen constants below); sampled machinery is checked against
 brute-force membership-only oracles and against resolution doubling.
 """
 
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -26,7 +28,9 @@ from koblab.geometry import (
     Polydisc,
     PsiSpec,
     _null_basis,
+    _RAY_REL_TOL,
     _touching_disc_upper,
+    _unit_bounds,
     as_carray,
     domain_from_json,
     from_pairs,
@@ -445,8 +449,14 @@ def test_domain_protocol_closed_forms_and_kernels(domain, is_model):
         with pytest.raises(GeometryError):
             domain.exact_metric(x, y - x)
         # the generic kernel calls the one rounded-up touching-disc bound
-        # at the inner radius: one formula, same bits
-        t = max(node(point(x))[0], node(point(y))[0])
+        # at the larger of the node radii and, where the domain has one,
+        # the line radii of both ends: one formula, same bits
+        (rx, fx), (ry, fy) = node(point(x)), node(point(y))
+        t = max(rx, ry)
+        if domain._line_radius is not None:
+            q = _unit_bounds((y - x).view(float).tolist())
+            t = max(t, domain._line_radius(fx, q), domain._line_radius(fy, q))
+            assert t > max(rx, ry)
         assert seg(x, y) == _touching_disc_upper(x, y, t)
         assert seg(x, y) >= math.atanh(float(np.linalg.norm(y - x)) / t)
         return
@@ -905,6 +915,52 @@ def test_psi_loglog_inverse():
     for u in (1e-8, 1e-4):
         x = psi.inverse(u)
         assert psi.value(x) == pytest.approx(u, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [1.1, 2.0, 5.0])
+def test_psi_loglog_inverse_never_overshoots(alpha):
+    # the Newton solve lands within a few ulps of the root brentq finds and
+    # never above u, from u = 1e-300 up to psi(cut)
+    psi = PsiSpec("exp_neg_inv_log_pow", alpha=alpha)
+    top = psi.value(psi.cut)
+    for u in [10.0 ** e for e in range(-300, 0, 7)] + [top, 0.5 * top]:
+        if u > top:
+            continue
+        x = psi.inverse(u)
+        root = optimize.brentq(lambda t: psi.value(t) - u, 1e-300, psi.cut,
+                               xtol=1e-300, rtol=8.9e-16)
+        assert psi.value(x) <= u
+        assert x == pytest.approx(root, rel=1e-13)
+
+
+def _psi_reference(psi, x):
+    """psi at the float x in 50-digit arithmetic, on the float c, alpha
+    and cut that define it."""
+    with mpmath.workdps(50):
+        def pure(t):
+            t = mpmath.mpf(t)
+            if psi.form == "exp_neg_c_over_x":
+                return mpmath.exp(-mpmath.mpf(psi.c) / t)
+            return mpmath.exp(-(1 / t) * mpmath.log(1 / t) ** (-psi.alpha))
+        x = abs(mpmath.mpf(x))
+        cut = mpmath.mpf(psi.cut)
+        if x <= cut:
+            return pure(x)
+        a, b = pure(cut), mpmath.diff(pure, cut)
+        return a + b * (x - cut) + b * (x - cut) ** 2
+
+
+@pytest.mark.parametrize("psi", [PsiSpec("exp_neg_c_over_x"),
+                                 PsiSpec("exp_neg_inv_log_pow", alpha=2.0)],
+                         ids=["exp_neg_c_over_x", "exp_neg_inv_log_pow"])
+@settings(max_examples=60, deadline=None)
+@given(x=st.floats(1e-3, 3.0))
+def test_psi_value_up_bounds_the_exact_profile(psi, x):
+    # above psi itself, pure region and continuation alike, and within a
+    # relative 1e-9 of the float value
+    up = psi.value_up(x)
+    assert up >= _psi_reference(psi, x)
+    assert up <= max(psi.value(x) * (1.0 + 1e-9), 2.0 ** -1000)
 
 
 # ---------------------------------------------------------------------------
@@ -1367,3 +1423,97 @@ def test_psi_underflows_to_zero_at_tiny_x(psi):
         assert psi.derivative(x) == 0.0
     dom = OmegaPsi(psi)
     assert dom.boundary_distance(np.array([1e-200 + 0.5j, 0.5 + 0j])) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the line radius of the generic segment kernel on Omega_psi
+# ---------------------------------------------------------------------------
+
+
+def _line_radius(dom, z, u):
+    """The kernel's line radius at z for the unit direction u."""
+    q = _unit_bounds(u.view(float).tolist())
+    return dom._line_radius(dom._node(z)[1], q)
+
+
+def _line_disc_problems(dom, z, u, rho, angles=64):
+    """What is wrong with {z + zeta*u : |zeta| < rho} as a certified disc of
+    the domain in the complex line of u: a sampled point on its rim or
+    inside it that ``contains`` rejects, or a radius past the directional
+    distance (up to the scan's bisection tolerance)."""
+    problems = []
+    for scale in (1.0, 0.5):
+        for k in range(angles):
+            w = z + scale * rho * cmath.exp(2j * math.pi * k / angles) * u
+            if not dom.contains(w):
+                problems.append(f"{w} at |zeta| = {scale} rho is outside")
+    t = dom.directional_distance(z, u)
+    if not rho <= t * (1.0 + _RAY_REL_TOL):
+        problems.append(f"rho {rho} exceeds the directional distance {t}")
+    return problems
+
+
+@pytest.mark.parametrize("psi", PSI_PROFILES, ids=PSI_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_line_radius_is_a_certified_disc(psi, data):
+    dom = OmegaPsi(psi)
+    x1 = data.draw(st.floats(-1.0, 1.0, allow_subnormal=False))
+    y1 = data.draw(st.floats(-2.6, 2.6))
+    y2 = data.draw(st.floats(-0.5, 0.5))
+    gap = 10.0 ** data.draw(st.floats(-4.0, math.log10(0.3)))
+    z = np.array([complex(x1, y1), complex(dom._wall(x1, y1, y2) + gap, y2)])
+    assume(np.linalg.norm(z) < dom.cap_radius - 1e-3)
+    # random unit directions, half of them tilted toward the segment's
+    # complex line, where the line radius gains most over the inner radius
+    w = np.array([data.draw(st.floats(-1.0, 1.0)) for _ in range(4)])
+    if data.draw(st.booleans()):
+        w[2:] *= 10.0 ** data.draw(st.floats(-4.0, 0.0))
+    assume(np.linalg.norm(w) > 1e-3)
+    w = w / np.linalg.norm(w)
+    u = w[0::2] + 1j * w[1::2]
+    rho = _line_radius(dom, z, u)
+    assert rho >= dom.inner_radius_fast(z)
+    assert _line_disc_problems(dom, z, u, rho) == []
+
+
+# points above the flat segment with the direction of the segment, where
+# the line radius is nearly the directional distance, and with a tilted
+# direction, where the r-dependence of the chi and Re w2 terms matters
+# (x1, y1, y2, height above the wall)
+_LINE_CASES = [(0.0, 0.5, 0.0, 1e-2), (0.0, 0.9, 0.0, 1e-3),
+               (0.0, 1.5, 0.0, 1e-3), (0.01, -0.2, 0.01, 0.05)]
+
+
+@pytest.mark.parametrize("psi", PSI_PROFILES, ids=PSI_IDS)
+def test_line_radius_mutants_fail_the_disc_check(psi):
+    # the checks of test_line_radius_is_a_certified_disc catch a doubled
+    # radius along the segment, and the odd iterate Phi(0) of the guess
+    # along a tilted direction, at every case
+    dom = OmegaPsi(psi)
+    along = np.array([1.0, 0.0], dtype=complex)
+    tilted = np.array([1.0, 0.3j]) / math.hypot(1.0, 0.3)
+    for x1, y1, y2, gap in _LINE_CASES:
+        z = np.array([complex(x1, y1),
+                      complex(dom._wall(x1, y1, y2) + gap, y2)])
+        rho = _line_radius(dom, z, along)
+        assert rho > dom.inner_radius_fast(z)
+        assert _line_disc_problems(dom, z, along, rho) == []
+        assert _line_disc_problems(dom, z, along, 2.0 * rho) != []
+        f, q = dom._node(z)[1], _unit_bounds(tilted.view(float).tolist())
+        odd = min(f[5], dom._line_phi(f, q, 0.0))
+        rho = _line_radius(dom, z, tilted)
+        assert _line_disc_problems(dom, z, tilted, rho) == []
+        assert _line_disc_problems(dom, z, tilted, odd) != []
+
+
+def test_line_radius_only_on_omega_psi():
+    # every other domain keeps the node radius, and its kernel's terms
+    # make no line-radius call
+    for dom in (Ellipsoid((1.0, 2.0)), Ball(2), Polydisc(2),
+                LocalizedDomain(OmegaPsi(PSI_PROFILES[0]), [0.5j, 0.3], 0.2)):
+        assert dom._line_radius is None
+    dom = OmegaPsi(PSI_PROFILES[0])
+    z = np.array([0.5j, 1e-2])
+    r, f = dom._node(z)
+    assert r == f[0] == dom.inner_radius_fast(z)

@@ -614,12 +614,34 @@ def _P(*coords):
     return np.array(coords, dtype=complex)
 
 
+# pairs near the flat segment of Omega_psi (exp(-pi/x)) and the distance
+# upper of the product domain inside it (``omega_psi_inner_upper`` of
+# bench/refs.py), before the kernel took the line radius the chord upper
+# was 105.6, 1931 and 309
+SEGMENT_PAIRS = [
+    (_P(0.5j, 1e-2), _P(-0.5j, 1e-2), 1.30643),
+    (_P(0.9j, 1e-3), _P(-0.9j, 1e-3), 3.55857),
+    (_P(1.5j, 1e-3), _P(1.2j, 1e-3), 0.60186),
+]
+
+
+@pytest.mark.parametrize("x,y,inner_upper", SEGMENT_PAIRS)
+def test_chord_upper_near_the_flat_segment(x, y, inner_upper):
+    # the touching disc in the segment's complex line keeps the chord upper
+    # within 1.25 times the inner-domain upper, and above the lower
+    br = distance_bracket(OmegaPsi(PsiSpec("exp_neg_c_over_x")), x, y)
+    assert br.lower <= br.upper <= 1.25 * inner_upper
+
+
 # float.hex of (lower, upper) of distance_bracket, recorded before the chord
 # upper handed each midpoint's inner radius down the recursion and before
 # OmegaPsi tested ray probes on plain floats; both kept every bit.  The
 # uppers were re-recorded, 8 to 30 ulps higher, when the chord's
 # touching-disc terms and the sum of its halves began to round up; the
-# chord splits into the same pieces and the lowers kept every bit.
+# chord splits into the same pieces and the lowers kept every bit.  The
+# Omega_psi uppers but one were re-recorded again, 1.46 to 451 times lower,
+# when the generic kernel's touching disc took the line radius in the
+# segment's own complex line; the lowers kept every bit.
 BRACKET_PINS = [
     (Ellipsoid([1.0, 2.0]), _P(0.95, 0), _P(0.9j, 0.3),
      "0x1.2166a535d4c13p+1", "0x1.99f594083ac18p+2"),
@@ -634,18 +656,18 @@ BRACKET_PINS = [
     (Ellipsoid([1.0, 1.5, 3.0]), _P(0.3, 0.3, 0.3), _P(0.2j, -0.4, 1.0),
      "0x1.4b8c68a4655b8p-2", "0x1.98a144b0011dep+0"),
     (OmegaPsi(PsiSpec("exp_neg_c_over_x")), _P(0.5j, 1e-2), _P(-0.5j, 1e-2),
-     "0x1.ce1a6699b8f5ap-2", "0x1.a6885c3e32e68p+6"),
+     "0x1.ce1a6699b8f5ap-2", "0x1.899142e8fd2c6p+0"),
     (OmegaPsi(PsiSpec("exp_neg_c_over_x")), _P(1.5j, 1e-3), _P(1.2j, 1e-3),
-     "0x1.03615457fbeb7p-2", "0x1.350e065bb110ep+8"),
+     "0x1.03615457fbeb7p-2", "0x1.5edfe7f53beefp-1"),
     (OmegaPsi(PsiSpec("exp_neg_c_over_x")), _P(0.9j, 0.05),
      _P(0.2 + 0.3j, 0.1 + 0.05j),
      "0x1.ecc2caec5160bp-2", "0x1.2cb20cafafd56p+3"),
     (OmegaPsi(PsiSpec("exp_neg_inv_log_pow", alpha=2.0)), _P(0.5j, 1e-2),
-     _P(-0.3j, 2e-2), "0x1.03c95dc80359cp+1", "0x1.606858c080197p+7"),
+     _P(-0.3j, 2e-2), "0x1.03c95dc80359cp+1", "0x1.148299376390ep+6"),
     (OmegaPsi(PsiSpec("exp_neg_inv_log_pow", alpha=2.0)), _P(1.7j, 1e-3),
-     _P(1.75j, 2e-3), "0x1.19585f932f0fbp+0", "0x1.21ff9d2ec7677p+5"),
+     _P(1.75j, 2e-3), "0x1.19585f932f0fbp+0", "0x1.21eb5b0cc9e12p+3"),
     (OmegaPsi(PsiSpec("exp_neg_inv_log_pow", alpha=2.0)), _P(0.001, 0.05),
-     _P(-0.3j, 0.1), "0x1.275555ff6a76bp+1", "0x1.f58e22f7adf58p+3"),
+     _P(-0.3j, 0.1), "0x1.275555ff6a76bp+1", "0x1.57c712ab1599ap+3"),
 ]
 
 

@@ -316,14 +316,14 @@ GOLDEN = (
      "0x1.348b25f058c29p+0", "0x1.1d4d5121add90p+1", 40, True),
     (Ball(3), [0.7 + 0.2j, -0.3, 0.2j], [-0.5, 0.6j, 0.3 - 0.2j], "default",
      "0x1.348b25f058c29p+0", "0x1.1d4d33405890bp+1", 116, True),
-    # the generic touching-disc kernel
+    # the generic touching-disc kernel, on Omega_psi with its line radius
     (Ellipsoid([1.0, 2.0]), [0.1, 0.3j], [0.5 + 0.2j, -0.9], "light",
      "0x1.1afaca9cff934p-1", "0x1.b4eacdd9b5601p+0", 103, True),
     (Ellipsoid([1.0, 2.0]), [0.5, 0.5], [-0.5, -0.5], "default",
      "0x1.994d489e448c0p-1", "0x1.cb303713f7d8cp+0", 148, True),
     (OmegaPsi(PsiSpec("exp_neg_c_over_x")), [0.2 + 0.5j, 0.5],
      [-0.5j, 0.2 + 0.1j], "light",
-     "0x1.ff74425c9856cp-2", "0x1.da52bd0d2e22dp+1", 70, True),
+     "0x1.ff74425c9856cp-2", "0x1.09b3b217dc453p+1", 375, True),
 )
 CONFIGS = {"light": SolverConfig.light(), "default": SolverConfig()}
 
