@@ -662,6 +662,13 @@ def _up(x: float, steps: int) -> float:
     return x
 
 
+def _down(x: float, steps: int) -> float:
+    """x moved ``steps`` floats down, the mirror of :func:`_up`."""
+    for _ in range(steps):
+        x = math.nextafter(x, -math.inf)
+    return x
+
+
 def _touching_disc_upper(a: np.ndarray, b: np.ndarray, t: float) -> float:
     """artanh(|b - a| / t) rounded up: 0 for b = a, inf unless the
     rounded-up quotient is < 1.

@@ -29,13 +29,13 @@ Every side rests on an inequality that holds exactly: lower bounds only use
 certified under-estimates of boundary distances, upper bounds only use
 certified inner and line radii.  In floating point these sides round
 outward: the model closed forms (each within its derived ``exact_error``,
-which the solver widens by), the pair-tube bound (rounded down), the
-generic kernel's touching-disc term, Omega_psi's line radius (its wall
-bound rounded up) and the chord's and the solver's segment sums
-:func:`~koblab.geometry._sum_up`.  Still plain double: the model
-``distance_bracket`` [d, d], the directional lower at ``ray_exit``'s
-midpoint, the half-plane projection bound, the tube gaps |f(x)| and
-|g(y)|, and the bidisc paths' artanh grids.
+which the solver widens by), the pair-tube bound (its dual, its gaps and
+its logs), the generic kernel's touching-disc term, Omega_psi's line
+radius (its wall bound rounded up) and the chord's and the solver's
+segment sums :func:`~koblab.geometry._sum_up`.  Still plain double: the
+model ``distance_bracket`` [d, d], the directional lower at
+``ray_exit``'s midpoint, the half-plane projection bound, and the bidisc
+paths' artanh grids.
 """
 
 from __future__ import annotations
@@ -44,15 +44,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .geometry import (
     AmbiguousProjectionError,
     Domain,
     GeometryError,
     _UNIT_ROUNDOFF,
+    _down,
     _lex_key,
     _sum_up,
+    _up,
     as_carray,
     ball_distance,
     disc_distance,
@@ -197,51 +198,133 @@ def _dual_value(R: float, c_p: complex, c_q: complex, nu_p: np.ndarray,
     return (lin - norm_up) - pad
 
 
+# the torus phase search: a coarse grid over the circle, then golden
+# sections on the two cells next to its best point, down to a few ulps of 2 pi
+_PHASE_GRID = 32
+_PHASE_TOL = 2.0 ** -48
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+
+
+def _norm(v: list) -> float:
+    """The Euclidean norm of a list of complex floats."""
+    return math.hypot(*(abs(t) for t in v))
+
+
+def _face_point(R: float, c_p: complex, c_q: complex, P: list, Q: list):
+    """The maximizer of D on the face |a| = 1, |b| < 1, or None.
+
+    With g = <nu_q, nu_p>/|nu_q|^2, nu_p⊥ = nu_p - g nu_q and
+    beta = a g + b, the norm is |a nu_p⊥ + beta nu_q| and D is
+    Re(conj(a) z) + Re(conj(beta) c_q) - R sqrt(|nu_p⊥|^2 + |beta|^2 |nu_q|^2)
+    with z = c_p - conj(g) c_q.  Stationarity in beta gives
+    beta = c_q |w| / (R |nu_q|^2), which exists only when
+    |c_q| < R |nu_q|, and the beta part is then the constant
+    -|nu_p⊥| sqrt(R^2 - |c_q|^2/|nu_q|^2), the same for every unit a.  So
+    a = z/|z| and b = beta - a g; the point is kept when |b| <= 1, and it
+    is then the maximum of D over all of |a| = 1, since it maximizes over
+    every b.  Otherwise (|c_q| >= R |nu_q|, where D grows without bound in
+    b, or |b| > 1) the maximum over |a| = 1 lies on |b| = 1, as D is
+    concave in b.
+    """
+    nqq = sum(abs(t) ** 2 for t in Q)
+    root2 = R * R - abs(c_q) ** 2 / nqq
+    if not root2 > 0.0:
+        return None
+    g = sum(q.conjugate() * p for p, q in zip(P, Q)) / nqq
+    perp = _norm([p - g * q for p, q in zip(P, Q)])
+    z = c_p - g.conjugate() * c_q
+    a = z / abs(z) if z else 1.0 + 0.0j
+    b = c_q * perp / (nqq * math.sqrt(root2)) - a * g
+    return (a, b) if abs(b) <= 1.0 else None
+
+
+def _torus_point(R: float, c_p: complex, c_q: complex, P: list, Q: list):
+    """The best point found on the torus |a| = |b| = 1.
+
+    With b = a e^{i delta}, D is Re(conj(a) s) - R |nu_p + e^{i delta} nu_q|
+    with s = c_p + e^{-i delta} c_q, largest at a = s/|s|, which leaves
+    h(delta) = |s| - R |nu_p + e^{i delta} nu_q|.  h is searched on a grid
+    of ``_PHASE_GRID`` phases and refined by golden sections on the two
+    cells beside the best one.  The norm is taken of the vector itself: where
+    nu_p and nu_q are parallel h has its kink at that norm's zero, and the
+    Gram form |nu_p|^2 + |nu_q|^2 + 2 Re(e^{i delta} <nu_p, nu_q>) cancels
+    there to an error of about 1e-8.
+    """
+    def h(delta):
+        e = complex(math.cos(delta), math.sin(delta))
+        return abs(c_p + e.conjugate() * c_q) \
+            - R * _norm([p + e * q for p, q in zip(P, Q)])
+
+    step = 2.0 * math.pi / _PHASE_GRID
+    best = max((h(j * step), j * step) for j in range(_PHASE_GRID))
+    lo, hi = best[1] - step, best[1] + step
+    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    hc, hd = h(c), h(d)
+    while hi - lo > _PHASE_TOL:
+        if hc >= hd:
+            hi, d, hd = d, c, hc
+            c = hi - _GOLDEN * (hi - lo)
+            hc = h(c)
+        else:
+            lo, c, hc = c, d, hd
+            d = lo + _GOLDEN * (hi - lo)
+            hd = h(d)
+    delta = max(best, (hc, c), (hd, d))[1]
+    e = complex(math.cos(delta), math.sin(delta))
+    s = c_p + e.conjugate() * c_q
+    a = s / abs(s) if s else 1.0 + 0.0j
+    return a, a * e
+
+
+def _dual_candidates(R: float, c_p: complex, c_q: complex,
+                     nu_p: np.ndarray, nu_q: np.ndarray) -> dict:
+    """The candidate maximizers of D over the bidisc, by kind: ``zero``,
+    ``torus`` and, where they exist, ``face-a`` (|a| = 1, |b| < 1) and
+    ``face-b`` (the mirror); see :func:`_dual_disjointness`."""
+    P, Q = nu_p.tolist(), nu_q.tolist()
+    out = {"zero": (0j, 0j), "torus": _torus_point(R, c_p, c_q, P, Q)}
+    face = _face_point(R, c_p, c_q, P, Q)
+    if face is not None:
+        out["face-a"] = face
+    face = _face_point(R, c_q, c_p, Q, P)
+    if face is not None:
+        out["face-b"] = face[::-1]
+    return out
+
+
 def _dual_disjointness(R: float, c_p: complex, c_q: complex,
                        nu_p: np.ndarray, nu_q: np.ndarray) -> float:
     """A certified lower bound on min over |u| <= R of |f(u)| + |g(u)|.
 
-    Maximizes the concave dual D over the two unit discs in the Cartesian
-    coordinates (Re a, Im a, Re b, Im b); D only sees a and b through the
-    Gram matrix of nu_p and nu_q, so the search evaluates that 2 x 2 form.
-    The optimizer's point is pulled into the discs and evaluated in full by
-    :func:`_dual_value`; a failed search gives a smaller value or NaN, never
-    an unsound one.
+    D(a, b) = Re(conj(a) c_p + conj(b) c_q) - R |a nu_p + b nu_q| is concave
+    and positively homogeneous of degree 1 on the bidisc |a|, |b| <= 1.  So
+    its maximum is 0 at the origin, or it is positive and then lies where
+    |a| = 1 or |b| = 1 (scaling a point up by t > 1 multiplies D by t).  On
+    |a| = 1 the maximum over b is either interior, where stationarity in b
+    fixes the face point of :func:`_face_point` in closed form, or on
+    |b| = 1, the torus of :func:`_torus_point`; |b| = 1 is the mirror.  The
+    four candidates (zero, torus, face a, face b) thus hold the maximum,
+    up to the torus's one-dimensional phase search.
+
+    Each candidate is pulled into the discs and evaluated in full by
+    :func:`_dual_value`, and the largest value is returned: every value is
+    D at a feasible point, rounded down, so the search bears only on
+    tightness, never on soundness.
     """
-    npp = float(np.vdot(nu_p, nu_p).real)
-    nqq = float(np.vdot(nu_q, nu_q).real)
-    gamma = complex(np.vdot(nu_p, nu_q))
+    return max(_dual_value(R, c_p, c_q, nu_p, nu_q, _into_disc(a),
+                           _into_disc(b))
+               for a, b in _dual_candidates(R, c_p, c_q, nu_p, nu_q).values())
 
-    def negative_dual(v: np.ndarray):
-        a, b = complex(v[0], v[1]), complex(v[2], v[3])
-        ab = a.conjugate() * b * gamma
-        nw = math.sqrt(max(0.0, (a.real * a.real + a.imag * a.imag) * npp
-                           + (b.real * b.real + b.imag * b.imag) * nqq
-                           + 2.0 * ab.real))
-        val = (a.conjugate() * c_p + b.conjugate() * c_q).real - R * nw
-        da, db = c_p, c_q
-        if nw > 0.0:
-            da = da - R * (a * npp + b * gamma) / nw
-            db = db - R * (b * nqq + a * gamma.conjugate()) / nw
-        return -val, -np.array([da.real, da.imag, db.real, db.imag])
 
-    def discs(v: np.ndarray) -> np.ndarray:
-        return np.array([1.0 - v[0] * v[0] - v[1] * v[1],
-                         1.0 - v[2] * v[2] - v[3] * v[3]])
-
-    def discs_jac(v: np.ndarray) -> np.ndarray:
-        return np.array([[-2.0 * v[0], -2.0 * v[1], 0.0, 0.0],
-                         [0.0, 0.0, -2.0 * v[2], -2.0 * v[3]]])
-
-    a0 = c_p / abs(c_p) if c_p else 1.0 + 0.0j
-    b0 = c_q / abs(c_q) if c_q else 1.0 + 0.0j
-    res = optimize.minimize(
-        negative_dual, np.array([a0.real, a0.imag, b0.real, b0.imag]),
-        jac=True, method="SLSQP",
-        constraints=[{"type": "ineq", "fun": discs, "jac": discs_jac}],
-        options={"maxiter": 100, "ftol": 1e-10})
-    a, b = complex(res.x[0], res.x[1]), complex(res.x[2], res.x[3])
-    return _dual_value(R, c_p, c_q, nu_p, nu_q, _into_disc(a), _into_disc(b))
+def _half_log_down(eta: float, gap: float) -> float:
+    """1/2 log(eta/gap) rounded down.  The quotient is stepped one float
+    down, so it is at most eta/gap.  Four steps down (see
+    :func:`~koblab.geometry._up`) then bring the computed log under the
+    exact log of that quotient, allowing libm an error of 2 ulps, the bound
+    :func:`~koblab.geometry._touching_disc_upper` takes for atanh.  A
+    result <= 0 is below the positive exact value anyway, and halving is
+    exact otherwise."""
+    return 0.5 * _down(math.log(_down(eta / gap, 1)), 4)
 
 
 def pair_tube_bound(domain: Domain, x, y, *, contacts=None):
@@ -260,12 +343,15 @@ def pair_tube_bound(domain: Domain, x, y, *, contacts=None):
     Lagrange dual D(a, b) = Re(conj(a) c_p + conj(b) c_q)
     - R |a nu_p + b nu_q|: for |a|, |b| <= 1 and |u| <= R, weak duality gives
     |f(u)| + |g(u)| >= Re(conj(a) f(u) + conj(b) g(u)) >= D(a, b), so any
-    feasible (a, b) bounds mu from below.  D is concave in
-    (Re a, Im a, Re b, Im b) and the two discs are convex, so one local
-    solve finds its maximum; the optimizer's point is pulled into the discs
+    feasible (a, b) bounds mu from below.  D is concave and positively
+    homogeneous of degree 1, so its maximum over the bidisc is one of four
+    candidates: 0 at the origin, the best point of the torus |a| = |b| = 1
+    (one phase search), and the closed-form stationary points of the faces
+    |a| = 1 > |b| and |b| = 1 > |a| from the KKT conditions (derived in
+    :func:`_dual_disjointness`).  Each candidate is pulled into the discs
     and D is evaluated there rounded down (R |w| rounded up, the result
-    padded down by a few ulps).  eta is the exact disjointness threshold
-    mu / 2.
+    padded down by a few ulps); mu is the largest of these values, and eta
+    is the exact disjointness threshold mu / 2.
 
     Before the dual solve, a cheap upper bound on mu settles most
     rejections exactly.  x and y lie in the domain, hence in the bounding ball, so
@@ -284,6 +370,14 @@ def pair_tube_bound(domain: Domain, x, y, *, contacts=None):
     covers the second-order terms, the rounding of the norms and of the
     pad itself.  When the check passes, the dual runs as before, so the
     result is the same either way, bit for bit.
+
+    The tube's own sides round outward too.  Each gap is padded up by
+    (2n + 7) u (|c| + |nu| |z|) and one float: the bound above, plus u of
+    the same scale for its second-order terms and the rounding of the pad,
+    and the float for the rounding of the sum.  A padded gap below eta puts
+    the exact point inside its tube.  Each 1/2 log(eta/gap) is rounded down
+    by :func:`_half_log_down`, and their sum one float down.  The padded
+    gaps only grow, so the pre-check stays exact.
 
     ``contacts`` takes the boundary contacts (p, nu_p) of x and (q, nu_q)
     of y (None for an ambiguous one) when the caller already has them.
@@ -307,20 +401,24 @@ def pair_tube_bound(domain: Domain, x, y, *, contacts=None):
              abs(c_q - complex(np.vdot(nu_q, z)))) for z in (x, y)]
     fx, gy = gaps[0][0], gaps[1][1]
     # m_up >= mu, so a gap at or above m_up/2 fails the solved eta too
+    n_p, n_q = float(np.linalg.norm(nu_p)), float(np.linalg.norm(nu_q))
+    n_x, n_y = float(np.linalg.norm(x)), float(np.linalg.norm(y))
     scale = abs(c_p) + abs(c_q)
-    slope = float(np.linalg.norm(nu_p)) + float(np.linalg.norm(nu_q))
     pad = (4 * len(x) + 16) * _UNIT_ROUNDOFF
-    m_up = min(f + g + pad * (scale + slope * float(np.linalg.norm(z)) + f + g)
-               for z, (f, g) in zip((x, y), gaps))
+    m_up = min(f + g + pad * (scale + (n_p + n_q) * n_z + f + g)
+               for n_z, (f, g) in zip((n_x, n_y), gaps))
     if fx >= 0.5 * m_up or gy >= 0.5 * m_up:
         return None
     mu = _dual_disjointness(domain.bounding_radius, c_p, c_q, nu_p, nu_q)
     if not (mu > 0.0 and math.isfinite(mu)):
         return None
     eta = 0.5 * mu
+    pad = (2 * len(x) + 7) * _UNIT_ROUNDOFF
+    fx = _up(fx + pad * (abs(c_p) + n_p * n_x), 1)
+    gy = _up(gy + pad * (abs(c_q) + n_q * n_y), 1)
     if not (0.0 < fx < eta and 0.0 < gy < eta):
         return None
-    return 0.5 * math.log(eta / fx) + 0.5 * math.log(eta / gy)
+    return _down(_half_log_down(eta, fx) + _half_log_down(eta, gy), 1)
 
 
 def distance_lower_bound_detailed(domain: Domain, x, y, tube: bool = True):
@@ -338,11 +436,10 @@ def distance_lower_bound_detailed(domain: Domain, x, y, tube: bool = True):
     ends.  No caller reports which branch won: they keep only the best
     bound.  The ratio and both projection branches share one boundary
     projection of each point, ``Domain._project``.  ``tube=False`` skips
-    the pair-tube branch, whose dual solve costs a few milliseconds when
-    it runs (:func:`pair_tube_bound` first settles most pairs that the
-    solve would reject with an exact, cheap check); the probes that sweep
-    a grid of pairs pass it, which keeps their reproducible outputs as
-    they were.
+    the pair-tube branch (:func:`pair_tube_bound` first settles most pairs
+    that its dual solve would reject with an exact, cheap check); the
+    probes that sweep a grid of pairs pass it, which keeps their
+    reproducible outputs as they were.
     The two directional scans of (c) share one early exit: the end with
     the larger boundary distance is scanned first, and its t is the
     ``stop`` of the other scan, which is exact because only the larger t

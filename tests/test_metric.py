@@ -7,6 +7,7 @@ notes next to each constant.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import optimize
@@ -22,12 +23,19 @@ from koblab.geometry import (
     OmegaPsi,
     Polydisc,
     PsiSpec,
+    _UNIT_ROUNDOFF,
+    _down,
+    _up,
 )
 from koblab.metric import (
     MetricBracket,
     _boundary_contact,
     _certified_chain_upper,
+    _dual_candidates,
     _dual_disjointness,
+    _dual_value,
+    _half_log_down,
+    _into_disc,
     ball_distance,
     disc_distance,
     distance_bracket,
@@ -250,16 +258,28 @@ def _tube_data(domain, x, y):
     return c_p, c_q, nu_p, nu_q, mu
 
 
-@pytest.mark.parametrize("name", TUBE_DOMAINS)
+DUAL_CASES = {
+    **{name: (dom, lambda rng, dom=dom: _deep_pairs(dom, 8, rng))
+       for name, dom in TUBE_DOMAINS.items()},
+    # nu_p and nu_q parallel: the torus maximum sits on the kink where
+    # |nu_p + e^{i delta} nu_q| = 0
+    "disc": (Disc(), lambda rng: _deep_pairs(Disc(), 8, rng)),
+    # R = sqrt 2, contacts on either face
+    "polydisc2": (Polydisc(2), lambda rng: _deep_polydisc_pairs(8, rng)),
+}
+
+
+@pytest.mark.parametrize("name", DUAL_CASES)
 def test_pair_tube_dual_never_exceeds_primal(name):
     # the certified mu is a lower bound on min over |u| <= R of |f| + |g|:
     # it may not exceed a 30-start primal minimum (each optimizer point
     # pulled into the ball first) nor |f| + |g| at 10^4 sampled points of
-    # the ball; and the concave dual solve should also reach that minimum
-    domain = TUBE_DOMAINS[name]
+    # the ball; and the dual's maximum, which strong duality puts at that
+    # minimum, is found to within 1e-12 of it
+    domain, draw = DUAL_CASES[name]
     rng = np.random.default_rng(61)
     R, n = domain.bounding_radius, domain.dim
-    for x, y in _deep_pairs(domain, 8, rng):
+    for x, y in draw(rng):
         c_p, c_q, nu_p, nu_q, mu = _tube_data(domain, x, y)
 
         def objective(z):
@@ -297,7 +317,60 @@ def test_pair_tube_dual_never_exceeds_primal(name):
               / np.linalg.norm(w, axis=1, keepdims=True))
         sampled = float(np.min(objective(w)))
         assert mu <= primal and mu <= sampled
-        assert mu >= primal - 1e-6 * max(1.0, primal)
+        assert mu >= primal - 1e-12 * max(1.0, primal)
+
+
+_E1, _E2 = np.array([1.0 + 0j, 0.0]), np.array([0.0, 1.0 + 0j])
+_PARALLEL = np.array([0.6, 0.8j])
+_TURNED = np.array([complex(math.cos(0.7), math.sin(0.7))])
+with mpmath.workdps(50):
+    _FACE_MAX = 1 - mpmath.sqrt(1 - mpmath.mpf(0.2) ** 2)
+
+# (R, c_p, c_q, nu_p, nu_q, max of D) with the maximum known exactly, one
+# instance for each kind of candidate that holds it:
+#   zero: nu_p = nu_q and c_p = c_q = 1/2; D <= |a + b|/2 - |a + b| <= 0
+#   torus: opposite disc contacts; |f| + |g| >= |f + g| = 2 bounds D, and
+#     D(1, 1) = 2 sits on the kink |nu_p + nu_q| = 0
+#   face-a: D(1, b) at b = c/sqrt(1 - c^2) meets the primal value
+#     1 - sqrt(1 - c^2) of u = (sqrt(1 - c^2), c), with c = |c_q| = 0.2
+#     (the float), here at 50 digits; face-b is its mirror
+DUAL_INSTANCES = {
+    "zero": (1.0, 0.5, 0.5, _PARALLEL, _PARALLEL, 0),
+    "torus": (1.0, 1.0, 1.0, _TURNED, -_TURNED, 2),
+    "face-a": (1.0, 1.0, 0.2j, _E1, _E2, _FACE_MAX),
+    "face-b": (1.0, 0.2j, 1.0, _E2, _E1, _FACE_MAX),
+}
+
+
+def _sampled_dual_max(R, c_p, c_q, nu_p, nu_q):
+    """max of D over a polar grid of the bidisc, 16 radii by 64 phases in
+    each disc, in double precision."""
+    r = np.linspace(0.0, 1.0, 16)
+    disc = (r[:, None] * np.exp(2j * math.pi * np.arange(64) / 64)).ravel()
+    a, b = disc[:, None], disc[None, :]
+    w = a[..., None] * nu_p + b[..., None] * nu_q
+    vals = (np.conj(a) * c_p + np.conj(b) * c_q).real \
+        - R * np.linalg.norm(w, axis=-1)
+    return float(vals.max())
+
+
+@pytest.mark.parametrize("kind", DUAL_INSTANCES)
+def test_dual_candidate_kinds_reach_the_exact_maximum(kind):
+    # each instance's maximum is held by the candidate of its own kind, mu
+    # lies below the exact maximum and within 1e-14 of it, and no point of
+    # a dense grid of the bidisc beats it by more than that (the pull into
+    # the discs and the rounding down cost a few 1e-15)
+    R, c_p, c_q, nu_p, nu_q, exact = DUAL_INSTANCES[kind]
+    values = {k: _dual_value(R, c_p, c_q, nu_p, nu_q, _into_disc(a),
+                             _into_disc(b))
+              for k, (a, b) in _dual_candidates(R, c_p, c_q, nu_p,
+                                                nu_q).items()}
+    mu = _dual_disjointness(R, c_p, c_q, nu_p, nu_q)
+    assert max(values, key=values.get) == kind
+    assert mu == values[kind]
+    assert mu <= exact
+    assert mu >= exact - 1e-14
+    assert mu >= _sampled_dual_max(R, c_p, c_q, nu_p, nu_q) - 1e-14
 
 
 @pytest.mark.parametrize("name", ["ellipsoid-1-2", "ellipsoid-1-1.5-3"])
@@ -331,7 +404,8 @@ def test_pair_tube_none_when_mu_vanishes():
 
 def _pair_tube_reference(domain, x, y):
     """pair_tube_bound without its pre-check: the dual is always solved and
-    the tube accepted only when both gaps lie strictly inside eta = mu/2."""
+    the tube accepted only when both gaps, rounded up as pair_tube_bound
+    rounds them, lie strictly inside eta = mu/2."""
     if math.isinf(domain.bounding_radius):
         return None
     x, y = domain._interior(x), domain._interior(y)
@@ -345,11 +419,14 @@ def _pair_tube_reference(domain, x, y):
     if not (mu > 0.0 and math.isfinite(mu)):
         return None
     eta = 0.5 * mu
-    fx = abs(c_p - complex(np.vdot(nu_p, x)))
-    gy = abs(c_q - complex(np.vdot(nu_q, y)))
+    pad = (2 * len(x) + 7) * _UNIT_ROUNDOFF
+    fx = _up(abs(c_p - complex(np.vdot(nu_p, x)))
+             + pad * (abs(c_p) + np.linalg.norm(nu_p) * np.linalg.norm(x)), 1)
+    gy = _up(abs(c_q - complex(np.vdot(nu_q, y)))
+             + pad * (abs(c_q) + np.linalg.norm(nu_q) * np.linalg.norm(y)), 1)
     if not (0.0 < fx < eta and 0.0 < gy < eta):
         return None
-    return 0.5 * math.log(eta / fx) + 0.5 * math.log(eta / gy)
+    return _down(_half_log_down(eta, fx) + _half_log_down(eta, gy), 1)
 
 
 def _deep_polydisc_pairs(count, rng):
@@ -641,18 +718,22 @@ def test_chord_upper_near_the_flat_segment(x, y, inner_upper):
 # chord splits into the same pieces and the lowers kept every bit.  The
 # Omega_psi uppers but one were re-recorded again, 1.46 to 451 times lower,
 # when the generic kernel's touching disc took the line radius in the
-# segment's own complex line; the lowers kept every bit.
+# segment's own complex line; the lowers kept every bit.  The lowers of
+# dom0, dom1 and dom4 were re-recorded, each below its 50-digit exact
+# distance, when the pair-tube dual took its maximum from four closed-form
+# candidates and the tube's gaps and logs began to round outward; every
+# upper kept its bits.
 BRACKET_PINS = [
     (Ellipsoid([1.0, 2.0]), _P(0.95, 0), _P(0.9j, 0.3),
-     "0x1.2166a535d4c13p+1", "0x1.99f594083ac18p+2"),
+     "0x1.2166a535d5a12p+1", "0x1.99f594083ac18p+2"),
     (Ellipsoid([1.0, 2.0]), _P(0.5, 1.5j), _P(-0.5, 1.6),
-     "0x1.d5aff10275e9ep+0", "0x1.2d896dfec5600p+3"),
+     "0x1.d5aff10275df2p+0", "0x1.2d896dfec5600p+3"),
     (Ellipsoid([1.0, 2.0]), _P(0.0, 0.1), _P(0.2j, 0.05),
      "0x1.c78bd5b2714eap-4", "0x1.c39b8ce297610p-3"),
     (Ellipsoid([1.0, 1.5, 3.0]), _P(0.9, 0, 0), _P(0, 1.3, 0.5j),
      "0x1.26bb1bbb55516p+0", "0x1.a359b56420826p+2"),
     (Ellipsoid([1.0, 1.5, 3.0]), _P(0.1, 0.2j, 2.8), _P(0, 0, -2.9),
-     "0x1.6b0ea4c176f7ep+1", "0x1.2e82f71bf2658p+4"),
+     "0x1.6b0ea4c176edbp+1", "0x1.2e82f71bf2658p+4"),
     (Ellipsoid([1.0, 1.5, 3.0]), _P(0.3, 0.3, 0.3), _P(0.2j, -0.4, 1.0),
      "0x1.4b8c68a4655b8p-2", "0x1.98a144b0011dep+0"),
     (OmegaPsi(PsiSpec("exp_neg_c_over_x")), _P(0.5j, 1e-2), _P(-0.5j, 1e-2),

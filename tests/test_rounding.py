@@ -1,6 +1,6 @@
 """Outward rounding of the model closed forms, of the touching-disc bound,
-of the certified sum and of the solver's uppers, against 50-digit mpmath
-references computed apart from koblab."""
+of the certified sum, of the solver's uppers and of the pair-tube bound,
+against 50-digit mpmath references computed apart from koblab."""
 
 import math
 
@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from koblab.geometry import (Ball, Disc, Ellipsoid, Polydisc, _sum_up,
                              _touching_disc_upper)
-from koblab.metric import distance_bracket
+from koblab.metric import (_boundary_contact, _dual_disjointness,
+                           distance_bracket, pair_tube_bound)
 from koblab.solver import SolverConfig, solve_geodesic
 
 DIGITS = 50
@@ -247,3 +248,48 @@ def test_ellipsoid_light_solve_upper_at_or_above_distance(x, y):
     res = solve_geodesic(Ellipsoid(list(AXES)), np.array(x, dtype=complex),
                          np.array(y, dtype=complex), SolverConfig.light())
     assert res.distance.upper >= mp_ellipsoid(x, y)
+
+
+# ---------------------------------------------------------------------------
+# the pair-tube bound rounds down, with no slack
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def tube_pairs(draw):
+    """A ball or ellipsoid and two points at depths 1e-12 to 1e-1 below
+    the boundary along the ray from the centre: deep enough that the gaps
+    |f(x)| and |g(y)| lose most of their digits to cancellation."""
+    dom = draw(st.sampled_from([Ball(2), Ellipsoid(list(AXES))]))
+    scale = getattr(dom, "axes", np.ones(2))
+
+    def point():
+        depth = 10.0 ** draw(st.floats(-12.0, -1.0))
+        return (1.0 - depth) * draw(unit_vectors(2)) * scale
+    return dom, point(), point()
+
+
+def mp_gap(c, nu, z):
+    """|c - <nu, z>| of complex floats, at 50 digits."""
+    with mpmath.workdps(DIGITS):
+        return abs(_mpc(c) - mpmath.fsum(mpmath.conj(_mpc(n)) * _mpc(t)
+                                         for n, t in zip(nu, z)))
+
+
+@given(tube_pairs())
+def test_pair_tube_bound_at_or_below_its_exact_value(case):
+    # the tube value from the same contacts and the same certified mu, at
+    # 50 digits: 1/2 log(eta/|f(x)|) + 1/2 log(eta/|g(y)|), eta = mu/2
+    dom, x, y = case
+    assume(dom.contains(x) and dom.contains(y))
+    got = pair_tube_bound(dom, x, y)
+    assume(got is not None)
+    (p, nu_p), (q, nu_q) = (_boundary_contact(dom, x)[1],
+                            _boundary_contact(dom, y)[1])
+    c_p, c_q = complex(np.vdot(nu_p, p)), complex(np.vdot(nu_q, q))
+    mu = _dual_disjointness(dom.bounding_radius, c_p, c_q, nu_p, nu_q)
+    with mpmath.workdps(DIGITS):
+        eta = mpmath.mpf(mu) / 2
+        exact = (mpmath.log(eta / mp_gap(c_p, nu_p, x))
+                 + mpmath.log(eta / mp_gap(c_q, nu_q, y))) / 2
+        assert mpmath.mpf(got) <= exact
