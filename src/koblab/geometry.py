@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -448,10 +449,9 @@ class Domain:
         descent.
 
         * ``point(p)`` turns a point array into the form the other three
-          take.  On the models that is a list of Python complex numbers, so
-          their kernels run on plain floats with no numpy scalar in the
-          loop.  Here it is the array itself: this kernel calls the
-          domain's numpy methods, which would only convert a list back.
+          take: ``ndarray.tolist``, a list of Python complex numbers, on
+          every domain, so the kernels run on plain floats with no numpy
+          scalar or temporary in the loop.
         * ``node(p)`` is ``(radius, factor)``: a cheap interior radius,
           <= 0 outside, and the point's share of every segment term it
           enters, computed once per point so that no term recomputes it.
@@ -475,8 +475,9 @@ class Domain:
         polydisc, from the same ``abs`` as the radius; 1 - |z|^2 on the
         ball, from the one sum that also gives the radius.  Here ``node`` is
         :meth:`_node`, read directly as the descent's and the chord's points
-        are their own checked arrays, and the single term is the rounded-up
-        touching-disc bound :func:`_touching_disc_upper` at
+        are interior already, and the single term is the rounded-up
+        touching-disc bound :func:`_touching_disc_upper`, on the real and
+        imaginary parts of b - a (:func:`_difference_parts`), at
 
             t = max(ra, rb, rho(a, u), rho(b, u)),  u = (b - a)/|b - a|,
 
@@ -504,7 +505,8 @@ class Domain:
         line_radius = self._line_radius
         if line_radius is None:
             def terms(a, b, ra, rb):
-                return [_touching_disc_upper(a, b, max(ra, rb))]
+                return [_touching_disc_upper(_difference_parts(a, b),
+                                             max(ra, rb))]
         else:
             memo = {}
 
@@ -518,22 +520,25 @@ class Domain:
                 return r
 
             def terms(a, b, fa, fb):
-                d = (b - a).view(float).tolist()
+                d = _difference_parts(a, b)
                 if not any(d):
                     return [0.0]
                 q = _unit_bounds(d)
                 t = max(fa[0], fb[0], rho(fa, q), rho(fb, q))
-                return [_touching_disc_upper(a, b, t)]
+                return [_touching_disc_upper(d, t)]
 
         def moved(T, a, b, fa, fb, slot):
             return terms(a, b, fa, fb)
-        return (lambda p: p), node, terms, moved
+        return np.ndarray.tolist, node, terms, moved
 
-    def _node(self, z: np.ndarray) -> tuple:
-        """``(radius, factor)`` of the generic kernel's ``node``: the inner
-        radius, and the point's share of its segment terms, which here is
-        the inner radius again."""
-        r = self._inner_radius(z)
+    def _node(self, z: list) -> tuple:
+        """``(radius, factor)`` of the generic kernel's ``node`` at the list
+        of Python complex ``z``: the inner radius, and the point's share of
+        its segment terms, which here is the inner radius again.  This
+        default converts the list back to an array once, for the domains
+        whose ``_inner_radius`` runs on arrays; the ellipsoid and Omega_psi
+        read the list itself."""
+        r = self._inner_radius(np.array(z, dtype=complex))
         return r, r
 
     # ``_line_radius(factor, q)``: a certified lower bound on the radius of
@@ -669,8 +674,17 @@ def _down(x: float, steps: int) -> float:
     return x
 
 
-def _touching_disc_upper(a: np.ndarray, b: np.ndarray, t: float) -> float:
-    """artanh(|b - a| / t) rounded up: 0 for b = a, inf unless the
+def _difference_parts(a: list, b: list) -> list:
+    """The real and imaginary parts of b - a, in order, for points given as
+    lists of Python complex numbers: the same floats as
+    ``(b - a).view(float).tolist()`` on arrays, as both subtract part by
+    part."""
+    return [v for p, q in zip(a, b) for v in (q.real - p.real, q.imag - p.imag)]
+
+
+def _touching_disc_upper(d: list, t: float) -> float:
+    """artanh(|b - a| / t) rounded up, given ``d``, the parts of fl(b - a)
+    from :func:`_difference_parts`: 0 for b = a, inf unless the
     rounded-up quotient is < 1.
 
     When a ball of radius t about a or b lies in the domain, so does the
@@ -680,8 +694,8 @@ def _touching_disc_upper(a: np.ndarray, b: np.ndarray, t: float) -> float:
     kernel of :meth:`Domain.segment_kernels`, which the chord upper and the
     geodesic descent both read.
 
-    Rounding (u = 2^-53, x⁺ as in :func:`_up`), on the plain floats of
-    ``(b - a).view(float).tolist()``, the parts of b - a:
+    Rounding (u = 2^-53, x⁺ as in :func:`_up`), on ``d``, the plain floats
+    that the Python complex numbers of the kernels' points give:
 
     * the subtraction: each real and imaginary part of b - a is rounded
       once, so |b - a| <= (1 + u)|fl(b - a)|, one step;
@@ -692,7 +706,7 @@ def _touching_disc_upper(a: np.ndarray, b: np.ndarray, t: float) -> float:
     * libm atanh is within 2 ulps (glibc's listed maximum for double),
       four steps.
     """
-    h = math.hypot(*(b - a).view(float).tolist())
+    h = math.hypot(*d)
     if h == 0.0:
         return 0.0
     q = _up(_up(h, 3) / t, 1) if t > 0.0 else math.inf
@@ -705,8 +719,9 @@ _LINE_MEMO = 1 << 12     # line radii a segment-kernel memo holds at most
 
 def _unit_bounds(d: list) -> tuple:
     """Bounds q_j >= |u_j| on the coordinates of the unit direction
-    u = (b - a)/|b - a|, given ``d``, the plain floats of fl(b - a) as
-    :func:`_touching_disc_upper` reads them, not all zero.
+    u = (b - a)/|b - a|, given ``d``, the real and imaginary parts of
+    fl(b - a) from :func:`_difference_parts`, which
+    :func:`_touching_disc_upper` reads too, not all zero.
 
     Each part of fl(b - a) is rounded once, ``math.hypot`` errs by under
     1 ulp, and the quotient is rounded once, so |u_j| <= fl(h_j/h)(1 + 8u)
@@ -930,16 +945,24 @@ class HalfPlane(Domain):
         return {"kind": "halfplane"}
 
 
+def _dimension(n, kind: str) -> int:
+    """``n`` as a domain dimension: an integer >= 1.  A float, a bool, a
+    NaN or anything else that is no integer raises ``GeometryError``, as
+    :func:`domain_from_json` does for a JSON ``n``."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise GeometryError(f"{kind} dimension must be an integer >= 1, "
+                            f"got {n!r}")
+    return int(n)
+
+
 class Polydisc(Domain):
     """The unit polydisc D^n."""
 
     exact = True
 
     def __init__(self, n: int = 2):
-        if n < 1:
-            raise GeometryError("polydisc dimension must be >= 1")
-        self.dim = int(n)
-        self.bounding_radius = math.sqrt(n)
+        self.dim = _dimension(n, "polydisc")
+        self.bounding_radius = math.sqrt(self.dim)
 
     def exact_distance(self, x, y) -> float:
         return polydisc_distance(x, y)
@@ -1033,9 +1056,7 @@ class Ball(Domain):
     exact = True
 
     def __init__(self, n: int = 2):
-        if n < 1:
-            raise GeometryError("ball dimension must be >= 1")
-        self.dim = int(n)
+        self.dim = _dimension(n, "ball")
         self.bounding_radius = 1.0
 
     def exact_distance(self, x, y) -> float:
@@ -1155,15 +1176,36 @@ class Ellipsoid(Domain):
     """The complex ellipsoid { sum |z_j|^2 / a_j^2 < 1 }."""
 
     def __init__(self, axes: Sequence[float]):
-        axes = np.asarray(axes, dtype=float)
-        if len(axes) < 1 or not np.all((axes > 0) & (axes < math.inf)):
-            raise GeometryError("ellipsoid axes must be positive and finite")
+        try:
+            axes = np.asarray(axes, dtype=float)
+        except (TypeError, ValueError):
+            axes = None
+        if axes is None or axes.ndim != 1 or len(axes) < 1 \
+                or not np.all((axes > 0) & (axes < math.inf)):
+            raise GeometryError("ellipsoid axes must be a non-empty list of "
+                                "positive finite numbers")
         self.axes = axes
         self.dim = len(axes)
         self.bounding_radius = float(np.max(axes))
+        # the gauge's constants, computed once: a_j^2, the Lipschitz
+        # constant 2 sqrt(sum 1/a_j^2) of g and the smallest axis
+        self._a2 = (axes**2).tolist()
+        self._lip = 2.0 * math.sqrt(float(np.sum(1.0 / axes**2)))
+        self._min_axis = float(np.min(axes))
+
+    def _gauge(self, z: list) -> float:
+        """g(z) = sum |z_j|^2 / a_j^2 on Python floats, z a list of Python
+        complex numbers: z is in the ellipsoid exactly when g(z) < 1.
+        Membership and the inner radius read this one sum, so the radius
+        is > 0 exactly where ``contains`` holds."""
+        g = 0.0
+        for c, a2 in zip(z, self._a2):
+            r = abs(c)
+            g += r * r / a2
+        return g
 
     def _contains(self, z) -> bool:
-        return float(np.sum(np.abs(z) ** 2 / self.axes**2)) < 1.0
+        return self._gauge(z.tolist()) < 1.0
 
     def _project(self, z) -> tuple:
         u = real_view(z)
@@ -1171,16 +1213,24 @@ class Ellipsoid(Domain):
         return float(np.linalg.norm(u - p)), complex_view(p)
 
     def _inner_radius(self, z) -> float:
-        # two certified lower bounds for the boundary distance:
-        #   - Lipschitz: with g = sum |z_j|^2/a_j^2 and y the nearest boundary
-        #     point, 1 - g(z) <= sup ||grad g|| * delta <= 2 sqrt(sum 1/a_j^2) delta
-        #   - radial concavity: z = sqrt(g) u with u on the boundary, and
-        #     delta is concave, so delta(z) >= (1 - sqrt(g)) delta(0)
-        # outside, g >= 1 and both read <= 0, so the max is 0
-        g = float(np.sum(np.abs(z) ** 2 / self.axes**2))
-        lip = 2.0 * math.sqrt(float(np.sum(1.0 / self.axes**2)))
-        radial = (1.0 - math.sqrt(g)) * float(np.min(self.axes))
-        return max(0.0, (1.0 - g) / lip, radial)
+        return self._node(z.tolist())[0]
+
+    def _node(self, z: list) -> tuple:
+        """``(radius, radius)``: the inner radius at the list ``z``, the
+        larger of two certified lower bounds for the boundary distance:
+
+        * Lipschitz: with y the nearest boundary point,
+          1 - g(z) <= sup ||grad g|| * delta <= 2 sqrt(sum 1/a_j^2) delta;
+        * radial concavity: z = sqrt(g) u with u on the boundary, and delta
+          is concave, so delta(z) >= (1 - sqrt(g)) delta(0).
+
+        Outside, g >= 1 and both read <= 0, so the max is 0.  The gauge is
+        plain double, not rounded outward.
+        """
+        g = self._gauge(z)
+        r = max(0.0, (1.0 - g) / self._lip,
+                (1.0 - math.sqrt(g)) * self._min_axis)
+        return r, r
 
     def _directional_distance(self, z, v, stop=-math.inf) -> float:
         v = v / np.linalg.norm(v)
@@ -1533,13 +1583,14 @@ class OmegaPsi(Domain):
         and the bound runs on Python floats.  Outside, the vertical gap or
         the cap gap is <= 0, and so is the bound.
         """
-        return self._node(z)[0]
+        return self._node(z.tolist())[0]
 
-    def _node(self, z) -> tuple:
-        """``(radius, factor)`` of the generic kernel: the inner radius, and
-        as the factor the plain floats :meth:`_line_radius` reads, the
-        inner radius, |x1|, |y1|, |y2|, x2 and the cap gap."""
-        z1, z2 = z.tolist()
+    def _node(self, z: list) -> tuple:
+        """``(radius, factor)`` of the generic kernel at the list ``z``: the
+        inner radius, and as the factor the plain floats
+        :meth:`_line_radius` reads, the inner radius, |x1|, |y1|, |y2|, x2
+        and the cap gap."""
+        z1, z2 = z
         x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
         cap = self._cap_gap(z1, z2)
         gap = x2 - self._wall(x1, y1, y2)

@@ -34,8 +34,9 @@ its logs), the generic kernel's touching-disc term, Omega_psi's line
 radius (its wall bound rounded up) and the chord's and the solver's
 segment sums :func:`~koblab.geometry._sum_up`.  Still plain double: the
 model ``distance_bracket`` [d, d], the directional lower at
-``ray_exit``'s midpoint, the half-plane projection bound, and the bidisc
-paths' artanh grids.
+``ray_exit``'s midpoint, the half-plane projection bound, the bidisc
+paths' artanh grids, and the ellipsoid gauge sum |z_j|^2/a_j^2 that its
+inner radius reads.
 """
 
 from __future__ import annotations
@@ -519,29 +520,30 @@ def distance_lower_bound(domain: Domain, x, y, tube: bool = True) -> float:
 _SPLIT_TERM = 0.5 * math.log(3.0)
 
 
-def _certified_chain_upper(kernels, a: np.ndarray, b: np.ndarray,
+def _certified_chain_upper(kernels, a: list, b: list,
                            fa, fb, depth: int = 48) -> float:
     """Certified upper for k(a, b) along the segment [a, b].
 
     ``kernels`` are the domain's ``(point, node, terms, moved)`` of
-    :meth:`~koblab.geometry.Domain.segment_kernels`, and ``fa``, ``fb`` the
-    node factors of a and b.  A piece costs the max of its segment terms
-    when that is below artanh(1/2), i.e. on the generic kernel when the
-    piece is shorter than half its larger end radius; a longer one is
-    halved, each midpoint's factor is computed once and handed to both
-    halves, and the halves add rounding up.  The points stay arrays: on
-    the models ``point`` gives lists, which ``+`` would concatenate, but
-    models never reach the chord.
+    :meth:`~koblab.geometry.Domain.segment_kernels`, ``a`` and ``b`` points
+    in the kernels' form (``point`` of an array: a list of Python complex
+    numbers), and ``fa``, ``fb`` their node factors.  A piece costs the max
+    of its segment terms when that is below artanh(1/2), i.e. on the
+    generic kernel when the piece is shorter than half its larger end
+    radius; a longer one is halved, each midpoint's factor is computed
+    once and handed to both halves, and the halves add rounding up.  The
+    midpoint is taken coordinate by coordinate, the same floats as
+    ``0.5 * (a + b)`` on arrays.
     """
-    point, node, terms, _ = kernels
-    s = max(terms(point(a), point(b), fa, fb))
+    _, node, terms, _ = kernels
+    s = max(terms(a, b, fa, fb))
     if s < _SPLIT_TERM:
         return s
     if depth == 0:
         raise GeometryError("certified upper bound did not converge; "
                             "endpoints too close to the boundary")
-    mid = 0.5 * (a + b)
-    fm = node(point(mid))[1]
+    mid = [0.5 * (p + q) for p, q in zip(a, b)]
+    fm = node(mid)[1]
     return _sum_up([_certified_chain_upper(kernels, a, mid, fa, fm, depth - 1),
                     _certified_chain_upper(kernels, mid, b, fm, fb, depth - 1)])
 
@@ -561,8 +563,8 @@ def distance_bracket(domain: Domain, x, y) -> MetricBracket:
     lower = distance_lower_bound(domain, x, y)
     kernels = domain.segment_kernels()
     point, node, _, _ = kernels
-    upper = _certified_chain_upper(kernels, x, y, node(point(x))[1],
-                                   node(point(y))[1])
+    a, b = point(x), point(y)
+    upper = _certified_chain_upper(kernels, a, b, node(a)[1], node(b)[1])
     if lower > upper * (1.0 + 1e-12):
         # both sides are certified, so a real crossing means a broken domain
         raise GeometryError(f"bound crossing: lower {lower} > upper {upper}")

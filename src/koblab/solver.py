@@ -26,12 +26,12 @@ Domains supply the segment bounds through
 :meth:`~koblab.geometry.Domain.segment_kernels`, fetched once per solve and
 read directly, as the chord upper of :func:`koblab.metric.distance_bracket`
 reads them; the solver holds no per-domain code.  A stage converts its
-control points once into the kernels' point form (lists of Python
-complex numbers on the models, the arrays themselves on generic domains,
-whose kernel calls numpy domain methods) and keeps, for each control point, the factor its segment terms
-share (1 - |z_j|^2 per coordinate on the disc and polydisc, 1 - |z|^2 on
-the ball, the inner radius elsewhere, with on Omega_psi the plain floats
-its line radius reads), computed once per point by the kernels' ``node``.
+control points once into the kernels' point form, lists of Python
+complex numbers, and keeps, for each control point, the factor its
+segment terms share (1 - |z_j|^2 per coordinate on the disc and
+polydisc, 1 - |z|^2 on the ball, the inner radius elsewhere, with on
+Omega_psi the plain floats its line radius reads), computed once per
+point by the kernels' ``node``.
 For each segment it keeps its list of kernel terms: one disc distance per
 coordinate on the polydisc, a single term elsewhere.  The certified upper
 of a segment is the max of its terms and the drive objective their

@@ -457,7 +457,7 @@ def test_domain_protocol_closed_forms_and_kernels(domain, is_model):
             q = _unit_bounds((y - x).view(float).tolist())
             t = max(t, domain._line_radius(fx, q), domain._line_radius(fy, q))
             assert t > max(rx, ry)
-        assert seg(x, y) == _touching_disc_upper(x, y, t)
+        assert seg(x, y) == _touching_disc_upper((y - x).view(float).tolist(), t)
         assert seg(x, y) >= math.atanh(float(np.linalg.norm(y - x)) / t)
         return
     # the descent's kernel calls the closed form: one formula, same bits
@@ -1020,6 +1020,31 @@ def test_domains_reject_invalid_parameters(build):
     # and their midpoint (0, -0.2) is not
     with pytest.raises(GeometryError):
         build()
+
+
+@pytest.mark.parametrize("cls, arg, record", [
+    (Ellipsoid, [[1.0, 2.0]], {"kind": "ellipsoid", "axes": [[1.0, 2.0]]}),
+    (Ellipsoid, 2.0, {"kind": "ellipsoid", "axes": 2.0}),
+    (Ellipsoid, "ab", {"kind": "ellipsoid", "axes": "ab"}),
+    (Polydisc, 2.5, {"kind": "polydisc", "n": 2.5}),
+    (Ball, 2.7, {"kind": "ball", "n": 2.7}),
+    (Ball, math.nan, {"kind": "ball", "n": math.nan}),
+    (Ball, 0, {"kind": "ball", "n": 0}),
+], ids=["axes-nested", "axes-scalar", "axes-text", "polydisc-fractional",
+        "ball-fractional", "ball-nan", "ball-zero"])
+def test_constructors_reject_what_json_rejects(cls, arg, record):
+    # axes must be a 1-D sequence and n an integer >= 1, whether the domain
+    # comes from its constructor or from its JSON record
+    with pytest.raises(GeometryError):
+        cls(arg)
+    with pytest.raises(GeometryError):
+        domain_from_json(record)
+
+
+def test_constructors_take_integer_dimensions():
+    assert Polydisc(np.int64(3)).dim == 3
+    assert Ball(np.int32(2)).to_json() == {"kind": "ball", "n": 2}
+    assert Ellipsoid((1, 2)).dim == 2
 
 
 def test_ray_exit_bisection():

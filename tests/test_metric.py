@@ -20,6 +20,7 @@ from koblab.geometry import (
     Ellipsoid,
     GeometryError,
     HalfPlane,
+    LocalizedDomain,
     OmegaPsi,
     Polydisc,
     PsiSpec,
@@ -639,29 +640,46 @@ def test_ellipsoid_bracket_with_tiny_minimal_axis_coordinate(x, y):
     assert br.contains(ball_distance(x / a, y / a))
 
 
-class _CountingEllipsoid(Ellipsoid):
-    """An ellipsoid that records every point its inner radius sees."""
+class _CountingNodes:
+    """A domain that records every point its kernels' node sees."""
 
-    def __init__(self, axes):
-        super().__init__(axes)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.seen = []
 
-    def _inner_radius(self, z):
+    def _node(self, z):
         self.seen.append(np.asarray(z, dtype=complex).tobytes())
-        return super()._inner_radius(z)
+        return super()._node(z)
 
 
-def test_chain_upper_one_inner_radius_per_point():
-    dom = _CountingEllipsoid([1.0, 2.0])
-    x = np.array([0.95, 0.0], dtype=complex)
-    y = np.array([0.9j, 0.3], dtype=complex)
+class _CountingEllipsoid(_CountingNodes, Ellipsoid):
+    pass
+
+
+class _CountingOmegaPsi(_CountingNodes, OmegaPsi):
+    pass
+
+
+def _assert_one_node_per_point(dom, x, y):
+    # the chord asks the kernels' node once per point it visits
     kernels = dom.segment_kernels()
     point, node, _, _ = kernels
-    upper = _certified_chain_upper(kernels, x, y, node(point(x))[1],
-                                   node(point(y))[1])
+    a = point(np.array(x, dtype=complex))
+    b = point(np.array(y, dtype=complex))
+    upper = _certified_chain_upper(kernels, a, b, node(a)[1], node(b)[1])
     assert math.isfinite(upper)
     assert len(dom.seen) > 10        # the segment was subdivided
     assert len(dom.seen) == len(set(dom.seen))
+
+
+def test_chain_upper_one_inner_radius_per_point():
+    _assert_one_node_per_point(_CountingEllipsoid([1.0, 2.0]),
+                               [0.95, 0.0], [0.9j, 0.3])
+
+
+def test_chain_upper_one_node_per_point_on_omega_psi():
+    _assert_one_node_per_point(_CountingOmegaPsi(PsiSpec("exp_neg_c_over_x")),
+                               [0.9j, 0.05], [0.2 + 0.3j, 0.1 + 0.05j])
 
 
 class _ScaledKernelEllipsoid(Ellipsoid):
@@ -756,6 +774,18 @@ BRACKET_PINS = [
 def test_distance_bracket_pinned_bit_for_bit(dom, x, y, lower, upper):
     br = distance_bracket(dom, x, y)
     assert (br.lower.hex(), br.upper.hex()) == (lower, upper)
+
+
+# a window about (0.3, 0.1i) of radius 0.6 lies inside both bases, so both
+# brackets are the window ball's; its chord runs through the default
+# ``Domain._node``, which turns the kernels' list back into an array
+@pytest.mark.parametrize("base", [Ball(2), Ellipsoid([1.0, 2.0])],
+                         ids=["ball", "ellipsoid"])
+def test_localized_bracket_pinned_bit_for_bit(base):
+    dom = LocalizedDomain(base, [0.3, 0.1j], 0.6)
+    br = distance_bracket(dom, _P(0.35, 0.15j), _P(0.1 + 0.1j, 0.2))
+    assert (br.lower.hex(), br.upper.hex()) == ("0x1.a6b2d17a85381p-2",
+                                                "0x1.9053f05ed6362p-1")
 
 
 def test_bracket_type_validation():

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from koblab.geometry import (Ball, Disc, Ellipsoid, Polydisc, _sum_up,
+from koblab.geometry import (Ball, Disc, Ellipsoid, Polydisc,
+                             _difference_parts, _sum_up,
                              _touching_disc_upper)
 from koblab.metric import (_boundary_contact, _dual_disjointness,
                            distance_bracket, pair_tube_bound)
@@ -176,7 +177,7 @@ def touching_segments(draw):
 @given(touching_segments())
 def test_touching_disc_upper_at_or_above_artanh(seg):
     a, b, t = seg
-    got = _touching_disc_upper(a, b, t)
+    got = _touching_disc_upper((b - a).view(float).tolist(), t)
     with mpmath.workdps(DIGITS):
         q = mp_norm(a, b) / mpmath.mpf(t)
         if q >= 1:
@@ -186,13 +187,13 @@ def test_touching_disc_upper_at_or_above_artanh(seg):
 
 
 def test_touching_disc_upper_edges():
-    a = np.array([0.25 + 0.1j, -0.2j])
-    assert _touching_disc_upper(a, a.copy(), 0.5) == 0.0
-    b = a + np.array([0.5, 0.0])     # |b - a| = 0.5 exactly
-    assert _touching_disc_upper(a, b, 0.5) == math.inf
-    assert _touching_disc_upper(a, b, 0.0) == math.inf
-    assert _touching_disc_upper(a, b, -1.0) == math.inf
-    assert _touching_disc_upper(a, b, 1.0) >= math.atanh(0.5)
+    a = [0.25 + 0.1j, -0.2j]
+    assert _touching_disc_upper(_difference_parts(a, list(a)), 0.5) == 0.0
+    d = _difference_parts(a, [a[0] + 0.5, a[1]])     # |b - a| = 0.5 exactly
+    assert _touching_disc_upper(d, 0.5) == math.inf
+    assert _touching_disc_upper(d, 0.0) == math.inf
+    assert _touching_disc_upper(d, -1.0) == math.inf
+    assert _touching_disc_upper(d, 1.0) >= math.atanh(0.5)
 
 
 @given(st.lists(st.floats(0.0, 1e6) | st.floats(0.0, 1e-290), min_size=1,
@@ -234,6 +235,41 @@ def test_ellipsoid_bracket_upper_at_or_above_distance(pair):
     dom = Ellipsoid(list(AXES))
     assume(dom.contains(x) and dom.contains(y))
     assert distance_bracket(dom, x, y).upper >= mp_ellipsoid(x, y)
+
+
+GAUGE_ELLIPSOIDS = [Ellipsoid((1.0, 2.0)), Ellipsoid((1.0, 1.5, 3.0))]
+
+
+@st.composite
+def gauge_points(draw, dom):
+    """Points s u a of Ellipsoid(a), u a unit vector, so the gauge is about
+    s^2: inside at depth 1 - s log-uniform from 1e-12 to 1, or outside with
+    s - 1 log-uniform from 1e-12 to 1."""
+    gap = 10.0 ** draw(st.floats(-12.0, 0.0))
+    s = 1.0 - gap if draw(st.booleans()) else 1.0 + gap
+    return s * draw(unit_vectors(dom.dim)) * dom.axes
+
+
+@pytest.mark.parametrize("dom", GAUGE_ELLIPSOIDS,
+                         ids=[f"ellipsoid-{len(d.axes)}" for d in GAUGE_ELLIPSOIDS])
+@given(data=st.data())
+def test_ellipsoid_gauge_radius_agrees_with_membership(dom, data):
+    # membership and the kernels' node read one gauge: the radius is > 0
+    # exactly where the point is inside, and the public inner radius is the
+    # node's, both with no slack
+    z = data.draw(gauge_points(dom))
+    r = dom._node(z.tolist())[0]
+    assert dom.contains(z) is (r > 0.0)
+    assert dom.inner_radius_fast(z) == r
+    if r > 0.0:
+        # the gauge is plain double, not rounded outward: on the minimal
+        # axes the radial bound equals the distance in real arithmetic, and
+        # its float overshoots the float projection by up to about 2 u
+        # max(a), e.g. 0.10000000000000009 against 0.09999999999999996 at
+        # (0.9(1 + i)/sqrt 2, 0) in Ellipsoid((1, 2)); the slack is the
+        # gauge's (n + 4) u error bound, doubled for the projection's
+        slack = 2 * (dom.dim + 4) * 2.0 ** -53 * float(max(dom.axes))
+        assert r <= dom.boundary_distance(z) + slack
 
 
 ELLIPSOID_SOLVES = (
