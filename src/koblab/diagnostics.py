@@ -699,6 +699,7 @@ def localization_check(d_big: Domain, u_center, u_radius: float,
         def draw() -> np.ndarray:
             u = rng.standard_normal(2 * d_big.dim)
             u = complex_view(u / np.linalg.norm(u))
+            # the outer end of the exit: frac >= 1e-3 keeps the draw inside
             t_exit = ray_exit(window.ray(anchor, u), 2.0 * v_radius)
             frac = 10.0 ** rng.uniform(-3.0, math.log10(0.5))
             return anchor + (1.0 - frac) * t_exit * u

@@ -1,7 +1,8 @@
 """Convex domains in C^n with certified boundary queries.
 
-Everything downstream (metric brackets, geodesic search, visibility probes)
-reduces to a handful of geometric primitives on an open convex domain D:
+Everything downstream (distance brackets, geodesic search, visibility
+probes) reduces to a handful of geometric primitives on an open convex
+domain D:
 
 * membership,
 * Euclidean distance to the boundary,
@@ -14,14 +15,14 @@ reduces to a handful of geometric primitives on an open convex domain D:
 
 Model domains (disc, half-plane, polydisc, ball, ellipsoid) implement these
 with closed forms.  The four Kobayashi models (disc, half-plane, polydisc,
-ball) also carry their closed-form distance and metric, and the bounded
-three the geodesic solver's segment kernels, through the ``Domain``
-protocol.  The graph-type
-domain used in the flat-boundary experiments falls back to generic ray
-machinery with bisection along each ray, and so does the iterated minimal
-basis past its first contact on such a domain: the later slice of a
-2-dimensional domain is the directional phase scan.  Those code paths
-carry self-checks in the test suite instead of closed-form guarantees.
+ball) also carry their closed-form distance, and the bounded three the
+geodesic solver's segment kernels, through the ``Domain`` protocol.  The
+graph-type domain used in the flat-boundary experiments falls back to
+generic ray machinery with bisection along each ray, and so does the
+iterated minimal basis past its first contact on such a domain: the later
+slice of a 2-dimensional domain is the directional phase scan.  Those code
+paths carry self-checks in the test suite instead of closed-form
+guarantees.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ class MinimalBasisResult:
 
 _DIRECTION_SEED = 91261
 _RAY_REL_TOL = 1e-9     # relative width at which ray_exit stops bisecting
-_SCAN_PHASES = 64       # phases scan_directional_distance samples
+_SCAN_PHASES = 16       # phases scan_directional_distance samples
 
 
 def _unit_directions(dim_real: int, count: int) -> np.ndarray:
@@ -160,17 +161,22 @@ def ray_exit(
     z + t*u lies in a convex domain holding z (``_contains(z + t*u)`` by
     default, a plain-float test on ``OmegaPsi``; see :meth:`Domain.ray`).
     The exit time is capped at ``hi_cap``: a doubling search brackets it,
-    then bisection narrows the bracket to relative width ``_RAY_REL_TOL``
-    and returns its midpoint.
+    then bisection narrows the bracket [lo, hi] to relative width
+    ``_RAY_REL_TOL`` and returns its outer end ``hi``, a probe that
+    ``inside`` rejected.  For a predicate true exactly on [0, T) that end
+    is at or past T, so a minimum of such ends over rays is an upper bound
+    on the least exit time among them.  The cap is returned as it is when
+    ``inside(hi_cap)`` holds, so callers pass a cap past every exit: a ray
+    from z leaves a domain within radius R of the origin by t = R + |z|.
 
     ``floor`` lets a caller that wants only exits at most ``floor`` stop
     early: the probes are the same and in the same order, but the search
     returns ``lo`` as soon as the inside end ``lo`` exceeds ``floor``.  The
-    cut is exact.  ``lo`` never decreases, and both full returns,
-    ``0.5*(lo + hi)`` with lo < hi and ``hi_cap``, are at least ``lo`` in
-    floating point, so the full search would also end strictly above
-    ``floor``.  A result at most ``floor`` is the full search's, bit for
-    bit; a larger one only says the full search ends above ``floor``.
+    cut is exact.  ``lo`` never decreases, and both full returns, ``hi``
+    and ``hi_cap``, exceed every inside probe, ``lo`` included, so the
+    full search would also end strictly above ``floor``.  A result at most
+    ``floor`` is the full search's, bit for bit; a larger one only says
+    the full search ends above ``floor``.
     """
     lo = 0.0
     hi = min(1e-3 * max(hi_cap, 1.0), hi_cap)
@@ -192,7 +198,7 @@ def ray_exit(
                 return lo
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return hi
 
 
 @functools.cache
@@ -235,54 +241,48 @@ def _first_shortest_exit(rays: Sequence[Callable[[float], bool]],
 
 def _phase_search(domain: "Domain", z: np.ndarray, v: np.ndarray,
                   stop: float = -math.inf) -> tuple:
-    """``(t, u)``: the shortest exit from z over the phases of the complex
-    line z + C v, and the unit direction u = e^(i theta) v / |v| whose ray
-    exits at t, so z + t*u is the line's nearest boundary point.
+    """``(t, u)``: the shortest exit from z over ``_SCAN_PHASES`` phases of
+    the complex line z + C v, and the unit direction u = e^(i theta) v / |v|
+    whose ray exits at t, so z + t*u is the line's sampled nearest
+    boundary point.
 
     The slice D cap (z + C v) is a planar convex region containing 0; its
-    boundary distance from 0 is the minimum over phases of the ray exit time.
-    Each exit time bisects ``domain.ray(z, u)`` (:meth:`Domain.ray`).
+    boundary distance from 0, the directional distance delta(z; v), is the
+    minimum over all phases of the ray exit time.  Each exit time bisects
+    ``domain.ray(z, u)`` (:meth:`Domain.ray`) and reads the outer end of
+    its bracket (:func:`ray_exit`), a point outside D.  So t, a minimum of
+    outer ends over some of the phases, is at least delta(z; v): an upper
+    bound, the side the directional lower bound
+    1/2 log(1 + |x - y|/t) needs.  No search refines t between the phases:
+    on the Omega_psi case study a Brent polish doubled the probes for a
+    lower bound about 1e-4 nat tighter.
 
-    The ``_SCAN_PHASES`` equally spaced phases are searched by
-    :func:`_first_shortest_exit`: coarse to fine, each bisection stopped
-    once it is known to exit after the running minimum.  The minimum and
-    its phase (the first on a tie, as ``np.argmin`` picks) are those of
-    the full scan, bit for bit.  A bounded Brent search over the two
-    neighbouring phase intervals then polishes that minimum.
+    The equally spaced phases are searched by :func:`_first_shortest_exit`:
+    coarse to fine, each bisection stopped once it is known to exit after
+    the running minimum.  The minimum and its phase (the first on a tie,
+    as ``np.argmin`` picks) are those of the full scan, bit for bit.
 
     ``stop`` is for callers that keep t only when it exceeds ``stop`` (a
-    running maximum, say).  The phase search returns as soon as its
-    running minimum is at most ``stop``, skipping the phases left and the
-    polish; the polish only lowers t, so the full search's t is at most
-    ``stop`` too.  A t at most ``stop`` says only that; a t above ``stop``
-    is the full search's, bit for bit.  The default never stops.
+    running maximum, say).  The search returns as soon as its running
+    minimum is at most ``stop``, skipping the phases left, so the full
+    search's t is at most ``stop`` too.  A t at most ``stop`` says only
+    that; a t above ``stop`` is the full search's, bit for bit, and so is
+    its u.  The default never stops.
     """
     v = v / np.linalg.norm(v)
     cap = 4.0 * domain.bounding_radius + float(np.linalg.norm(z)) + 1.0
-
-    def ray_at(theta: float) -> Callable[[float], bool]:
-        return domain.ray(z, np.exp(1j * theta) * v)
-
-    def r_of(theta: float) -> float:
-        return ray_exit(ray_at(theta), cap)
-
     thetas = np.linspace(0.0, 2.0 * math.pi, _SCAN_PHASES, endpoint=False)
-    best, k = _first_shortest_exit([ray_at(t) for t in thetas], cap, stop)
-    if best > stop:
-        h = 2.0 * math.pi / _SCAN_PHASES
-        res = optimize.minimize_scalar(
-            r_of, bounds=(thetas[k] - h, thetas[k] + h), method="bounded",
-            options={"xatol": 1e-10},
-        )
-        if res.fun < best:
-            return float(res.fun), np.exp(1j * res.x) * v
+    best, k = _first_shortest_exit(
+        [domain.ray(z, np.exp(1j * theta) * v) for theta in thetas], cap, stop)
     return best, np.exp(1j * thetas[k]) * v
 
 
 def scan_directional_distance(domain: "Domain", z: np.ndarray,
                               v: np.ndarray, stop: float = -math.inf) -> float:
     """Directional distance by scanning phases of the complex disc slice:
-    the exit time t of :func:`_phase_search`, with its ``stop``."""
+    the exit time t of :func:`_phase_search`, with its ``stop``: the least
+    outer end of the sampled rays, so at least delta(z; v) wherever the
+    ray predicate decides membership exactly."""
     return _phase_search(domain, z, v, stop)[0]
 
 
@@ -337,8 +337,8 @@ class Domain:
     ``nearest_boundary_point`` read the distance and the contact of the
     domain's one metric projection ``_project``.
 
-    ``exact`` marks the model domains: their Kobayashi distance and metric
-    have closed forms, which their segment kernels call, and
+    ``exact`` marks the model domains: their Kobayashi distance has a
+    closed form, which their segment kernels call, and
     ``exact_error(d, delta)`` bounds the distance's rounding error, delta
     the pair's smaller kernel radius.
     """
@@ -439,10 +439,6 @@ class Domain:
     def exact_distance(self, x: np.ndarray, y: np.ndarray):
         """Closed-form Kobayashi distance between interior points, or None."""
         return None
-
-    def exact_metric(self, z: np.ndarray, X: np.ndarray) -> float:
-        """Closed-form Kobayashi metric of X at z."""
-        raise GeometryError(f"no closed-form metric for {type(self).__name__}")
 
     def segment_kernels(self):
         """The ``(point, node, terms, moved)`` closures of the geodesic
@@ -615,8 +611,10 @@ class Domain:
 
     def exit_point(self, base: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Where the ray base + t*u (u a unit vector, base interior) leaves
-        the domain, by :func:`ray_exit` with the exit time capped at
-        4 * bounding_radius + 1."""
+        the domain: t is the outer end of :func:`ray_exit`, capped at
+        4 * bounding_radius + 1, so the point lies on the boundary or up
+        to ``_RAY_REL_TOL`` relative past it.  Its callers step inward from
+        it and test membership."""
         cap = 4.0 * self.bounding_radius + 1.0
         return base + ray_exit(self.ray(base, u), cap) * u
 
@@ -870,9 +868,6 @@ class Disc(Domain):
     def exact_distance(self, x, y) -> float:
         return disc_distance(x[0], y[0])
 
-    def exact_metric(self, z, X) -> float:
-        return abs(X[0]) / (1.0 - abs(z[0]) ** 2)
-
     def exact_error(self, d, delta) -> float:
         return _UNIT_ROUNDOFF * (2.0 * d + 13.0 / delta)
 
@@ -915,9 +910,6 @@ class HalfPlane(Domain):
 
     def exact_distance(self, x, y) -> float:
         return halfplane_distance(x[0], y[0])
-
-    def exact_metric(self, z, X) -> float:
-        return abs(X[0]) / (2.0 * z[0].imag)
 
     def exact_error(self, d, delta) -> float:
         return _UNIT_ROUNDOFF * (2.0 * d + 6.0)
@@ -966,9 +958,6 @@ class Polydisc(Domain):
 
     def exact_distance(self, x, y) -> float:
         return polydisc_distance(x, y)
-
-    def exact_metric(self, z, X) -> float:
-        return max(abs(X[j]) / (1.0 - abs(z[j]) ** 2) for j in range(self.dim))
 
     exact_error = Disc.exact_error
 
@@ -1061,13 +1050,6 @@ class Ball(Domain):
 
     def exact_distance(self, x, y) -> float:
         return ball_distance(x, y)
-
-    def exact_metric(self, z, X) -> float:
-        nz2 = float(np.vdot(z, z).real)
-        nX2 = float(np.vdot(X, X).real)
-        zx = complex(np.sum(X * np.conj(z)))
-        s = 1.0 - nz2
-        return math.sqrt((nX2 * s + abs(zx) ** 2)) / s
 
     def exact_error(self, d, delta) -> float:
         return _UNIT_ROUNDOFF * (2.0 * d + (3 * self.dim + 16.0) / delta)
@@ -1233,12 +1215,68 @@ class Ellipsoid(Domain):
         return r, r
 
     def _directional_distance(self, z, v, stop=-math.inf) -> float:
-        v = v / np.linalg.norm(v)
-        a2 = self.axes**2
-        A = float(np.sum(np.abs(z) ** 2 / a2))
-        C = float(np.sum(np.abs(v) ** 2 / a2))
-        beta = abs(np.sum(v * np.conj(z) / a2))
-        return (-beta + math.sqrt(beta * beta + C * (1.0 - A))) / C
+        """delta(z; v), rounded up: the closed form
+
+            t = (1 - A) |v| / (beta + sqrt(beta^2 + C (1 - A))),
+
+        A = g(z), C = sum |v_j|^2/a_j^2 and beta = |sum v_j conj(z_j)/a_j^2|.
+        The circle z + r e^(i theta) v/|v| leaves the ellipsoid first where
+        A + 2 r beta/|v| + r^2 C/|v|^2 = 1, and t is that root written
+        without the cancellation of -beta + sqrt(...).  It rises with 1 - A
+        and |v| and falls with beta and C, so an upper bound takes each
+        from the right side.
+
+        v is first scaled by a power of two to a largest part in [1/2, 1),
+        exactly (a part pushed below 2^-1022 rounds by under 2^-1074, far
+        inside the pads), so no square overflows or underflows.  With
+        u = 2^-53 and n = dim, every sum runs left to right on Python
+        floats:
+
+        * A is the gauge sum of :meth:`_gauge`, so A < 1 at interior z.
+          Each term |z_j|^2/a_j^2 errs by under 7u relative (hypot within
+          1 ulp, the square, the rounded a_j^2 and the quotient) and the
+          sum adds (n - 1)u, so |A - g| <= (n + 6)u g to first order;
+          with g < 1 + (n + 7)u that is at most (n + 7)u.  1 - A is exact
+          for A >= 1/2 and within u otherwise, so 1 - g is at most
+          fl(1 - A) + (n + 8)u; the pad is (n + 9)u and the sum steps one
+          float up.  This absolute pad is the price of the cancellation:
+          at depth d it adds about (n + 9)u/d of t.
+        * C, the same sum on v, is within (n + 6)u of itself relative, so
+          C (1 - (n + 7)u), stepped one float down, is below it.
+        * Each product v_j conj(z_j) errs by at most sqrt(5)u |v_j| |z_j|
+          (Brent, Percival and Zimmermann, Math. Comp. 76, 2007); dividing
+          both parts by the rounded a_j^2 adds 2u, and the complex sum
+          (n - 1)u of the sum of moduli.  By Cauchy-Schwarz that sum is
+          at most sqrt(C g), so the computed sum is within (n + 4)u
+          sqrt(C) of the exact one, and hypot adds 2u beta: beta is at
+          least beta' - (n + 5)u (beta' + sqrt(C')) for the computed
+          beta' and C'.  The pad is (n + 6)u (beta' + sqrt(C')), the extra
+          u covering second-order terms and the pad's own rounding; the
+          difference steps one float down and is floored at 0.
+        * |v| is ``math.hypot`` of the parts, within 1 ulp: two steps up.
+        * The rest are single correctly rounded operations, each stepped
+          one float its way (see :func:`_up`): the denominator down, the
+          numerator and the quotient up.
+        """
+        n = self.dim
+        parts = v.view(float).tolist()
+        e = math.frexp(max(abs(p) for p in parts))[1]
+        parts = [math.ldexp(p, -e) for p in parts]
+        v = [complex(parts[k], parts[k + 1]) for k in range(0, len(parts), 2)]
+        z = z.tolist()
+        A, C = self._gauge(z), self._gauge(v)
+        b = 0j
+        for zj, vj, a2 in zip(z, v, self._a2):
+            b += vj * zj.conjugate() / a2
+        u = _UNIT_ROUNDOFF
+        beta = abs(b)
+        beta = max(0.0, _down(beta - (n + 6) * u * (beta + math.sqrt(C)), 1))
+        C = _down(C * (1.0 - (n + 7) * u), 1)
+        s = _up((1.0 - A) + (n + 9) * u, 1)
+        norm = _up(math.hypot(*parts), 2)
+        den = _down(beta + _down(math.sqrt(
+            _down(_down(beta * beta, 1) + _down(C * s, 1), 1)), 1), 1)
+        return _up(_up(s * norm, 1) / den, 1) if den > 0.0 else math.inf
 
     def _supporting_normal(self, b) -> np.ndarray:
         nu = b / self.axes**2

@@ -1,20 +1,17 @@
-"""Kobayashi metric and distance: exact model formulas, certified bounds.
+"""Kobayashi distance: exact model formulas, certified bounds.
 
 Model domains (disc, half-plane, polydisc, ball) have closed forms and get
 degenerate [exact, exact] distance brackets.  The closed forms live in
-:mod:`koblab.geometry` as ``Domain.exact_distance`` and
-``Domain.exact_metric``; the pair distances ``disc_distance``,
-``halfplane_distance``, ``polydisc_distance`` and ``ball_distance`` are
-re-exported here.  Everything else is handled by two-sided interval
-arithmetic:
+:mod:`koblab.geometry` as ``Domain.exact_distance``; the pair distances
+``disc_distance``, ``halfplane_distance``, ``polydisc_distance`` and
+``ball_distance`` are re-exported here.  Everything else is handled by
+two-sided interval arithmetic:
 
-* the infinitesimal metric is pinned between ``|X|/(2t)`` and ``|X|/t`` where
-  ``t`` is the directional boundary distance (the largest flat disc through
-  ``z`` in direction ``X``), which is the standard convex-domain squeeze;
 * distance lower bounds come from holomorphic projections onto half-planes
-  (contraction under holomorphic maps), assembled in
-  :func:`distance_lower_bound`, which takes each endpoint's boundary
-  distance and contact from one :meth:`~koblab.geometry.Domain._project`;
+  (contraction under holomorphic maps) and from the directional squeeze
+  along the chord, assembled in :func:`distance_lower_bound`, which takes
+  each endpoint's boundary distance and contact from one
+  :meth:`~koblab.geometry.Domain._project`;
 * distance upper bounds come from summing per-segment certified terms
   along explicit paths.  Both paths, the subdivided chord of
   :func:`distance_bracket` and the geodesic descent of :mod:`koblab.solver`,
@@ -26,15 +23,17 @@ arithmetic:
   the flat segment, where the inner radius is about eps.
 
 Every side rests on an inequality that holds exactly: lower bounds only use
-certified under-estimates of boundary distances, upper bounds only use
-certified inner and line radii.  In floating point these sides round
-outward: the model closed forms (each within its derived ``exact_error``,
-which the solver widens by), the pair-tube bound (its dual, its gaps and
-its logs), the generic kernel's touching-disc term, Omega_psi's line
-radius (its wall bound rounded up) and the chord's and the solver's
-segment sums :func:`~koblab.geometry._sum_up`.  Still plain double: the
-model ``distance_bracket`` [d, d], the directional lower at
-``ray_exit``'s midpoint, the half-plane projection bound, the bidisc
+certified under-estimates of boundary distances and over-estimates of
+directional distances, upper bounds only use certified inner and line
+radii.  In floating point these sides round outward: the model closed
+forms (each within its derived ``exact_error``, which the solver widens
+by), the pair-tube bound (its dual, its gaps and its logs), the
+directional branch (its log, and the ellipsoid's closed-form directional
+distance; the phase scan reads outer ray ends), the generic kernel's
+touching-disc term, Omega_psi's line radius (its wall bound rounded up)
+and the chord's and the solver's segment sums
+:func:`~koblab.geometry._sum_up`.  Still plain double: the model
+``distance_bracket`` [d, d], the half-plane projection bound, the bidisc
 paths' artanh grids, and the ellipsoid gauge sum |z_j|^2/a_j^2 that its
 inner radius reads.
 """
@@ -51,6 +50,7 @@ from .geometry import (
     Domain,
     GeometryError,
     _UNIT_ROUNDOFF,
+    _difference_parts,
     _down,
     _lex_key,
     _sum_up,
@@ -65,7 +65,6 @@ from .geometry import (
 __all__ = [
     "SignedBracket",
     "MetricBracket",
-    "metric_bracket",
     "disc_distance",
     "halfplane_distance",
     "polydisc_distance",
@@ -117,25 +116,6 @@ class MetricBracket(SignedBracket):
                 f"bracket must satisfy 0 <= lower <= upper, got "
                 f"[{self.lower}, {self.upper}]")
         super().__post_init__()
-
-
-# ---------------------------------------------------------------------------
-# metric brackets (the closed forms live on the domains)
-# ---------------------------------------------------------------------------
-
-
-def metric_bracket(domain: Domain, z, X) -> MetricBracket:
-    """The convex squeeze [|X|/(2t), |X|/t] with t the directional distance."""
-    z, X = as_carray(z), as_carray(X)
-    nX = float(np.linalg.norm(X))
-    if nX == 0.0:
-        raise GeometryError("metric_bracket needs X != 0")
-    t = domain.directional_distance(z, X)
-    if not t > 0.0:
-        raise GeometryError("directional distance evaluation failed")
-    if math.isinf(t):
-        return MetricBracket(0.0, 0.0)
-    return MetricBracket(nX / (2.0 * t), nX / t)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +308,18 @@ def _half_log_down(eta: float, gap: float) -> float:
     return 0.5 * _down(math.log(_down(eta / gap, 1)), 4)
 
 
+def _directional_bound(x: np.ndarray, y: np.ndarray, t: float) -> float:
+    """1/2 log(1 + |y - x|/t) rounded down, for t at least the directional
+    distance.  |y - x| is ``math.hypot`` of the parts of fl(y - x), each
+    rounded once, stepped three floats down: one for the subtraction and
+    two for hypot's ulp, the mirror of
+    :func:`~koblab.geometry._touching_disc_upper`.  The quotient is stepped
+    one float down and libm log1p is allowed 2 ulps, four steps down, as
+    in :func:`_half_log_down`; halving is exact."""
+    u = _down(math.hypot(*_difference_parts(x.tolist(), y.tolist())), 3)
+    return 0.5 * _down(math.log1p(_down(u / t, 1)), 4)
+
+
 def pair_tube_bound(domain: Domain, x, y, *, contacts=None):
     """Additive two-projection lower bound for deep boundary-hugging pairs.
 
@@ -483,17 +475,20 @@ def distance_lower_bound_detailed(domain: Domain, x, y, tube: bool = True):
 
     # (c) directional bound along the chord (repaired reading); only the
     # larger end counts, so the end farther from the boundary is scanned
-    # first and its t stops the other scan (exact, see directional_distance)
-    u = float(np.linalg.norm(y - x))
-    if up_x >= up_y:
-        t_x = domain.directional_distance(x, y - x)
-        t_y = domain.directional_distance(y, y - x, stop=t_x)
-    else:
-        t_y = domain.directional_distance(y, y - x)
-        t_x = domain.directional_distance(x, y - x, stop=t_y)
-    t = max(t_x, t_y)
-    if math.isfinite(t) and t > 0.0:
-        branches["directional"] = 0.5 * math.log1p(u / t)
+    # first and its t stops the other scan (exact, see directional_distance).
+    # A chord whose norm underflows to 0 gives no direction, and its branch
+    # would be below 1e-300: it is left out
+    v = y - x
+    if np.linalg.norm(v) > 0.0:
+        if up_x >= up_y:
+            t_x = domain.directional_distance(x, v)
+            t_y = domain.directional_distance(y, v, stop=t_x)
+        else:
+            t_y = domain.directional_distance(y, v)
+            t_x = domain.directional_distance(x, v, stop=t_y)
+        t = max(t_x, t_y)
+        if math.isfinite(t) and t > 0.0:
+            branches["directional"] = _directional_bound(x, y, t)
 
     # (d) additive pair bound for deep pairs
     if tube:

@@ -394,7 +394,9 @@ def test_localize_sound_run_with_positive_overhead(tmp_path):
                     "--v-radius", "0.3", "--pairs", "60", "--seed", "1",
                     "--out", str(out), "--reproducible"]) == 0
     rep = json.loads((out / "localize-run.json").read_text())["report"]
-    assert rep["fitted_parameters"]["C_emp"] == 0.020228470865726544
+    # re-recorded (0x1.4b6c5b343fa40p-6 before) when the pair draws began
+    # to read the outer end of the window ray exit
+    assert rep["fitted_parameters"]["C_emp"] == 0.020228470950332533
     for s in rep["samples"]:
         assert s["upper"] is None
         assert s["lower"] <= s["statistic"] == \

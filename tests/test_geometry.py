@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+from koblab import geometry
 from koblab.geometry import (
     AmbiguousProjectionError,
     Ball,
@@ -28,7 +29,9 @@ from koblab.geometry import (
     Polydisc,
     PsiSpec,
     _null_basis,
+    _phase_search,
     _RAY_REL_TOL,
+    _SCAN_PHASES,
     _touching_disc_upper,
     _unit_bounds,
     as_carray,
@@ -38,7 +41,7 @@ from koblab.geometry import (
     scan_directional_distance,
     to_pairs,
 )
-from koblab.metric import distance_lower_bound, metric_bracket
+from koblab.metric import distance_lower_bound
 
 
 def brute_directional(domain, z, v, n_theta=512):
@@ -313,15 +316,13 @@ DIRECTION_CASES = [
 def test_directional_distance_rejects_bad_directions(dom, z):
     # a direction of the wrong length must not broadcast or be cut short,
     # and a zero direction must not divide by zero, in every override and
-    # in the generic scan, nor in the metric bracket built on them
+    # in the generic scan
     bad = [[1.0] * (dom.dim + 1), [0.0] * dom.dim]
     if dom.dim > 1:
         bad.append([1.0] * (dom.dim - 1))
     for v in bad:
         with pytest.raises(GeometryError):
             dom.directional_distance(z, v)
-        with pytest.raises(GeometryError):
-            metric_bracket(dom, z, v)
     assert dom.directional_distance(z, [1.0] + [0.0] * (dom.dim - 1)) > 0.0
 
 
@@ -446,8 +447,6 @@ def test_domain_protocol_closed_forms_and_kernels(domain, is_model):
         a, b = point(p), point(q)
         return max(terms(a, b, node(a)[1], node(b)[1]))
     if not is_model:
-        with pytest.raises(GeometryError):
-            domain.exact_metric(x, y - x)
         # the generic kernel calls the one rounded-up touching-disc bound
         # at the larger of the node radii and, where the domain has one,
         # the line radii of both ends: one formula, same bits
@@ -848,11 +847,13 @@ MINIMAL_BASIS_PINS = [
      '-0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 '
      '0x0.0p+0 0x0.0p+0 -0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 '
      '0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.0000000000000p+1 0x0.0p+0'),
+    # tau_1 and its contact re-recorded (0x1.0c76e86c4fd2ap+0 before) when
+    # the phase scan began to read 16 phases of outer ray ends, unpolished
     ('omega_psi', [1j, 0.05],
-     '0x1.999999999999ap-5 0x1.0c76e86c4fd2ap+0',
+     '0x1.999999999999ap-5 0x1.0c76e86e1a9dap+0',
      '0x0.0p+0 0x0.0p+0 -0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0 '
      '0x0.0p+0 0x0.0p+0 0x0.0p+0',
-     '0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x1.0c76e86c4fd2ap+0 '
+     '0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x1.0c76e86e1a9dap+0 '
      '0x1.0000000000000p+0 0x1.999999999999ap-5 0x0.0p+0'),
 ]
 
@@ -1220,24 +1221,15 @@ def test_omega_psi_cap_gap_decides_on_the_sphere(psi):
     assert seen == {True, False}
 
 
-def unpruned_scan(domain, z, v, n_theta=64):
-    """The full phase scan: every phase's ray bisected to the end, the
-    first least exit by ``np.argmin``, then the same Brent polish."""
+def unpruned_scan(domain, z, v, n_theta=_SCAN_PHASES):
+    """``(t, u)`` of the full phase scan: every phase's ray bisected to the
+    end, and the first least exit by ``np.argmin`` with its direction."""
     v = v / np.linalg.norm(v)
     cap = 4.0 * domain.bounding_radius + float(np.linalg.norm(z)) + 1.0
-
-    def r_of(theta):
-        return ray_exit(domain.ray(z, np.exp(1j * theta) * v), cap)
-
     thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    values = [r_of(t) for t in thetas]
+    values = [ray_exit(domain.ray(z, np.exp(1j * t) * v), cap) for t in thetas]
     k = int(np.argmin(values))
-    h = 2.0 * math.pi / n_theta
-    res = optimize.minimize_scalar(
-        r_of, bounds=(thetas[k] - h, thetas[k] + h), method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return float(min(res.fun, values[k]))
+    return values[k], np.exp(1j * thetas[k]) * v
 
 
 SCAN_DOMAINS = {
@@ -1246,90 +1238,14 @@ SCAN_DOMAINS = {
     "localized": LocalizedDomain(OmegaPsi(PSI_PROFILES[0]),
                                  np.array([0.5j, 0.05 + 0j]), 0.3),
 }
-
-
-@pytest.mark.parametrize("name", list(SCAN_DOMAINS))
-@settings(max_examples=40)
-@given(data=st.data())
-def test_scan_directional_distance_matches_unpruned(name, data):
-    dom = SCAN_DOMAINS[name]
-    if name == "localized":
-        y1 = data.draw(st.floats(0.3, 0.7))
-        x1 = data.draw(st.floats(-0.1, 0.1, allow_subnormal=False))
-    else:
-        y1 = data.draw(st.floats(-2.6, 2.6))
-        x1 = data.draw(st.floats(-0.5, 0.5, allow_subnormal=False))
-    y2 = data.draw(st.floats(-0.1, 0.1))
-    gap = 10.0 ** data.draw(st.floats(-6.0, -1.0))
-    base = dom.base if name == "localized" else dom
-    z = np.array([complex(x1, y1), complex(base._wall(x1, y1, y2) + gap, y2)])
-    assume(dom.contains(z))
-    v = np.array([complex(data.draw(st.floats(-1.0, 1.0)),
-                          data.draw(st.floats(-1.0, 1.0)))
-                  for _ in range(2)])
-    assume(np.linalg.norm(v) > 1e-3)
-    assert scan_directional_distance(dom, z, v).hex() == \
-        unpruned_scan(dom, z, v).hex()
-
-
-class _TwoDips(Domain):
-    """A planar region whose exit time is 1.0 at exactly two scan phases,
-    8 and 40 of 64, and 1.5 at the others; next to phase 40 it dips to
-    0.95, so which of the two tied phases the polish starts from shows in
-    the result."""
-    dim = 1
-    bounding_radius = 2.0
-    h = 2.0 * math.pi / 64
-
-    def ray(self, z, u):
-        phi = float(np.angle(u[0])) % (2.0 * math.pi)
-
-        def tent(center, width):
-            return max(0.0, 1.0 - abs(phi - center) / width)
-
-        h = self.h
-        r = 1.5 - 0.5 * max(tent(8 * h, h), tent(40 * h, h)) \
-            - 0.3 * tent(40.5 * h, 0.5 * h)
-        return lambda t: t < r
-
-
-def test_scan_ties_go_to_the_first_phase():
-    dom, z, v = _TwoDips(), np.array([0j]), np.array([1 + 0j])
-    t = scan_directional_distance(dom, z, v)
-    assert t.hex() == unpruned_scan(dom, z, v).hex()
-    assert t == pytest.approx(1.0, rel=1e-6)
-
-
-def test_scan_directional_distance_prunes_probes():
-    class Counting(OmegaPsi):
-        probes = 0
-
-        def ray(self, z, u):
-            inside = super().ray(z, u)
-
-            def counted(t):
-                Counting.probes += 1
-                return inside(t)
-            return counted
-
-    dom = Counting(PsiSpec("exp_neg_c_over_x"))
-    z = np.array([0.3j, complex(dom._wall(0.0, 0.3, 0.0) + 1e-3, 0.0)])
-    v = np.array([1.0 + 0j, 0.2j])
-    pruned = scan_directional_distance(dom, z, v)
-    n_pruned, Counting.probes = Counting.probes, 0
-    full = unpruned_scan(dom, z, v)
-    assert pruned.hex() == full.hex()
-    assert n_pruned <= 0.5 * Counting.probes
-
-
 STOP_DOMAINS = dict(SCAN_DOMAINS, ellipsoid=Ellipsoid([1.0, 1.5]),
                     ball=Ball(2))
 
 
 def _stop_case(name, data):
     """An interior point and a direction of a ``STOP_DOMAINS`` domain: near
-    the Omega_psi wall as in the unpruned-scan test, anywhere inside on the
-    closed-form domains."""
+    the Omega_psi wall, inside the window for the localized one, and
+    anywhere inside on the closed-form domains."""
     dom = STOP_DOMAINS[name]
     if name in SCAN_DOMAINS:
         if name == "localized":
@@ -1355,6 +1271,68 @@ def _stop_case(name, data):
     return dom, z, v
 
 
+@pytest.mark.parametrize("name", list(SCAN_DOMAINS))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_scan_directional_distance_matches_unpruned(name, data):
+    dom, z, v = _stop_case(name, data)
+    t, u = _phase_search(dom, z, v)
+    t_full, u_full = unpruned_scan(dom, z, v)
+    assert t.hex() == t_full.hex()
+    assert np.array_equal(u, u_full)
+    assert scan_directional_distance(dom, z, v).hex() == t.hex()
+
+
+class _TwoDips(Domain):
+    """A planar region whose exit time is 1.0 at exactly two scan phases,
+    6 and 12 of 16, and 1.5 at the others.  The coarse-to-fine scan visits
+    phase 12 first (0, 8, 4, 12, 2, 10, 6, ...), so the direction it
+    returns shows which of the two tied phases it keeps."""
+    dim = 1
+    bounding_radius = 2.0
+    h = 2.0 * math.pi / 16
+
+    def ray(self, z, u):
+        k = (float(np.angle(u[0])) % (2.0 * math.pi)) / self.h
+        r = 1.0 if min(abs(k - 6.0), abs(k - 12.0)) < 1e-9 else 1.5
+        return lambda t: t < r
+
+
+def test_scan_ties_go_to_the_first_phase():
+    assert _SCAN_PHASES == 16
+    dom, z, v = _TwoDips(), np.array([0j]), np.array([1 + 0j])
+    t, u = _phase_search(dom, z, v)
+    t_full, u_full = unpruned_scan(dom, z, v)
+    assert t.hex() == t_full.hex()
+    assert u[0] == u_full[0] == np.exp(1j * 6.0 * dom.h)
+    assert 1.0 <= t <= 1.0 + 1e-9
+
+
+class _CountingOmegaPsi(OmegaPsi):
+    """OmegaPsi whose rays count their probes."""
+    probes = 0
+
+    def ray(self, z, u):
+        inside = super().ray(z, u)
+
+        def counted(t):
+            _CountingOmegaPsi.probes += 1
+            return inside(t)
+        return counted
+
+
+def test_scan_directional_distance_prunes_probes():
+    dom = _CountingOmegaPsi(PsiSpec("exp_neg_c_over_x"))
+    z = np.array([0.3j, complex(dom._wall(0.0, 0.3, 0.0) + 1e-3, 0.0)])
+    v = np.array([1.0 + 0j, 0.2j])
+    _CountingOmegaPsi.probes = 0
+    pruned = scan_directional_distance(dom, z, v)
+    n_pruned, _CountingOmegaPsi.probes = _CountingOmegaPsi.probes, 0
+    full = unpruned_scan(dom, z, v)[0]
+    assert pruned.hex() == full.hex()
+    assert n_pruned <= 0.5 * _CountingOmegaPsi.probes
+
+
 @pytest.mark.parametrize("name", list(STOP_DOMAINS))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -1378,31 +1356,184 @@ def test_directional_distance_stop_is_exact(name, data):
     assert dom.directional_distance(z, v, stop=-math.inf).hex() == full.hex()
 
 
-def test_scan_stop_skips_phases_and_polish():
-    class Counting(OmegaPsi):
-        probes = 0
-
-        def ray(self, z, u):
-            inside = super().ray(z, u)
-
-            def counted(t):
-                Counting.probes += 1
-                return inside(t)
-            return counted
-
-    dom = Counting(PsiSpec("exp_neg_c_over_x"))
+def test_scan_stop_skips_phases():
+    # v points the first phase at the wall, so that phase exits first and
+    # meets a stop at twice the least exit: the stopped scan bisects that
+    # one ray in full, as ray_exit alone would, and skips the other
+    # _SCAN_PHASES - 1 phases, each of which the full scan probes at least
+    # once
+    dom = _CountingOmegaPsi(PsiSpec("exp_neg_c_over_x"))
     z = np.array([0.3j, complex(dom._wall(0.0, 0.3, 0.0) + 1e-3, 0.0)])
-    v = np.array([1.0 + 0j, 0.2j])
+    v = np.array([1j, -0.2 + 0j])
+    _CountingOmegaPsi.probes = 0
     full = scan_directional_distance(dom, z, v)
-    n_full, Counting.probes = Counting.probes, 0
-    # a stop at twice the value is met by the first phase alone
+    n_full, _CountingOmegaPsi.probes = _CountingOmegaPsi.probes, 0
+    cap = 4.0 * dom.bounding_radius + float(np.linalg.norm(z)) + 1.0
+    first = ray_exit(dom.ray(z, np.exp(0j) * v / np.linalg.norm(v)), cap)
+    n_first, _CountingOmegaPsi.probes = _CountingOmegaPsi.probes, 0
+    assert first.hex() == full.hex()
     stopped = scan_directional_distance(dom, z, v, stop=2.0 * full)
-    assert stopped <= 2.0 * full
-    assert Counting.probes <= 0.2 * n_full
-    Counting.probes = 0
+    assert stopped.hex() == full.hex()
+    assert _CountingOmegaPsi.probes == n_first
+    assert n_first <= n_full - (_SCAN_PHASES - 1)
+    _CountingOmegaPsi.probes = 0
     assert scan_directional_distance(dom, z, v, stop=0.5 * full).hex() == \
         full.hex()
-    assert Counting.probes == n_full
+    assert _CountingOmegaPsi.probes == n_full
+
+
+def brute_outer_min(domain, z, v, n_theta=4096):
+    """The least outer ray end over ``n_theta`` equally spaced phases: on
+    each ray the smallest float that ``domain.ray`` rejects, bisected to
+    adjacent floats.  The phases go in a seeded random order, and a ray
+    still inside at the running least end cannot lower it and is skipped,
+    which is exact for a predicate true on an interval [0, T)."""
+    v = v / np.linalg.norm(v)
+    best = 4.0 * domain.bounding_radius + float(np.linalg.norm(z)) + 1.0
+    thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    for k in np.random.default_rng(0).permutation(n_theta):
+        inside = domain.ray(z, np.exp(1j * thetas[k]) * v)
+        if inside(best):
+            continue
+        lo, hi = 0.0, best
+        while math.nextafter(lo, math.inf) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+        best = hi
+    return best
+
+
+# a point over the flat segment and the normal (0, 1): the line's nearest
+# boundary point is straight down at the wall, at phase pi, which both the
+# scan's grid and the brute grid hold, so there an inner ray end shows
+ALIGNED_SCAN_CASES = {
+    PSI_IDS[0]: np.array([0.5j, 1e-3 + 0j]),
+    PSI_IDS[1]: np.array([-1.2j, 1e-2 + 0j]),
+    "localized": np.array([0.5j, 1e-3 + 0j]),
+}
+NORMAL = np.array([0j, 1 + 0j])
+
+
+def _scan_shortfalls():
+    """The aligned cases whose scan t is below the brute least outer end."""
+    out = []
+    for name, z in ALIGNED_SCAN_CASES.items():
+        dom = SCAN_DOMAINS[name]
+        t = scan_directional_distance(dom, z, NORMAL)
+        if not t >= brute_outer_min(dom, z, NORMAL):
+            out.append(name)
+    return out
+
+
+@pytest.mark.parametrize("name", list(SCAN_DOMAINS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_scan_at_or_above_brute_outer_ends(name, data):
+    # the scan's t is a minimum of outer ends over 16 of the 4096 phases,
+    # so no slack: it is at least the 4096-phase least outer end
+    dom, z, v = _stop_case(name, data)
+    assert scan_directional_distance(dom, z, v) >= brute_outer_min(dom, z, v)
+
+
+def test_scan_at_or_above_brute_outer_ends_where_aligned():
+    assert _scan_shortfalls() == []
+
+
+def test_scan_soundness_check_catches_inner_ends(monkeypatch):
+    # a ray_exit that reports the inside end lo of its last bracket: the
+    # largest probe its predicate accepted
+    exact_exit = geometry.ray_exit
+
+    def inner_end(inside, hi_cap, floor=math.inf):
+        accepted = [0.0]
+
+        def recording(t):
+            ok = inside(t)
+            if ok:
+                accepted.append(t)
+            return ok
+        exact_exit(recording, hi_cap, floor)
+        return max(accepted)
+
+    monkeypatch.setattr(geometry, "ray_exit", inner_end)
+    assert _scan_shortfalls() == list(ALIGNED_SCAN_CASES)
+
+
+def ellipsoid_directional_exact(axes, z, v):
+    """delta(z; v) on the ellipsoid, to 50 digits, from the float inputs:
+    (1 - A)|v| / (beta + sqrt(beta^2 + C (1 - A)))."""
+    with mpmath.workdps(50):
+        a2 = [mpmath.mpf(float(a)) ** 2 for a in axes]
+        zs = [mpmath.mpc(c.real, c.imag) for c in z]
+        vs = [mpmath.mpc(c.real, c.imag) for c in v]
+        A = mpmath.fsum(abs(c) ** 2 / w for c, w in zip(zs, a2))
+        C = mpmath.fsum(abs(c) ** 2 / w for c, w in zip(vs, a2))
+        beta = abs(mpmath.fsum(p * mpmath.conj(c) / w
+                               for p, c, w in zip(vs, zs, a2)))
+        norm = mpmath.sqrt(mpmath.fsum(abs(c) ** 2 for c in vs))
+        return (1 - A) * norm / (beta + mpmath.sqrt(beta ** 2 + C * (1 - A)))
+
+
+ELLIPSOID_AXES = [(1.0, 2.0), (1.0, 1.5, 3.0)]
+
+
+def _ellipsoid_case(axes, w, v, depth):
+    """The point (1 - depth) a*w/|w|, a boundary point pulled in."""
+    w = np.asarray(w, dtype=complex)
+    return (1.0 - depth) * np.asarray(axes) * w / np.linalg.norm(w), \
+        np.asarray(v, dtype=complex)
+
+
+def _ellipsoid_shortfalls(cases):
+    """The cases whose directional distance is below the exact one."""
+    out = []
+    for axes, z, v in cases:
+        t = Ellipsoid(axes).directional_distance(z, v)
+        if not mpmath.mpf(t) >= ellipsoid_directional_exact(axes, z, v):
+            out.append((axes, z, v))
+    return out
+
+
+def _seeded_ellipsoid_cases(count=40):
+    rng = np.random.default_rng(17)
+    cases = []
+    for axes in ELLIPSOID_AXES:
+        n = len(axes)
+        for _ in range(count):
+            w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            z, v = _ellipsoid_case(axes, w, v, 10.0 ** rng.uniform(-12, -1))
+            cases.append((axes, z, v))
+    return cases
+
+
+@pytest.mark.parametrize("axes", ELLIPSOID_AXES, ids=["2d", "3d"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ellipsoid_directional_at_or_above_exact(axes, data):
+    n = len(axes)
+    part = st.floats(-1.0, 1.0)
+    w = [complex(data.draw(part), data.draw(part)) for _ in range(n)]
+    v = [complex(data.draw(part), data.draw(part)) for _ in range(n)]
+    assume(np.linalg.norm(w) > 1e-3 and np.linalg.norm(v) > 1e-6)
+    depth = 10.0 ** data.draw(st.floats(-12.0, -1.0))
+    z, v = _ellipsoid_case(axes, w, v, depth)
+    assume(Ellipsoid(axes).contains(z))
+    assert _ellipsoid_shortfalls([(axes, z, v)]) == []
+
+
+def test_ellipsoid_directional_seeded_at_or_above_exact():
+    assert _ellipsoid_shortfalls(_seeded_ellipsoid_cases()) == []
+
+
+def test_ellipsoid_soundness_check_catches_a_shrunk_t(monkeypatch):
+    exact_t = Ellipsoid._directional_distance
+
+    def shrunk(self, z, v, stop=-math.inf):
+        return exact_t(self, z, v, stop) * (1.0 - 1e-12)
+
+    monkeypatch.setattr(Ellipsoid, "_directional_distance", shrunk)
+    assert _ellipsoid_shortfalls(_seeded_ellipsoid_cases()) != []
 
 
 def inner_radius_reference(dom, z):

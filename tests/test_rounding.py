@@ -1,6 +1,7 @@
 """Outward rounding of the model closed forms, of the touching-disc bound,
-of the certified sum, of the solver's uppers and of the pair-tube bound,
-against 50-digit mpmath references computed apart from koblab."""
+of the certified sum, of the solver's uppers, of the pair-tube bound and
+of the directional branch, against 50-digit mpmath references computed
+apart from koblab."""
 
 import math
 
@@ -14,7 +15,8 @@ from koblab.geometry import (Ball, Disc, Ellipsoid, Polydisc,
                              _difference_parts, _sum_up,
                              _touching_disc_upper)
 from koblab.metric import (_boundary_contact, _dual_disjointness,
-                           distance_bracket, pair_tube_bound)
+                           distance_bracket, distance_lower_bound_detailed,
+                           pair_tube_bound)
 from koblab.solver import SolverConfig, solve_geodesic
 
 DIGITS = 50
@@ -328,4 +330,23 @@ def test_pair_tube_bound_at_or_below_its_exact_value(case):
         eta = mpmath.mpf(mu) / 2
         exact = (mpmath.log(eta / mp_gap(c_p, nu_p, x))
                  + mpmath.log(eta / mp_gap(c_q, nu_q, y))) / 2
+        assert mpmath.mpf(got) <= exact
+
+
+# ---------------------------------------------------------------------------
+# the directional branch rounds down, with no slack
+# ---------------------------------------------------------------------------
+
+
+@given(tube_pairs())
+def test_directional_branch_at_or_below_its_exact_value(case):
+    # 1/2 log(1 + |y - x|/t) at 50 digits, t the same larger directional
+    # distance of the chord's two ends
+    dom, x, y = case
+    assume(dom.contains(x) and dom.contains(y) and not np.array_equal(x, y))
+    got = distance_lower_bound_detailed(dom, x, y)[1].get("directional", 0.0)
+    t = max(dom.directional_distance(x, y - x),
+            dom.directional_distance(y, y - x))
+    with mpmath.workdps(DIGITS):
+        exact = mpmath.log1p(mp_norm(x, y) / mpmath.mpf(t)) / 2
         assert mpmath.mpf(got) <= exact
