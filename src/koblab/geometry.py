@@ -139,7 +139,7 @@ class MinimalBasisResult:
 
 _DIRECTION_SEED = 91261
 _RAY_REL_TOL = 1e-9     # relative width at which ray_exit stops bisecting
-_SCAN_PHASES = 16       # phases scan_directional_distance samples
+_SCAN_PHASES = 16       # phases _phase_search samples
 
 
 def _unit_directions(dim_real: int, count: int) -> np.ndarray:
@@ -277,15 +277,6 @@ def _phase_search(domain: "Domain", z: np.ndarray, v: np.ndarray,
     return best, np.exp(1j * thetas[k]) * v
 
 
-def scan_directional_distance(domain: "Domain", z: np.ndarray,
-                              v: np.ndarray, stop: float = -math.inf) -> float:
-    """Directional distance by scanning phases of the complex disc slice:
-    the exit time t of :func:`_phase_search`, with its ``stop``: the least
-    outer end of the sampled rays, so at least delta(z; v) wherever the
-    ray predicate decides membership exactly."""
-    return _phase_search(domain, z, v, stop)[0]
-
-
 def _null_basis(u: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the orthogonal complement of unit u in C^m."""
     m = len(u)
@@ -371,8 +362,8 @@ class Domain:
         only when it exceeds ``stop``: a result above ``stop`` is the
         unstopped one, bit for bit, and a result at most ``stop`` says only
         that the unstopped one is at most ``stop`` as well.  The phase scan
-        (:func:`scan_directional_distance`) uses it to skip work; the closed
-        forms ignore it.
+        (:func:`_phase_search`) uses it to skip work; the closed forms
+        ignore it.
         """
         return self._directional_distance(self._interior(z),
                                           self._direction(v), stop)
@@ -409,7 +400,7 @@ class Domain:
 
     def _directional_distance(self, z: np.ndarray, v: np.ndarray,
                               stop: float = -math.inf) -> float:
-        return scan_directional_distance(self, z, v, stop)
+        return _phase_search(self, z, v, stop)[0]
 
     def _supporting_normal(self, b: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -849,13 +840,92 @@ def _ball_distance(z: list, w: list, dz: float, dw: float) -> float:
     return max(0.0, 0.5 * math.log(num * num / (dz * dw)))
 
 
-def _ball_exit(v: np.ndarray, w: np.ndarray, radius: float) -> float:
-    """Exit time of w + t*v (v a unit vector, |w| < radius) from the ball
-    |.| < radius about 0: -|<v, w>| + sqrt(|<v, w>|^2 + radius^2 - |w|^2),
-    the directional distance of the ball at w."""
-    wv = abs(np.vdot(v, w))
-    nw2 = float(np.vdot(w, w).real)
-    return -wv + math.sqrt(wv * wv + radius ** 2 - nw2)
+def _gauge(z: list, a2: list) -> float:
+    """g(z) = sum |z_j|^2 / a2_j on Python floats, z a list of Python
+    complex numbers, a2_j = inf where the quadric leaves z_j free.  The
+    ellipsoid's membership and inner radius read this one sum, so its
+    radius is > 0 exactly where ``contains`` holds."""
+    g = 0.0
+    for c, a in zip(z, a2):
+        r = abs(c)
+        g += r * r / a
+    return g
+
+
+def _quadric_exit(z: np.ndarray, v: np.ndarray, a2: list) -> float:
+    """delta(z; v) of the quadric sum |z_j|^2 / a2_j < 1, rounded up: the
+    closed form
+
+        t = (1 - A) |v| / (beta + sqrt(beta^2 + C (1 - A))),
+
+    A = g(z), C = g(v) (:func:`_gauge`), beta = |sum v_j conj(z_j)/a2_j|.
+    The circle z + r e^(i theta) v/|v| leaves the quadric first where
+    A + 2 r beta/|v| + r^2 C/|v|^2 = 1, and t is that root written
+    without the cancellation of -beta + sqrt(...).  It rises with 1 - A
+    and |v| and falls with beta and C, so an upper bound takes each
+    from the right side.  Every closed-form directional distance but the
+    half-plane's is this: the ellipsoid (a2_j = a_j^2), the ball and the
+    disc (a2 = 1), each polydisc cylinder |z_j| < 1 (a2 = inf off j) and
+    the window ball about c, at z - c (a2 = R^2).
+
+    v is first scaled by a power of two to a largest part in [1/2, 1),
+    exactly but for parts pushed below 2^-1022, so no square overflows.
+    A C below 2^-1022 means v moves the bounded coordinates by under
+    2^-511 a_j or not at all (a polydisc cylinder off v's support):
+    t = inf, an upper bound.  Past that guard any underflow is far inside
+    the pads or the one-float steps.  With u = 2^-53 and n = dim, every
+    sum runs left to right on Python floats, and z may be the window's
+    w = fl(z - c), each part within u of the exact one:
+
+    * A is the gauge sum.  Each term |w_j|^2/a2_j errs by under 9u
+      relative: 2u from the parts of w, and hypot within 1 ulp, the
+      square, the rounded a2_j and the quotient.  The sum adds (n - 1)u,
+      so |A - g| <= (n + 8)u g to first order, at most (n + 9)u as
+      every caller's membership test keeps g within a few u of < 1.
+      1 - A is exact for A >= 1/2 and within u otherwise, so 1 - g is at
+      most fl(1 - A) + (n + 10)u; the pad is (n + 11)u and the sum steps
+      one float up.  This absolute pad is the price of the cancellation:
+      at depth d it adds about (n + 11)u/d of t.
+    * C, the same sum on v, is within (n + 6)u of itself relative, so
+      C (1 - (n + 7)u), stepped one float down, is below it.
+    * Each product v_j conj(w_j) errs by at most sqrt(5)u |v_j| |w_j|
+      (Brent, Percival and Zimmermann, Math. Comp. 76, 2007), and the
+      parts of w add u |v_j| |w_j|; dividing both parts by the rounded
+      a2_j adds 2u, and the complex sum (n - 1)u of the sum of moduli.
+      By Cauchy-Schwarz that sum is at most sqrt(C g), so the computed
+      sum is within (n + 5)u sqrt(C) of the exact one, and hypot adds
+      2u beta: beta is at least beta' - (n + 5)u (beta' + sqrt(C')) for
+      the computed beta' and C'.  The pad is (n + 6)u (beta' + sqrt(C')),
+      the extra u covering second-order terms and the pad's own
+      rounding; the difference steps one float down and is floored at 0.
+    * |v| is ``math.hypot`` of the parts, within 1 ulp: two steps up.
+    * The rest are single correctly rounded operations, each stepped
+      one float its way (see :func:`_up`): the denominator down, the
+      numerator and the quotient up.  The padded 1 - A is positive, and
+      with C >= 2^-1022 so are the radicand and the denominator.
+    """
+    n = len(a2)
+    # a direction may be a strided view, which has no float view
+    parts = np.ascontiguousarray(v).view(float).tolist()
+    e = math.frexp(max(abs(p) for p in parts))[1]
+    parts = [math.ldexp(p, -e) for p in parts]
+    v = [complex(parts[k], parts[k + 1]) for k in range(0, len(parts), 2)]
+    z = z.tolist()
+    A, C = _gauge(z, a2), _gauge(v, a2)
+    if C < 2.0 ** -1022:
+        return math.inf
+    b = 0j
+    for zj, vj, a in zip(z, v, a2):
+        b += vj * zj.conjugate() / a
+    u = _UNIT_ROUNDOFF
+    beta = abs(b)
+    beta = max(0.0, _down(beta - (n + 6) * u * (beta + math.sqrt(C)), 1))
+    C = _down(C * (1.0 - (n + 7) * u), 1)
+    s = _up((1.0 - A) + (n + 11) * u, 1)
+    norm = _up(math.hypot(*parts), 2)
+    den = _down(beta + _down(math.sqrt(
+        _down(_down(beta * beta, 1) + _down(C * s, 1), 1)), 1), 1)
+    return _up(_up(s * norm, 1) / den, 1)
 
 
 class Disc(Domain):
@@ -864,6 +934,7 @@ class Disc(Domain):
     dim = 1
     bounding_radius = 1.0
     exact = True
+    _a2 = [1.0]
 
     def exact_distance(self, x, y) -> float:
         return disc_distance(x[0], y[0])
@@ -892,7 +963,7 @@ class Disc(Domain):
         return 1.0 - r, contact
 
     def _directional_distance(self, z, v, stop=-math.inf) -> float:
-        return 1.0 - abs(z[0])
+        return _quadric_exit(z, v, self._a2)
 
     def _supporting_normal(self, b) -> np.ndarray:
         return b / abs(b[0])
@@ -955,6 +1026,8 @@ class Polydisc(Domain):
     def __init__(self, n: int = 2):
         self.dim = _dimension(n, "polydisc")
         self.bounding_radius = math.sqrt(self.dim)
+        # the polydisc is the intersection of the cylinders |z_j| < 1
+        self._cylinders = np.where(np.eye(self.dim), 1.0, math.inf).tolist()
 
     def exact_distance(self, x, y) -> float:
         return polydisc_distance(x, y)
@@ -994,13 +1067,7 @@ class Polydisc(Domain):
         return float(np.min(1.0 - np.abs(z)))
 
     def _directional_distance(self, z, v, stop=-math.inf) -> float:
-        v = v / np.linalg.norm(v)
-        gaps = 1.0 - np.abs(z)
-        t = math.inf
-        for j in range(self.dim):
-            if abs(v[j]) > 1e-15:
-                t = min(t, gaps[j] / abs(v[j]))
-        return t
+        return min(_quadric_exit(z, v, a2) for a2 in self._cylinders)
 
     def _face_contact(self, z: np.ndarray, j: int) -> np.ndarray:
         w = z.copy()
@@ -1047,6 +1114,7 @@ class Ball(Domain):
     def __init__(self, n: int = 2):
         self.dim = _dimension(n, "ball")
         self.bounding_radius = 1.0
+        self._a2 = [1.0] * self.dim
 
     def exact_distance(self, x, y) -> float:
         return ball_distance(x, y)
@@ -1079,7 +1147,7 @@ class Ball(Domain):
         return 1.0 - r, contact
 
     def _directional_distance(self, z, v, stop=-math.inf) -> float:
-        return _ball_exit(v / np.linalg.norm(v), z, 1.0)
+        return _quadric_exit(z, v, self._a2)
 
     def _supporting_normal(self, b) -> np.ndarray:
         return b / np.linalg.norm(b)
@@ -1175,19 +1243,8 @@ class Ellipsoid(Domain):
         self._lip = 2.0 * math.sqrt(float(np.sum(1.0 / axes**2)))
         self._min_axis = float(np.min(axes))
 
-    def _gauge(self, z: list) -> float:
-        """g(z) = sum |z_j|^2 / a_j^2 on Python floats, z a list of Python
-        complex numbers: z is in the ellipsoid exactly when g(z) < 1.
-        Membership and the inner radius read this one sum, so the radius
-        is > 0 exactly where ``contains`` holds."""
-        g = 0.0
-        for c, a2 in zip(z, self._a2):
-            r = abs(c)
-            g += r * r / a2
-        return g
-
     def _contains(self, z) -> bool:
-        return self._gauge(z.tolist()) < 1.0
+        return _gauge(z.tolist(), self._a2) < 1.0
 
     def _project(self, z) -> tuple:
         u = real_view(z)
@@ -1209,74 +1266,13 @@ class Ellipsoid(Domain):
         Outside, g >= 1 and both read <= 0, so the max is 0.  The gauge is
         plain double, not rounded outward.
         """
-        g = self._gauge(z)
+        g = _gauge(z, self._a2)
         r = max(0.0, (1.0 - g) / self._lip,
                 (1.0 - math.sqrt(g)) * self._min_axis)
         return r, r
 
     def _directional_distance(self, z, v, stop=-math.inf) -> float:
-        """delta(z; v), rounded up: the closed form
-
-            t = (1 - A) |v| / (beta + sqrt(beta^2 + C (1 - A))),
-
-        A = g(z), C = sum |v_j|^2/a_j^2 and beta = |sum v_j conj(z_j)/a_j^2|.
-        The circle z + r e^(i theta) v/|v| leaves the ellipsoid first where
-        A + 2 r beta/|v| + r^2 C/|v|^2 = 1, and t is that root written
-        without the cancellation of -beta + sqrt(...).  It rises with 1 - A
-        and |v| and falls with beta and C, so an upper bound takes each
-        from the right side.
-
-        v is first scaled by a power of two to a largest part in [1/2, 1),
-        exactly (a part pushed below 2^-1022 rounds by under 2^-1074, far
-        inside the pads), so no square overflows or underflows.  With
-        u = 2^-53 and n = dim, every sum runs left to right on Python
-        floats:
-
-        * A is the gauge sum of :meth:`_gauge`, so A < 1 at interior z.
-          Each term |z_j|^2/a_j^2 errs by under 7u relative (hypot within
-          1 ulp, the square, the rounded a_j^2 and the quotient) and the
-          sum adds (n - 1)u, so |A - g| <= (n + 6)u g to first order;
-          with g < 1 + (n + 7)u that is at most (n + 7)u.  1 - A is exact
-          for A >= 1/2 and within u otherwise, so 1 - g is at most
-          fl(1 - A) + (n + 8)u; the pad is (n + 9)u and the sum steps one
-          float up.  This absolute pad is the price of the cancellation:
-          at depth d it adds about (n + 9)u/d of t.
-        * C, the same sum on v, is within (n + 6)u of itself relative, so
-          C (1 - (n + 7)u), stepped one float down, is below it.
-        * Each product v_j conj(z_j) errs by at most sqrt(5)u |v_j| |z_j|
-          (Brent, Percival and Zimmermann, Math. Comp. 76, 2007); dividing
-          both parts by the rounded a_j^2 adds 2u, and the complex sum
-          (n - 1)u of the sum of moduli.  By Cauchy-Schwarz that sum is
-          at most sqrt(C g), so the computed sum is within (n + 4)u
-          sqrt(C) of the exact one, and hypot adds 2u beta: beta is at
-          least beta' - (n + 5)u (beta' + sqrt(C')) for the computed
-          beta' and C'.  The pad is (n + 6)u (beta' + sqrt(C')), the extra
-          u covering second-order terms and the pad's own rounding; the
-          difference steps one float down and is floored at 0.
-        * |v| is ``math.hypot`` of the parts, within 1 ulp: two steps up.
-        * The rest are single correctly rounded operations, each stepped
-          one float its way (see :func:`_up`): the denominator down, the
-          numerator and the quotient up.
-        """
-        n = self.dim
-        parts = v.view(float).tolist()
-        e = math.frexp(max(abs(p) for p in parts))[1]
-        parts = [math.ldexp(p, -e) for p in parts]
-        v = [complex(parts[k], parts[k + 1]) for k in range(0, len(parts), 2)]
-        z = z.tolist()
-        A, C = self._gauge(z), self._gauge(v)
-        b = 0j
-        for zj, vj, a2 in zip(z, v, self._a2):
-            b += vj * zj.conjugate() / a2
-        u = _UNIT_ROUNDOFF
-        beta = abs(b)
-        beta = max(0.0, _down(beta - (n + 6) * u * (beta + math.sqrt(C)), 1))
-        C = _down(C * (1.0 - (n + 7) * u), 1)
-        s = _up((1.0 - A) + (n + 9) * u, 1)
-        norm = _up(math.hypot(*parts), 2)
-        den = _down(beta + _down(math.sqrt(
-            _down(_down(beta * beta, 1) + _down(C * s, 1), 1)), 1), 1)
-        return _up(_up(s * norm, 1) / den, 1) if den > 0.0 else math.inf
+        return _quadric_exit(z, v, self._a2)
 
     def _supporting_normal(self, b) -> np.ndarray:
         nu = b / self.axes**2
@@ -1788,6 +1784,7 @@ class LocalizedDomain(Domain):
         self.dim = base.dim
         self.bounding_radius = min(
             base.bounding_radius, float(np.linalg.norm(self.center)) + self.radius)
+        self._a2 = [self.radius ** 2] * self.dim
 
     # a point of the window has the base's dimension and, when interior,
     # lies in the base, so the base's private methods take it unchecked
@@ -1804,7 +1801,7 @@ class LocalizedDomain(Domain):
     def _directional_distance(self, z, v, stop=-math.inf) -> float:
         v = v / np.linalg.norm(v)
         return min(self.base._directional_distance(z, v, stop),
-                   _ball_exit(v, z - self.center, self.radius))
+                   _quadric_exit(z - self.center, v, self._a2))
 
     def _project(self, z) -> tuple:
         w = z - self.center

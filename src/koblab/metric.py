@@ -28,9 +28,10 @@ directional distances, upper bounds only use certified inner and line
 radii.  In floating point these sides round outward: the model closed
 forms (each within its derived ``exact_error``, which the solver widens
 by), the pair-tube bound (its dual, its gaps and its logs), the
-directional branch (its log, and the ellipsoid's closed-form directional
-distance; the phase scan reads outer ray ends), the generic kernel's
-touching-disc term, Omega_psi's line radius (its wall bound rounded up)
+directional branch (its log, and every model's and the window's
+closed-form t, rounded up through :func:`~koblab.geometry._quadric_exit`;
+the phase scan reads outer ray ends), the generic kernel's touching-disc
+term, Omega_psi's line radius (its wall bound rounded up)
 and the chord's and the solver's segment sums
 :func:`~koblab.geometry._sum_up`.  Still plain double: the model
 ``distance_bracket`` [d, d], the half-plane projection bound, the bidisc

@@ -38,7 +38,6 @@ from koblab.geometry import (
     domain_from_json,
     from_pairs,
     ray_exit,
-    scan_directional_distance,
     to_pairs,
 )
 from koblab.metric import distance_lower_bound
@@ -324,6 +323,10 @@ def test_directional_distance_rejects_bad_directions(dom, z):
         with pytest.raises(GeometryError):
             dom.directional_distance(z, v)
     assert dom.directional_distance(z, [1.0] + [0.0] * (dom.dim - 1)) > 0.0
+    # a strided complex view is a direction like its contiguous copy
+    strided = np.array([[0.6 - 0.8j, 9.0]] * dom.dim)[:, 0]
+    assert dom.directional_distance(z, strided).hex() == \
+        dom.directional_distance(z, strided.copy()).hex()
 
 
 def test_directional_distance_against_brute_force():
@@ -705,7 +708,7 @@ def test_minimal_basis_narrow_window_scans_the_window_rays():
     z = np.array([0.04 + 0.5j, 0.02])
     res = dom.minimal_basis(z)
     v = _null_basis(res.basis[0])[:, 0]
-    assert res.taus[1].hex() == scan_directional_distance(dom, z, v).hex()
+    assert res.taus[1].hex() == _phase_search(dom, z, v)[0].hex()
     assert res.taus[1] == pytest.approx(dom.directional_distance(z, v),
                                         rel=1e-8)
 
@@ -1280,7 +1283,8 @@ def test_scan_directional_distance_matches_unpruned(name, data):
     t_full, u_full = unpruned_scan(dom, z, v)
     assert t.hex() == t_full.hex()
     assert np.array_equal(u, u_full)
-    assert scan_directional_distance(dom, z, v).hex() == t.hex()
+    if name != "localized":
+        assert dom.directional_distance(z, v).hex() == t.hex()
 
 
 class _TwoDips(Domain):
@@ -1326,7 +1330,7 @@ def test_scan_directional_distance_prunes_probes():
     z = np.array([0.3j, complex(dom._wall(0.0, 0.3, 0.0) + 1e-3, 0.0)])
     v = np.array([1.0 + 0j, 0.2j])
     _CountingOmegaPsi.probes = 0
-    pruned = scan_directional_distance(dom, z, v)
+    pruned = _phase_search(dom, z, v)[0]
     n_pruned, _CountingOmegaPsi.probes = _CountingOmegaPsi.probes, 0
     full = unpruned_scan(dom, z, v)[0]
     assert pruned.hex() == full.hex()
@@ -1366,18 +1370,18 @@ def test_scan_stop_skips_phases():
     z = np.array([0.3j, complex(dom._wall(0.0, 0.3, 0.0) + 1e-3, 0.0)])
     v = np.array([1j, -0.2 + 0j])
     _CountingOmegaPsi.probes = 0
-    full = scan_directional_distance(dom, z, v)
+    full = _phase_search(dom, z, v)[0]
     n_full, _CountingOmegaPsi.probes = _CountingOmegaPsi.probes, 0
     cap = 4.0 * dom.bounding_radius + float(np.linalg.norm(z)) + 1.0
     first = ray_exit(dom.ray(z, np.exp(0j) * v / np.linalg.norm(v)), cap)
     n_first, _CountingOmegaPsi.probes = _CountingOmegaPsi.probes, 0
     assert first.hex() == full.hex()
-    stopped = scan_directional_distance(dom, z, v, stop=2.0 * full)
+    stopped = _phase_search(dom, z, v, stop=2.0 * full)[0]
     assert stopped.hex() == full.hex()
     assert _CountingOmegaPsi.probes == n_first
     assert n_first <= n_full - (_SCAN_PHASES - 1)
     _CountingOmegaPsi.probes = 0
-    assert scan_directional_distance(dom, z, v, stop=0.5 * full).hex() == \
+    assert _phase_search(dom, z, v, stop=0.5 * full)[0].hex() == \
         full.hex()
     assert _CountingOmegaPsi.probes == n_full
 
@@ -1419,7 +1423,7 @@ def _scan_shortfalls():
     out = []
     for name, z in ALIGNED_SCAN_CASES.items():
         dom = SCAN_DOMAINS[name]
-        t = scan_directional_distance(dom, z, NORMAL)
+        t = _phase_search(dom, z, NORMAL)[0]
         if not t >= brute_outer_min(dom, z, NORMAL):
             out.append(name)
     return out
@@ -1432,7 +1436,7 @@ def test_scan_at_or_above_brute_outer_ends(name, data):
     # the scan's t is a minimum of outer ends over 16 of the 4096 phases,
     # so no slack: it is at least the 4096-phase least outer end
     dom, z, v = _stop_case(name, data)
-    assert scan_directional_distance(dom, z, v) >= brute_outer_min(dom, z, v)
+    assert _phase_search(dom, z, v)[0] >= brute_outer_min(dom, z, v)
 
 
 def test_scan_at_or_above_brute_outer_ends_where_aligned():
@@ -1459,67 +1463,102 @@ def test_scan_soundness_check_catches_inner_ends(monkeypatch):
     assert _scan_shortfalls() == list(ALIGNED_SCAN_CASES)
 
 
-def ellipsoid_directional_exact(axes, z, v):
-    """delta(z; v) on the ellipsoid, to 50 digits, from the float inputs:
-    (1 - A)|v| / (beta + sqrt(beta^2 + C (1 - A)))."""
+def _quadric_exact(z, v, a2):
+    """(1 - A)|v| / (beta + sqrt(beta^2 + C (1 - A))) on mpmath numbers,
+    the exit of the quadric sum |z_j|^2/a2_j < 1."""
+    A = mpmath.fsum(abs(c) ** 2 / w for c, w in zip(z, a2))
+    C = mpmath.fsum(abs(c) ** 2 / w for c, w in zip(v, a2))
+    beta = abs(mpmath.fsum(p * mpmath.conj(c) / w for p, c, w in zip(v, z, a2)))
+    norm = mpmath.sqrt(mpmath.fsum(abs(c) ** 2 for c in v))
+    return (1 - A) * norm / (beta + mpmath.sqrt(beta ** 2 + C * (1 - A)))
+
+
+def ellipsoid_directional_exact(dom, z, v):
+    """delta(z; v) on a closed-form domain, to 50 digits, from the float
+    inputs: the quadric exit on the ellipsoid, the ball and the disc,
+    min_j (1 - |z_j|)|v|/|v_j| on the polydisc, and on the window the
+    smaller of the base's and the sphere's, the latter at the exact z - c."""
     with mpmath.workdps(50):
-        a2 = [mpmath.mpf(float(a)) ** 2 for a in axes]
         zs = [mpmath.mpc(c.real, c.imag) for c in z]
         vs = [mpmath.mpc(c.real, c.imag) for c in v]
-        A = mpmath.fsum(abs(c) ** 2 / w for c, w in zip(zs, a2))
-        C = mpmath.fsum(abs(c) ** 2 / w for c, w in zip(vs, a2))
-        beta = abs(mpmath.fsum(p * mpmath.conj(c) / w
-                               for p, c, w in zip(vs, zs, a2)))
-        norm = mpmath.sqrt(mpmath.fsum(abs(c) ** 2 for c in vs))
-        return (1 - A) * norm / (beta + mpmath.sqrt(beta ** 2 + C * (1 - A)))
+        if isinstance(dom, LocalizedDomain):
+            w = [p - mpmath.mpc(c.real, c.imag) for p, c in zip(zs, dom.center)]
+            return min(ellipsoid_directional_exact(dom.base, z, v),
+                       _quadric_exact(w, vs, [mpmath.mpf(dom.radius) ** 2] * dom.dim))
+        if isinstance(dom, Polydisc):
+            norm = mpmath.sqrt(mpmath.fsum(abs(c) ** 2 for c in vs))
+            return min((1 - abs(c)) * norm / abs(p) for c, p in zip(zs, vs) if p != 0)
+        axes = dom.axes if isinstance(dom, Ellipsoid) else [1.0] * dom.dim
+        return _quadric_exact(zs, vs, [mpmath.mpf(float(a)) ** 2 for a in axes])
 
 
-ELLIPSOID_AXES = [(1.0, 2.0), (1.0, 1.5, 3.0)]
+QUADRIC_DOMAINS = {
+    "2d": Ellipsoid((1.0, 2.0)),
+    "3d": Ellipsoid((1.0, 1.5, 3.0)),
+    "disc": Disc(),
+    "polydisc2": Polydisc(2),
+    "ball2": Ball(2),
+    "ball3": Ball(3),
+    "window": LocalizedDomain(Ball(2), (0.2 + 0.1j, -0.15j), 0.6),
+}
 
 
-def _ellipsoid_case(axes, w, v, depth):
-    """The point (1 - depth) a*w/|w|, a boundary point pulled in."""
+def _ellipsoid_case(dom, w, v, depth):
+    """The boundary point of ``dom`` from its centre along w, pulled in by
+    ``depth`` of that distance."""
     w = np.asarray(w, dtype=complex)
-    return (1.0 - depth) * np.asarray(axes) * w / np.linalg.norm(w), \
-        np.asarray(v, dtype=complex)
+    w = w / np.linalg.norm(w)
+    if isinstance(dom, LocalizedDomain):
+        z = dom.center + (1.0 - depth) * dom.radius * w
+    elif isinstance(dom, Ellipsoid):
+        z = (1.0 - depth) * dom.axes * w
+    elif isinstance(dom, Polydisc):
+        z = (1.0 - depth) * w / np.max(np.abs(w))
+    else:
+        z = (1.0 - depth) * w
+    return z, np.asarray(v, dtype=complex)
 
 
 def _ellipsoid_shortfalls(cases):
-    """The cases whose directional distance is below the exact one."""
+    """The cases ``(name, z, v)`` of ``QUADRIC_DOMAINS`` whose directional
+    distance is below the exact one."""
     out = []
-    for axes, z, v in cases:
-        t = Ellipsoid(axes).directional_distance(z, v)
-        if not mpmath.mpf(t) >= ellipsoid_directional_exact(axes, z, v):
-            out.append((axes, z, v))
+    for name, z, v in cases:
+        dom = QUADRIC_DOMAINS[name]
+        t = dom.directional_distance(z, v)
+        if not mpmath.mpf(t) >= ellipsoid_directional_exact(dom, z, v):
+            out.append((name, z, v))
     return out
 
 
 def _seeded_ellipsoid_cases(count=40):
     rng = np.random.default_rng(17)
     cases = []
-    for axes in ELLIPSOID_AXES:
-        n = len(axes)
+    for name, dom in QUADRIC_DOMAINS.items():
+        n = dom.dim
         for _ in range(count):
             w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            z, v = _ellipsoid_case(axes, w, v, 10.0 ** rng.uniform(-12, -1))
-            cases.append((axes, z, v))
+            z, v = _ellipsoid_case(dom, w, v, 10.0 ** rng.uniform(-12, -1))
+            cases.append((name, z, v))
     return cases
 
 
-@pytest.mark.parametrize("axes", ELLIPSOID_AXES, ids=["2d", "3d"])
+@pytest.mark.parametrize("name", list(QUADRIC_DOMAINS))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_ellipsoid_directional_at_or_above_exact(axes, data):
-    n = len(axes)
+def test_ellipsoid_directional_at_or_above_exact(name, data):
+    # every closed form but the half-plane's is the rounded-up quadric
+    # exit; no slack against its 50-digit value
+    dom = QUADRIC_DOMAINS[name]
     part = st.floats(-1.0, 1.0)
-    w = [complex(data.draw(part), data.draw(part)) for _ in range(n)]
-    v = [complex(data.draw(part), data.draw(part)) for _ in range(n)]
+    w = [complex(data.draw(part), data.draw(part)) for _ in range(dom.dim)]
+    v = [complex(data.draw(part), data.draw(part)) for _ in range(dom.dim)]
     assume(np.linalg.norm(w) > 1e-3 and np.linalg.norm(v) > 1e-6)
     depth = 10.0 ** data.draw(st.floats(-12.0, -1.0))
-    z, v = _ellipsoid_case(axes, w, v, depth)
-    assume(Ellipsoid(axes).contains(z))
-    assert _ellipsoid_shortfalls([(axes, z, v)]) == []
+    z, v = _ellipsoid_case(dom, w, v, depth)
+    assume(dom.contains(z))
+    assert _ellipsoid_shortfalls([(name, z, v)]) == []
 
 
 def test_ellipsoid_directional_seeded_at_or_above_exact():
@@ -1527,13 +1566,17 @@ def test_ellipsoid_directional_seeded_at_or_above_exact():
 
 
 def test_ellipsoid_soundness_check_catches_a_shrunk_t(monkeypatch):
-    exact_t = Ellipsoid._directional_distance
+    # the quadric exit scaled by 1 - 1e-12 falls below the exact value on
+    # every domain that reads it
+    exact_t = geometry._quadric_exit
 
-    def shrunk(self, z, v, stop=-math.inf):
-        return exact_t(self, z, v, stop) * (1.0 - 1e-12)
+    def shrunk(z, v, a2):
+        return exact_t(z, v, a2) * (1.0 - 1e-12)
 
-    monkeypatch.setattr(Ellipsoid, "_directional_distance", shrunk)
-    assert _ellipsoid_shortfalls(_seeded_ellipsoid_cases()) != []
+    monkeypatch.setattr(geometry, "_quadric_exit", shrunk)
+    caught = {name for name, _, _ in
+              _ellipsoid_shortfalls(_seeded_ellipsoid_cases())}
+    assert caught == set(QUADRIC_DOMAINS)
 
 
 def inner_radius_reference(dom, z):
