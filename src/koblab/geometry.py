@@ -28,13 +28,13 @@ guarantees.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 
 class GeometryError(ValueError):
@@ -640,10 +640,78 @@ class Domain:
 
 
 # ---------------------------------------------------------------------------
+# one-dimensional root finding
+# ---------------------------------------------------------------------------
+
+
+def _brentq(f: Callable[[float], float], xa: float, xb: float,
+            xtol: float = 2e-12, rtol: float = 8.881784197001252e-16,
+            maxiter: int = 100) -> float:
+    """A root of ``f`` in [xa, xb], where f(xa) and f(xb) differ in sign.
+
+    Brent's method (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4): inverse quadratic interpolation, or the
+    secant step when only two points are distinct, kept only while it
+    shrinks the bracket fast enough, else bisection.  The loop is that of
+    the widely used C routine ``brentq``, operation for operation and with
+    its default tolerances, so on the same floats both return the same
+    root bits; the tests compare them.  It stops once half the bracket is
+    below (xtol + rtol|x|)/2.  No sign change, or no convergence within
+    ``maxiter`` steps, raises ``GeometryError``.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise GeometryError("root bracket has no sign change")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)  # secant
+                else:                           # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) \
+                        / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # the C division gives inf or nan, and the test below bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise GeometryError(f"root search did not converge in {maxiter} steps")
+
+
+# ---------------------------------------------------------------------------
 # model domains: closed forms
 # ---------------------------------------------------------------------------
 
 _UNIT_ROUNDOFF = 2.0 ** -53
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)     # the golden-section ratio
 
 
 def _up(x: float, steps: int) -> float:
@@ -1178,14 +1246,16 @@ def _project_interior_to_ellipsoid(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     degenerate minimal-axis branch handled explicitly.  The multiplier is carried as
     s = nu + m2 (m2 the smallest b_i^2), so the denominators read
     (b_i^2 - m2) + s and are exactly s on the minimal axes: near the pole
-    s = 0 they keep their relative precision however small s gets.
+    s = 0 they keep their relative precision however small s gets.  The
+    root s of sum p_i^2/b_i^2 = 1 is Brent's (:func:`_brentq`), on a
+    bracket walked toward the pole.
     """
     b2 = b * b
     m2 = float(np.min(b2))
     gap = b2 - m2
     # a coordinate below 2^-150 sqrt(m2) counts as 0: dropping it moves the
     # contact's distance by at most its size, and on a minimal axis it would
-    # put the root s too near the pole for the bracket walk and brentq
+    # put the root s too near the pole for the bracket walk and _brentq
     nonzero = np.abs(u) > 2.0 ** -150 * math.sqrt(m2)
 
     def g(s: float) -> float:
@@ -1208,9 +1278,10 @@ def _project_interior_to_ellipsoid(u: np.ndarray, b: np.ndarray) -> np.ndarray:
             lo *= 0.5
             if lo < 1e-300:
                 raise GeometryError("ellipsoid projection bracketing failed")
-        # an absolute tolerance far below lo keeps brentq's relative precision
-        s = optimize.brentq(lambda t: g(t) - 1.0, lo, m2, xtol=1e-300,
-                            rtol=8.9e-16, maxiter=200)
+        # an absolute tolerance far below lo keeps the root's relative
+        # precision
+        s = _brentq(lambda t: g(t) - 1.0, lo, m2, xtol=1e-300, rtol=8.9e-16,
+                    maxiter=200)
         return np.where(nonzero, b2 * u / (gap + s), 0.0)
 
     # degenerate branch: contact mass sits on the minimal axes where u_i = 0
@@ -1223,7 +1294,19 @@ def _project_interior_to_ellipsoid(u: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class Ellipsoid(Domain):
-    """The complex ellipsoid { sum |z_j|^2 / a_j^2 < 1 }."""
+    """The complex ellipsoid { sum |z_j|^2 / a_j^2 < 1 }.
+
+    Every axis lies in [2^-256, 2^256]; others raise ``GeometryError``.  In
+    that range every square and quotient the ellipsoid forms is a finite
+    normal float: the gauge and the quadric exit read a_j^2 in
+    [2^-512, 2^512] and |z_j|^2 <= a_j^2, the Lipschitz constant sums
+    terms 1/a_j^2 <= 2^512, and the projection forms a_j^2 u_j between
+    2^-150 a_min^3 >= 2^-918 (its smallest nonzero coordinate) and
+    a_max^3 <= 2^768.  A subnormal |z_j|^2 then errs by at most
+    2^-1075/a_j^2 <= 2^-563 in the gauge.  Outside it, a_j^2 overflows to
+    inf (the gauge reads inf/inf = nan) or underflows to 0 (it divides by
+    zero).
+    """
 
     def __init__(self, axes: Sequence[float]):
         try:
@@ -1231,9 +1314,9 @@ class Ellipsoid(Domain):
         except (TypeError, ValueError):
             axes = None
         if axes is None or axes.ndim != 1 or len(axes) < 1 \
-                or not np.all((axes > 0) & (axes < math.inf)):
+                or not np.all((axes >= 2.0 ** -256) & (axes <= 2.0 ** 256)):
             raise GeometryError("ellipsoid axes must be a non-empty list of "
-                                "positive finite numbers")
+                                "numbers in [2^-256, 2^256]")
         self.axes = axes
         self.dim = len(axes)
         self.bounding_radius = float(np.max(axes))
@@ -1366,9 +1449,70 @@ class PsiSpec:
         gp = x ** (-2.0) * L ** (-self.alpha - 1.0) * (self.alpha - L)
         return -gp * e
 
+    def _pure_deriv2(self, x: float) -> float:
+        """psi''(x) on the pure region, 0 where exp(-g) underflows.
+
+        On the exp form, with q = c/x, psi'' = e^-q q^3 (q - 2)/c^2.  On
+        the log-power form psi'' = (g'^2 - g'') e^-g with g' as in
+        :meth:`_pure_deriv` and g'' = x^-3 L^(-alpha-2)
+        (2L^2 - 3 alpha L + alpha(alpha + 1)).
+        """
+        if self.form == "exp_neg_c_over_x":
+            q = self.c / x
+            e = math.exp(-q)
+            if e == 0.0:
+                return 0.0
+            return e * q * q * q * (q - 2.0) / (self.c * self.c)
+        inv = 1.0 / x
+        if inv == math.inf:
+            return 0.0
+        L, a = math.log(inv), self.alpha
+        e = math.exp(-(inv * L ** (-a)))
+        if e == 0.0:
+            return 0.0
+        gp = inv * inv * L ** (-a - 1.0) * (a - L)
+        gpp = inv * inv * inv * L ** (-a - 2.0) * (2.0 * L * L - 3.0 * a * L
+                                                   + a * (a + 1.0))
+        return e * (gp * gp - gpp)
+
+    @functools.cached_property
+    def _curvature_peak(self) -> float:
+        """Where psi'' peaks on the pure region.  On (0, cut) psi'' rises
+        to one peak and falls to 0 at the cut: on the exp form the peak is
+        at q = c/x = 3 + sqrt(3), the root of q^2 - 6q + 6 that the
+        derivative of e^-q q^3 (q - 2) has past the inflection q = 2; on
+        the log-power form a golden-section search finds it."""
+        if self.form == "exp_neg_c_over_x":
+            return self.c / (3.0 + math.sqrt(3.0))
+        lo, hi = 0.0, self.cut
+        x1, x2 = hi - _GOLDEN * hi, _GOLDEN * hi
+        f1, f2 = self._pure_deriv2(x1), self._pure_deriv2(x2)
+        while hi - lo > 1e-12 * self.cut:
+            if f1 < f2:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + _GOLDEN * (hi - lo)
+                f2 = self._pure_deriv2(x2)
+            else:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - _GOLDEN * (hi - lo)
+                f1 = self._pure_deriv2(x1)
+        return x1 if f1 >= f2 else x2
+
+    def curvature(self, lo: float, hi: float) -> float:
+        """sup psi'' over [lo, hi], 0 <= lo <= hi: on the pure region
+        psi'' at the point of the interval nearest its peak
+        (:attr:`_curvature_peak`), and past the cut the continuation's
+        constant 2 psi'(cut)."""
+        cut = self.cut
+        out = 2.0 * self._at_cut[1] if hi > cut else 0.0
+        x = min(max(self._curvature_peak, lo), hi, cut)
+        if lo < cut and x > 0.0:
+            out = max(out, self._pure_deriv2(x))
+        return out
+
     @functools.cached_property
     def cut(self) -> float:
-        # cached: the log-power cut is a brentq root, and value/derivative
+        # cached: the log-power cut is a Brent root, and value/derivative
         # read it on every call
         if self.form == "exp_neg_c_over_x":
             return 0.5 * self.c  # inflection of exp(-c/x)
@@ -1507,7 +1651,64 @@ def _loglog_convexity_cut(alpha: float) -> float:
         lo *= 0.5
         if lo < 1e-250:
             raise GeometryError("could not locate convexity cut")
-    return optimize.brentq(convexity_gap, lo, 2 * lo, xtol=1e-300, rtol=8.9e-16)
+    return _brentq(convexity_gap, lo, 2 * lo, xtol=1e-300, rtol=8.9e-16)
+
+
+def _arm_offset(chi: float, u: float, lam: float):
+    """t = u/(1 - 2 chi lam), where a quadratic term chi t^2 of the Omega_psi
+    wall, a point u from its vertex, is stationary at multiplier lam; None
+    where t is not > 0 (that side of the pole has no stationary point)."""
+    den = 1.0 - 2.0 * chi * lam
+    return u / den if den != 0.0 and u / den > 0.0 else None
+
+
+def _sheet_roots(R: float, arms: list) -> list:
+    """Every lam in [0, R] where h(lam) = R - lam - sum chi t^2 vanishes
+    with each arm's t = u/(1 - 2 chi lam) > 0, for ``arms``, a list of
+    (chi, u) with chi > 0, u != 0, and R above the sheet's height at the
+    foot (so sum chi u^2 < R).
+
+    An arm with u > 0 needs lam below its pole 1/(2 chi), one with u < 0
+    lam above it; each term chi t^2 is convex on either side of its pole,
+    so h is concave between them.  Within |u| sqrt(chi/R)/(4 chi) of a pole
+    the term exceeds 4R and h < 0, so the roots lie inside that margin.
+    With no arm above its pole, h(0) > 0 and h decreases to one root;
+    otherwise h < 0 at both ends and has two roots, one or none, on either
+    side of its peak, the root of h'.
+    """
+    def h(lam: float) -> float:
+        return R - lam - sum(chi * (u / (1.0 - 2.0 * chi * lam)) ** 2
+                             for chi, u in arms)
+
+    if not arms:
+        return [R]
+    lo, hi = 0.0, R
+    for chi, u in arms:
+        margin = abs(u) * math.sqrt(chi / R) / (4.0 * chi)
+        if u > 0.0:
+            hi = min(hi, 0.5 / chi - margin)
+        else:
+            lo = max(lo, 0.5 / chi + margin)
+    if not lo < hi:
+        return []
+    if lo == 0.0:       # h(0) > 0 but for rounding when R is at the foot
+        return [0.0] if h(0.0) <= 0.0 else \
+            [_brentq(h, 0.0, hi, xtol=1e-300, maxiter=200)]
+
+    def slope(lam: float) -> float:
+        return -1.0 - sum(4.0 * chi * chi * u * u
+                          / (1.0 - 2.0 * chi * lam) ** 3 for chi, u in arms)
+
+    if not (slope(lo) > 0.0 and slope(hi) < 0.0):
+        return []
+    peak = _brentq(slope, lo, hi, xtol=1e-300, maxiter=200)
+    top = h(peak)
+    if top < 0.0:
+        return []
+    if top == 0.0:
+        return [peak]
+    return [_brentq(h, lo, peak, xtol=1e-300, maxiter=200),
+            _brentq(h, peak, hi, xtol=1e-300, maxiter=200)]
 
 
 class OmegaPsi(Domain):
@@ -1578,34 +1779,204 @@ class OmegaPsi(Domain):
             z2.real > self._wall(z1.real, z1.imag, z2.imag)
 
     def _graph_distance(self, z: np.ndarray):
-        """Distance to the wall sheet { Re w2 <= F(w) } and the contact point."""
-        x1, y1 = z[0].real, z[0].imag
-        x2, y2 = z[1].real, z[1].imag
+        """Distance to the wall sheet { Re w2 <= F(w) } and the contact
+        point: the nearest point (a + ib, F(a, b, c) + ic) of the wall.
 
-        def objective(abc):
-            a, bb, cc = abc
-            F = self._wall(a, bb, cc)
-            Fa, Fb, Fc = self._wall_grad(a, bb, cc)
-            da, db, dc, dw = x1 - a, y1 - bb, y2 - cc, x2 - F
-            val = da * da + db * db + dc * dc + dw * dw
-            grad = np.array([
-                -2.0 * da - 2.0 * dw * Fa,
-                -2.0 * db - 2.0 * dw * Fb,
-                -2.0 * dc - 2.0 * dw * Fc,
-            ])
-            return val, grad
+        F is even and nondecreasing in |a|, |b| and |c|, so the nearest
+        point lies with |a| >= |x1|, |b| >= |y1| and |c| >= |y2| on the
+        sides of x1, y1 and y2; the search runs on s1 = |x1|, sb = |y1|,
+        s2 = |y2| and the signs come back at the end.  It takes the
+        stationary contact on the branch through the vertical foot
+        (:meth:`_foot_branch`) and keeps it where that branch is provably
+        the only one; elsewhere, past the uniqueness depth, the global
+        search :meth:`_wall_search` runs.
+        """
+        z1, z2 = z.tolist()
+        x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
+        s1, sb, s2 = abs(x1), abs(y1), abs(y2)
+        a, b, c = s1, sb, s2
+        if x2 > self._wall(s1, sb, s2):
+            # a coordinate within 2^-50 sqrt(x2/chi) of a quadric term's
+            # vertex (|Im z1| = 2, Im z2 = 0) reads as on it, so no
+            # multiplier of the search comes within rounding of the pole
+            # 1/(2 chi); the distance is still taken from the point itself
+            near = 2.0 ** -50 * math.sqrt(x2)
+            if self.chi1 > 0.0 and abs(sb - 2.0) * math.sqrt(self.chi1) < near:
+                sb = 2.0
+            if self.chi2 > 0.0 and s2 * math.sqrt(self.chi2) < near:
+                s2 = 0.0
+            a, b, c, sure = self._foot_branch(s1, sb, s2, x2)
+            if not sure:
+                a, b, c = self._wall_search(s1, sb, s2, x2, (a, b, c))
+        a, b, c = (-v if u < 0.0 else v for u, v in ((x1, a), (y1, b), (y2, c)))
+        F = self._wall(a, b, c)
+        da, db, dc, dw = x1 - a, y1 - b, y2 - c, x2 - F
+        contact = np.array([complex(a, b), complex(F, c)])
+        return math.sqrt(da * da + db * db + dc * dc + dw * dw), contact
 
-        best = None
-        for start in ((x1, y1, y2), (0.0, min(2.0, max(-2.0, y1)), 0.0)):
-            res = optimize.minimize(objective, np.array(start), jac=True,
-                                    method="L-BFGS-B",
-                                    options={"ftol": 1e-18, "gtol": 1e-14,
-                                             "maxiter": 500})
-            if best is None or res.fun < best.fun:
-                best = res
-        a, bb, cc = best.x
-        contact = np.array([complex(a, bb), complex(self._wall(a, bb, cc), cc)])
-        return math.sqrt(max(best.fun, 0.0)), contact
+    def _foot_branch(self, s1: float, sb: float, s2: float,
+                     x2: float) -> tuple:
+        """(a, b, c, sure): the stationary wall point on the branch through
+        the vertical foot, and whether it is the nearest.
+
+        With lam = x2 - F(contact), stationarity reads a - lam psi'(a) = s1,
+        b = sb on the flat part |b| <= 2 or b - 2 = (sb - 2)/(1 - 2 chi1
+        lam) on its arm, and c = s2/(1 - 2 chi2 lam).  From lam = 0 (the
+        foot) the branch takes a root a in [s1, s1 + gap] and the same-side
+        b and c, and lam is the root of r(lam) = x2 - lam - F on (0, gap].
+
+        The contact d away has lam <= d and a - s1 <= d, so it is the
+        nearest one when on that box the branch is the only stationary
+        family: psi'' d < 1 on [s1, s1 + d] makes each a root unique and
+        increasing in lam, and b, c are unique unless a flat coordinate can
+        leave its flat part, which takes lam >= 1/(2 chi) (an arm beyond
+        |b| = 2, 2 - sb away, or c off 0).  Then r decreases strictly and
+        has one root.
+        """
+        psi, chi1, chi2 = self.psi, self.chi1, self.chi2
+        gap = x2 - self._wall(s1, sb, s2)
+        hi, top = gap, s1 + gap
+        for chi, u in ((chi1, sb - 2.0), (chi2, s2)):
+            if chi > 0.0 and u > 0.0:
+                # near the pole chi t^2 exceeds 4 x2, so r < 0 there
+                hi = min(hi, 0.5 / chi - u * math.sqrt(chi / x2) / (4.0 * chi))
+        clamped = False
+
+        def contact(lam: float) -> tuple:
+            nonlocal clamped
+            a = s1
+            if s1 > 0.0 and lam > 0.0:
+                def k(t):
+                    return t - lam * psi.derivative(t) - s1
+                clamped = not k(top) > 0.0
+                a = top if clamped else _brentq(k, s1, top, xtol=1e-300,
+                                                maxiter=200)
+            b = sb if sb <= 2.0 or chi1 == 0.0 else \
+                2.0 + _arm_offset(chi1, sb - 2.0, lam)
+            c = s2 if s2 == 0.0 or chi2 == 0.0 else _arm_offset(chi2, s2, lam)
+            return a, b, c
+
+        def residual(lam: float) -> float:
+            return x2 - lam - self._wall(*contact(lam))
+
+        # r(0) = gap > 0; r(hi) <= 0 but for rounding where the branch
+        # barely leaves the foot
+        lam = hi if residual(hi) >= 0.0 else \
+            _brentq(residual, 0.0, hi, xtol=1e-300, maxiter=200)
+        a, b, c = contact(lam)
+        da, db, dc, dw = a - s1, b - sb, c - s2, x2 - self._wall(a, b, c)
+        d = math.sqrt(da * da + db * db + dc * dc + dw * dw)
+        # the foot itself is gap away, so a farther contact is no candidate
+        sure = not clamped and d <= gap * (1.0 + 2.0 ** -40) and \
+            d * psi.curvature(s1, s1 + d) < 1.0 - 2.0 ** -20
+        if sb <= 2.0 and chi1 > 0.0:
+            sure = sure and (2.0 * chi1 * d <= 1.0 or d <= 2.0 - sb)
+        if s2 == 0.0 and chi2 > 0.0:
+            sure = sure and 2.0 * chi2 * d <= 1.0
+        return a, b, c, sure
+
+    def _wall_search(self, s1: float, sb: float, s2: float, x2: float,
+                     start: tuple) -> tuple:
+        """(a, b, c): the nearest wall point, by branch and bound over a.
+
+        The squared distance is J(a) = (a - s1)^2 + m(a)^2, with m(a) the
+        distance from (sb, s2, x2 - psi(a)) to the sheet of the b and c
+        terms (:meth:`_sheet`, exact).  The distance from a point inside a
+        convex set to its boundary is concave in the point, and m is that
+        distance on the vertical line through (sb, s2), at the concave
+        height x2 - psi(a): m is concave and decreasing on [s1, top], top
+        = psi^-1(x2 - F(0, sb, s2)), past which no nearest point lies.  So
+        on a cell m is at least its chord, and J at least the squared
+        distance from (s1, 0) to the chord in the (a, m) plane.  Cells
+        whose bound is within 1e-13 of the best J are dropped, after at
+        most 400 evaluations; ``start``, a wall point, is kept unless the
+        search beats it by more.
+        """
+        psi, tol = self.psi, 1e-13
+
+        def point(a: float) -> tuple:
+            P, b, c = self._sheet(x2 - psi.value(a), sb, s2)
+            return (a - s1) ** 2 + P, math.sqrt(P), a, b, c
+
+        def chord_bound(l, ml, r, mr) -> float:
+            dx, dy = r - l, mr - ml
+            t = min(1.0, max(0.0, ((s1 - l) * dx - ml * dy)
+                             / (dx * dx + dy * dy)))
+            ea, em = l + t * dx - s1, ml + t * dy
+            return ea * ea + em * em
+
+        a0, b0, c0 = start
+        kept = (a0 - s1) ** 2 + (b0 - sb) ** 2 + (c0 - s2) ** 2 \
+            + (x2 - self._wall(a0, b0, c0)) ** 2
+        top = max(s1, psi.inverse(x2 - self._wall(0.0, sb, s2)))
+        hi = min(top, s1 + math.sqrt(kept))
+        best = lo_pt = point(s1)
+        cells = []
+        if hi > s1:
+            hi_pt = point(hi)
+            best = min(best, hi_pt)
+            cells.append((chord_bound(s1, lo_pt[1], hi, hi_pt[1]),
+                          s1, lo_pt[1], hi, hi_pt[1]))
+        for _ in range(400):
+            if not cells or cells[0][0] >= best[0] * (1.0 - tol):
+                break
+            _, l, ml, r, mr = heapq.heappop(cells)
+            mid = 0.5 * (l + r)
+            if not l < mid < r:
+                continue
+            pt = point(mid)
+            best = min(best, pt)
+            for cell in ((l, ml, mid, pt[1]), (mid, pt[1], r, mr)):
+                bound = chord_bound(*cell)
+                if bound < best[0] * (1.0 - tol):
+                    heapq.heappush(cells, (bound,) + cell)
+        return start if kept <= best[0] * (1.0 + tol) else best[2:]
+
+    def _sheet(self, R: float, sb: float, s2: float) -> tuple:
+        """(P, b, c): the squared distance P from (sb, s2, R), sb, s2 >= 0,
+        to the sheet h = chi1((b - 2)_+)^2 + chi2 c^2, and its nearest
+        point (b, c), b >= sb, c >= s2.
+
+        Each term is chi((v - w)_+)^2 with w = 2 for b and w = 0 for c; with
+        u = s - w, stationarity at multiplier lam = R - h puts v at s on the
+        flat part (u <= 0), on the arm at t = v - w = u/(1 - 2 chi lam) > 0,
+        or, when u = 0, anywhere on the arm at lam = 1/(2 chi) ("free").
+        Every combination is tried: the arms' lam are the roots of
+        h(lam) = R - lam - sum chi t^2 (:func:`_sheet_roots`), and a free
+        arm takes the height left at its lam.  Two free arms share one lam
+        only when chi1 = chi2, and then putting all of it on b is as near.
+        """
+        h0 = self._wall(0.0, sb, s2)
+        best = ((R - h0) ** 2, sb, s2)     # the vertical foot
+        if not R > h0:
+            return best
+        terms = ((self.chi1, sb - 2.0, 2.0, sb), (self.chi2, s2, 0.0, s2))
+        kinds = [(["flat"] if chi == 0.0 or u <= 0.0 else [])
+                 + ([] if chi == 0.0 else ["free" if u == 0.0 else "arm"])
+                 for chi, u, _, _ in terms]
+        for pair in ((kb, kc) for kb in kinds[0] for kc in kinds[1]):
+            if pair == ("free", "free"):
+                continue
+            free = pair.index("free") if "free" in pair else None
+            lams = [0.5 / terms[free][0]] if free is not None else \
+                _sheet_roots(R, [term[:2] for kind, term in zip(pair, terms)
+                                 if kind == "arm"])
+            for lam in lams:
+                ts = [_arm_offset(chi, u, lam) if kind == "arm" else 0.0
+                      for kind, (chi, u, _, _) in zip(pair, terms)]
+                if None in ts:
+                    continue
+                if free is not None:
+                    rest = R - lam - terms[1 - free][0] * ts[1 - free] ** 2
+                    if not rest > 0.0:
+                        continue
+                    ts[free] = math.sqrt(rest / terms[free][0])
+                b, c = (s if kind == "flat" else w + t for kind, t, (_, _, w, s)
+                        in zip(pair, ts, terms))
+                dh = R - self._wall(0.0, b, c)
+                P = (b - sb) ** 2 + (c - s2) ** 2 + dh * dh
+                best = min(best, (P, b, c))
+        return best
 
     def _inner_radius(self, z) -> float:
         """Certified lower bound for boundary_distance.

@@ -50,6 +50,7 @@ from .geometry import (
     AmbiguousProjectionError,
     Domain,
     GeometryError,
+    _GOLDEN,
     _UNIT_ROUNDOFF,
     _difference_parts,
     _down,
@@ -184,7 +185,6 @@ def _dual_value(R: float, c_p: complex, c_q: complex, nu_p: np.ndarray,
 # sections on the two cells next to its best point, down to a few ulps of 2 pi
 _PHASE_GRID = 32
 _PHASE_TOL = 2.0 ** -48
-_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
 def _norm(v: list) -> float:

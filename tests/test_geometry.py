@@ -1051,6 +1051,34 @@ def test_constructors_take_integer_dimensions():
     assert Ellipsoid((1, 2)).dim == 2
 
 
+@pytest.mark.parametrize("axis", [1e200, 2.0 ** 256 * (1 + 2 ** -52),
+                                  1e-170, 2.0 ** -256 * (1 - 2 ** -53)])
+def test_ellipsoid_rejects_axes_whose_squares_leave_the_range(axis):
+    # a_j^2 = inf read (1e199)^2/a_j^2 = inf/inf as nan, so (1e199, 0) was
+    # outside Ellipsoid([1e200, 1]); a_j^2 = 0 divided by zero
+    with pytest.raises(GeometryError):
+        Ellipsoid([axis, 1.0])
+    with pytest.raises(GeometryError):
+        domain_from_json({"kind": "ellipsoid", "axes": [axis, 1.0]})
+
+
+@pytest.mark.parametrize("axis", [2.0 ** 256, 2.0 ** -256])
+def test_ellipsoid_at_the_ends_of_the_axis_range(axis):
+    # membership, the projection and the quadric exit at the extreme axes
+    dom = Ellipsoid([axis, 1.0])
+    z = [0.5 * axis, 0.0]
+    assert dom.contains(z)
+    assert not dom.contains([1.5 * axis, 0.0])
+    d = dom.boundary_distance(z)
+    # the nearest boundary point is across the unit axis on the long
+    # ellipsoid, along the tiny axis on the thin one
+    assert d == pytest.approx(math.sqrt(0.75) if axis > 1.0 else 0.5 * axis,
+                              rel=1e-12)
+    assert dom.directional_distance(z, [1.0, 0.0]) == pytest.approx(
+        0.5 * axis, rel=1e-12)
+    assert 0.0 < dom.inner_radius_fast(z) <= d
+
+
 def test_ray_exit_bisection():
     dom = Disc()
     t = ray_exit(dom.ray(np.array([0j]), np.array([1 + 0j])), hi_cap=8.0)

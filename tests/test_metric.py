@@ -406,14 +406,27 @@ def test_pair_tube_bound_matches_always_solved_reference(name, monkeypatch):
     accepted = 0
     pairs = draw(np.random.default_rng(71))
     for x, y in pairs:
+        before = len(solves)
         got = pair_tube_bound(domain, x, y)
         assert _bits(got) == _bits(_pair_tube_reference(domain, x, y))
         accepted += got is not None
-    if name.startswith("omega-psi"):
-        # near the flat segment the pre-check rules out most solves
+        if name.startswith("omega-psi") and all(
+                _on_flat_segment(domain, z) for z in (x, y)):
+            # both nearest wall points on the flat segment, normals
+            # (0, -1): the pre-check settles the pair without a solve
+            assert len(solves) == before
+    if name == "omega-psi-exp":
+        # near the flat segment the pre-check rules out most solves; on
+        # the log-power profile the wall rises within eps of most of these
+        # pairs, and their tilted contact normals leave the solve to run
         assert 2 * len(solves) < len(pairs)
-    else:
+    elif not name.startswith("omega-psi"):
         assert accepted >= 3              # deep pairs reach the tube
+
+
+def _on_flat_segment(domain, z) -> bool:
+    contact = domain._project(z)[1]
+    return not isinstance(contact, Exception) and contact[0].real == 0.0
 
 
 @pytest.mark.parametrize("name", EXACTNESS_CASES)
@@ -667,7 +680,11 @@ def test_chord_upper_near_the_flat_segment(x, y, inner_upper):
 # dom7, dom9 and dom10) were re-recorded, each lower than before, when that
 # branch began to round down, the ellipsoid's directional distance to
 # round up and the Omega_psi phase scan to read 16 phases of outer ray ends
-# without a polish; every upper kept its bits.
+# without a polish; every upper kept its bits.  The lowers of dom9 and
+# dom11 were re-recorded, each higher than before and below the
+# inner-domain upper of bench/refs.py, when the Omega_psi wall projection
+# began to find the nearest wall point: their half-plane contacts moved
+# from the vertical foot onto the rising log-power wall.
 BRACKET_PINS = [
     (Ellipsoid([1.0, 2.0]), _P(0.95, 0), _P(0.9j, 0.3),
      "0x1.2166a535d5a12p+1", "0x1.99f594083ac18p+2"),
@@ -689,11 +706,11 @@ BRACKET_PINS = [
      _P(0.2 + 0.3j, 0.1 + 0.05j),
      "0x1.ecc2caec5160bp-2", "0x1.2cb20cafafd56p+3"),
     (OmegaPsi(PsiSpec("exp_neg_inv_log_pow", alpha=2.0)), _P(0.5j, 1e-2),
-     _P(-0.3j, 2e-2), "0x1.03c938f116bf3p+1", "0x1.148299376390ep+6"),
+     _P(-0.3j, 2e-2), "0x1.0bcb9a79cf26fp+2", "0x1.148299376390ep+6"),
     (OmegaPsi(PsiSpec("exp_neg_inv_log_pow", alpha=2.0)), _P(1.7j, 1e-3),
      _P(1.75j, 2e-3), "0x1.19545db143ac2p+0", "0x1.21eb5b0cc9e12p+3"),
     (OmegaPsi(PsiSpec("exp_neg_inv_log_pow", alpha=2.0)), _P(0.001, 0.05),
-     _P(-0.3j, 0.1), "0x1.275555ff6a76bp+1", "0x1.57c712ab1599ap+3"),
+     _P(-0.3j, 0.1), "0x1.276c419ded25ep+1", "0x1.57c712ab1599ap+3"),
 ]
 
 

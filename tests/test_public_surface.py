@@ -8,8 +8,11 @@ read the tracer's patch plan against this tree; they change nothing under
 """
 
 import importlib
+import json
 import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -72,3 +75,43 @@ def test_bench_tracer_patches_and_restores(monkeypatch, tmp_path):
     for layer in ("cli", "metric.bracket", "metric.lower_bound",
                   "metric.pair_tube"):
         assert tracer.calls[layer] >= 1, layer
+
+
+NO_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None          # any scipy import now fails
+import koblab.cli
+loaded = sorted(m for m, mod in sys.modules.items()
+                if m.split(".")[0] == "scipy" and mod is not None)
+codes = [koblab.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"loaded": loaded, "codes": codes}))
+"""
+
+
+def test_koblab_runs_without_scipy(tmp_path):
+    # a fresh interpreter in which scipy cannot be imported: koblab imports
+    # none of it and runs distance on the ellipsoid and on both Omega_psi
+    # profiles, and the Omega_psi case study
+    domains = {"ellipsoid": {"kind": "ellipsoid", "axes": [1, 2]},
+               "exp": {"kind": "omega_psi",
+                       "psi": {"form": "exp_neg_c_over_x", "c": 3.14159}},
+               "logpow": {"kind": "omega_psi",
+                          "psi": {"form": "exp_neg_inv_log_pow",
+                                  "alpha": 2.0}}}
+    argvs = []
+    for name, domain in domains.items():
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({"domain": domain}))
+        argvs.append(["distance", "--config", str(config),
+                      "--x", "[[0,0.5],[0.05,0]]", "--y", "[[0,-0.5],[0.3,0]]",
+                      "--out", str(tmp_path / name), "--reproducible"])
+    argvs.append(["case-omega-psi", "--eps", "1e-1,1e-2",
+                  "--out", str(tmp_path / "case"), "--reproducible"])
+    src = os.path.join(os.path.dirname(BENCH), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report == {"loaded": [], "codes": [0, 0, 0, 0]}

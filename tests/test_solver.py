@@ -323,7 +323,7 @@ GOLDEN = (
      "0x1.994d489e4488ep-1", "0x1.cb303713f7d8cp+0", 148, True),
     (OmegaPsi(PsiSpec("exp_neg_c_over_x")), [0.2 + 0.5j, 0.5],
      [-0.5j, 0.2 + 0.1j], "light",
-     "0x1.ff74425c9856cp-2", "0x1.09b3b217dc453p+1", 375, True),
+     "0x1.ff74425c9855cp-2", "0x1.09b3b217dc453p+1", 375, True),
 )
 CONFIGS = {"light": SolverConfig.light(), "default": SolverConfig()}
 
