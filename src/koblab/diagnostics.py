@@ -237,8 +237,8 @@ def gromov_product(domain: Domain, x, y, o, config: SolverConfig | None = None
 
 
 def log_estimate_residual(domain: Domain, x, y,
-                          k_bracket: MetricBracket | None = None,
-                          config: SolverConfig | None = None) -> SignedBracket:
+                          k_bracket: MetricBracket | None = None
+                          ) -> SignedBracket:
     """Certified bracket for 1/2 log(1/d(x)) + 1/2 log(1/d(y)) - k(x, y),
     writing d for the boundary distance.
 
@@ -261,7 +261,7 @@ def log_estimate_residual(domain: Domain, x, y,
                             "this close to the boundary")
     sum_lower = 0.5 * (math.log(1.0 / bd_x) + math.log(1.0 / bd_y))
     sum_upper = 0.5 * (math.log(1.0 / ir_x) + math.log(1.0 / ir_y))
-    k = k_bracket if k_bracket is not None else _pair_bracket(domain, x, y, config)
+    k = k_bracket if k_bracket is not None else _pair_bracket(domain, x, y)
     return SignedBracket(sum_lower - k.upper, sum_upper - k.lower)
 
 
@@ -426,7 +426,7 @@ def k_point_probe(domain: Domain, p, w_radius: float, eps_grid,
         if ir_z <= 0.0:
             raise GeometryError("cannot certify the boundary distance at the "
                                 "probe point")
-        lows = [distance_lower_bound(domain, z, w_in, tube=False)
+        lows = [distance_lower_bound(domain, z, w_in)
                 for w_in, _ in witnesses]
         stat = min(lows) + 0.5 * math.log(ir_z)
         upper = None
@@ -711,7 +711,7 @@ def localization_check(d_big: Domain, u_center, u_radius: float,
     samples = []
     c_emp = -math.inf
     for i, (z, w) in enumerate(checked):
-        lower_local = distance_lower_bound(local, z, w, tube=False)
+        lower_local = distance_lower_bound(local, z, w)
         upper_global = distance_bracket(d_big, z, w).upper
         diff = lower_local - upper_global
         c_emp = max(c_emp, diff)

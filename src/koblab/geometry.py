@@ -15,14 +15,14 @@ domain D:
 
 Model domains (disc, half-plane, polydisc, ball, ellipsoid) implement these
 with closed forms.  The four Kobayashi models (disc, half-plane, polydisc,
-ball) also carry their closed-form distance, and the bounded three the
-geodesic solver's segment kernels, through the ``Domain`` protocol.  The
-graph-type domain used in the flat-boundary experiments falls back to
-generic ray machinery with bisection along each ray, and so does the
-iterated minimal basis past its first contact on such a domain: the later
-slice of a 2-dimensional domain is the directional phase scan.  Those code
-paths carry self-checks in the test suite instead of closed-form
-guarantees.
+ball) also carry their closed-form distance, and the bounded three
+closed-form segment terms for the geodesic solver, through the
+``Domain`` protocol.  The graph-type domain used in the flat-boundary
+experiments falls back to generic ray machinery with bisection along each
+ray, and so does the iterated minimal basis past its first contact on
+such a domain: the later slice of a 2-dimensional domain is the
+directional phase scan.  Those code paths carry self-checks in the test
+suite instead of closed-form guarantees.
 """
 
 from __future__ import annotations
@@ -322,16 +322,19 @@ class Domain:
     only.  Each converts and checks its input once: a finite point of the
     domain's dimension, an interior one where the primitive needs it, a
     finite nonzero direction.  It then calls the private method of the
-    same name (``_contains``, ``_inner_radius``, ...), which each domain
+    same name (``_contains``, ``_project``, ...), which each domain
     supplies with the geometry alone, on the checked complex array.  The
     two boundary queries share one: ``boundary_distance`` and
     ``nearest_boundary_point`` read the distance and the contact of the
-    domain's one metric projection ``_project``.
+    domain's one metric projection ``_project``.  ``inner_radius_fast``
+    reads the radius of the domain's segment-kernel node ``_node``, the
+    one radius per domain; on the models and the ellipsoid, ``_contains``
+    reads the same formula, so it holds exactly where that radius is > 0.
 
     ``exact`` marks the model domains: their Kobayashi distance has a
-    closed form, which their segment kernels call, and
+    closed form, which their segment terms call, and
     ``exact_error(d, delta)`` bounds the distance's rounding error, delta
-    the pair's smaller kernel radius.
+    the pair's smaller node radius.
     """
 
     dim: int
@@ -386,9 +389,9 @@ class Domain:
         raise NotImplementedError
 
     def _inner_radius(self, z: np.ndarray) -> float:
-        """Here the distance of :meth:`_project`, whose closed form on the
-        models reads <= 0 outside; the domains without one override this."""
-        return self._project(z)[0]
+        """The radius of :meth:`_node` at the array's list: the domain's one
+        radius, which its segment terms read too."""
+        return self._node(z.tolist())[0]
 
     def _project(self, z: np.ndarray) -> tuple:
         """``(distance, contact)``: the metric projection of interior z onto
@@ -425,114 +428,66 @@ class Domain:
         """
         return lambda t: self._contains(z + t * u)
 
-    # -- closed forms and solver kernels ---------------------------------------
+    # -- closed forms and segment kernels ---------------------------------------
+    #
+    # ``_node``, ``_terms`` and ``_moved`` are the segment kernels: the one
+    # source of a segment's certified upper.  The descent of
+    # :func:`koblab.solver.solve_geodesic` and the subdivided chord of
+    # :func:`koblab.metric.distance_bracket` both call them, on points given
+    # as ``ndarray.tolist()``, lists of Python complex numbers, so they run
+    # on plain floats with no numpy scalar or temporary in the loop; a
+    # domain that changes its terms changes both uppers.  They keep no state
+    # that changes an answer: a node depends only on its point and a term
+    # only on its endpoints and their factors (Omega_psi's line-radius memo
+    # caches a pure function of its key).  A visit of the descent to a
+    # control point therefore reads only that point, its two neighbours and
+    # the step, which is what lets the descent skip the visits of settled
+    # points exactly.
 
     def exact_distance(self, x: np.ndarray, y: np.ndarray):
         """Closed-form Kobayashi distance between interior points, or None."""
         return None
 
-    def segment_kernels(self):
-        """The ``(point, node, terms, moved)`` closures of the geodesic
-        descent.
-
-        * ``point(p)`` turns a point array into the form the other three
-          take: ``ndarray.tolist``, a list of Python complex numbers, on
-          every domain, so the kernels run on plain floats with no numpy
-          scalar or temporary in the loop.
-        * ``node(p)`` is ``(radius, factor)``: a cheap interior radius,
-          <= 0 outside, and the point's share of every segment term it
-          enters, computed once per point so that no term recomputes it.
-          Where the radius is > 0 the factor is the one the terms need at
-          an interior point.
-        * ``terms(a, b, fa, fb)`` is the list of nonnegative terms of the
-          segment [a, b], given interior endpoints and their factors.  The
-          max of the terms is the certified upper for k(a, b), inf when it
-          cannot certify (on models, the closed form up to
-          ``exact_error``); their euclidean norm is the search objective.
-          The polydisc has one term per coordinate, its disc distance;
-          every other domain has a single term, which both reductions
-          return unchanged.
-        * ``moved(T, a, b, fa, fb, slot)`` equals ``terms(a, b, fa, fb)``
-          when ``T`` is the segment's terms before one coordinate ``slot``
-          of one endpoint moved: it recomputes only the term that
-          coordinate enters (on a single-term kernel, that term) and
-          leaves ``T`` as it was.
-
-        The factors: 1 - |z_j|^2 per coordinate on the disc and the
-        polydisc, from the same ``abs`` as the radius; 1 - |z|^2 on the
-        ball, from the one sum that also gives the radius.  Here ``node`` is
-        :meth:`_node`, read directly as the descent's and the chord's points
-        are interior already, and the single term is the rounded-up
-        touching-disc bound :func:`_touching_disc_upper`, on the real and
-        imaginary parts of b - a (:func:`_difference_parts`), at
-
-            t = max(ra, rb, rho(a, u), rho(b, u)),  u = (b - a)/|b - a|,
-
-        ra and rb the node radii and rho the *line radius* of
-        :meth:`_line_radius`: a certified radius of a disc about the end in
-        the segment's own complex line, through the factor and bounds on
-        |u_j| (:func:`_unit_bounds`).  Where a domain has no line radius,
-        rho is the node radius, so the term reads t = max(ra, rb) and makes
-        no further call.  Each (factor, direction bounds) pair computes its
-        rho once, so a chord's midpoint pays for one line radius, not two.
-
-        These kernels are the one source of a segment's certified upper:
-        the descent of :func:`koblab.solver.solve_geodesic` and the
-        subdivided chord of :func:`koblab.metric.distance_bracket` both read
-        them, so a domain that changes its terms changes both uppers.
-
-        The closures keep no state that changes an answer: a node depends
-        only on its point and a term only on its endpoints and their
-        factors (the line radii's memo is a pure function of its key).  A
-        visit of the descent to a control point therefore reads only that
-        point, its two neighbours and the step, which is what lets the
-        descent skip the visits of settled points exactly.
-        """
-        node = self._node
-        line_radius = self._line_radius
-        if line_radius is None:
-            def terms(a, b, ra, rb):
-                return [_touching_disc_upper(_difference_parts(a, b),
-                                             max(ra, rb))]
-        else:
-            memo = {}
-
-            def rho(f, q):
-                key = (f, q)
-                r = memo.get(key)
-                if r is None:
-                    if len(memo) >= _LINE_MEMO:
-                        memo.clear()
-                    r = memo[key] = line_radius(f, q)
-                return r
-
-            def terms(a, b, fa, fb):
-                d = _difference_parts(a, b)
-                if not any(d):
-                    return [0.0]
-                q = _unit_bounds(d)
-                t = max(fa[0], fb[0], rho(fa, q), rho(fb, q))
-                return [_touching_disc_upper(d, t)]
-
-        def moved(T, a, b, fa, fb, slot):
-            return terms(a, b, fa, fb)
-        return np.ndarray.tolist, node, terms, moved
-
     def _node(self, z: list) -> tuple:
-        """``(radius, factor)`` of the generic kernel's ``node`` at the list
-        of Python complex ``z``: the inner radius, and the point's share of
-        its segment terms, which here is the inner radius again.  This
-        default converts the list back to an array once, for the domains
-        whose ``_inner_radius`` runs on arrays; the ellipsoid and Omega_psi
-        read the list itself."""
-        r = self._inner_radius(np.array(z, dtype=complex))
-        return r, r
+        """``(radius, factor)`` at the list of Python complex ``z``: the
+        domain's one cheap interior radius, <= 0 outside, and the point's
+        share of every segment term it enters, computed once per point so
+        that no term recomputes it.  Where the radius is > 0 the factor is
+        the one the terms need at an interior point.
 
-    # ``_line_radius(factor, q)``: a certified lower bound on the radius of
-    # the largest disc {z + zeta*u : |zeta| < r} in D, for the point whose
-    # node factor is ``factor`` and every unit u with |u_j| <= q[j].  None
-    # here: the line radius is the node radius.  Only ``OmegaPsi`` has one.
-    _line_radius = None
+        The radius is what ``inner_radius_fast`` returns (see
+        :meth:`_inner_radius`).  The factors: 1 - |z_j|^2 per coordinate on
+        the disc and the polydisc, from the same ``abs`` as the radius;
+        1 - |z|^2 on the ball, from the one sum that also gives the radius;
+        on Omega_psi, the plain floats its line radius reads; the radius
+        itself elsewhere.
+        """
+        raise NotImplementedError
+
+    def _terms(self, a: list, b: list, fa, fb) -> list:
+        """The nonnegative terms of the segment [a, b], given interior
+        endpoints and their node factors.  The max of the terms is the
+        certified upper for k(a, b), inf when it cannot certify (on models,
+        the closed form up to ``exact_error``); their euclidean norm is the
+        search objective.  The polydisc has one term per coordinate, its
+        disc distance; every other domain has a single term, which both
+        reductions return unchanged.
+
+        Here the single term is the rounded-up touching-disc bound
+        :func:`_touching_disc_upper`, on the real and imaginary parts of
+        b - a (:func:`_difference_parts`), at t = max(fa, fb), the larger
+        node radius.  Omega_psi also takes the line radius of each end
+        (:meth:`OmegaPsi._terms`).
+        """
+        return [_touching_disc_upper(_difference_parts(a, b), max(fa, fb))]
+
+    def _moved(self, T: list, a: list, b: list, fa, fb, slot: int) -> list:
+        """``_terms(a, b, fa, fb)``, given that ``T`` is the segment's terms
+        before one coordinate ``slot`` of one endpoint moved: it recomputes
+        only the term that coordinate enters and leaves ``T`` as it was.
+        Here, on a single-term kernel, that is the one term; only the
+        polydisc overrides it."""
+        return self._terms(a, b, fa, fb)
 
     # -- boundary structure --------------------------------------------------
 
@@ -747,9 +702,9 @@ def _touching_disc_upper(d: list, t: float) -> float:
     When a ball of radius t about a or b lies in the domain, so does the
     complex disc of radius t through [a, b] about that end, and the
     Kobayashi distance contracts: k(a, b) <= artanh(|b - a| / t).  This is
-    the one touching-disc bound.  Its one caller is the generic segment
-    kernel of :meth:`Domain.segment_kernels`, which the chord upper and the
-    geodesic descent both read.
+    the one touching-disc bound.  Its callers are the generic segment
+    terms :meth:`Domain._terms` and Omega_psi's :meth:`OmegaPsi._terms`,
+    which the chord upper and the geodesic descent both read.
 
     Rounding (u = 2^-53, x⁺ as in :func:`_up`), on ``d``, the plain floats
     that the Python complex numbers of the kernels' points give:
@@ -771,7 +726,7 @@ def _touching_disc_upper(d: list, t: float) -> float:
 
 
 _UNIT_GRID = 2.0 ** 20   # the direction bounds of _unit_bounds are on 2^-20
-_LINE_MEMO = 1 << 12     # line radii a segment-kernel memo holds at most
+_LINE_MEMO = 1 << 12     # line radii OmegaPsi's memo holds at most
 
 
 def _unit_bounds(d: list) -> tuple:
@@ -1010,20 +965,16 @@ class Disc(Domain):
     def exact_error(self, d, delta) -> float:
         return _UNIT_ROUNDOFF * (2.0 * d + 13.0 / delta)
 
-    def segment_kernels(self):
-        def node(p):
-            r = abs(p[0])
-            return 1.0 - r, 1.0 - r ** 2
+    def _node(self, z: list) -> tuple:
+        r = abs(z[0])
+        return 1.0 - r, 1.0 - r ** 2
 
-        def terms(a, b, fa, fb):
-            return [_disc_distance(a[0], b[0], fa, fb)]
-
-        def moved(T, a, b, fa, fb, slot):
-            return [_disc_distance(a[0], b[0], fa, fb)]
-        return np.ndarray.tolist, node, terms, moved
+    def _terms(self, a, b, fa, fb) -> list:
+        return [_disc_distance(a[0], b[0], fa, fb)]
 
     def _contains(self, z) -> bool:
-        return abs(z[0]) < 1.0
+        # the abs of _node, so membership is a positive node radius
+        return abs(complex(z[0])) < 1.0
 
     def _project(self, z) -> tuple:
         r = abs(z[0])
@@ -1055,6 +1006,10 @@ class HalfPlane(Domain):
 
     def _contains(self, z) -> bool:
         return z[0].imag > 0.0
+
+    def _node(self, z: list) -> tuple:
+        r = z[0].imag
+        return r, r
 
     def _project(self, z) -> tuple:
         return z[0].imag, np.array([complex(z[0].real, 0.0)])
@@ -1102,7 +1057,11 @@ class Polydisc(Domain):
 
     exact_error = Disc.exact_error
 
-    def segment_kernels(self):
+    def _node(self, z: list) -> tuple:
+        r = [abs(q) for q in z]
+        return 1.0 - max(r), [1.0 - rj ** 2 for rj in r]
+
+    def _terms(self, a, b, fa, fb) -> list:
         """One term per coordinate: its :func:`disc_distance`.
 
         Their max, the distance, has flat ridges that stall coordinate
@@ -1110,29 +1069,21 @@ class Polydisc(Domain):
         terms instead; its minimizers allocate every coordinate's length
         proportionally across segments, and at a proportional allocation
         the per-segment max telescopes, so the final configuration also
-        minimizes the certified sum.  A move of one coordinate changes only
-        that coordinate's term.  The factors are the list of 1 - |z_j|^2.
+        minimizes the certified sum.  The factors are the list of
+        1 - |z_j|^2.
         """
-        def node(p):
-            r = [abs(q) for q in p]
-            return 1.0 - max(r), [1.0 - rj ** 2 for rj in r]
+        return [_disc_distance(aj, bj, fj, gj)
+                for aj, bj, fj, gj in zip(a, b, fa, fb)]
 
-        def terms(a, b, fa, fb):
-            return [_disc_distance(aj, bj, fj, gj)
-                    for aj, bj, fj, gj in zip(a, b, fa, fb)]
-
-        def moved(T, a, b, fa, fb, slot):
-            T = T.copy()
-            T[slot] = _disc_distance(a[slot], b[slot], fa[slot], fb[slot])
-            return T
-        return np.ndarray.tolist, node, terms, moved
+    def _moved(self, T, a, b, fa, fb, slot) -> list:
+        # a move of one coordinate changes only that coordinate's term
+        T = T.copy()
+        T[slot] = _disc_distance(a[slot], b[slot], fa[slot], fb[slot])
+        return T
 
     def _contains(self, z) -> bool:
-        return bool(np.max(np.abs(z)) < 1.0)
-
-    def _inner_radius(self, z) -> float:
-        # the distance of _project without the contact it also builds
-        return float(np.min(1.0 - np.abs(z)))
+        # the abs of _node, so membership is a positive node radius
+        return max(abs(q) for q in z.tolist()) < 1.0
 
     def _directional_distance(self, z, v, stop=-math.inf) -> float:
         return min(_quadric_exit(z, v, a2) for a2 in self._cylinders)
@@ -1190,21 +1141,18 @@ class Ball(Domain):
     def exact_error(self, d, delta) -> float:
         return _UNIT_ROUNDOFF * (2.0 * d + (3 * self.dim + 16.0) / delta)
 
-    def segment_kernels(self):
-        def node(p):
-            # one sum for both, so radius > 0 implies the factor 1-|p|² > 0
-            s = _norm2(p)
-            return 1.0 - math.sqrt(s), 1.0 - s
+    def _node(self, z: list) -> tuple:
+        # one sum for both, so radius > 0 implies the factor 1-|z|² > 0
+        s = _norm2(z)
+        return 1.0 - math.sqrt(s), 1.0 - s
 
-        def terms(a, b, fa, fb):
-            return [_ball_distance(a, b, fa, fb)]
-
-        def moved(T, a, b, fa, fb, slot):
-            return [_ball_distance(a, b, fa, fb)]
-        return np.ndarray.tolist, node, terms, moved
+    def _terms(self, a, b, fa, fb) -> list:
+        return [_ball_distance(a, b, fa, fb)]
 
     def _contains(self, z) -> bool:
-        return float(np.linalg.norm(z)) < 1.0
+        # the sum of _node: sqrt(s) < 1 exactly when s < 1, so membership
+        # is a positive node radius
+        return _norm2(z.tolist()) < 1.0
 
     def _project(self, z) -> tuple:
         r = float(np.linalg.norm(z))
@@ -1333,9 +1281,6 @@ class Ellipsoid(Domain):
         u = real_view(z)
         p = _project_interior_to_ellipsoid(u, _paired_axes(self.axes))
         return float(np.linalg.norm(u - p)), complex_view(p)
-
-    def _inner_radius(self, z) -> float:
-        return self._node(z.tolist())[0]
 
     def _node(self, z: list) -> tuple:
         """``(radius, radius)``: the inner radius at the list ``z``, the
@@ -1738,6 +1683,7 @@ class OmegaPsi(Domain):
             raise GeometryError("chi1 and chi2 must be finite and >= 0")
         self.dim = 2
         self.bounding_radius = self.cap_radius
+        self._line_memo = {}      # (factor, direction bounds) -> line radius
 
     # F and its gradient ------------------------------------------------------
 
@@ -1978,23 +1924,18 @@ class OmegaPsi(Domain):
                 best = min(best, (P, b, c))
         return best
 
-    def _inner_radius(self, z) -> float:
-        """Certified lower bound for boundary_distance.
-
-        The nearest wall point sits within the vertical gap g of the graph
-        coordinates, so a Lipschitz constant of the wall over that ball gives
-        dist >= g / sqrt(1 + L^2); the cap sheet contributes exactly
-        (:meth:`_cap_gap`).  The point is converted once with ``tolist()``
-        and the bound runs on Python floats.  Outside, the vertical gap or
-        the cap gap is <= 0, and so is the bound.
-        """
-        return self._node(z.tolist())[0]
-
     def _node(self, z: list) -> tuple:
-        """``(radius, factor)`` of the generic kernel at the list ``z``: the
-        inner radius, and as the factor the plain floats
-        :meth:`_line_radius` reads, the inner radius, |x1|, |y1|, |y2|, x2
-        and the cap gap."""
+        """``(radius, factor)`` at the list ``z``: the inner radius, and as
+        the factor the plain floats :meth:`_line_radius` reads, the inner
+        radius, |x1|, |y1|, |y2|, x2 and the cap gap.
+
+        The radius is a certified lower bound for boundary_distance.  The
+        nearest wall point sits within the vertical gap g of the graph
+        coordinates, so a Lipschitz constant of the wall over that ball
+        gives dist >= g / sqrt(1 + L^2); the cap sheet contributes exactly
+        (:meth:`_cap_gap`).  Outside, the vertical gap or the cap gap is
+        <= 0, and so is the bound.
+        """
         z1, z2 = z
         x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
         cap = self._cap_gap(z1, z2)
@@ -2012,6 +1953,32 @@ class OmegaPsi(Domain):
             wall_bound = gap / math.sqrt(1.0 + lip * lip)
             r = max(0.0, min(cap, wall_bound))
         return r, (r, abs(x1), abs(y1), abs(y2), x2, cap)
+
+    def _terms(self, a, b, fa, fb) -> list:
+        """The touching-disc term of :meth:`Domain._terms` at
+
+            t = max(ra, rb, rho(a, u), rho(b, u)),  u = (b - a)/|b - a|,
+
+        ra and rb the node radii and rho the *line radius* of
+        :meth:`_line_radius`: a certified radius of a disc about the end in
+        the segment's own complex line, through the factor and bounds on
+        |u_j| (:func:`_unit_bounds`).  Each (factor, direction bounds) pair
+        computes its rho once, through a memo of at most ``_LINE_MEMO``
+        entries, so a chord's midpoint pays for one line radius, not two.
+        """
+        d = _difference_parts(a, b)
+        if not any(d):
+            return [0.0]
+        q = _unit_bounds(d)
+        memo, t = self._line_memo, max(fa[0], fb[0])
+        for f in (fa, fb):
+            rho = memo.get((f, q))
+            if rho is None:
+                if len(memo) >= _LINE_MEMO:
+                    memo.clear()
+                rho = memo[f, q] = self._line_radius(f, q)
+            t = max(t, rho)
+        return [_touching_disc_upper(d, t)]
 
     def _line_radius(self, f: tuple, q: tuple) -> float:
         """A certified radius rho >= the inner radius of the disc
@@ -2165,9 +2132,10 @@ class LocalizedDomain(Domain):
             return False
         return self.base._contains(z)
 
-    def _inner_radius(self, z) -> float:
-        return min(self.base._inner_radius(z),
-                   self.radius - float(np.linalg.norm(z - self.center)))
+    def _node(self, z: list) -> tuple:
+        r = min(self.base._node(z)[0],
+                self.radius - float(np.linalg.norm(np.array(z) - self.center)))
+        return r, r
 
     def _directional_distance(self, z, v, stop=-math.inf) -> float:
         v = v / np.linalg.norm(v)

@@ -15,8 +15,8 @@ two-sided interval arithmetic:
 * distance upper bounds come from summing per-segment certified terms
   along explicit paths.  Both paths, the subdivided chord of
   :func:`distance_bracket` and the geodesic descent of :mod:`koblab.solver`,
-  read one source of segment terms, the domain's
-  :meth:`~koblab.geometry.Domain.segment_kernels`: rounded-up touching-disc
+  read one source of segment terms, the domain's ``_node`` and ``_terms``
+  (:meth:`~koblab.geometry.Domain._terms`): rounded-up touching-disc
   bounds on non-model domains, whose touching disc for [a, b] takes the
   largest of both ends' inner radii and, on Omega_psi, their line radii:
   certified discs in the complex line of b - a, about c/log(1/eps) next to
@@ -30,13 +30,16 @@ forms (each within its derived ``exact_error``, which the solver widens
 by), the pair-tube bound (its dual, its gaps and its logs), the
 directional branch (its log, and every model's and the window's
 closed-form t, rounded up through :func:`~koblab.geometry._quadric_exit`;
-the phase scan reads outer ray ends), the generic kernel's touching-disc
-term, Omega_psi's line radius (its wall bound rounded up)
-and the chord's and the solver's segment sums
+the phase scan reads outer ray ends), the delta-ratio branch's log, the
+generic kernel's touching-disc term, Omega_psi's line radius (its wall
+bound rounded up) and the chord's and the solver's segment sums
 :func:`~koblab.geometry._sum_up`.  Still plain double: the model
-``distance_bracket`` [d, d], the half-plane projection bound, the bidisc
-paths' artanh grids, and the ellipsoid gauge sum |z_j|^2/a_j^2 that its
-inner radius reads.
+``distance_bracket`` [d, d], the half-plane projection bound, the
+boundary distance the delta-ratio branch divides by (the ``_project``
+distance, an upper bound in real arithmetic only), the bidisc paths'
+artanh grids, the models' node radii 1 - |z| (and 1 - max |z_j|) that
+``inner_radius_fast`` returns, and the ellipsoid gauge sum
+|z_j|^2/a_j^2 that its inner radius reads.
 """
 
 from __future__ import annotations
@@ -415,10 +418,10 @@ def pair_tube_bound(domain: Domain, x, y, *, contacts=None):
     return _down(_half_log_down(eta, fx) + _half_log_down(eta, gy), 1)
 
 
-def distance_lower_bound_detailed(domain: Domain, x, y, tube: bool = True):
+def distance_lower_bound_detailed(domain: Domain, x, y):
     """(best bound, per-branch values).  Branch keys:
 
-    ``delta-ratio``           1/2 |log(delta(x)/delta(y))|
+    ``delta-ratio``           1/2 |log(delta(x)/delta(y))|, rounded down
     ``halfplane-projection``  contraction onto the supporting half-plane
     ``directional``           1/2 log(1 + |x-y| / max(t_x, t_y))
     ``pair-tube``             additive two-projection bound (when it applies)
@@ -429,11 +432,10 @@ def distance_lower_bound_detailed(domain: Domain, x, y, tube: bool = True):
     display, with t_x, t_y the directional distances of the chord at its
     ends.  No caller reports which branch won: they keep only the best
     bound.  The ratio and both projection branches share one boundary
-    projection of each point, ``Domain._project``.  ``tube=False`` skips
-    the pair-tube branch (:func:`pair_tube_bound` first settles most pairs
-    that its dual solve would reject with an exact, cheap check); the
-    probes that sweep a grid of pairs pass it, which keeps their
-    reproducible outputs as they were.
+    projection of each point, ``Domain._project``; the ratio reads the
+    certified ``inner_radius_fast`` of one end over that plain-double
+    distance of the other.  :func:`pair_tube_bound` first settles most
+    pairs that its dual solve would reject with an exact, cheap check.
     The two directional scans of (c) share one early exit: the end with
     the larger boundary distance is scanned first, and its t is the
     ``stop`` of the other scan, which is exact because only the larger t
@@ -455,13 +457,15 @@ def distance_lower_bound_detailed(domain: Domain, x, y, tube: bool = True):
     (up_x, up_y), contacts = zip(_boundary_contact(domain, x),
                                  _boundary_contact(domain, y))
 
-    # (a) boundary-distance ratio: certified lower over certified upper
+    # (a) boundary-distance ratio: certified lower over the projection's
+    # distance
     lo_x, lo_y = domain.inner_radius_fast(x), domain.inner_radius_fast(y)
     ratio = 0.0
-    if lo_x > 0.0 and up_y > 0.0:
-        ratio = max(ratio, 0.5 * math.log(lo_x / up_y))
-    if lo_y > 0.0 and up_x > 0.0:
-        ratio = max(ratio, 0.5 * math.log(lo_y / up_x))
+    # a quotient <= 1 gives a log <= 0, which the floor at 0 drops
+    if 0.0 < up_y < lo_x:
+        ratio = max(ratio, _half_log_down(lo_x, up_y))
+    if 0.0 < up_x < lo_y:
+        ratio = max(ratio, _half_log_down(lo_y, up_x))
     branches["delta-ratio"] = ratio
 
     # (b) supporting half-plane projections at both ends; an ambiguous
@@ -492,18 +496,17 @@ def distance_lower_bound_detailed(domain: Domain, x, y, tube: bool = True):
             branches["directional"] = _directional_bound(x, y, t)
 
     # (d) additive pair bound for deep pairs
-    if tube:
-        pt = pair_tube_bound(domain, x, y, contacts=contacts)
-        if pt is not None:
-            branches["pair-tube"] = pt
+    pt = pair_tube_bound(domain, x, y, contacts=contacts)
+    if pt is not None:
+        branches["pair-tube"] = pt
 
     best = max(branches.values()) if branches else 0.0
     return max(0.0, best), branches
 
 
-def distance_lower_bound(domain: Domain, x, y, tube: bool = True) -> float:
+def distance_lower_bound(domain: Domain, x, y) -> float:
     """Best available certified lower bound for the Kobayashi distance."""
-    return distance_lower_bound_detailed(domain, x, y, tube=tube)[0]
+    return distance_lower_bound_detailed(domain, x, y)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -516,32 +519,30 @@ def distance_lower_bound(domain: Domain, x, y, tube: bool = True) -> float:
 _SPLIT_TERM = 0.5 * math.log(3.0)
 
 
-def _certified_chain_upper(kernels, a: list, b: list,
+def _certified_chain_upper(domain: Domain, a: list, b: list,
                            fa, fb, depth: int = 48) -> float:
     """Certified upper for k(a, b) along the segment [a, b].
 
-    ``kernels`` are the domain's ``(point, node, terms, moved)`` of
-    :meth:`~koblab.geometry.Domain.segment_kernels`, ``a`` and ``b`` points
-    in the kernels' form (``point`` of an array: a list of Python complex
-    numbers), and ``fa``, ``fb`` their node factors.  A piece costs the max
-    of its segment terms when that is below artanh(1/2), i.e. on the
+    ``a`` and ``b`` are points in the segment kernels' form
+    (``ndarray.tolist()``: lists of Python complex numbers), and ``fa``,
+    ``fb`` their factors from the domain's ``_node``.  A piece costs the
+    max of its ``_terms`` when that is below artanh(1/2), i.e. on the
     generic kernel when the piece is shorter than half its larger end
     radius; a longer one is halved, each midpoint's factor is computed
     once and handed to both halves, and the halves add rounding up.  The
     midpoint is taken coordinate by coordinate, the same floats as
     ``0.5 * (a + b)`` on arrays.
     """
-    _, node, terms, _ = kernels
-    s = max(terms(a, b, fa, fb))
+    s = max(domain._terms(a, b, fa, fb))
     if s < _SPLIT_TERM:
         return s
     if depth == 0:
         raise GeometryError("certified upper bound did not converge; "
                             "endpoints too close to the boundary")
     mid = [0.5 * (p + q) for p, q in zip(a, b)]
-    fm = node(mid)[1]
-    return _sum_up([_certified_chain_upper(kernels, a, mid, fa, fm, depth - 1),
-                    _certified_chain_upper(kernels, mid, b, fm, fb, depth - 1)])
+    fm = domain._node(mid)[1]
+    return _sum_up([_certified_chain_upper(domain, a, mid, fa, fm, depth - 1),
+                    _certified_chain_upper(domain, mid, b, fm, fb, depth - 1)])
 
 
 def distance_bracket(domain: Domain, x, y) -> MetricBracket:
@@ -557,10 +558,9 @@ def distance_bracket(domain: Domain, x, y) -> MetricBracket:
     if exact is not None:
         return MetricBracket(exact, exact)
     lower = distance_lower_bound(domain, x, y)
-    kernels = domain.segment_kernels()
-    point, node, _, _ = kernels
-    a, b = point(x), point(y)
-    upper = _certified_chain_upper(kernels, a, b, node(a)[1], node(b)[1])
+    a, b = x.tolist(), y.tolist()
+    upper = _certified_chain_upper(domain, a, b, domain._node(a)[1],
+                                   domain._node(b)[1])
     if lower > upper * (1.0 + 1e-12):
         # both sides are certified, so a real crossing means a broken domain
         raise GeometryError(f"bound crossing: lower {lower} > upper {upper}")

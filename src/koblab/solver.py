@@ -22,16 +22,16 @@ stage has converged when its step falls below ``rel_tol`` times the
 path's scale, whether sweeps without moves or sweeps with too little gain
 halved it there.
 
-Domains supply the segment bounds through
-:meth:`~koblab.geometry.Domain.segment_kernels`, fetched once per solve and
-read directly, as the chord upper of :func:`koblab.metric.distance_bracket`
-reads them; the solver holds no per-domain code.  A stage converts its
-control points once into the kernels' point form, lists of Python
-complex numbers, and keeps, for each control point, the factor its
-segment terms share (1 - |z_j|^2 per coordinate on the disc and
-polydisc, 1 - |z|^2 on the ball, the inner radius elsewhere, with on
-Omega_psi the plain floats its line radius reads), computed once per
-point by the kernels' ``node``.
+Domains supply the segment bounds through their segment kernels, the
+methods ``_node``, ``_terms`` and ``_moved`` of
+:class:`~koblab.geometry.Domain`, which the chord upper of
+:func:`koblab.metric.distance_bracket` reads too; the solver holds no
+per-domain code.  A stage converts its control points once into the
+kernels' point form, ``ndarray.tolist()``, lists of Python complex
+numbers, and keeps, for each control point, the factor its segment terms
+share (1 - |z_j|^2 per coordinate on the disc and polydisc, 1 - |z|^2 on
+the ball, the inner radius elsewhere, with on Omega_psi the plain floats
+its line radius reads), computed once per point by ``_node``.
 For each segment it keeps its list of kernel terms: one disc distance per
 coordinate on the polydisc, a single term elsewhere.  The certified upper
 of a segment is the max of its terms and the drive objective their
@@ -223,11 +223,11 @@ def _ensure_valid(pts: np.ndarray, upper, cap: int) -> np.ndarray:
 _MIN_GAIN = 1e-2
 
 
-def _optimize_stage(kernels, margin: float, pts: np.ndarray,
+def _optimize_stage(domain: Domain, margin: float, pts: np.ndarray,
                     cfg: SolverConfig, iter_budget: int):
-    """Coordinate descent at fixed resolution on the domain's
-    ``(point, node, terms, moved)`` kernels; a candidate whose node radius
-    is below ``margin`` is not probed.
+    """Coordinate descent at fixed resolution on the domain's segment
+    kernels ``_node``, ``_terms`` and ``_moved``; a candidate whose node
+    radius is below ``margin`` is not probed.
 
     Returns (best points, their certified uppers, sweeps, fine), where
     ``fine`` says the step fell below ``h_min`` rather than the sweep
@@ -250,10 +250,10 @@ def _optimize_stage(kernels, margin: float, pts: np.ndarray,
     would repeat the last one.
     """
     m, n = pts.shape
-    point, node, terms, moved = kernels
+    node, terms, moved = domain._node, domain._terms, domain._moved
     hypot = math.hypot
     scale = max(float(np.max(np.abs(np.diff(pts, axis=0)))), 1e-12)
-    P = [point(p) for p in pts]
+    P = pts.tolist()
     F = [node(p)[1] for p in P]
     T = [terms(P[j], P[j + 1], F[j], F[j + 1]) for j in range(m - 1)]
     D = [hypot(*t) for t in T]
@@ -341,12 +341,11 @@ def solve_geodesic(domain: Domain, x, y, cfg: SolverConfig | None = None) -> Geo
             "geodesic endpoints must keep boundary distance >= 1e-6")
 
     lower = distance_lower_bound(domain, x, y)
-    kernels = domain.segment_kernels()
-    point, node, terms, _ = kernels
+    node, terms = domain._node, domain._terms
     margin = 1e-9 * domain.bounding_radius
 
     def seg_upper(a, b):
-        a, b = point(a), point(b)
+        a, b = a.tolist(), b.tolist()
         return max(terms(a, b, node(a)[1], node(b)[1]))
 
     m = min(9, cfg.control_points)
@@ -379,7 +378,7 @@ def solve_geodesic(domain: Domain, x, y, cfg: SolverConfig | None = None) -> Geo
     converged = False
     prev_L = math.inf
     while iterations < cfg.max_iter:
-        pts, S, sweeps, fine = _optimize_stage(kernels, margin, pts, cfg,
+        pts, S, sweeps, fine = _optimize_stage(domain, margin, pts, cfg,
                                                cfg.max_iter - iterations)
         iterations += sweeps
         L = float(sum(S))
@@ -412,7 +411,7 @@ def solve_geodesic(domain: Domain, x, y, cfg: SolverConfig | None = None) -> Geo
     # smaller endpoint radius; elsewhere each segment's upper is its
     # kernel's certified term.  Both add through the one rounded-up sum.
     if domain.exact:
-        R = [node(point(p))[0] for p in best_pts]
+        R = [node(p)[0] for p in best_pts.tolist()]
         brackets = []
         for j, s in enumerate(best_S):
             e = domain.exact_error(s, min(R[j], R[j + 1]))

@@ -500,10 +500,9 @@ def test_lower_bound_omega_psi_runs():
 
 def segment_upper(domain, a, b):
     """The solver's certified per-segment upper for k(a, b)."""
-    point, node, terms, _ = domain.segment_kernels()
-    a = point(np.asarray(a, dtype=complex))
-    b = point(np.asarray(b, dtype=complex))
-    return max(terms(a, b, node(a)[1], node(b)[1]))
+    a = np.asarray(a, dtype=complex).tolist()
+    b = np.asarray(b, dtype=complex).tolist()
+    return max(domain._terms(a, b, domain._node(a)[1], domain._node(b)[1]))
 
 
 def test_segment_upper_models_exact():
@@ -598,11 +597,9 @@ class _CountingOmegaPsi(_CountingNodes, OmegaPsi):
 
 def _assert_one_node_per_point(dom, x, y):
     # the chord asks the kernels' node once per point it visits
-    kernels = dom.segment_kernels()
-    point, node, _, _ = kernels
-    a = point(np.array(x, dtype=complex))
-    b = point(np.array(y, dtype=complex))
-    upper = _certified_chain_upper(kernels, a, b, node(a)[1], node(b)[1])
+    a = np.array(x, dtype=complex).tolist()
+    b = np.array(y, dtype=complex).tolist()
+    upper = _certified_chain_upper(dom, a, b, dom._node(a)[1], dom._node(b)[1])
     assert math.isfinite(upper)
     assert len(dom.seen) > 10        # the segment was subdivided
     assert len(dom.seen) == len(set(dom.seen))
@@ -622,12 +619,8 @@ class _ScaledKernelEllipsoid(Ellipsoid):
     """An ellipsoid whose segment terms are the generic ones times 1.5,
     still certified uppers, only looser."""
 
-    def segment_kernels(self):
-        point, node, terms, moved = super().segment_kernels()
-
-        def scaled(a, b, fa, fb):
-            return [1.5 * t for t in terms(a, b, fa, fb)]
-        return point, node, scaled, moved
+    def _terms(self, a, b, fa, fb):
+        return [1.5 * t for t in super()._terms(a, b, fa, fb)]
 
 
 def test_chord_upper_reads_the_segment_kernels():
@@ -721,8 +714,9 @@ def test_distance_bracket_pinned_bit_for_bit(dom, x, y, lower, upper):
 
 
 # a window about (0.3, 0.1i) of radius 0.6 lies inside both bases, so both
-# brackets are the window ball's; its chord runs through the default
-# ``Domain._node``, which turns the kernels' list back into an array
+# brackets are the window ball's; its chord runs through
+# ``LocalizedDomain._node``, the min of the base's node radius and the
+# window gap
 @pytest.mark.parametrize("base", [Ball(2), Ellipsoid([1.0, 2.0])],
                          ids=["ball", "ellipsoid"])
 def test_localized_bracket_pinned_bit_for_bit(base):

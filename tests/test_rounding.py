@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from koblab.geometry import (Ball, Disc, Ellipsoid, Polydisc,
+from koblab.geometry import (Ball, Disc, Ellipsoid, HalfPlane,
+                             LocalizedDomain, OmegaPsi, Polydisc, PsiSpec,
                              _difference_parts, _sum_up,
                              _touching_disc_upper)
 from koblab.metric import (_boundary_contact, _dual_disjointness,
@@ -94,8 +95,7 @@ MODELS = [Disc(), Polydisc(2), Ball(2), Ball(3)]
 @given(data=st.data())
 def test_closed_form_within_derived_bound(domain, data):
     x, y = data.draw(model_pairs(domain))
-    point, node = domain.segment_kernels()[:2]
-    delta = min(node(point(x))[0], node(point(y))[0])
+    delta = min(domain._node(x.tolist())[0], domain._node(y.tolist())[0])
     assume(delta > 0.0)
     got = domain.exact_distance(x, y)
     with mpmath.workdps(DIGITS):
@@ -239,28 +239,48 @@ def test_ellipsoid_bracket_upper_at_or_above_distance(pair):
     assert distance_bracket(dom, x, y).upper >= mp_ellipsoid(x, y)
 
 
+# ---------------------------------------------------------------------------
+# one radius per domain: membership, inner_radius_fast and the kernel node
+# ---------------------------------------------------------------------------
+
 GAUGE_ELLIPSOIDS = [Ellipsoid((1.0, 2.0)), Ellipsoid((1.0, 1.5, 3.0))]
+RADIUS_DOMAINS = GAUGE_ELLIPSOIDS + [Disc(), Polydisc(2), Polydisc(3),
+                                     Ball(2), Ball(3)]
+RADIUS_IDS = [f"{type(d).__name__.lower()}-{d.dim}" for d in RADIUS_DOMAINS]
+
+
+def _node_radius(dom, z):
+    """The radius of the segment kernels' node at the array z."""
+    return dom._node(z.tolist())[0]
 
 
 @st.composite
-def gauge_points(draw, dom):
-    """Points s u a of Ellipsoid(a), u a unit vector, so the gauge is about
-    s^2: inside at depth 1 - s log-uniform from 1e-12 to 1, or outside with
-    s - 1 log-uniform from 1e-12 to 1."""
-    gap = 10.0 ** draw(st.floats(-12.0, 0.0))
+def radial_points(draw, dom):
+    """Points s u of a model or s u a of Ellipsoid(a), u a unit vector
+    (on the polydisc scaled to the face max |u_j| = 1), inside at depth
+    1 - s log-uniform from 1e-17 to 1, or outside with s - 1 log-uniform
+    from 1e-17 to 1.  Below 1e-16, 1 - gap rounds to 1, so s u lies on the
+    boundary but for the rounding of u.  The ellipsoids go down to 1e-12
+    only: within about 1e-16 of the boundary their projection, which the
+    slack check reads, can fail to bracket its root and raise."""
+    low = -12.0 if isinstance(dom, Ellipsoid) else -17.0
+    gap = 10.0 ** draw(st.floats(low, 0.0))
     s = 1.0 - gap if draw(st.booleans()) else 1.0 + gap
-    return s * draw(unit_vectors(dom.dim)) * dom.axes
+    u = draw(unit_vectors(dom.dim))
+    if isinstance(dom, Polydisc):
+        u = u / float(np.max(np.abs(u)))
+    return s * u * getattr(dom, "axes", 1.0)
 
 
-@pytest.mark.parametrize("dom", GAUGE_ELLIPSOIDS,
-                         ids=[f"ellipsoid-{len(d.axes)}" for d in GAUGE_ELLIPSOIDS])
+@pytest.mark.parametrize("dom", RADIUS_DOMAINS, ids=RADIUS_IDS)
 @given(data=st.data())
 def test_ellipsoid_gauge_radius_agrees_with_membership(dom, data):
-    # membership and the kernels' node read one gauge: the radius is > 0
-    # exactly where the point is inside, and the public inner radius is the
-    # node's, both with no slack
-    z = data.draw(gauge_points(dom))
-    r = dom._node(z.tolist())[0]
+    # membership and the kernels' node read one formula (the gauge on the
+    # ellipsoid, the abs or the sum of squares of _node on the models): the
+    # radius is > 0 exactly where the point is inside, and the public inner
+    # radius is the node's, both with no slack
+    z = data.draw(radial_points(dom))
+    r = _node_radius(dom, z)
     assert dom.contains(z) is (r > 0.0)
     assert dom.inner_radius_fast(z) == r
     if r > 0.0:
@@ -269,9 +289,53 @@ def test_ellipsoid_gauge_radius_agrees_with_membership(dom, data):
         # its float overshoots the float projection by up to about 2 u
         # max(a), e.g. 0.10000000000000009 against 0.09999999999999996 at
         # (0.9(1 + i)/sqrt 2, 0) in Ellipsoid((1, 2)); the slack is the
-        # gauge's (n + 4) u error bound, doubled for the projection's
-        slack = 2 * (dom.dim + 4) * 2.0 ** -53 * float(max(dom.axes))
+        # gauge's (n + 4) u error bound, doubled for the projection's, with
+        # a = 1 on the models, whose projection reads numpy's norm
+        slack = 2 * (dom.dim + 4) * 2.0 ** -53 * float(
+            np.max(getattr(dom, "axes", 1.0)))
         assert r <= dom.boundary_distance(z) + slack
+
+
+PSI_PROFILES = [PsiSpec("exp_neg_c_over_x"),
+                PsiSpec("exp_neg_inv_log_pow", alpha=2.0)]
+WINDOW = LocalizedDomain(Ball(2), [0.7, 0.1j], 0.5)
+SOUND_RADIUS_DOMAINS = [OmegaPsi(psi) for psi in PSI_PROFILES] + [
+    HalfPlane(), WINDOW]
+SOUND_RADIUS_IDS = [psi.form for psi in PSI_PROFILES] + ["halfplane",
+                                                        "window"]
+
+
+@st.composite
+def boundary_hugging_points(draw, dom):
+    """Points within 1e-17 to 1 of the boundary, on either side: above or
+    below the Omega_psi wall, off the real axis of the half-plane, and off
+    the window sphere or the base sphere of the window."""
+    gap = 10.0 ** draw(st.floats(-17.0, 0.0))
+    gap = gap if draw(st.booleans()) else -gap
+    if isinstance(dom, OmegaPsi):
+        x1 = draw(st.floats(-1.0, 1.0))
+        y1, y2 = draw(st.floats(-2.6, 2.6)), draw(st.floats(-0.5, 0.5))
+        return np.array([complex(x1, y1),
+                         complex(dom._wall(x1, y1, y2) + gap, y2)])
+    if isinstance(dom, HalfPlane):
+        return np.array([complex(draw(coords), gap)])
+    u = draw(unit_vectors(dom.dim))
+    if draw(st.booleans()):
+        return dom.center + (dom.radius + gap) * u
+    return (1.0 + gap) * u
+
+
+@pytest.mark.parametrize("dom", SOUND_RADIUS_DOMAINS, ids=SOUND_RADIUS_IDS)
+@given(data=st.data())
+def test_node_radius_is_inner_radius_fast(dom, data):
+    # the public inner radius is the node's, with no slack, and a positive
+    # radius certifies membership; the converse may fail, as the radius is
+    # a bound that reads 0 near the wall or the cap
+    z = data.draw(boundary_hugging_points(dom))
+    r = _node_radius(dom, z)
+    assert dom.inner_radius_fast(z) == r
+    if r > 0.0:
+        assert dom.contains(z)
 
 
 ELLIPSOID_SOLVES = (
@@ -349,4 +413,46 @@ def test_directional_branch_at_or_below_its_exact_value(case):
             dom.directional_distance(y, y - x))
     with mpmath.workdps(DIGITS):
         exact = mpmath.log1p(mp_norm(x, y) / mpmath.mpf(t)) / 2
+        assert mpmath.mpf(got) <= exact
+
+
+# ---------------------------------------------------------------------------
+# the delta-ratio branch rounds down, with no slack
+# ---------------------------------------------------------------------------
+
+RATIO_DOMAINS = [Ball(2), Ellipsoid(list(AXES)), OmegaPsi(PSI_PROFILES[0])]
+
+
+@st.composite
+def ratio_pairs(draw):
+    """A ball, ellipsoid or exp Omega_psi and two points at depths 1e-12
+    to 1: along rays from the centre, or above the Omega_psi wall."""
+    dom = draw(st.sampled_from(RATIO_DOMAINS))
+
+    def point():
+        depth = 10.0 ** draw(st.floats(-12.0, 0.0))
+        if isinstance(dom, OmegaPsi):
+            x1, y1 = draw(st.floats(-0.5, 0.5)), draw(st.floats(-2.5, 2.5))
+            y2 = draw(st.floats(-0.3, 0.3))
+            return np.array([complex(x1, y1),
+                             complex(dom._wall(x1, y1, y2) + depth, y2)])
+        return (1.0 - depth) * draw(unit_vectors(2)) * getattr(dom, "axes",
+                                                                1.0)
+    return dom, point(), point()
+
+
+@given(ratio_pairs())
+def test_delta_ratio_branch_at_or_below_its_exact_value(case):
+    # max(0, 1/2 log(ir(x)/d(y)), 1/2 log(ir(y)/d(x))) at 50 digits, of
+    # the same floats: ir the inner radius, d the projection's distance
+    dom, x, y = case
+    assume(dom.contains(x) and dom.contains(y) and not np.array_equal(x, y))
+    got = distance_lower_bound_detailed(dom, x, y)[1]["delta-ratio"]
+    ends = [(dom.inner_radius_fast(z), dom.boundary_distance(z))
+            for z in (x, y)]
+    with mpmath.workdps(DIGITS):
+        exact = max([mpmath.mpf(0)] + [
+            mpmath.log(mpmath.mpf(lo) / mpmath.mpf(up)) / 2
+            for (lo, _), (_, up) in (ends, ends[::-1])
+            if lo > 0.0 and up > 0.0])
         assert mpmath.mpf(got) <= exact

@@ -353,10 +353,11 @@ def _hexes(values):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @given(data=st.data())
 def test_polydisc_single_slot_update_matches_full_terms(n, data):
-    point, node, terms, moved = Polydisc(n).segment_kernels()
+    dom = Polydisc(n)
+    node, terms, moved = dom._node, dom._terms, dom._moved
     x, y = (np.array(data.draw(st.lists(disc_points, min_size=n, max_size=n)))
             for _ in range(2))
-    a, b = point(x), point(y)
+    a, b = x.tolist(), y.tolist()
     (ra, fa), (rb, fb) = node(a), node(b)
     assume(min(ra, rb) > 0.0)
     T = terms(a, b, fa, fb)
@@ -401,9 +402,9 @@ def test_model_kernel_factors_and_terms(domain, data):
     n = domain.dim
     points = (_ball_point(n) if isinstance(domain, Ball) else
               st.lists(disc_points, min_size=n, max_size=n).map(np.array))
-    point, node, terms, moved = domain.segment_kernels()
+    node, terms, moved = domain._node, domain._terms, domain._moved
     x, y = data.draw(points), data.draw(points)
-    a, b = point(x), point(y)
+    a, b = x.tolist(), y.tolist()
     (ra, fa), (rb, fb) = node(a), node(b)
     # a positive radius certifies every factor the terms divide by
     for r, f in ((ra, fa), (rb, fb)):
