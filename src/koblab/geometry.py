@@ -430,8 +430,8 @@ class Domain:
 
     # -- closed forms and segment kernels ---------------------------------------
     #
-    # ``_node``, ``_terms`` and ``_moved`` are the segment kernels: the one
-    # source of a segment's certified upper.  The descent of
+    # ``_node`` and ``_terms`` are the segment kernels: the one source of a
+    # segment's certified upper.  The descent of
     # :func:`koblab.solver.solve_geodesic` and the subdivided chord of
     # :func:`koblab.metric.distance_bracket` both call them, on points given
     # as ``ndarray.tolist()``, lists of Python complex numbers, so they run
@@ -448,7 +448,7 @@ class Domain:
         """Closed-form Kobayashi distance between interior points, or None."""
         return None
 
-    def _node(self, z: list) -> tuple:
+    def _node(self, z: list, f=None, slot: int = 0) -> tuple:
         """``(radius, factor)`` at the list of Python complex ``z``: the
         domain's one cheap interior radius, <= 0 outside, and the point's
         share of every segment term it enters, computed once per point so
@@ -461,10 +461,16 @@ class Domain:
         1 - |z|^2 on the ball, from the one sum that also gives the radius;
         on Omega_psi, the plain floats its line radius reads; the radius
         itself elsewhere.
+
+        Given ``f``, the factor of a point that ``z`` differs from in
+        coordinate ``slot`` only (a probe of the geodesic descent), a
+        domain may reuse the shares of the unmoved coordinates; the answer
+        is the same, bit for bit.  Only the polydisc does
+        (:meth:`Polydisc._node`); every other node reads the whole point.
         """
         raise NotImplementedError
 
-    def _terms(self, a: list, b: list, fa, fb) -> list:
+    def _terms(self, a: list, b: list, fa, fb, T=None, slot: int = 0) -> list:
         """The nonnegative terms of the segment [a, b], given interior
         endpoints and their node factors.  The max of the terms is the
         certified upper for k(a, b), inf when it cannot certify (on models,
@@ -473,6 +479,12 @@ class Domain:
         disc distance; every other domain has a single term, which both
         reductions return unchanged.
 
+        Given ``T``, the segment's terms before coordinate ``slot`` of one
+        endpoint moved, a domain may recompute only the term that
+        coordinate enters; the answer is the same, bit for bit, and ``T``
+        is left as it was.  Only the polydisc does (:meth:`Polydisc._terms`);
+        a single term is recomputed whole.
+
         Here the single term is the rounded-up touching-disc bound
         :func:`_touching_disc_upper`, on the real and imaginary parts of
         b - a (:func:`_difference_parts`), at t = max(fa, fb), the larger
@@ -480,14 +492,6 @@ class Domain:
         (:meth:`OmegaPsi._terms`).
         """
         return [_touching_disc_upper(_difference_parts(a, b), max(fa, fb))]
-
-    def _moved(self, T: list, a: list, b: list, fa, fb, slot: int) -> list:
-        """``_terms(a, b, fa, fb)``, given that ``T`` is the segment's terms
-        before one coordinate ``slot`` of one endpoint moved: it recomputes
-        only the term that coordinate enters and leaves ``T`` as it was.
-        Here, on a single-term kernel, that is the one term; only the
-        polydisc overrides it."""
-        return self._terms(a, b, fa, fb)
 
     # -- boundary structure --------------------------------------------------
 
@@ -787,9 +791,12 @@ def disc_distance(a: complex, b: complex) -> float:
 
 def _disc_distance(a: complex, b: complex, fa: float, fb: float) -> float:
     """:func:`disc_distance` of two interior Python complex numbers, given
-    their factors fa = 1 - |a|^2 and fb = 1 - |b|^2."""
+    their factors fa = 1 - |a|^2 and fb = 1 - |b|^2.  The floor at 0 is
+    a conditional, not the builtin ``max``, which costs a quarter of the
+    call; both give 0.0 for a NaN, -0.0 or negative d."""
     num = abs(1.0 - a.conjugate() * b) + abs(a - b)
-    return max(0.0, 0.5 * math.log(num * num / (fa * fb)))
+    d = 0.5 * math.log(num * num / (fa * fb))
+    return d if d > 0.0 else 0.0
 
 
 def halfplane_distance(a: complex, b: complex) -> float:
@@ -860,7 +867,9 @@ def _ball_distance(z: list, w: list, dz: float, dw: float) -> float:
         c += zj.conjugate() * vj
         nv2 += vj.real * vj.real + vj.imag * vj.imag
     num = abs(dz - c) + math.sqrt(dz * nv2 + abs(c) ** 2)
-    return max(0.0, 0.5 * math.log(num * num / (dz * dw)))
+    # floored at 0 as in _disc_distance
+    d = 0.5 * math.log(num * num / (dz * dw))
+    return d if d > 0.0 else 0.0
 
 
 def _gauge(z: list, a2: list) -> float:
@@ -965,11 +974,11 @@ class Disc(Domain):
     def exact_error(self, d, delta) -> float:
         return _UNIT_ROUNDOFF * (2.0 * d + 13.0 / delta)
 
-    def _node(self, z: list) -> tuple:
+    def _node(self, z: list, f=None, slot: int = 0) -> tuple:
         r = abs(z[0])
         return 1.0 - r, 1.0 - r ** 2
 
-    def _terms(self, a, b, fa, fb) -> list:
+    def _terms(self, a, b, fa, fb, T=None, slot: int = 0) -> list:
         return [_disc_distance(a[0], b[0], fa, fb)]
 
     def _contains(self, z) -> bool:
@@ -1005,9 +1014,10 @@ class HalfPlane(Domain):
         return _UNIT_ROUNDOFF * (2.0 * d + 6.0)
 
     def _contains(self, z) -> bool:
-        return z[0].imag > 0.0
+        # the Python float of _node, so membership is a positive node radius
+        return complex(z[0]).imag > 0.0
 
-    def _node(self, z: list) -> tuple:
+    def _node(self, z: list, f=None, slot: int = 0) -> tuple:
         r = z[0].imag
         return r, r
 
@@ -1057,11 +1067,20 @@ class Polydisc(Domain):
 
     exact_error = Disc.exact_error
 
-    def _node(self, z: list) -> tuple:
-        r = [abs(q) for q in z]
-        return 1.0 - max(r), [1.0 - rj ** 2 for rj in r]
+    def _node(self, z: list, f=None, slot: int = 0) -> tuple:
+        """``(1 - max |z_j|, [1 - |z_j|^2])``.  Given the factor list ``f``
+        of the point ``z`` moved from in coordinate ``slot``, it copies
+        ``f`` and recomputes that coordinate's factor only, the same floats
+        as the full list; the radius reads every modulus, since a move
+        can lower the max as well as raise it."""
+        if f is None:
+            r = [abs(q) for q in z]
+            return 1.0 - max(r), [1.0 - rj ** 2 for rj in r]
+        f = f.copy()
+        f[slot] = 1.0 - abs(z[slot]) ** 2
+        return 1.0 - max(map(abs, z)), f
 
-    def _terms(self, a, b, fa, fb) -> list:
+    def _terms(self, a, b, fa, fb, T=None, slot: int = 0) -> list:
         """One term per coordinate: its :func:`disc_distance`.
 
         Their max, the distance, has flat ridges that stall coordinate
@@ -1070,13 +1089,13 @@ class Polydisc(Domain):
         proportionally across segments, and at a proportional allocation
         the per-segment max telescopes, so the final configuration also
         minimizes the certified sum.  The factors are the list of
-        1 - |z_j|^2.
+        1 - |z_j|^2.  Given the terms ``T`` before coordinate ``slot`` of
+        an endpoint moved, it copies ``T`` and recomputes that coordinate's
+        term only, as a move changes no other.
         """
-        return [_disc_distance(aj, bj, fj, gj)
-                for aj, bj, fj, gj in zip(a, b, fa, fb)]
-
-    def _moved(self, T, a, b, fa, fb, slot) -> list:
-        # a move of one coordinate changes only that coordinate's term
+        if T is None:
+            return [_disc_distance(aj, bj, fj, gj)
+                    for aj, bj, fj, gj in zip(a, b, fa, fb)]
         T = T.copy()
         T[slot] = _disc_distance(a[slot], b[slot], fa[slot], fb[slot])
         return T
@@ -1141,12 +1160,12 @@ class Ball(Domain):
     def exact_error(self, d, delta) -> float:
         return _UNIT_ROUNDOFF * (2.0 * d + (3 * self.dim + 16.0) / delta)
 
-    def _node(self, z: list) -> tuple:
+    def _node(self, z: list, f=None, slot: int = 0) -> tuple:
         # one sum for both, so radius > 0 implies the factor 1-|z|² > 0
         s = _norm2(z)
         return 1.0 - math.sqrt(s), 1.0 - s
 
-    def _terms(self, a, b, fa, fb) -> list:
+    def _terms(self, a, b, fa, fb, T=None, slot: int = 0) -> list:
         return [_ball_distance(a, b, fa, fb)]
 
     def _contains(self, z) -> bool:
@@ -1282,7 +1301,7 @@ class Ellipsoid(Domain):
         p = _project_interior_to_ellipsoid(u, _paired_axes(self.axes))
         return float(np.linalg.norm(u - p)), complex_view(p)
 
-    def _node(self, z: list) -> tuple:
+    def _node(self, z: list, f=None, slot: int = 0) -> tuple:
         """``(radius, radius)``: the inner radius at the list ``z``, the
         larger of two certified lower bounds for the boundary distance:
 
@@ -1924,7 +1943,7 @@ class OmegaPsi(Domain):
                 best = min(best, (P, b, c))
         return best
 
-    def _node(self, z: list) -> tuple:
+    def _node(self, z: list, f=None, slot: int = 0) -> tuple:
         """``(radius, factor)`` at the list ``z``: the inner radius, and as
         the factor the plain floats :meth:`_line_radius` reads, the inner
         radius, |x1|, |y1|, |y2|, x2 and the cap gap.
@@ -1954,7 +1973,7 @@ class OmegaPsi(Domain):
             r = max(0.0, min(cap, wall_bound))
         return r, (r, abs(x1), abs(y1), abs(y2), x2, cap)
 
-    def _terms(self, a, b, fa, fb) -> list:
+    def _terms(self, a, b, fa, fb, T=None, slot: int = 0) -> list:
         """The touching-disc term of :meth:`Domain._terms` at
 
             t = max(ra, rb, rho(a, u), rho(b, u)),  u = (b - a)/|b - a|,
@@ -2132,7 +2151,7 @@ class LocalizedDomain(Domain):
             return False
         return self.base._contains(z)
 
-    def _node(self, z: list) -> tuple:
+    def _node(self, z: list, f=None, slot: int = 0) -> tuple:
         r = min(self.base._node(z)[0],
                 self.radius - float(np.linalg.norm(np.array(z) - self.center)))
         return r, r

@@ -23,23 +23,27 @@ path's scale, whether sweeps without moves or sweeps with too little gain
 halved it there.
 
 Domains supply the segment bounds through their segment kernels, the
-methods ``_node``, ``_terms`` and ``_moved`` of
-:class:`~koblab.geometry.Domain`, which the chord upper of
-:func:`koblab.metric.distance_bracket` reads too; the solver holds no
-per-domain code.  A stage converts its control points once into the
-kernels' point form, ``ndarray.tolist()``, lists of Python complex
-numbers, and keeps, for each control point, the factor its segment terms
-share (1 - |z_j|^2 per coordinate on the disc and polydisc, 1 - |z|^2 on
-the ball, the inner radius elsewhere, with on Omega_psi the plain floats
-its line radius reads), computed once per point by ``_node``.
+methods ``_node`` and ``_terms`` of :class:`~koblab.geometry.Domain`,
+which the chord upper of :func:`koblab.metric.distance_bracket` reads
+too; the solver holds no per-domain code.  A stage converts its control
+points once into the kernels' point form, ``ndarray.tolist()``, lists of
+Python complex numbers, and keeps, for each control point, the factor its
+segment terms share (1 - |z_j|^2 per coordinate on the disc and polydisc,
+1 - |z|^2 on the ball, the inner radius elsewhere, with on Omega_psi the
+plain floats its line radius reads), computed once per point by ``_node``.
 For each segment it keeps its list of kernel terms: one disc distance per
 coordinate on the polydisc, a single term elsewhere.  The certified upper
 of a segment is the max of its terms and the drive objective their
 euclidean norm, which on the polydisc smooths the max's flat ridges.  A
 probe that moves one coordinate of a control point computes the
-candidate's node once, asks the two segments next to it for the term that
-coordinate enters and reuses the rest, so it recomputes one disc distance
-per segment on the polydisc.
+candidate's node once, ``_node(cand, f, slot)``, and asks the two
+segments next to it for their terms, ``_terms(a, b, fa, fb, T, slot)``,
+handing each kernel the point's factor ``f`` or the segment's terms ``T``
+from before the move and the moved coordinate ``slot``.  A kernel may then
+recompute only what that coordinate enters, with the same floats as a
+full call: on the polydisc the probe recomputes one factor and one disc
+distance per segment (the radius still reads every modulus), and the
+single-term kernels of the other domains recompute their one term.
 
 A visit to a control point depends only on it, its two neighbours and the
 step, so the descent skips the visits of settled points: a point is
@@ -226,8 +230,8 @@ _MIN_GAIN = 1e-2
 def _optimize_stage(domain: Domain, margin: float, pts: np.ndarray,
                     cfg: SolverConfig, iter_budget: int):
     """Coordinate descent at fixed resolution on the domain's segment
-    kernels ``_node``, ``_terms`` and ``_moved``; a candidate whose node
-    radius is below ``margin`` is not probed.
+    kernels ``_node`` and ``_terms``; a candidate whose node radius is
+    below ``margin`` is not probed.
 
     Returns (best points, their certified uppers, sweeps, fine), where
     ``fine`` says the step fell below ``h_min`` rather than the sweep
@@ -239,8 +243,13 @@ def _optimize_stage(domain: Domain, margin: float, pts: np.ndarray,
     certified sum is re-evaluated per moving sweep and the best
     configuration is kept, so the returned upper never regresses within a
     stage.  Each control point keeps its node factor ``F[i]`` and
-    each segment its list of kernel terms; a probe computes its
-    candidate's node once and recomputes only the terms its move changes.
+    each segment its list of kernel terms ``T[j]``; a probe moving
+    coordinate ``slot`` of point i computes its candidate's node once as
+    ``_node(cand, F[i], slot)`` and its two segments' terms as
+    ``_terms(..., T[j], slot)``, so each kernel recomputes only what the
+    move changes.  The moves of a sweep, two per real and imaginary step
+    of each coordinate, are built once per sweep, and a visit reads its
+    neighbours' points, factors and terms once.
 
     ``settled[i]`` says a visit to point i would move nothing.  A visit
     reads only P[i - 1], P[i], P[i + 1], the terms and factors they fix,
@@ -250,7 +259,7 @@ def _optimize_stage(domain: Domain, margin: float, pts: np.ndarray,
     would repeat the last one.
     """
     m, n = pts.shape
-    node, terms, moved = domain._node, domain._terms, domain._moved
+    node, terms = domain._node, domain._terms
     hypot = math.hypot
     scale = max(float(np.max(np.abs(np.diff(pts, axis=0)))), 1e-12)
     P = pts.tolist()
@@ -269,30 +278,36 @@ def _optimize_stage(domain: Domain, margin: float, pts: np.ndarray,
         sweeps += 1
         improved = False
         drive = sum(D)
+        # per coordinate slot, the real step h, then the imaginary one, each
+        # as the pair of moves +step, -step; a taken move skips its partner
+        steps = [(slot, [sgn * step for sgn in (1.0, -1.0)])
+                 for slot in range(n) for step in (h, 1j * h)]
         for i in range(1, m - 1):
             if settled[i]:
                 continue
             settled[i] = True
+            p, f = P[i], F[i]
+            pl, fl, tl = P[i - 1], F[i - 1], T[i - 1]
+            pr, fr, tr = P[i + 1], F[i + 1], T[i]
             base = D[i - 1] + D[i]
-            for c in range(2 * n):
-                step = h if c % 2 == 0 else 1j * h
-                slot = c // 2
-                for sgn in (1.0, -1.0):
-                    cand = P[i].copy()
-                    cand[slot] += sgn * step
-                    rc, fc = node(cand)
+            for slot, moves in steps:
+                for move in moves:
+                    cand = p.copy()
+                    cand[slot] += move
+                    rc, fc = node(cand, f, slot)
                     if rc < margin:
                         continue
-                    t1 = moved(T[i - 1], P[i - 1], cand, F[i - 1], fc, slot)
+                    t1 = terms(pl, cand, fl, fc, tl, slot)
                     d1 = hypot(*t1)
                     if not d1 <= base:
                         continue
-                    t2 = moved(T[i], cand, P[i + 1], fc, F[i + 1], slot)
+                    t2 = terms(cand, pr, fc, fr, tr, slot)
                     d2 = hypot(*t2)
                     if d1 + d2 < base - 1e-15:
-                        P[i] = cand
-                        F[i] = fc
-                        T[i - 1], T[i] = t1, t2
+                        P[i] = p = cand
+                        F[i] = f = fc
+                        T[i - 1] = tl = t1
+                        T[i] = tr = t2
                         D[i - 1], D[i] = d1, d2
                         base = d1 + d2
                         settled[i - 1] = settled[i] = settled[i + 1] = False

@@ -346,15 +346,55 @@ disc_points = st.builds(lambda e, t: (1.0 - 10.0 ** e) * cmath.exp(1j * t),
                         st.floats(-12.0, 0.0), st.floats(0.0, 2 * math.pi))
 
 
+# a moved coordinate anywhere from the origin to twice the unit modulus:
+# inside at depths 1e-12 to 1, or outside by 1e-12 to 1
+moved_coordinates = st.builds(
+    lambda e, t, out: (1.0 + (10.0 ** e if out else -10.0 ** e))
+    * cmath.exp(1j * t),
+    st.floats(-12.0, 0.0), st.floats(0.0, 2 * math.pi), st.booleans())
+
+
 def _hexes(values):
     return [v.hex() for v in values]
+
+
+def _node_hexes(node):
+    r, f = node
+    return r.hex(), _hexes(f if isinstance(f, list) else [f])
+
+
+def _slot_kernel_mismatches(domain, a, b, slot, value):
+    """Where the descent's per-slot kernels differ from the full ones, by
+    hex: coordinate ``slot`` of one endpoint of the interior segment [a, b]
+    moves to ``value``, and the per-slot node (given the endpoint's factor)
+    must be the moved point's full node, radius and factor, also where the
+    radius is <= 0; where it is > 0 the per-slot terms (given the segment's
+    terms T) must be the full terms, and T must stay as it was."""
+    node, terms = domain._node, domain._terms
+    (_, fa), (_, fb) = node(a), node(b)
+    T = terms(a, b, fa, fb)
+    before = _hexes(T)
+    bad = []
+    for end, f in (("a", fa), ("b", fb)):
+        c = list(a if end == "a" else b)
+        c[slot] = value
+        rc, fc = node(c)
+        if _node_hexes(node(c, f, slot)) != _node_hexes((rc, fc)):
+            bad.append(f"node of the moved {end}")
+        if rc > 0.0:
+            ends = (c, b, fc, fb) if end == "a" else (a, c, fa, fc)
+            if _hexes(terms(*ends, T, slot)) != _hexes(terms(*ends)):
+                bad.append(f"terms with {end} moved")
+    if _hexes(T) != before:
+        bad.append("T was changed")
+    return bad
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @given(data=st.data())
 def test_polydisc_single_slot_update_matches_full_terms(n, data):
     dom = Polydisc(n)
-    node, terms, moved = dom._node, dom._terms, dom._moved
+    node, terms = dom._node, dom._terms
     x, y = (np.array(data.draw(st.lists(disc_points, min_size=n, max_size=n)))
             for _ in range(2))
     a, b = x.tolist(), y.tolist()
@@ -365,20 +405,10 @@ def test_polydisc_single_slot_update_matches_full_terms(n, data):
     assert max(T).hex() == polydisc_distance(x, y).hex()
     assert math.hypot(*T).hex() == math.hypot(
         *[disc_distance(p, q) for p, q in zip(x, y)]).hex()
-    # a move of one coordinate of either endpoint
+    # a move of one coordinate of either endpoint, in or out of the domain
     slot = data.draw(st.integers(0, n - 1))
-    before = _hexes(T)
-    for first in (True, False):
-        c = list(a if first else b)
-        c[slot] = data.draw(disc_points)
-        rc, fc = node(c)
-        assume(rc > 0.0)
-        if first:
-            got, full = moved(T, c, b, fc, fb, slot), terms(c, b, fc, fb)
-        else:
-            got, full = moved(T, a, c, fa, fc, slot), terms(a, c, fa, fc)
-        assert _hexes(got) == _hexes(full)
-    assert _hexes(T) == before
+    assert _slot_kernel_mismatches(dom, a, b, slot,
+                                   data.draw(moved_coordinates)) == []
 
 
 def _ball_point(n):
@@ -392,7 +422,8 @@ def _ball_point(n):
     return st.builds(build, st.floats(-12.0, 0.0), direction)
 
 
-KERNEL_MODELS = [Disc(), Polydisc(2), Polydisc(3), Ball(2), Ball(3)]
+KERNEL_MODELS = [Disc(), Polydisc(1), Polydisc(2), Polydisc(3), Ball(2),
+                 Ball(3)]
 
 
 @pytest.mark.parametrize("domain", KERNEL_MODELS,
@@ -402,7 +433,7 @@ def test_model_kernel_factors_and_terms(domain, data):
     n = domain.dim
     points = (_ball_point(n) if isinstance(domain, Ball) else
               st.lists(disc_points, min_size=n, max_size=n).map(np.array))
-    node, terms, moved = domain._node, domain._terms, domain._moved
+    node, terms = domain._node, domain._terms
     x, y = data.draw(points), data.draw(points)
     a, b = x.tolist(), y.tolist()
     (ra, fa), (rb, fb) = node(a), node(b)
@@ -414,10 +445,35 @@ def test_model_kernel_factors_and_terms(domain, data):
     # the kernel's upper is the closed form, bit for bit
     T = terms(a, b, fa, fb)
     assert max(T).hex() == domain.exact_distance(x, y).hex()
-    # a move of one coordinate: the updated terms are the full ones
+    # a move of one coordinate of either endpoint, which on the ball or the
+    # polydisc may take it out: the per-slot kernels are the full ones
     slot = data.draw(st.integers(0, n - 1))
-    c = list(a)
-    c[slot] = complex(data.draw(points)[slot])
-    rc, fc = node(c)
-    assume(rc > 0.0)
-    assert _hexes(moved(T, c, b, fc, fb, slot)) == _hexes(terms(c, b, fc, fb))
+    assert _slot_kernel_mismatches(domain, a, b, slot,
+                                   data.draw(moved_coordinates)) == []
+
+
+def test_slot_node_mutant_fails_the_kernel_identity(monkeypatch):
+    # a per-slot polydisc node that reads only the moved coordinate's
+    # modulus for its radius breaks the identity wherever an unmoved
+    # coordinate holds the max.  The solver pins do not catch it (every
+    # GOLDEN pin keeps its bits under it): the descent compares that
+    # radius only with the margin 1e-9 sqrt(n), and the unmoved
+    # coordinates of a probe are those of an accepted point, which
+    # already clear it
+    full = Polydisc._node
+
+    def mutant(self, z, f=None, slot=0):
+        if f is None:
+            return full(self, z)
+        f = f.copy()
+        r = abs(z[slot])
+        f[slot] = 1.0 - r ** 2
+        return 1.0 - r, f
+
+    dom = Polydisc(2)
+    a, b = [0.9 + 0.1j, 0.2j], [0.5, -0.3 + 0.1j]
+    assert _slot_kernel_mismatches(dom, a, b, 1, 0.4) == []
+    monkeypatch.setattr(Polydisc, "_node", mutant)
+    # |0.9 + 0.1i| and 0.5 hold the max of the moved a and b
+    assert _slot_kernel_mismatches(dom, a, b, 1, 0.4) == [
+        "node of the moved a", "node of the moved b"]
