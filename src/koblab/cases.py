@@ -28,7 +28,7 @@ from .diagnostics import (ProbeReport, ProbeSample, _finest_half,
                           goldilocks_probe, gromov_product,
                           log_estimate_residual, visibility_scan)
 from .geometry import GeometryError, OmegaPsi, Polydisc
-from .metric import MetricBracket, disc_distance, distance_lower_bound
+from .metric import disc_distance, distance_lower_bound
 from .solver import SolverConfig, bidisc_boundary_geodesic
 
 __all__ = [
@@ -132,8 +132,7 @@ def run_bidisc_case(eps_grid) -> ProbeReport:
                   abs(boundary_path.upper_length - exact))
         x = np.array([-1.0 + eps, 0.0], dtype=complex)
         y = np.array([1.0 - eps, 0.0], dtype=complex)
-        residual = log_estimate_residual(
-            dom, x, y, k_bracket=MetricBracket(exact, exact))
+        residual = log_estimate_residual(dom, x, y)
         product = gromov_product(dom, x, y, origin)
         stat = float(np.max(boundary_path.boundary_distances()))
         flags = ("equal-lengths",) if gap <= 1e-12 else ()

@@ -201,11 +201,12 @@ def _positive_grid(values, name: str) -> list:
 
 def _pair_bracket(domain: Domain, x, y, config: SolverConfig | None = None
                   ) -> MetricBracket:
-    """Certified distance bracket: exact on models, engine bounds otherwise.
+    """Certified distance bracket: on models the closed form widened by
+    its rounding bound (``distance_bracket``), engine bounds otherwise.
 
-    With a solver config the upper side comes from the geodesic search
-    (tighter); without one it is the subdivided straight-chord bound (fast
-    and still certified).
+    With a solver config the upper side on a non-model domain comes from
+    the geodesic search (tighter); without one it is the subdivided
+    straight-chord bound (fast and still certified).
     """
     if config is None or domain.exact:
         return distance_bracket(domain, x, y)

@@ -328,13 +328,17 @@ class Domain:
     ``nearest_boundary_point`` read the distance and the contact of the
     domain's one metric projection ``_project``.  ``inner_radius_fast``
     reads the radius of the domain's segment-kernel node ``_node``, the
-    one radius per domain; on the models and the ellipsoid, ``_contains``
-    reads the same formula, so it holds exactly where that radius is > 0.
+    one radius per domain, and by default ``_contains`` is that radius
+    > 0, so on the models and the ellipsoid membership is a positive node
+    radius.  ``OmegaPsi`` and ``LocalizedDomain`` keep their own tests, of
+    which a positive radius is only a sufficient condition.
 
     ``exact`` marks the model domains: their Kobayashi distance has a
     closed form, which their segment terms call, and
     ``exact_error(d, delta)`` bounds the distance's rounding error, delta
-    the pair's smaller node radius.
+    the pair's smaller node radius, wherever delta >= ``exact_depth``,
+    the depth down to which that bound is derived.
+    :func:`koblab.metric._model_bracket` is its one reader.
     """
 
     dim: int
@@ -386,7 +390,7 @@ class Domain:
     # -- the per-domain geometry, on checked complex arrays ---------------------
 
     def _contains(self, z: np.ndarray) -> bool:
-        raise NotImplementedError
+        return self._node(z.tolist())[0] > 0.0
 
     def _inner_radius(self, z: np.ndarray) -> float:
         """The radius of :meth:`_node` at the array's list: the domain's one
@@ -780,7 +784,7 @@ def disc_distance(a: complex, b: complex) -> float:
     then errs by eta <= (6 + 4√2)u/delta + 13u, and |d̂ - d| <= eta/2 + 2ud
     <= u(2d + 12.33/delta).  For delta >= 1000u, second-order terms and the
     computed radius for delta add below u/(2 delta): ``Disc.exact_error``
-    is u(2d + 13/delta).
+    is u(2d + 13/delta), and ``Disc.exact_depth`` is 1000u.
     """
     a, b = complex(a), complex(b)
     ra, rb = abs(a), abs(b)
@@ -803,7 +807,8 @@ def halfplane_distance(a: complex, b: complex) -> float:
     """Poincare distance on the upper half-plane { Im > 0 }.
 
     Rounding as in :func:`disc_distance`: |a - b̄|, |a - b| err by 3u, so
-    eta <= 11u and ``HalfPlane.exact_error`` is u(2d + 6), at any depth.
+    eta <= 11u and ``HalfPlane.exact_error`` is u(2d + 6), at any depth
+    (``HalfPlane.exact_depth`` is 0).
     """
     a, b = complex(a), complex(b)
     if a.imag <= 0.0 or b.imag <= 0.0:
@@ -837,7 +842,8 @@ def ball_distance(z, w) -> float:
     2 sqrt(1-|z|²)|v||c|, N by ((3n+1)/4 + √2)u/delta + (n/2 + 7)u.  So
     eta <= (5n + 3 + 4√2)u/delta + (n + 21)u, |d̂ - d| <= u(2d +
     (3n + 14.83)/delta), and for delta >= 20(n+5)²u the rest adds below
-    1.1u/delta: ``Ball.exact_error`` is u(2d + (3n + 16)/delta).
+    1.1u/delta: ``Ball.exact_error`` is u(2d + (3n + 16)/delta), and
+    ``Ball.exact_depth`` is 20(n+5)²u.
     """
     z, w = as_carray(z), as_carray(w)
     if z.shape != w.shape:
@@ -875,8 +881,8 @@ def _ball_distance(z: list, w: list, dz: float, dw: float) -> float:
 def _gauge(z: list, a2: list) -> float:
     """g(z) = sum |z_j|^2 / a2_j on Python floats, z a list of Python
     complex numbers, a2_j = inf where the quadric leaves z_j free.  The
-    ellipsoid's membership and inner radius read this one sum, so its
-    radius is > 0 exactly where ``contains`` holds."""
+    ellipsoid's inner radius reads this one sum, and its membership is
+    that radius > 0, which holds exactly where g < 1."""
     g = 0.0
     for c, a in zip(z, a2):
         r = abs(c)
@@ -966,6 +972,7 @@ class Disc(Domain):
     dim = 1
     bounding_radius = 1.0
     exact = True
+    exact_depth = 1000.0 * _UNIT_ROUNDOFF
     _a2 = [1.0]
 
     def exact_distance(self, x, y) -> float:
@@ -980,10 +987,6 @@ class Disc(Domain):
 
     def _terms(self, a, b, fa, fb, T=None, slot: int = 0) -> list:
         return [_disc_distance(a[0], b[0], fa, fb)]
-
-    def _contains(self, z) -> bool:
-        # the abs of _node, so membership is a positive node radius
-        return abs(complex(z[0])) < 1.0
 
     def _project(self, z) -> tuple:
         r = abs(z[0])
@@ -1006,16 +1009,13 @@ class HalfPlane(Domain):
     dim = 1
     bounding_radius = math.inf
     exact = True
+    exact_depth = 0.0
 
     def exact_distance(self, x, y) -> float:
         return halfplane_distance(x[0], y[0])
 
     def exact_error(self, d, delta) -> float:
         return _UNIT_ROUNDOFF * (2.0 * d + 6.0)
-
-    def _contains(self, z) -> bool:
-        # the Python float of _node, so membership is a positive node radius
-        return complex(z[0]).imag > 0.0
 
     def _node(self, z: list, f=None, slot: int = 0) -> tuple:
         r = z[0].imag
@@ -1065,7 +1065,7 @@ class Polydisc(Domain):
     def exact_distance(self, x, y) -> float:
         return polydisc_distance(x, y)
 
-    exact_error = Disc.exact_error
+    exact_error, exact_depth = Disc.exact_error, Disc.exact_depth
 
     def _node(self, z: list, f=None, slot: int = 0) -> tuple:
         """``(1 - max |z_j|, [1 - |z_j|^2])``.  Given the factor list ``f``
@@ -1099,10 +1099,6 @@ class Polydisc(Domain):
         T = T.copy()
         T[slot] = _disc_distance(a[slot], b[slot], fa[slot], fb[slot])
         return T
-
-    def _contains(self, z) -> bool:
-        # the abs of _node, so membership is a positive node radius
-        return max(abs(q) for q in z.tolist()) < 1.0
 
     def _directional_distance(self, z, v, stop=-math.inf) -> float:
         return min(_quadric_exit(z, v, a2) for a2 in self._cylinders)
@@ -1152,6 +1148,7 @@ class Ball(Domain):
     def __init__(self, n: int = 2):
         self.dim = _dimension(n, "ball")
         self.bounding_radius = 1.0
+        self.exact_depth = 20.0 * (self.dim + 5) ** 2 * _UNIT_ROUNDOFF
         self._a2 = [1.0] * self.dim
 
     def exact_distance(self, x, y) -> float:
@@ -1167,11 +1164,6 @@ class Ball(Domain):
 
     def _terms(self, a, b, fa, fb, T=None, slot: int = 0) -> list:
         return [_ball_distance(a, b, fa, fb)]
-
-    def _contains(self, z) -> bool:
-        # the sum of _node: sqrt(s) < 1 exactly when s < 1, so membership
-        # is a positive node radius
-        return _norm2(z.tolist()) < 1.0
 
     def _project(self, z) -> tuple:
         r = float(np.linalg.norm(z))
@@ -1292,9 +1284,6 @@ class Ellipsoid(Domain):
         self._a2 = (axes**2).tolist()
         self._lip = 2.0 * math.sqrt(float(np.sum(1.0 / axes**2)))
         self._min_axis = float(np.min(axes))
-
-    def _contains(self, z) -> bool:
-        return _gauge(z.tolist(), self._a2) < 1.0
 
     def _project(self, z) -> tuple:
         u = real_view(z)

@@ -1,10 +1,11 @@
 """Kobayashi distance: exact model formulas, certified bounds.
 
-Model domains (disc, half-plane, polydisc, ball) have closed forms and get
-degenerate [exact, exact] distance brackets.  The closed forms live in
-:mod:`koblab.geometry` as ``Domain.exact_distance``; the pair distances
-``disc_distance``, ``halfplane_distance``, ``polydisc_distance`` and
-``ball_distance`` are re-exported here.  Everything else is handled by
+Model domains (disc, half-plane, polydisc, ball) have closed forms, and
+their distance brackets are the closed form widened by its derived
+rounding bound, in one place, :func:`_model_bracket`.  The closed forms
+live in :mod:`koblab.geometry` as ``Domain.exact_distance``; the pair
+distances ``disc_distance``, ``halfplane_distance``, ``polydisc_distance``
+and ``ball_distance`` are re-exported here.  Everything else is handled by
 two-sided interval arithmetic:
 
 * distance lower bounds come from holomorphic projections onto half-planes
@@ -26,20 +27,20 @@ Every side rests on an inequality that holds exactly: lower bounds only use
 certified under-estimates of boundary distances and over-estimates of
 directional distances, upper bounds only use certified inner and line
 radii.  In floating point these sides round outward: the model closed
-forms (each within its derived ``exact_error``, which the solver widens
-by), the pair-tube bound (its dual, its gaps and its logs), the
+forms (each widened by its derived ``exact_error`` in
+:func:`_model_bracket`, for ``distance_bracket`` and the solver alike),
+the pair-tube bound (its dual, its gaps and its logs), the
 directional branch (its log, and every model's and the window's
 closed-form t, rounded up through :func:`~koblab.geometry._quadric_exit`;
 the phase scan reads outer ray ends), the delta-ratio branch's log, the
 generic kernel's touching-disc term, Omega_psi's line radius (its wall
 bound rounded up) and the chord's and the solver's segment sums
-:func:`~koblab.geometry._sum_up`.  Still plain double: the model
-``distance_bracket`` [d, d], the half-plane projection bound, the
-boundary distance the delta-ratio branch divides by (the ``_project``
-distance, an upper bound in real arithmetic only), the bidisc paths'
-artanh grids, the models' node radii 1 - |z| (and 1 - max |z_j|) that
-``inner_radius_fast`` returns, and the ellipsoid gauge sum
-|z_j|^2/a_j^2 that its inner radius reads.
+:func:`~koblab.geometry._sum_up`.  Still plain double: the half-plane
+projection bound, the boundary distance the delta-ratio branch divides
+by (the ``_project`` distance, an upper bound in real arithmetic only),
+the bidisc paths' artanh grids, the models' node radii 1 - |z| (and
+1 - max |z_j|) that ``inner_radius_fast`` returns, and the ellipsoid
+gauge sum |z_j|^2/a_j^2 that its inner radius reads.
 """
 
 from __future__ import annotations
@@ -545,20 +546,45 @@ def _certified_chain_upper(domain: Domain, a: list, b: list,
                     _certified_chain_upper(domain, mid, b, fm, fb, depth - 1)])
 
 
+def _model_bracket(domain: Domain, d: float, delta: float) -> MetricBracket:
+    """The model closed form d, widened to a certified bracket.
+
+    With e = ``domain.exact_error(d, delta)``, delta the pair's smaller
+    ``_node`` radius, the lower is d - e stepped one float toward 0 and
+    floored at 0, the upper d + e stepped one float up: the step covers
+    the rounding of d +- e, and e's own rounding is of second order.
+    This is the one reader of ``exact_error``: ``distance_bracket`` on
+    the models and the solver's model segments and endpoint lower all
+    come through here.  Below ``domain.exact_depth``, where the bound is
+    not derived, it raises ``GeometryError`` instead of emitting a width
+    nothing backs.
+    """
+    if not delta >= domain.exact_depth:
+        raise GeometryError(f"depth {delta:.3g} is below exact_depth "
+                            f"{domain.exact_depth:.3g}")
+    e = domain.exact_error(d, delta)
+    return MetricBracket(max(0.0, math.nextafter(d - e, 0.0)),
+                         math.nextafter(d + e, math.inf))
+
+
 def distance_bracket(domain: Domain, x, y) -> MetricBracket:
     """Certified two-sided distance bracket.
 
-    Model domains collapse to the exact value.  General convex domains pair
+    On model domains it is the closed form widened by its rounding bound
+    (:func:`_model_bracket`, at the pair's smaller node radius), and
+    exactly [0, 0] for coincident points.  General convex domains pair
     the best lower bound with a subdivided upper along the straight segment
     (inside the domain by convexity), whose pieces cost the domain's own
     segment terms, those of the geodesic descent.
     """
     x, y = domain._interior(x), domain._interior(y)
-    exact = domain.exact_distance(x, y)
-    if exact is not None:
-        return MetricBracket(exact, exact)
-    lower = distance_lower_bound(domain, x, y)
     a, b = x.tolist(), y.tolist()
+    if domain.exact:
+        if a == b:
+            return MetricBracket(0.0, 0.0)
+        return _model_bracket(domain, domain.exact_distance(x, y),
+                              min(domain._node(a)[0], domain._node(b)[0]))
+    lower = distance_lower_bound(domain, x, y)
     upper = _certified_chain_upper(domain, a, b, domain._node(a)[1],
                                    domain._node(b)[1])
     if lower > upper * (1.0 + 1e-12):

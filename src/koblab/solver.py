@@ -5,8 +5,10 @@ per-segment *certified* upper bounds (closed forms on model domains, widened
 by their rounding error; rounded-up touching-disc bounds elsewhere, on
 Omega_psi at the line radius of the segment's complex line; summed
 rounding up on both), so ``distance.upper`` is a true upper bound for k_D.
-Lower bounds come from the projection estimates in :mod:`koblab.metric`,
-never from the path itself.
+The lower is never read off the path: on the models it is the endpoints'
+closed form widened by its rounding bound, the lower of
+:func:`koblab.metric.distance_bracket`, and elsewhere the projection
+estimates of :func:`koblab.metric.distance_lower_bound`.
 
 The search is derivative-free coordinate descent with an adaptive step and
 staged midpoint refinement; the metric data is only Lipschitz (directional
@@ -63,7 +65,8 @@ import numpy as np
 
 from .geometry import (Domain, GeometryError, Polydisc, _json_number,
                        _sum_up)
-from .metric import MetricBracket, disc_distance, distance_lower_bound
+from .metric import (MetricBracket, _model_bracket, disc_distance,
+                     distance_bracket, distance_lower_bound)
 
 __all__ = [
     "SolverConfig",
@@ -355,7 +358,8 @@ def solve_geodesic(domain: Domain, x, y, cfg: SolverConfig | None = None) -> Geo
         raise GeometryError(
             "geodesic endpoints must keep boundary distance >= 1e-6")
 
-    lower = distance_lower_bound(domain, x, y)
+    lower = distance_bracket(domain, x, y).lower if domain.exact \
+        else distance_lower_bound(domain, x, y)
     node, terms = domain._node, domain._terms
     margin = 1e-9 * domain.bounding_radius
 
@@ -422,18 +426,13 @@ def solve_geodesic(domain: Domain, x, y, cfg: SolverConfig | None = None) -> Geo
     best_S = [best_S[j - 1] for j in keep[1:]]
     best_pts = best_pts[keep]
 
-    # on the models each closed form is widened by ``exact_error`` at its
-    # smaller endpoint radius; elsewhere each segment's upper is its
-    # kernel's certified term.  Both add through the one rounded-up sum.
-    if domain.exact:
-        R = [node(p)[0] for p in best_pts.tolist()]
-        brackets = []
-        for j, s in enumerate(best_S):
-            e = domain.exact_error(s, min(R[j], R[j + 1]))
-            brackets.append(MetricBracket(max(0.0, math.nextafter(s - e, 0.0)),
-                                          math.nextafter(s + e, math.inf)))
-    else:
-        brackets = [MetricBracket(0.0, s) for s in best_S]
+    # on the models each closed form is widened at its smaller endpoint
+    # radius; elsewhere each segment's upper is its kernel's certified
+    # term.  Both add through the one rounded-up sum.
+    R = [node(p)[0] for p in best_pts.tolist()]
+    brackets = [_model_bracket(domain, s, min(R[j], R[j + 1]))
+                if domain.exact else MetricBracket(0.0, s)
+                for j, s in enumerate(best_S)]
     upper = _sum_up([b.upper for b in brackets])
     path = Path(points=best_pts, domain=domain, segment_brackets=brackets,
                 endpoint_lower=lower)

@@ -8,7 +8,8 @@ import pytest
 
 from koblab.cases import (_fast_decay, omega_psi_upper_bound,
                           run_bidisc_case, run_omega_psi_case)
-from koblab.geometry import GeometryError, OmegaPsi, PsiSpec, domain_from_json
+from koblab.geometry import (GeometryError, OmegaPsi, Polydisc, PsiSpec,
+                             domain_from_json)
 from koblab.svg import render_report_svg
 
 
@@ -132,9 +133,12 @@ def test_bidisc_case_report():
     for s in rep.samples:
         assert "equal-lengths" in s.flags
         eps = s.grid_value
-        # the residual of this pair is -log(2 - eps) on the nose
-        assert s.inputs["residual_upper"] == pytest.approx(
-            -math.log(2.0 - eps), abs=1e-12)
+        # the residual of this pair is -log(2 - eps) on the nose; its upper
+        # reads the distance bracket's lower, at most e = exact_error below
+        # the closed form
+        e = Polydisc(2).exact_error(s.inputs["exact_length"], eps)
+        assert -1e-12 <= s.inputs["residual_upper"] + math.log(2.0 - eps) \
+            <= e + 1e-12
         # the antipodal pair's product against the origin vanishes
         assert 0.0 <= s.inputs["product_upper"] <= 1e-9
         assert s.statistic == pytest.approx(math.sqrt(eps), rel=0.75)

@@ -13,6 +13,8 @@ import sys
 import pytest
 
 from koblab import cli
+from koblab.geometry import Disc
+from test_rounding import mp_disc
 
 
 def write_config(tmp_path, name, data):
@@ -41,8 +43,12 @@ def test_distance_disc_pair_bracket(tmp_path):
     assert doc["upper"] <= 0.5504
     assert doc["lower"] <= doc["upper"]
     assert doc["schema"] == "koblab-report/1"
-    # the disc is a model domain, so both ends sit on atanh(1/2)
-    assert doc["lower"] == pytest.approx(math.atanh(0.5), abs=1e-15)
+    # the disc is a model domain: the bracket holds atanh(1/2) and is the
+    # closed form widened by its rounding bound e at depth 1/2 each way,
+    # plus 4 ulps for the rounding of d - e and d + e and the step outward
+    assert doc["lower"] <= mp_disc(0.0, 0.5) <= doc["upper"]
+    e = Disc().exact_error(math.atanh(0.5), 0.5)
+    assert doc["upper"] - doc["lower"] <= 2.0 * e + 4 * math.ulp(0.5)
 
 
 def test_distance_coincident_points_is_zero(tmp_path):
@@ -395,8 +401,10 @@ def test_localize_sound_run_with_positive_overhead(tmp_path):
                     "--out", str(out), "--reproducible"]) == 0
     rep = json.loads((out / "localize-run.json").read_text())["report"]
     # re-recorded (0x1.4b6c5b343fa40p-6 before) when the pair draws began
-    # to read the outer end of the window ray exit
-    assert rep["fitted_parameters"]["C_emp"] == 0.020228470950332533
+    # to read the outer end of the window ray exit, and (0.020228470950332533
+    # before) when the Ball(2) closed-form upper was widened by its rounding
+    # bound
+    assert rep["fitted_parameters"]["C_emp"] == 0.020228470950327593
     for s in rep["samples"]:
         assert s["upper"] is None
         assert s["lower"] <= s["statistic"] == \

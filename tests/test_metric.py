@@ -47,6 +47,7 @@ from koblab.metric import (
     pair_tube_bound,
     polydisc_distance,
 )
+from test_rounding import mp_distance
 
 
 # ---------------------------------------------------------------------------
@@ -505,14 +506,24 @@ def segment_upper(domain, a, b):
     return max(domain._terms(a, b, domain._node(a)[1], domain._node(b)[1]))
 
 
+def _assert_model_bracket(dom, a, b, br):
+    """br holds the 50-digit distance, and is no wider than the closed
+    form d widened by e = exact_error(d, delta) each way, plus 4 ulps of d
+    for the rounding of d - e and d + e and the float step outward."""
+    d = dom.exact_distance(np.asarray(a, dtype=complex),
+                           np.asarray(b, dtype=complex))
+    delta = min(dom.inner_radius_fast(a), dom.inner_radius_fast(b))
+    assert br.lower <= mp_distance(dom, a, b) <= br.upper
+    assert 0.0 < br.width <= 2.0 * dom.exact_error(d, delta) + 4 * math.ulp(d)
+
+
 def test_segment_upper_models_exact():
-    # the models' segment kernel and their collapsed bracket are the exact
-    # pair distance: artanh(1/2) on the disc, log 19 on the ball diameter
+    # the models' segment kernel is the exact pair distance, artanh(1/2) on
+    # the disc, log 19 on the ball diameter, and their bracket widens it
     for dom, a, b, exact in ((Disc(), [0.0], [0.5], disc_distance(0, 0.5)),
                              (Ball(2), [0.9, 0], [-0.9, 0], math.log(19.0))):
         assert segment_upper(dom, a, b) == pytest.approx(exact, abs=1e-12)
-        br = distance_bracket(dom, a, b)
-        assert br.lower == br.upper == pytest.approx(exact, abs=1e-12)
+        _assert_model_bracket(dom, a, b, distance_bracket(dom, a, b))
 
 
 def test_segment_upper_generic_touching_disc():
@@ -526,11 +537,13 @@ def test_segment_upper_generic_touching_disc():
     assert br.upper == pytest.approx(math.atanh(0.2), abs=1e-12)
 
 
-def test_distance_bracket_models_degenerate():
-    br = distance_bracket(Ball(2), [0.5, 0.1], [-0.2, 0.3])
-    assert br.lower == br.upper == ball_distance([0.5, 0.1], [-0.2, 0.3])
-    br = distance_bracket(Disc(), [0.2], [0.7j])
-    assert br.width == 0.0
+def test_distance_bracket_models_widened():
+    for dom, a, b in ((Ball(2), [0.5, 0.1], [-0.2, 0.3]),
+                      (Disc(), [0.2], [0.7j]),
+                      (HalfPlane(), [0.3 + 1e-9j], [-2.0 + 5.0j])):
+        _assert_model_bracket(dom, a, b, distance_bracket(dom, a, b))
+    # the distance of coincident points is exactly 0
+    assert distance_bracket(Disc(), [0.2], [0.2]).as_tuple() == (0.0, 0.0)
 
 
 def test_distance_bracket_checks_points_first():

@@ -1,7 +1,7 @@
-"""Outward rounding of the model closed forms, of the touching-disc bound,
-of the certified sum, of the solver's uppers, of the pair-tube bound and
-of the directional branch, against 50-digit mpmath references computed
-apart from koblab."""
+"""Outward rounding of the model closed forms and their brackets, of the
+touching-disc bound, of the certified sum, of the solver's uppers, of the
+pair-tube bound and of the directional branch, against 50-digit mpmath
+references computed apart from koblab."""
 
 import math
 
@@ -11,13 +11,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from koblab.geometry import (Ball, Disc, Ellipsoid, HalfPlane,
+from koblab import metric
+from koblab.geometry import (Ball, Disc, Ellipsoid, GeometryError, HalfPlane,
                              LocalizedDomain, OmegaPsi, Polydisc, PsiSpec,
                              _difference_parts, _sum_up,
                              _touching_disc_upper)
-from koblab.metric import (_boundary_contact, _dual_disjointness,
-                           distance_bracket, distance_lower_bound_detailed,
-                           pair_tube_bound)
+from koblab.metric import (MetricBracket, _boundary_contact,
+                           _dual_disjointness, distance_bracket,
+                           distance_lower_bound_detailed, pair_tube_bound)
 from koblab.solver import SolverConfig, solve_geodesic
 
 DIGITS = 50
@@ -36,19 +37,35 @@ def mp_disc(a, b):
 
 
 def mp_ball(z, w):
-    """artanh sqrt(1 - (1-|z|^2)(1-|w|^2)/|1-<z,w>|^2), at 50 digits."""
+    """artanh sqrt(1 - (1-|z|^2)(1-|w|^2)/|1-<z,w>|^2), at 50 digits.
+
+    With v = w - z, |1-<z,w>|^2 - (1-|z|^2)(1-|w|^2) is |v|^2 minus
+    |z|^2|w|^2 - |<z,w>|^2 = sum over i < j of |z_i v_j - z_j v_i|^2
+    (Lagrange's identity), so the radicand is formed from v and keeps its
+    digits as w nears z: it is exactly 0 at w = z."""
     with mpmath.workdps(DIGITS):
         z, w = [_mpc(c) for c in z], [_mpc(c) for c in w]
-        nz = sum(abs(c) ** 2 for c in z)
-        nw = sum(abs(c) ** 2 for c in w)
+        v = [b - a for a, b in zip(z, w)]
+        wedge = sum(abs(z[i] * v[j] - z[j] * v[i]) ** 2
+                    for i in range(len(z)) for j in range(i + 1, len(z)))
         inner = sum(a * mpmath.conj(b) for a, b in zip(z, w))
-        ratio = (1 - nz) * (1 - nw) / abs(1 - inner) ** 2
-        return mpmath.atanh(mpmath.sqrt(max(mpmath.mpf(0), 1 - ratio)))
+        num = sum(abs(c) ** 2 for c in v) - wedge
+        return mpmath.atanh(mpmath.sqrt(max(mpmath.mpf(0), num))
+                            / abs(1 - inner))
+
+
+def mp_halfplane(a, b):
+    """artanh(|a - b| / |a - conj(b)|), at 50 digits."""
+    with mpmath.workdps(DIGITS):
+        a, b = _mpc(a), _mpc(b)
+        return mpmath.atanh(abs(a - b) / abs(a - mpmath.conj(b)))
 
 
 def mp_distance(domain, x, y):
     if isinstance(domain, Ball):
         return mp_ball(x, y)
+    if isinstance(domain, HalfPlane):
+        return mp_halfplane(x[0], y[0])
     return max(mp_disc(a, b) for a, b in zip(x, y))
 
 
@@ -72,6 +89,15 @@ def unit_vectors(draw, dim):
 def model_pairs(draw, domain):
     """Pairs at depths 1e-12 to 1; a near pair sits within a fraction of
     the first point's depth, where 1 - |z|^2 cancels."""
+    if isinstance(domain, HalfPlane):
+        # the depth is Im z
+        x0 = complex(draw(coords), draw(depths))
+        if draw(st.booleans()):
+            y0 = x0 + draw(st.floats(0.0, 0.9)) * x0.imag \
+                * draw(unit_vectors(1))[0]
+        else:
+            y0 = complex(draw(coords), draw(depths))
+        return np.array([x0]), np.array([y0])
     # the ball is one round body; the disc and polydisc go by coordinate
     blocks = [domain.dim] if isinstance(domain, Ball) else [1] * domain.dim
     x, y = [], []
@@ -87,7 +113,14 @@ def model_pairs(draw, domain):
     return np.array(x), np.array(y)
 
 
-MODELS = [Disc(), Polydisc(2), Ball(2), Ball(3)]
+MODELS = [Disc(), HalfPlane(), Polydisc(2), Polydisc(3), Ball(2), Ball(3)]
+
+
+def bracket_misses(domain, x, y, k):
+    """Whether ``distance_bracket`` leaves out the distance k, with no
+    slack: k is an mpmath number, which compares with a float exactly."""
+    br = distance_bracket(domain, x, y)
+    return not br.lower <= k <= br.upper
 
 
 @pytest.mark.parametrize("domain", MODELS,
@@ -98,9 +131,49 @@ def test_closed_form_within_derived_bound(domain, data):
     delta = min(domain._node(x.tolist())[0], domain._node(y.tolist())[0])
     assume(delta > 0.0)
     got = domain.exact_distance(x, y)
+    k = mp_distance(domain, x, y)
     with mpmath.workdps(DIGITS):
-        err = abs(mpmath.mpf(got) - mp_distance(domain, x, y))
+        err = abs(mpmath.mpf(got) - k)
     assert err <= domain.exact_error(got, delta)
+    # the model bracket holds the distance wherever its bound is derived,
+    # and refuses the pair below that depth
+    if delta >= domain.exact_depth or np.array_equal(x, y):
+        assert not bracket_misses(domain, x, y, k)
+    else:
+        with pytest.raises(GeometryError, match="depth"):
+            distance_bracket(domain, x, y)
+
+
+# a Ball(2) pair about 1e-9 from the sphere, 1e-10 apart
+NEAR_BALL_PAIR = (np.array([0.6 * (1 - 1e-9), 0.8j * (1 - 1e-9)]),
+                  np.array([0.6 * (1 - 1e-9) + 1e-10j, 0.8j * (1 - 1e-9)]))
+
+
+def test_unwidened_model_bracket_mutant_fails_the_containment_check(
+        monkeypatch):
+    # the bracket [d, d] of the bare closed form misses the 50-digit
+    # distance of a near-boundary pair.  Halving exact_error instead
+    # survives every check here: the closed forms err by under half their
+    # derived bound, and by under a tenth on the disc, polydisc and ball
+    dom, (x, y) = Ball(2), NEAR_BALL_PAIR
+    k = mp_distance(dom, x, y)
+    assert not bracket_misses(dom, x, y, k)
+    monkeypatch.setattr(metric, "_model_bracket",
+                        lambda domain, d, delta: MetricBracket(d, d))
+    assert bracket_misses(dom, x, y, k)
+
+
+@pytest.mark.parametrize("domain", [Disc(), Ball(2)], ids=["disc", "ball2"])
+def test_model_bracket_refuses_depth_below_its_derivation(domain):
+    # 1e-14 is below 1000u (disc) and 20 (n + 5)^2 u (ball): exact_error
+    # is not derived there, so no bracket is emitted
+    x = np.zeros(domain.dim, dtype=complex)
+    x[0] = 1.0 - 1e-14
+    y = np.zeros(domain.dim, dtype=complex)
+    with pytest.raises(GeometryError, match="is below"):
+        distance_bracket(domain, x, y)
+    # coincident points are exactly 0 apart at any depth
+    assert distance_bracket(domain, x, x).as_tuple() == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
