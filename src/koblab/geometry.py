@@ -603,7 +603,7 @@ class Domain:
 
 
 # ---------------------------------------------------------------------------
-# one-dimensional root finding
+# one-dimensional root finding and maximization
 # ---------------------------------------------------------------------------
 
 
@@ -669,12 +669,34 @@ def _brentq(f: Callable[[float], float], xa: float, xb: float,
     raise GeometryError(f"root search did not converge in {maxiter} steps")
 
 
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)     # the golden-section ratio
+
+
+def _golden_section(h: Callable[[float], float], lo: float, hi: float,
+                    tol: float) -> tuple:
+    """Golden-section search for a maximum of ``h`` on [lo, hi], down to a
+    bracket no wider than ``tol``.  Returns the last two probes and their
+    values, ``(c, h(c), d, h(d))`` with c < d; the caller picks between
+    them.  A tie keeps the left cell."""
+    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    hc, hd = h(c), h(d)
+    while hi - lo > tol:
+        if hc >= hd:
+            hi, d, hd = d, c, hc
+            c = hi - _GOLDEN * (hi - lo)
+            hc = h(c)
+        else:
+            lo, c, hc = c, d, hd
+            d = lo + _GOLDEN * (hi - lo)
+            hd = h(d)
+    return c, hc, d, hd
+
+
 # ---------------------------------------------------------------------------
 # model domains: closed forms
 # ---------------------------------------------------------------------------
 
 _UNIT_ROUNDOFF = 2.0 ** -53
-_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)     # the golden-section ratio
 
 
 def _up(x: float, steps: int) -> float:
@@ -1437,18 +1459,8 @@ class PsiSpec:
         the log-power form a golden-section search finds it."""
         if self.form == "exp_neg_c_over_x":
             return self.c / (3.0 + math.sqrt(3.0))
-        lo, hi = 0.0, self.cut
-        x1, x2 = hi - _GOLDEN * hi, _GOLDEN * hi
-        f1, f2 = self._pure_deriv2(x1), self._pure_deriv2(x2)
-        while hi - lo > 1e-12 * self.cut:
-            if f1 < f2:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + _GOLDEN * (hi - lo)
-                f2 = self._pure_deriv2(x2)
-            else:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - _GOLDEN * (hi - lo)
-                f1 = self._pure_deriv2(x1)
+        x1, f1, x2, f2 = _golden_section(self._pure_deriv2, 0.0, self.cut,
+                                         1e-12 * self.cut)
         return x1 if f1 >= f2 else x2
 
     def curvature(self, lo: float, hi: float) -> float:

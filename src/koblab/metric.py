@@ -24,7 +24,7 @@ two-sided interval arithmetic:
   the flat segment, where the inner radius is about eps.
 
 Every side rests on an inequality that holds exactly: lower bounds only use
-certified under-estimates of boundary distances and over-estimates of
+supporting half-planes at boundary contacts and over-estimates of
 directional distances, upper bounds only use certified inner and line
 radii.  In floating point these sides round outward: the model closed
 forms (each widened by its derived ``exact_error`` in
@@ -32,15 +32,14 @@ forms (each widened by its derived ``exact_error`` in
 the pair-tube bound (its dual, its gaps and its logs), the
 directional branch (its log, and every model's and the window's
 closed-form t, rounded up through :func:`~koblab.geometry._quadric_exit`;
-the phase scan reads outer ray ends), the delta-ratio branch's log, the
-generic kernel's touching-disc term, Omega_psi's line radius (its wall
-bound rounded up) and the chord's and the solver's segment sums
-:func:`~koblab.geometry._sum_up`.  Still plain double: the half-plane
-projection bound, the boundary distance the delta-ratio branch divides
-by (the ``_project`` distance, an upper bound in real arithmetic only),
-the bidisc paths' artanh grids, the models' node radii 1 - |z| (and
-1 - max |z_j|) that ``inner_radius_fast`` returns, and the ellipsoid
-gauge sum |z_j|^2/a_j^2 that its inner radius reads.
+the phase scan reads outer ray ends), the generic kernel's touching-disc
+term, Omega_psi's line radius (its wall bound rounded up) and the chord's
+and the solver's segment sums :func:`~koblab.geometry._sum_up`.  Still
+plain double: the half-plane projection bound (its contact and normal
+come from the plain-double ``_project``), the bidisc paths' artanh grids,
+the models' node radii 1 - |z| (and 1 - max |z_j|) that
+``inner_radius_fast`` returns, and the ellipsoid gauge sum
+|z_j|^2/a_j^2 that its inner radius reads.
 """
 
 from __future__ import annotations
@@ -54,10 +53,10 @@ from .geometry import (
     AmbiguousProjectionError,
     Domain,
     GeometryError,
-    _GOLDEN,
     _UNIT_ROUNDOFF,
     _difference_parts,
     _down,
+    _golden_section,
     _lex_key,
     _sum_up,
     _up,
@@ -243,18 +242,8 @@ def _torus_point(R: float, c_p: complex, c_q: complex, P: list, Q: list):
 
     step = 2.0 * math.pi / _PHASE_GRID
     best = max((h(j * step), j * step) for j in range(_PHASE_GRID))
-    lo, hi = best[1] - step, best[1] + step
-    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    hc, hd = h(c), h(d)
-    while hi - lo > _PHASE_TOL:
-        if hc >= hd:
-            hi, d, hd = d, c, hc
-            c = hi - _GOLDEN * (hi - lo)
-            hc = h(c)
-        else:
-            lo, c, hc = c, d, hd
-            d = lo + _GOLDEN * (hi - lo)
-            hd = h(d)
+    c, hc, d, hd = _golden_section(h, best[1] - step, best[1] + step,
+                                   _PHASE_TOL)
     delta = max(best, (hc, c), (hd, d))[1]
     e = complex(math.cos(delta), math.sin(delta))
     s = c_p + e.conjugate() * c_q
@@ -422,7 +411,6 @@ def pair_tube_bound(domain: Domain, x, y, *, contacts=None):
 def distance_lower_bound_detailed(domain: Domain, x, y):
     """(best bound, per-branch values).  Branch keys:
 
-    ``delta-ratio``           1/2 |log(delta(x)/delta(y))|, rounded down
     ``halfplane-projection``  contraction onto the supporting half-plane
     ``directional``           1/2 log(1 + |x-y| / max(t_x, t_y))
     ``pair-tube``             additive two-projection bound (when it applies)
@@ -432,19 +420,19 @@ def distance_lower_bound_detailed(domain: Domain, x, y):
     ``directional`` branch is the repaired reading of a misprinted
     display, with t_x, t_y the directional distances of the chord at its
     ends.  No caller reports which branch won: they keep only the best
-    bound.  The ratio and both projection branches share one boundary
-    projection of each point, ``Domain._project``; the ratio reads the
-    certified ``inner_radius_fast`` of one end over that plain-double
-    distance of the other.  :func:`pair_tube_bound` first settles most
-    pairs that its dual solve would reject with an exact, cheap check.
-    The two directional scans of (c) share one early exit: the end with
-    the larger boundary distance is scanned first, and its t is the
-    ``stop`` of the other scan, which is exact because only the larger t
-    is kept.
+    bound.  Both projection branches share one boundary projection of each
+    point, ``Domain._project``.  The ratio 1/2 |log(delta(x)/delta(y))| has
+    no branch of its own: at the shallower end's contact p, with unit
+    normal nu, Im h = Re <nu, p - z> is that end's delta and, for the other
+    end, its distance to the supporting hyperplane, at least its delta; so
+    the half-plane branch at that contact is at least the ratio.
+    :func:`pair_tube_bound` first settles most pairs that its dual solve
+    would reject with an exact, cheap check.  The two directional scans of
+    (b) share one early exit: the end with the larger boundary distance is
+    scanned first, and its t is the ``stop`` of the other scan, which is
+    exact because only the larger t is kept.
     """
-    x, y = as_carray(x), as_carray(y)
-    if not domain.contains(x) or not domain.contains(y):
-        raise GeometryError("distance_lower_bound needs interior points")
+    x, y = domain._interior(x), domain._interior(y)
     if np.array_equal(x, y):
         return 0.0, {}
     # canonical order so the bound is exactly symmetric in its arguments
@@ -453,23 +441,12 @@ def distance_lower_bound_detailed(domain: Domain, x, y):
 
     branches = {}
 
-    # one boundary projection per point: its distance is the upper of (a),
-    # its contact the source of (b) and (d)
+    # one boundary projection per point: its distance orders the scans of
+    # (b), its contact is the source of (a) and (c)
     (up_x, up_y), contacts = zip(_boundary_contact(domain, x),
                                  _boundary_contact(domain, y))
 
-    # (a) boundary-distance ratio: certified lower over the projection's
-    # distance
-    lo_x, lo_y = domain.inner_radius_fast(x), domain.inner_radius_fast(y)
-    ratio = 0.0
-    # a quotient <= 1 gives a log <= 0, which the floor at 0 drops
-    if 0.0 < up_y < lo_x:
-        ratio = max(ratio, _half_log_down(lo_x, up_y))
-    if 0.0 < up_x < lo_y:
-        ratio = max(ratio, _half_log_down(lo_y, up_x))
-    branches["delta-ratio"] = ratio
-
-    # (b) supporting half-plane projections at both ends; an ambiguous
+    # (a) supporting half-plane projections at both ends; an ambiguous
     # projection drops only its own source
     proj = 0.0
     for contact in contacts:
@@ -479,7 +456,7 @@ def distance_lower_bound_detailed(domain: Domain, x, y):
                 proj = max(proj, val)
     branches["halfplane-projection"] = proj
 
-    # (c) directional bound along the chord (repaired reading); only the
+    # (b) directional bound along the chord (repaired reading); only the
     # larger end counts, so the end farther from the boundary is scanned
     # first and its t stops the other scan (exact, see directional_distance).
     # A chord whose norm underflows to 0 gives no direction, and its branch
@@ -496,7 +473,7 @@ def distance_lower_bound_detailed(domain: Domain, x, y):
         if math.isfinite(t) and t > 0.0:
             branches["directional"] = _directional_bound(x, y, t)
 
-    # (d) additive pair bound for deep pairs
+    # (c) additive pair bound for deep pairs
     pt = pair_tube_bound(domain, x, y, contacts=contacts)
     if pt is not None:
         branches["pair-tube"] = pt

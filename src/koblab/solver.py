@@ -459,7 +459,12 @@ def _hyperbolic_leg(a: float, b: float, m: int):
     return np.tanh(g), np.abs(np.diff(g))
 
 
-def bidisc_boundary_geodesic(epsilon: float, points_per_leg: int = 22):
+# points on each leg of the three-leg path; the diameter has three times as
+# many
+_LEG_POINTS = 22
+
+
+def bidisc_boundary_geodesic(epsilon: float):
     """The two geodesics joining (-1+eps, 0) and (1-eps, 0) in the bidisc.
 
     Returns (diameter path, three-leg boundary-hugging path).  The second
@@ -487,10 +492,8 @@ def bidisc_boundary_geodesic(epsilon: float, points_per_leg: int = 22):
         raise GeometryError("no admissible c: epsilon too large for the "
                             "three-leg construction")
 
-    mm = max(2, points_per_leg)
-
     # path 1: the real diameter, both coordinates (u(s), 0)
-    u, du = _hyperbolic_leg(a, b, 3 * mm)
+    u, du = _hyperbolic_leg(a, b, 3 * _LEG_POINTS)
     pts1 = np.stack([u, np.zeros_like(u)], axis=1).astype(complex)
     path1 = Path(points=pts1, domain=dom,
                  segment_brackets=[MetricBracket(s, s) for s in du],
@@ -501,13 +504,13 @@ def bidisc_boundary_geodesic(epsilon: float, points_per_leg: int = 22):
     height = 1.0 - r
     # on the outer legs both coordinates move along hyperbolically-uniform
     # grids, so each sub-segment's max is the (dominating) first coordinate
-    u11, d11 = _hyperbolic_leg(a, x_mid_l, mm)
-    u12, d12 = _hyperbolic_leg(0.0, height, mm)
-    u21, d21 = _hyperbolic_leg(x_mid_l, x_mid_r, mm)
-    u31, d31 = _hyperbolic_leg(x_mid_r, b, mm)
-    u32, d32 = _hyperbolic_leg(height, 0.0, mm)
+    u11, d11 = _hyperbolic_leg(a, x_mid_l, _LEG_POINTS)
+    u12, d12 = _hyperbolic_leg(0.0, height, _LEG_POINTS)
+    u21, d21 = _hyperbolic_leg(x_mid_l, x_mid_r, _LEG_POINTS)
+    u31, d31 = _hyperbolic_leg(x_mid_r, b, _LEG_POINTS)
+    u32, d32 = _hyperbolic_leg(height, 0.0, _LEG_POINTS)
     leg1 = np.stack([u11, u12], axis=1)
-    leg2 = np.stack([u21, np.full(mm, height)], axis=1)
+    leg2 = np.stack([u21, np.full(_LEG_POINTS, height)], axis=1)
     leg3 = np.stack([u31, u32], axis=1)
     pts2 = np.concatenate([leg1, leg2[1:], leg3[1:]], axis=0).astype(complex)
     upp2 = np.concatenate([np.maximum(d11, d12), d21, np.maximum(d31, d32)])

@@ -17,8 +17,9 @@ from koblab.geometry import (Ball, Disc, Ellipsoid, GeometryError, HalfPlane,
                              _difference_parts, _sum_up,
                              _touching_disc_upper)
 from koblab.metric import (MetricBracket, _boundary_contact,
-                           _dual_disjointness, distance_bracket,
-                           distance_lower_bound_detailed, pair_tube_bound)
+                           _dual_disjointness, _half_log_down,
+                           distance_bracket, distance_lower_bound_detailed,
+                           pair_tube_bound)
 from koblab.solver import SolverConfig, solve_geodesic
 
 DIGITS = 50
@@ -494,42 +495,51 @@ def test_directional_branch_at_or_below_its_exact_value(case):
 
 
 # ---------------------------------------------------------------------------
-# the delta-ratio branch rounds down, with no slack
+# the half-plane branch covers the boundary-distance ratio
 # ---------------------------------------------------------------------------
 
-RATIO_DOMAINS = [Ball(2), Ellipsoid(list(AXES)), OmegaPsi(PSI_PROFILES[0])]
+RATIO_DOMAINS = [Disc(), Polydisc(2), Ball(2), Ellipsoid(list(AXES))] + [
+    OmegaPsi(psi) for psi in PSI_PROFILES]
 
 
 @st.composite
 def ratio_pairs(draw):
-    """A ball, ellipsoid or exp Omega_psi and two points at depths 1e-12
+    """A model, an ellipsoid or an Omega_psi and two points at depths 1e-5
     to 1: along rays from the centre, or above the Omega_psi wall."""
     dom = draw(st.sampled_from(RATIO_DOMAINS))
 
     def point():
-        depth = 10.0 ** draw(st.floats(-12.0, 0.0))
+        depth = 10.0 ** draw(st.floats(-5.0, 0.0))
         if isinstance(dom, OmegaPsi):
             x1, y1 = draw(st.floats(-0.5, 0.5)), draw(st.floats(-2.5, 2.5))
             y2 = draw(st.floats(-0.3, 0.3))
             return np.array([complex(x1, y1),
                              complex(dom._wall(x1, y1, y2) + depth, y2)])
-        return (1.0 - depth) * draw(unit_vectors(2)) * getattr(dom, "axes",
-                                                                1.0)
+        u = draw(unit_vectors(dom.dim))
+        if isinstance(dom, Polydisc):
+            u = u / np.abs(u).max()
+        return (1.0 - depth) * u * getattr(dom, "axes", 1.0)
     return dom, point(), point()
 
 
 @given(ratio_pairs())
-def test_delta_ratio_branch_at_or_below_its_exact_value(case):
-    # max(0, 1/2 log(ir(x)/d(y)), 1/2 log(ir(y)/d(x))) at 50 digits, of
-    # the same floats: ir the inner radius, d the projection's distance
+def test_lower_bound_covers_the_delta_ratio(case):
+    # 1/2 log(ir(x)/d(y)) and its mirror, ir the inner radius and d the
+    # projection's distance, have no branch: at y's contact p, with unit
+    # normal nu, Im h(y) = Re <nu, p - y> is d(y) and Im h(x) is at least
+    # x's distance to the supporting hyperplane, at least ir(x), so the
+    # half-plane branch is at least the ratio in exact arithmetic.  In
+    # floats Im h errs by about u |p|, with |p| <= 3 here (the ellipsoid's
+    # axis 2, the Omega_psi cap radius 3): a relative error of about
+    # 3u/delta <= 3.3e-11 at the models' depths >= 1e-5, and the log errs
+    # by as much.  The 1e-9 slack covers that thirtyfold.  On Omega_psi
+    # delta can be far below the height over the wall, but there the
+    # branch met the ratio with no shortfall on 6,000 examples
     dom, x, y = case
     assume(dom.contains(x) and dom.contains(y) and not np.array_equal(x, y))
-    got = distance_lower_bound_detailed(dom, x, y)[1]["delta-ratio"]
     ends = [(dom.inner_radius_fast(z), dom.boundary_distance(z))
             for z in (x, y)]
-    with mpmath.workdps(DIGITS):
-        exact = max([mpmath.mpf(0)] + [
-            mpmath.log(mpmath.mpf(lo) / mpmath.mpf(up)) / 2
-            for (lo, _), (_, up) in (ends, ends[::-1])
-            if lo > 0.0 and up > 0.0])
-        assert mpmath.mpf(got) <= exact
+    ratio = max([0.0] + [_half_log_down(lo, up)
+                         for (lo, _), (_, up) in (ends, ends[::-1])
+                         if 0.0 < up < lo])
+    assert metric.distance_lower_bound(dom, x, y) >= ratio - 1e-9
